@@ -12,24 +12,12 @@ CandidateEdges KnnCandidates(const Matrix& x, size_t k,
                              SimilarityMetric metric) {
   const size_t n = x.rows();
   CandidateEdges out;
-  std::vector<std::pair<double, size_t>> scored;
   // Collect the symmetric union of directed kNN edges.
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t i = 0; i < n; ++i) {
-    scored.clear();
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      scored.push_back({RowSimilarity(x, i, j, metric), j});
-    }
-    size_t take = std::min(k, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<ptrdiff_t>(take),
-                      scored.end(), [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    for (size_t t = 0; t < take; ++t) {
-      size_t j = scored[t].second;
-      pairs.push_back({std::min(i, j), std::max(i, j)});
+    for (const KnnHit& hit :
+         ExactTopK(x.row_data(i), x, k, metric, /*gamma=*/1.0, /*exclude=*/i)) {
+      pairs.push_back({std::min(i, hit.index), std::max(i, hit.index)});
     }
   }
   std::sort(pairs.begin(), pairs.end());

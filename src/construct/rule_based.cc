@@ -33,24 +33,11 @@ Graph KnnGraph(const Matrix& x, const KnnGraphOptions& options) {
   // Top-k neighbor lists.
   std::vector<std::vector<size_t>> nbrs(n);
   std::vector<std::vector<double>> sims(n);
-  std::vector<std::pair<double, size_t>> scored;
   for (size_t i = 0; i < n; ++i) {
-    scored.clear();
-    scored.reserve(n - 1);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      scored.push_back({RowSimilarity(x, i, j, options.metric, options.gamma),
-                        j});
-    }
-    size_t take = std::min(k, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<ptrdiff_t>(take),
-                      scored.end(), [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    for (size_t t = 0; t < take; ++t) {
-      nbrs[i].push_back(scored[t].second);
-      sims[i].push_back(scored[t].first);
+    for (const KnnHit& hit : ExactTopK(x.row_data(i), x, k, options.metric,
+                                       options.gamma, /*exclude=*/i)) {
+      nbrs[i].push_back(hit.index);
+      sims[i].push_back(hit.similarity);
     }
   }
 

@@ -35,8 +35,9 @@ StatusOr<Graph> ReadEdgeList(std::istream& in) {
   size_t num_edges = 0;
   const bool has_edge_count = static_cast<bool>(header >> num_edges);
 
+  // No reserve(num_edges): the count is unchecked input, and the loop below
+  // stops at the stream's real end.
   std::vector<Edge> edges;
-  if (has_edge_count) edges.reserve(num_edges);
   size_t line_no = 1;
   while ((!has_edge_count || edges.size() < num_edges) &&
          std::getline(in, line)) {

@@ -1,54 +1,6 @@
 #include "models/knn_baseline.h"
 
-#include <algorithm>
-
 namespace gnn4tdl {
-
-namespace {
-
-/// Indices of the k most similar rows of `pool` to row `r` of `x`.
-std::vector<size_t> TopK(const Matrix& query, size_t r, const Matrix& pool,
-                         size_t k, SimilarityMetric metric, double gamma,
-                         bool skip_identical_row) {
-  std::vector<std::pair<double, size_t>> scored;
-  scored.reserve(pool.rows());
-  for (size_t j = 0; j < pool.rows(); ++j) {
-    // Stack the query row on top of the pool row to reuse RowSimilarity.
-    double sim = 0.0;
-    {
-      Matrix pair(2, query.cols());
-      std::copy(query.row_data(r), query.row_data(r) + query.cols(),
-                pair.row_data(0));
-      std::copy(pool.row_data(j), pool.row_data(j) + pool.cols(),
-                pair.row_data(1));
-      sim = RowSimilarity(pair, 0, 1, metric, gamma);
-    }
-    scored.push_back({sim, j});
-  }
-  if (skip_identical_row) {
-    // Drop exact self matches (similarity of a row with itself).
-    for (auto& [sim, j] : scored) {
-      bool same = true;
-      for (size_t c = 0; c < query.cols(); ++c)
-        if (query(r, c) != pool(j, c)) {
-          same = false;
-          break;
-        }
-      if (same) sim = -1e300;
-    }
-  }
-  size_t take = std::min(k, scored.size());
-  std::partial_sort(scored.begin(),
-                    scored.begin() + static_cast<ptrdiff_t>(take), scored.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first > b.first;
-                    });
-  std::vector<size_t> out;
-  for (size_t t = 0; t < take; ++t) out.push_back(scored[t].second);
-  return out;
-}
-
-}  // namespace
 
 KnnBaseline::KnnBaseline(KnnBaselineOptions options) : options_(options) {}
 
@@ -84,16 +36,15 @@ StatusOr<Matrix> KnnBaseline::Predict(const TabularDataset& data) {
       task_ == TaskType::kRegression ? 1 : static_cast<size_t>(num_classes_);
   Matrix out(x->rows(), out_dim);
   for (size_t r = 0; r < x->rows(); ++r) {
-    std::vector<size_t> nbrs = TopK(*x, r, x_train_, options_.k,
-                                    options_.metric, options_.gamma,
-                                    /*skip_identical_row=*/false);
+    std::vector<KnnHit> nbrs = ExactTopK(x->row_data(r), x_train_, options_.k,
+                                         options_.metric, options_.gamma);
     if (task_ == TaskType::kRegression) {
       double sum = 0.0;
-      for (size_t j : nbrs) sum += y_train_reg_[j];
+      for (const KnnHit& h : nbrs) sum += y_train_reg_[h.index];
       out(r, 0) = nbrs.empty() ? 0.0 : sum / static_cast<double>(nbrs.size());
     } else {
-      for (size_t j : nbrs)
-        out(r, static_cast<size_t>(y_train_cls_[j])) += 1.0;
+      for (const KnnHit& h : nbrs)
+        out(r, static_cast<size_t>(y_train_cls_[h.index])) += 1.0;
     }
   }
   return out;
@@ -116,20 +67,13 @@ StatusOr<Matrix> KnnDistanceDetector::Predict(const TabularDataset& data) {
   if (!x.ok()) return x.status();
   Matrix scores(x->rows(), 1);
   for (size_t r = 0; r < x->rows(); ++r) {
-    std::vector<size_t> nbrs = TopK(*x, r, *x, options_.k + 1,
-                                    SimilarityMetric::kEuclidean, 1.0,
-                                    /*skip_identical_row=*/false);
+    std::vector<KnnHit> nbrs =
+        ExactTopK(x->row_data(r), *x, options_.k, SimilarityMetric::kEuclidean,
+                  /*gamma=*/1.0, /*exclude=*/r);
     double sum = 0.0;
-    size_t count = 0;
-    for (size_t j : nbrs) {
-      if (j == r) continue;  // skip self
-      Matrix pair(2, x->cols());
-      std::copy(x->row_data(r), x->row_data(r) + x->cols(), pair.row_data(0));
-      std::copy(x->row_data(j), x->row_data(j) + x->cols(), pair.row_data(1));
-      sum += -RowSimilarity(pair, 0, 1, SimilarityMetric::kEuclidean);
-      if (++count == options_.k) break;
-    }
-    scores(r, 0) = count > 0 ? sum / static_cast<double>(count) : 0.0;
+    for (const KnnHit& h : nbrs) sum += -h.similarity;  // euclidean distance
+    scores(r, 0) =
+        nbrs.empty() ? 0.0 : sum / static_cast<double>(nbrs.size());
   }
   return scores;
 }

@@ -520,28 +520,12 @@ StatusOr<Matrix> InstanceGraphGnn::PredictInductive(
   // one-at-a-time deployment setting).
   std::vector<Edge> edges = graph_.EdgeList();
   const size_t k = std::max<size_t>(options_.knn.k, 1);
-  Matrix stacked(2, x_cache_.cols());
   for (size_t i = 0; i < n_new; ++i) {
-    std::vector<std::pair<double, size_t>> scored;
-    scored.reserve(n_train);
-    for (size_t j = 0; j < n_train; ++j) {
-      std::copy(x_new.row_data(i), x_new.row_data(i) + x_new.cols(),
-                stacked.row_data(0));
-      std::copy(x_cache_.row_data(j), x_cache_.row_data(j) + x_cache_.cols(),
-                stacked.row_data(1));
-      scored.push_back({RowSimilarity(stacked, 0, 1, options_.knn.metric,
-                                      options_.knn.gamma),
-                        j});
-    }
-    size_t take = std::min(k, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<ptrdiff_t>(take),
-                      scored.end(), [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    for (size_t t = 0; t < take; ++t) {
-      edges.push_back({n_train + i, scored[t].second, 1.0});
-      edges.push_back({scored[t].second, n_train + i, 1.0});
+    for (const KnnHit& hit : ExactTopK(x_new.row_data(i), x_cache_, k,
+                                       options_.knn.metric,
+                                       options_.knn.gamma)) {
+      edges.push_back({n_train + i, hit.index, 1.0});
+      edges.push_back({hit.index, n_train + i, 1.0});
     }
   }
   Graph extended = Graph::FromEdges(n_train + n_new, edges,

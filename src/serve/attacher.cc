@@ -9,7 +9,7 @@ namespace gnn4tdl {
 
 InductiveAttacher::InductiveAttacher(const Graph* train_graph,
                                      const Matrix* x_train,
-                                     const NeighborSource* index,
+                                     const KnnIndex* index,
                                      InductiveAttacherOptions options)
     : train_graph_(train_graph),
       x_train_(x_train),

@@ -47,9 +47,8 @@ struct AttachedBatch {
 
 /// Connects incoming rows to the frozen training graph for inductive
 /// inference: each new row gets `k` attach edges to its nearest training
-/// rows (via the prebuilt NeighborSource — the exact KnnIndex, or a
-/// sharded/cache-fronted view of it), and only the training nodes inside the
-/// new rows' `hops`-hop receptive field are materialized — the irregular
+/// rows (via the prebuilt exact KnnIndex), and only the training nodes inside
+/// the new rows' `hops`-hop receptive field are materialized — the irregular
 /// neighborhood gather is bounded per request instead of touching the whole
 /// training set.
 ///
@@ -58,7 +57,7 @@ struct AttachedBatch {
 class InductiveAttacher {
  public:
   InductiveAttacher(const Graph* train_graph, const Matrix* x_train,
-                    const NeighborSource* index,
+                    const KnnIndex* index,
                     InductiveAttacherOptions options);
 
   /// Builds the attached subgraph for a batch of featurized new rows
@@ -75,7 +74,7 @@ class InductiveAttacher {
  private:
   const Graph* train_graph_;
   const Matrix* x_train_;
-  const NeighborSource* index_;
+  const KnnIndex* index_;
   InductiveAttacherOptions options_;
   /// Weighted degrees of the training graph, precomputed at build time.
   std::vector<double> full_degree_;

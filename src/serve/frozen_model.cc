@@ -1,6 +1,7 @@
 #include "serve/frozen_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -59,6 +60,17 @@ Status ReadField(std::istream& in, const std::string& name, T& out) {
 }
 
 }  // namespace
+
+Status CheckFiniteFeatures(const double* features, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    if (!std::isfinite(features[i])) {
+      return Status::InvalidArgument("feature " + std::to_string(i) +
+                                     " is not finite (" +
+                                     std::to_string(features[i]) + ")");
+    }
+  }
+  return Status::OK();
+}
 
 Status FrozenModel::Save(const InstanceGraphGnn& model, std::ostream& out,
                          kernels::Precision precision) {
@@ -221,6 +233,16 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
   if (!(in >> n >> d)) {
     return Status::IoError("frozen model: unreadable feature matrix header");
   }
+  // The header sizes the allocation below, so it must agree with what the
+  // artifact already committed to before anything is allocated from it.
+  if (n != graph->num_nodes() || d != featurizer->OutputDim()) {
+    return Status::IoError(
+        "frozen model: feature matrix header says " + std::to_string(n) +
+        " x " + std::to_string(d) + " but the graph has " +
+        std::to_string(graph->num_nodes()) +
+        " nodes and the featurizer emits " +
+        std::to_string(featurizer->OutputDim()) + " columns");
+  }
   Matrix x_cache(n, d);
   for (size_t i = 0; i < n; ++i) {
     double* row = x_cache.row_data(i);
@@ -239,32 +261,18 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
       std::move(x_cache)));
   GNN4TDL_RETURN_IF_ERROR(frozen.model_->LoadTrainedParameters(in));
 
-  StatusOr<KnnIndex> index =
-      KnnIndex::Build(frozen.model_->feature_cache(), o.knn.metric,
-                      o.knn.gamma, options.index);
+  StatusOr<KnnIndex> index = KnnIndex::Build(frozen.model_->feature_cache(),
+                                             o.knn.metric, o.knn.gamma);
   if (!index.ok()) return index.status();
   frozen.index_ = std::make_unique<KnnIndex>(std::move(*index));
-
-  // Optional serving-side views over the exact index: row-range sharding
-  // and/or a read-through neighbor cache. Both are bit-exact vs the plain
-  // index, so they can be toggled per deployment without revalidation.
-  const NeighborSource* attach_source = frozen.index_.get();
-  if (options.index_shards > 1 || options.neighbor_cache_capacity > 0) {
-    ShardedKnnIndexOptions shard_opts;
-    shard_opts.num_shards = std::max<size_t>(options.index_shards, 1);
-    shard_opts.cache_capacity = options.neighbor_cache_capacity;
-    frozen.sharded_ =
-        std::make_unique<ShardedKnnIndex>(frozen.index_.get(), shard_opts);
-    attach_source = frozen.sharded_.get();
-  }
 
   InductiveAttacherOptions attach;
   attach.k = std::max<size_t>(o.knn.k, 1);
   attach.hops = EffectiveHops(o);
   attach.full_neighborhood = NeedsFullNeighborhood(o);
   frozen.attacher_ = std::make_unique<InductiveAttacher>(
-      &frozen.model_->graph(), &frozen.model_->feature_cache(), attach_source,
-      attach);
+      &frozen.model_->graph(), &frozen.model_->feature_cache(),
+      frozen.index_.get(), attach);
 
   // Precision selection: load-time override beats the artifact's record; f32
   // degrades to f64 for backbones the f32 tier does not mirror — loudly:
@@ -317,6 +325,7 @@ StatusOr<Matrix> FrozenModel::Featurize(const TabularDataset& rows) const {
 }
 
 StatusOr<Matrix> FrozenModel::ScoreFeatures(const Matrix& x_new) const {
+  GNN4TDL_RETURN_IF_ERROR(CheckFiniteFeatures(x_new.data(), x_new.size()));
   if (precision_ == kernels::Precision::kF32) {
     // f32 path: the attacher skips the double feature gather; the batch
     // feature matrix is assembled directly in single precision from the

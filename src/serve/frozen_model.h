@@ -13,28 +13,21 @@
 #include "serve/attacher.h"
 #include "serve/f32_scorer.h"
 #include "serve/knn_index.h"
-#include "serve/sharded_index.h"
 #include "tensor/matrix.h"
 
 namespace gnn4tdl {
 
 /// Options for loading a frozen artifact.
 struct FrozenModelOptions {
-  /// Tuning for the serving-side kNN index the attacher queries. Defaults to
-  /// the exact brute-force index, which reproduces the training-side neighbor
-  /// search bit for bit.
-  KnnIndexOptions index;
   /// Overrides the artifact's recorded serving precision (lets one artifact
   /// be loaded both ways, e.g. for benchmarking). Unset = honor the artifact.
   std::optional<kernels::Precision> precision;
-  /// > 1 splits the exact attachment scan into this many row-range shards
-  /// (ShardedKnnIndex) — results stay bit-exact for any shard count.
-  size_t index_shards = 0;
-  /// > 0 fronts the attachment index with a read-through NeighborCache of
-  /// this many entries; repeat rows skip the index scan entirely. The cached
-  /// path is bit-exact vs the uncached one.
-  size_t neighbor_cache_capacity = 0;
 };
+
+/// InvalidArgument naming the first NaN or infinite entry of `features`
+/// (length `count`). A non-finite feature would make every similarity to the
+/// training rows meaningless, so serving rejects it at the boundary.
+[[nodiscard]] Status CheckFiniteFeatures(const double* features, size_t count);
 
 /// A trained InstanceGraphGnn packaged for online inductive inference: one
 /// versioned artifact file bundling the trained parameters, the construction
@@ -78,7 +71,8 @@ class FrozenModel {
   /// Scores already-featurized rows (n_new x feature_dim()): attach to the
   /// frozen graph, forward the trained weights over the extracted subgraph,
   /// return n_new x num_outputs() logits. The whole batch shares one
-  /// extended graph (PredictInductive micro-batch semantics).
+  /// extended graph (PredictInductive micro-batch semantics). A NaN or
+  /// infinite feature is InvalidArgument.
   [[nodiscard]] StatusOr<Matrix> ScoreFeatures(const Matrix& x_new) const;
 
   /// Featurize + ScoreFeatures.
@@ -91,10 +85,6 @@ class FrozenModel {
   const InstanceGraphGnn& model() const { return *model_; }
   const KnnIndex& index() const { return *index_; }
   const InductiveAttacher& attacher() const { return *attacher_; }
-
-  /// The sharded/cached view the attacher queries, or null when Load ran
-  /// with neither index_shards nor neighbor_cache_capacity set.
-  const ShardedKnnIndex* sharded_index() const { return sharded_.get(); }
 
   /// The precision ScoreFeatures actually runs at. May be kF64 even when the
   /// artifact (or the load-time override) asked for kF32: backbones the f32
@@ -115,7 +105,6 @@ class FrozenModel {
 
   std::unique_ptr<InstanceGraphGnn> model_;
   std::unique_ptr<KnnIndex> index_;
-  std::unique_ptr<ShardedKnnIndex> sharded_;
   std::unique_ptr<InductiveAttacher> attacher_;
   kernels::Precision artifact_precision_ = kernels::Precision::kF64;
   kernels::Precision requested_precision_ = kernels::Precision::kF64;

@@ -1,203 +1,21 @@
 #include "serve/knn_index.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/rng.h"
+#include "common/check.h"
 
 namespace gnn4tdl {
 
-double KnnIndex::Similarity(const double* query, size_t row) const {
-  // Same arithmetic (and operation order) as construct/similarity
-  // RowSimilarity with the query as row a, so serving reproduces the
-  // neighbor sets training-side code computes.
-  const double* rb = reference_.row_data(row);
-  const size_t d = reference_.cols();
-  switch (metric_) {
-    case SimilarityMetric::kEuclidean: {
-      double s = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        double diff = query[j] - rb[j];
-        s += diff * diff;
-      }
-      return -std::sqrt(s);
-    }
-    case SimilarityMetric::kManhattan: {
-      double s = 0.0;
-      for (size_t j = 0; j < d; ++j) s += std::fabs(query[j] - rb[j]);
-      return -s;
-    }
-    case SimilarityMetric::kCosine: {
-      double dot = 0.0, na = 0.0, nb = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        dot += query[j] * rb[j];
-        na += query[j] * query[j];
-        nb += rb[j] * rb[j];
-      }
-      double denom = std::sqrt(na) * std::sqrt(nb);
-      return denom > 1e-12 ? dot / denom : 0.0;
-    }
-    case SimilarityMetric::kRbf: {
-      double s = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        double diff = query[j] - rb[j];
-        s += diff * diff;
-      }
-      return std::exp(-gamma_ * s);
-    }
-    case SimilarityMetric::kPearson: {
-      double ma = 0.0, mb = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        ma += query[j];
-        mb += rb[j];
-      }
-      ma /= static_cast<double>(d);
-      mb /= static_cast<double>(d);
-      double cov = 0.0, va = 0.0, vb = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        double da = query[j] - ma;
-        double db = rb[j] - mb;
-        cov += da * db;
-        va += da * da;
-        vb += db * db;
-      }
-      double denom = std::sqrt(va) * std::sqrt(vb);
-      return denom > 1e-12 ? cov / denom : 0.0;
-    }
-    case SimilarityMetric::kInnerProduct: {
-      double dot = 0.0;
-      for (size_t j = 0; j < d; ++j) dot += query[j] * rb[j];
-      return dot;
-    }
-  }
-  return 0.0;
-}
-
 StatusOr<KnnIndex> KnnIndex::Build(Matrix reference, SimilarityMetric metric,
-                                   double gamma, KnnIndexOptions options) {
+                                   double gamma) {
   if (reference.rows() == 0 || reference.cols() == 0) {
     return Status::InvalidArgument("KnnIndex requires a non-empty reference");
   }
-  KnnIndex index(std::move(reference), metric, gamma);
-  const size_t n = index.reference_.rows();
-  const size_t d = index.reference_.cols();
-
-  size_t num_clusters = std::min(options.num_clusters, n);
-  if (num_clusters <= 1) return index;  // exact mode
-
-  // Lightweight k-means over the reference rows: sampled initial centers,
-  // a few Lloyd sweeps, euclidean assignment (the geometry all supported
-  // metrics approximately share after standardization).
-  Rng rng(options.seed);
-  std::vector<size_t> perm = rng.Permutation(n);
-  Matrix centroids(num_clusters, d);
-  for (size_t c = 0; c < num_clusters; ++c)
-    std::copy(index.reference_.row_data(perm[c]),
-              index.reference_.row_data(perm[c]) + d, centroids.row_data(c));
-
-  std::vector<size_t> assignment(n, 0);
-  auto sq_dist = [&](const double* a, const double* b) {
-    double s = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      double diff = a[j] - b[j];
-      s += diff * diff;
-    }
-    return s;
-  };
-  for (size_t iter = 0; iter < std::max<size_t>(options.kmeans_iters, 1);
-       ++iter) {
-    for (size_t i = 0; i < n; ++i) {
-      size_t best = 0;
-      double best_d = sq_dist(index.reference_.row_data(i),
-                              centroids.row_data(0));
-      for (size_t c = 1; c < num_clusters; ++c) {
-        double dist = sq_dist(index.reference_.row_data(i),
-                              centroids.row_data(c));
-        if (dist < best_d) {
-          best_d = dist;
-          best = c;
-        }
-      }
-      assignment[i] = best;
-    }
-    Matrix sums(num_clusters, d);
-    std::vector<size_t> counts(num_clusters, 0);
-    for (size_t i = 0; i < n; ++i) {
-      double* srow = sums.row_data(assignment[i]);
-      const double* x = index.reference_.row_data(i);
-      for (size_t j = 0; j < d; ++j) srow[j] += x[j];
-      ++counts[assignment[i]];
-    }
-    for (size_t c = 0; c < num_clusters; ++c) {
-      if (counts[c] == 0) continue;  // keep the old centroid
-      double inv = 1.0 / static_cast<double>(counts[c]);
-      double* crow = centroids.row_data(c);
-      const double* srow = sums.row_data(c);
-      for (size_t j = 0; j < d; ++j) crow[j] = srow[j] * inv;
-    }
-  }
-
-  index.centroids_ = std::move(centroids);
-  index.members_.assign(num_clusters, {});
-  for (size_t i = 0; i < n; ++i) index.members_[assignment[i]].push_back(i);
-  index.num_probes_ = std::max<size_t>(options.num_probes, 1);
-  return index;
-}
-
-void KnnIndex::ScanInto(const double* query, const std::vector<size_t>& rows,
-                        std::vector<KnnHit>& hits) const {
-  for (size_t row : rows) hits.push_back({row, Similarity(query, row)});
+  return KnnIndex(std::move(reference), metric, gamma);
 }
 
 std::vector<KnnHit> KnnIndex::Query(const double* query, size_t k) const {
-  const size_t n = reference_.rows();
-  k = std::min(std::max<size_t>(k, 1), n);
-  std::vector<KnnHit> hits;
-
-  if (exact()) {
-    hits.reserve(n);
-    for (size_t i = 0; i < n; ++i) hits.push_back({i, Similarity(query, i)});
-  } else {
-    // Rank centroids by euclidean proximity, scan the top probes' members.
-    const size_t num_clusters = centroids_.rows();
-    std::vector<std::pair<double, size_t>> ranked;
-    ranked.reserve(num_clusters);
-    const size_t d = reference_.cols();
-    for (size_t c = 0; c < num_clusters; ++c) {
-      double s = 0.0;
-      const double* crow = centroids_.row_data(c);
-      for (size_t j = 0; j < d; ++j) {
-        double diff = query[j] - crow[j];
-        s += diff * diff;
-      }
-      ranked.push_back({s, c});
-    }
-    size_t probes = std::min(num_probes_, num_clusters);
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<ptrdiff_t>(probes),
-                      ranked.end());
-    size_t gathered = 0;
-    // Widen the probe set until it can actually supply k candidates (small
-    // clusters would otherwise starve the result).
-    while (probes < num_clusters) {
-      gathered = 0;
-      for (size_t p = 0; p < probes; ++p)
-        gathered += members_[ranked[p].second].size();
-      if (gathered >= k) break;
-      std::partial_sort(ranked.begin(),
-                        ranked.begin() + static_cast<ptrdiff_t>(probes + 1),
-                        ranked.end());
-      ++probes;
-    }
-    for (size_t p = 0; p < probes; ++p)
-      ScanInto(query, members_[ranked[p].second], hits);
-  }
-
-  size_t take = std::min(k, hits.size());
-  std::partial_sort(hits.begin(), hits.begin() + static_cast<ptrdiff_t>(take),
-                    hits.end(), BetterHit);
-  hits.resize(take);
-  return hits;
+  return ExactTopK(query, reference_, std::max<size_t>(k, 1), metric_, gamma_);
 }
 
 std::vector<std::vector<KnnHit>> KnnIndex::QueryBatch(const Matrix& x,

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -10,98 +9,35 @@
 
 namespace gnn4tdl {
 
-/// Options for KnnIndex.
-struct KnnIndexOptions {
-  /// 0 = exact brute-force scan (results identical to ranking every
-  /// reference row by construct/similarity RowSimilarity). > 0 partitions the
-  /// reference rows into this many clusters at build time and scans only the
-  /// `num_probes` clusters whose centroids are most similar to the query —
-  /// approximate, but cuts the per-query gather that dominates serving cost.
-  size_t num_clusters = 0;
-  size_t num_probes = 2;
-  /// Lloyd refinement sweeps for the cluster assignment.
-  size_t kmeans_iters = 4;
-  uint64_t seed = 1;
-};
-
-/// A neighbor hit: reference row index and its similarity to the query.
-struct KnnHit {
-  size_t index;
-  double similarity;
-};
-
-/// Ordering shared by every attachment-index implementation: similarity
-/// descending, reference index ascending on exact ties. The tie-break makes
-/// top-k selection deterministic and shard-count-invariant (merging
-/// per-shard top-k lists under this comparator yields exactly the global
-/// top-k).
-inline bool BetterHit(const KnnHit& a, const KnnHit& b) {
-  if (a.similarity != b.similarity) return a.similarity > b.similarity;
-  return a.index < b.index;
-}
-
-/// Anything the serving attacher can pull neighbor hits from: the exact
-/// KnnIndex, a ShardedKnnIndex, or a cache-fronted composite. Implementations
-/// must be safe for concurrent const queries.
-class NeighborSource {
- public:
-  virtual ~NeighborSource() = default;
-  /// Queries every row of `x` (n x dim); out[i] = best-first hits for row i.
-  virtual std::vector<std::vector<KnnHit>> QueryBatch(const Matrix& x,
-                                                      size_t k) const = 0;
-};
-
-/// Read-only k-nearest-neighbor index over the rows of a frozen reference
-/// matrix (the featurized training table of a FrozenModel). Built once at
-/// load time, queried per request by serve/InductiveAttacher.
+/// Read-only exact k-nearest-neighbor index over the rows of a frozen
+/// reference matrix (the featurized training table of a FrozenModel). Built
+/// once at load time, queried per request by serve/InductiveAttacher.
 ///
-/// The exact mode computes similarities with the same arithmetic as
-/// RowSimilarity, so the selected neighbor *set* matches what
-/// InstanceGraphGnn::PredictInductive finds (ties broken deterministically by
-/// BetterHit: lower reference index wins).
-class KnnIndex : public NeighborSource {
+/// Queries run construct/similarity ExactTopK, the same search
+/// InstanceGraphGnn::PredictInductive attaches new rows with, so the served
+/// neighbor lists (indices, similarity bits and BetterHit order) are
+/// identical to the training side's.
+class KnnIndex {
  public:
   [[nodiscard]] static StatusOr<KnnIndex> Build(Matrix reference,
                                                 SimilarityMetric metric,
-                                                double gamma = 1.0,
-                                                KnnIndexOptions options = {});
+                                                double gamma = 1.0);
 
-  /// The k reference rows most similar to `query` (length dim()), best
-  /// first.
+  /// The k reference rows most similar to `query` (one value per reference
+  /// column), best first. k is clamped to [1, reference rows].
   std::vector<KnnHit> Query(const double* query, size_t k) const;
 
-  /// Queries every row of `x` (n x dim()); out[i] = hits for row i.
+  /// Queries every row of `x`; out[i] = hits for row i.
   std::vector<std::vector<KnnHit>> QueryBatch(const Matrix& x,
-                                              size_t k) const override;
-
-  /// Similarity of `query` (length dim()) to reference row `row` — the exact
-  /// arithmetic Query ranks by, exposed so a sharded scan over row ranges
-  /// produces bit-identical scores.
-  double SimilarityTo(const double* query, size_t row) const {
-    return Similarity(query, row);
-  }
-
-  size_t num_rows() const { return reference_.rows(); }
-  size_t dim() const { return reference_.cols(); }
-  bool exact() const { return centroids_.empty(); }
-  const Matrix& reference() const { return reference_; }
+                                              size_t k) const;
 
  private:
   KnnIndex(Matrix reference, SimilarityMetric metric, double gamma)
       : reference_(std::move(reference)), metric_(metric), gamma_(gamma) {}
 
-  double Similarity(const double* query, size_t row) const;
-  void ScanInto(const double* query, const std::vector<size_t>& rows,
-                std::vector<KnnHit>& hits) const;
-
   Matrix reference_;
   SimilarityMetric metric_;
   double gamma_;
-
-  // Cluster-pruned mode (empty when exact).
-  Matrix centroids_;                         // num_clusters x dim
-  std::vector<std::vector<size_t>> members_; // rows per cluster
-  size_t num_probes_ = 2;
 };
 
 }  // namespace gnn4tdl

@@ -125,6 +125,8 @@ StatusOr<SubmitResult> MultiTenantEngine::SubmitTraced(
           " entries, tenant '" + tenant + "' expects " +
           std::to_string(model->feature_dim()));
     }
+    GNN4TDL_RETURN_IF_ERROR(
+        CheckFiniteFeatures(req.features.data(), req.features.size()));
     if (t->queue.size() >= t->tenant->options.queue_capacity) {
       ++t->rejected;
       ++rejected_;

@@ -132,7 +132,7 @@ class MultiTenantEngine {
   ///   kResourceExhausted — tenant queue full (admission control; counted as
   ///                        rejected),
   ///   kNotFound          — unknown tenant,
-  ///   kInvalidArgument   — wrong feature dimension,
+  ///   kInvalidArgument   — wrong feature dimension or a NaN/Inf feature,
   ///   kFailedPrecondition — engine stopped.
   [[nodiscard]] StatusOr<std::future<std::vector<double>>> Submit(
       const std::string& tenant, std::vector<double> features);

@@ -167,8 +167,20 @@ TEST(FusionTest, FusedTapePassesVerifier) {
   EXPECT_TRUE(verifier.Verify(loss).ok());
 }
 
+/// Turns metric emission on for one scope and restores the previous state.
+class MetricsOn {
+ public:
+  MetricsOn() : was_enabled_(obs::MetricsEnabled()) { obs::EnableMetrics(); }
+  ~MetricsOn() {
+    if (!was_enabled_) obs::DisableMetrics();
+  }
+
+ private:
+  bool was_enabled_;
+};
+
 TEST(FusionTest, HitAndBailCountersTrack) {
-  if (!obs::MetricsEnabled()) GTEST_SKIP() << "metrics disabled";
+  MetricsOn metrics;
   Rng rng(38);
   auto& registry = obs::MetricsRegistry::Global();
   Tensor a = Tensor::Leaf(RandomMatrix(3, 3, rng), true);

@@ -1,8 +1,6 @@
-// Multi-tenant serving tests: registry validation, typed Submit failures,
+// Multi-tenant serving tests: registry validation, typed Submit failures, and
 // weighted round-robin isolation (a backlogged tenant cannot starve a
-// late-arriving one), and the exactness contract of the sharded attachment
-// index + read-through neighbor cache (bit-identical to the plain index for
-// any shard count, at the Query level and end to end through a frozen model).
+// late-arriving one).
 
 #include <gtest/gtest.h>
 
@@ -18,16 +16,13 @@
 #include "data/synthetic.h"
 #include "models/knn_gnn.h"
 #include "serve/frozen_model.h"
-#include "serve/knn_index.h"
 #include "serve/registry.h"
-#include "serve/sharded_index.h"
 #include "serve/tenant_engine.h"
 
 namespace gnn4tdl {
 namespace {
 
-// Trains and freezes one small GCN once; tests reload the artifact bytes with
-// per-test FrozenModelOptions (precision, shards, cache).
+// Trains and freezes one small GCN once; tests reload the artifact bytes.
 class ServeTenantTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -68,9 +63,9 @@ class ServeTenantTest : public ::testing::Test {
 
   static void TearDownTestSuite() { features_.reset(); }
 
-  static StatusOr<FrozenModel> Load(FrozenModelOptions options = {}) {
+  static StatusOr<FrozenModel> Load() {
     std::istringstream in(artifact_);
-    return FrozenModel::Load(in, options);
+    return FrozenModel::Load(in);
   }
 
   static std::vector<double> Row(size_t i) {
@@ -253,85 +248,6 @@ TEST_F(ServeTenantTest, LatencyFractionBelowIsMonotoneAndBounded) {
   EXPECT_EQ(*loose, 1.0);
   EXPECT_EQ(engine.TenantLatencyFractionBelow("nope", 1.0).status().code(),
             StatusCode::kNotFound);
-}
-
-// Query-level exactness: for any shard count, with and without the cache,
-// the sharded view returns the plain index's hits bit for bit (indices and
-// similarity doubles), including on the cache-hit replay.
-TEST_F(ServeTenantTest, ShardedIndexMatchesBaseBitForBit) {
-  Rng rng(5);
-  Matrix reference(64, 6);
-  for (size_t r = 0; r < reference.rows(); ++r)
-    for (size_t c = 0; c < reference.cols(); ++c)
-      reference(r, c) = rng.Normal();
-  StatusOr<KnnIndex> base =
-      KnnIndex::Build(reference, SimilarityMetric::kCosine);
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
-
-  Matrix queries(16, 6);
-  for (size_t r = 0; r < queries.rows(); ++r)
-    for (size_t c = 0; c < queries.cols(); ++c) queries(r, c) = rng.Normal();
-
-  constexpr size_t kK = 7;
-  std::vector<std::vector<KnnHit>> want = base->QueryBatch(queries, kK);
-  for (size_t shards : {1u, 2u, 3u, 8u, 64u, 200u}) {
-    for (size_t cache : {0u, 128u}) {
-      ShardedKnnIndexOptions options;
-      options.num_shards = shards;
-      options.cache_capacity = cache;
-      ShardedKnnIndex sharded(&*base, options);
-      for (int pass = 0; pass < 2; ++pass) {  // pass 2 replays cache hits
-        std::vector<std::vector<KnnHit>> got = sharded.QueryBatch(queries, kK);
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t q = 0; q < want.size(); ++q) {
-          ASSERT_EQ(got[q].size(), want[q].size())
-              << "shards=" << shards << " cache=" << cache << " query=" << q;
-          for (size_t h = 0; h < want[q].size(); ++h) {
-            EXPECT_EQ(got[q][h].index, want[q][h].index);
-            EXPECT_EQ(got[q][h].similarity, want[q][h].similarity);
-          }
-        }
-      }
-      if (cache > 0) {
-        ASSERT_NE(sharded.cache(), nullptr);
-        NeighborCache::CacheStats stats = sharded.cache()->Stats();
-        EXPECT_GT(stats.hits, 0u);  // second pass must be cache hits
-      } else {
-        EXPECT_EQ(sharded.cache(), nullptr);
-      }
-    }
-  }
-}
-
-// End-to-end exactness: a frozen model loaded with shards + cache scores
-// identically (EXPECT_EQ on every logit) to the plain load, and the cache
-// actually absorbs the repeat pass.
-TEST_F(ServeTenantTest, CachedShardedModelScoresBitExact) {
-  StatusOr<FrozenModel> plain = Load();
-  ASSERT_TRUE(plain.ok());
-  FrozenModelOptions options;
-  options.index_shards = 3;
-  options.neighbor_cache_capacity = 256;
-  StatusOr<FrozenModel> cached = Load(options);
-  ASSERT_TRUE(cached.ok());
-  ASSERT_NE(cached->sharded_index(), nullptr);
-  EXPECT_EQ(cached->sharded_index()->num_shards(), 3u);
-
-  StatusOr<Matrix> want = plain->ScoreFeatures(*features_);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  for (int pass = 0; pass < 2; ++pass) {
-    StatusOr<Matrix> got = cached->ScoreFeatures(*features_);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_EQ(got->rows(), want->rows());
-    ASSERT_EQ(got->cols(), want->cols());
-    for (size_t r = 0; r < want->rows(); ++r)
-      for (size_t c = 0; c < want->cols(); ++c)
-        EXPECT_EQ((*got)(r, c), (*want)(r, c)) << "row " << r << " col " << c;
-  }
-  ASSERT_NE(cached->sharded_index()->cache(), nullptr);
-  NeighborCache::CacheStats stats = cached->sharded_index()->cache()->Stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
 }
 
 }  // namespace

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <future>
+#include <limits>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +25,8 @@
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
 #include "serve/knn_index.h"
+#include "serve/registry.h"
+#include "serve/tenant_engine.h"
 
 namespace gnn4tdl {
 namespace {
@@ -33,44 +40,90 @@ Matrix RandomFeatures(size_t n, size_t d, uint64_t seed) {
   return Matrix::Randn(n, d, rng);
 }
 
-std::vector<size_t> BruteForceKnn(const Matrix& reference, const double* query,
+/// The oracle: every reference row scored with construct/similarity
+/// RowSimilarity (query stacked as row 0), then a stable sort by similarity
+/// descending, so exact ties keep ascending reference index.
+std::vector<KnnHit> BruteForceKnn(const Matrix& reference, const double* query,
                                   size_t k, SimilarityMetric metric,
                                   double gamma) {
-  // The PredictInductive idiom: similarity via a 2-row stacked matrix.
   Matrix stacked(2, reference.cols());
-  std::vector<std::pair<double, size_t>> scored;
+  std::copy(query, query + reference.cols(), stacked.row_data(0));
+  std::vector<KnnHit> scored;
   for (size_t j = 0; j < reference.rows(); ++j) {
-    std::copy(query, query + reference.cols(), stacked.row_data(0));
     std::copy(reference.row_data(j), reference.row_data(j) + reference.cols(),
               stacked.row_data(1));
-    scored.push_back({RowSimilarity(stacked, 0, 1, metric, gamma), j});
+    scored.push_back({j, RowSimilarity(stacked, 0, 1, metric, gamma)});
   }
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<ptrdiff_t>(k),
-                    scored.end(),
-                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<size_t> ids;
-  for (size_t t = 0; t < k; ++t) ids.push_back(scored[t].second);
-  return ids;
+  std::stable_sort(scored.begin(), scored.end(),
+                   [](const KnnHit& a, const KnnHit& b) {
+                     return a.similarity > b.similarity;
+                   });
+  scored.resize(std::min(k, scored.size()));
+  return scored;
+}
+
+/// `distinct` random rows, each stored three times (interleaved, so copies
+/// are far apart in index order), then `grid` rows drawn from {-1, 0, 1}:
+/// duplicate rows and small-integer coordinates make exact similarity ties
+/// common under every metric.
+Matrix TieHeavyReference(size_t distinct, size_t grid, size_t d,
+                         uint64_t seed) {
+  Rng rng(seed);
+  Matrix base = Matrix::Randn(distinct, d, rng);
+  Matrix out(3 * distinct + grid, d);
+  for (size_t copy = 0; copy < 3; ++copy) {
+    for (size_t r = 0; r < distinct; ++r) {
+      std::copy(base.row_data(r), base.row_data(r) + d,
+                out.row_data(copy * distinct + r));
+    }
+  }
+  for (size_t r = 3 * distinct; r < out.rows(); ++r) {
+    for (size_t c = 0; c < d; ++c) {
+      out(r, c) = static_cast<double>(rng.Int(-1, 1));
+    }
+  }
+  return out;
 }
 
 TEST(KnnIndexTest, ExactModeMatchesBruteForce) {
-  Matrix reference = RandomFeatures(80, 6, 5);
-  Matrix queries = RandomFeatures(10, 6, 9);
-  for (SimilarityMetric metric :
-       {SimilarityMetric::kEuclidean, SimilarityMetric::kCosine,
-        SimilarityMetric::kRbf}) {
-    StatusOr<KnnIndex> index = KnnIndex::Build(reference, metric, 0.5);
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_TRUE(index->exact());
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      std::vector<KnnHit> hits = index->Query(queries.row_data(q), 7);
-      std::vector<size_t> expected =
-          BruteForceKnn(reference, queries.row_data(q), 7, metric, 0.5);
-      ASSERT_EQ(hits.size(), expected.size());
-      for (size_t t = 0; t < hits.size(); ++t) {
-        EXPECT_EQ(hits[t].index, expected[t])
-            << "metric " << SimilarityMetricName(metric) << " query " << q
-            << " rank " << t;
+  const size_t d = 6;
+  const Matrix random_reference = RandomFeatures(80, d, 5);
+  const Matrix tie_reference = TieHeavyReference(20, 40, d, 13);
+  // Random queries, copies of duplicated rows, and grid rows.
+  Matrix queries = RandomFeatures(6, d, 9);
+  queries = queries.ConcatRows(tie_reference.GatherRows({0, 7, 19, 41, 60}));
+  Matrix grid_queries(4, d);
+  Rng rng(23);
+  for (size_t i = 0; i < grid_queries.size(); ++i)
+    grid_queries.data()[i] = static_cast<double>(rng.Int(-1, 1));
+  queries = queries.ConcatRows(grid_queries);
+
+  for (const Matrix* reference : {&random_reference, &tie_reference}) {
+    for (SimilarityMetric metric :
+         {SimilarityMetric::kEuclidean, SimilarityMetric::kManhattan,
+          SimilarityMetric::kCosine, SimilarityMetric::kRbf,
+          SimilarityMetric::kPearson, SimilarityMetric::kInnerProduct}) {
+      StatusOr<KnnIndex> index = KnnIndex::Build(*reference, metric, 0.5);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      for (size_t k : {1u, 7u, 12u}) {
+        std::vector<std::vector<KnnHit>> batch = index->QueryBatch(queries, k);
+        ASSERT_EQ(batch.size(), queries.rows());
+        for (size_t q = 0; q < queries.rows(); ++q) {
+          const std::vector<KnnHit>& hits = batch[q];
+          std::vector<KnnHit> expected =
+              BruteForceKnn(*reference, queries.row_data(q), k, metric, 0.5);
+          ASSERT_EQ(hits.size(), expected.size());
+          for (size_t t = 0; t < hits.size(); ++t) {
+            EXPECT_EQ(hits[t].index, expected[t].index)
+                << SimilarityMetricName(metric) << " k " << k << " query "
+                << q << " rank " << t;
+            EXPECT_EQ(std::memcmp(&hits[t].similarity,
+                                  &expected[t].similarity, sizeof(double)),
+                      0)
+                << SimilarityMetricName(metric) << " k " << k << " query "
+                << q << " rank " << t;
+          }
+        }
       }
     }
   }
@@ -86,39 +139,42 @@ TEST(KnnIndexTest, QueryOrdersBestFirstAndClampsK) {
   EXPECT_EQ(hits[0].index, 3u);              // a row is its own best match
   for (size_t t = 1; t < hits.size(); ++t)
     EXPECT_GE(hits[t - 1].similarity, hits[t].similarity);
+  EXPECT_EQ(index->Query(reference.row_data(3), 0).size(), 1u);  // k >= 1
 }
 
-TEST(KnnIndexTest, ClusteredModeHasUsefulRecall) {
-  Matrix reference = RandomFeatures(300, 8, 21);
-  StatusOr<KnnIndex> exact =
-      KnnIndex::Build(reference, SimilarityMetric::kEuclidean);
-  ASSERT_TRUE(exact.ok());
-  KnnIndexOptions opts;
-  opts.num_clusters = 10;
-  opts.num_probes = 3;
-  StatusOr<KnnIndex> clustered =
-      KnnIndex::Build(reference, SimilarityMetric::kEuclidean, 1.0, opts);
-  ASSERT_TRUE(clustered.ok());
-  EXPECT_FALSE(clustered->exact());
+TEST(KnnIndexTest, NanSimilaritiesRankLastInIndexOrder) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(BetterHit({5, 1.0}, {0, nan}));
+  EXPECT_FALSE(BetterHit({0, nan}, {5, 1.0}));
+  EXPECT_TRUE(BetterHit({0, nan}, {5, nan}));
+  EXPECT_FALSE(BetterHit({5, nan}, {0, nan}));
+  EXPECT_TRUE(BetterHit({2, 0.5}, {3, 0.5}));
 
-  Matrix queries = RandomFeatures(20, 8, 33);
-  size_t found = 0, total = 0;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    std::vector<KnnHit> truth = exact->Query(queries.row_data(q), 10);
-    std::vector<KnnHit> approx = clustered->Query(queries.row_data(q), 10);
-    EXPECT_EQ(approx.size(), 10u);
-    for (const KnnHit& t : truth) {
-      ++total;
-      for (const KnnHit& a : approx) {
-        if (a.index == t.index) {
-          ++found;
-          break;
-        }
-      }
-    }
+  // A NaN query makes every similarity NaN; the anchors are still a
+  // deterministic answer (the lowest indices), not heap order.
+  Matrix reference = RandomFeatures(30, 4, 17);
+  std::vector<double> query(4, 0.0);
+  query[2] = nan;
+  std::vector<KnnHit> hits = ExactTopK(query.data(), reference, 5,
+                                       SimilarityMetric::kEuclidean);
+  ASSERT_EQ(hits.size(), 5u);
+  for (size_t t = 0; t < hits.size(); ++t) {
+    EXPECT_EQ(hits[t].index, t);
+    EXPECT_TRUE(std::isnan(hits[t].similarity));
   }
-  // Probing 3/10 clusters should recover well over half the true neighbors.
-  EXPECT_GT(static_cast<double>(found) / static_cast<double>(total), 0.5);
+}
+
+TEST(KnnIndexTest, ExactTopKExcludesOneRow) {
+  Matrix reference = TieHeavyReference(10, 0, 3, 29);
+  std::vector<KnnHit> hits = ExactTopK(reference.row_data(4), reference, 3,
+                                       SimilarityMetric::kEuclidean, 1.0,
+                                       /*exclude=*/4);
+  // Row 4's two copies (14, 24) tie at distance 0; the excluded row itself
+  // never appears.
+  ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0].index, 14u);
+  EXPECT_EQ(hits[1].index, 24u);
+  EXPECT_NE(hits[2].index, 4u);
 }
 
 TEST(KnnIndexTest, RejectsEmptyReference) {
@@ -343,6 +399,92 @@ TEST_F(ServeModelTest, FrozenAccuracyWithinNoiseOfTransductive) {
   }
 }
 
+TEST_F(ServeModelTest, DuplicateTrainingRowsServeBitExactWithPredictInductive) {
+  // Every training row stored three times and k = 4: each request's anchor
+  // set ends inside a block of exactly tied similarities, so serving and
+  // PredictInductive agree only if both break ties the same way.
+  TabularDataset base = MakeClusters({.num_rows = 60,
+                                      .num_classes = 3,
+                                      .dim_informative = 6,
+                                      .dim_noise = 2,
+                                      .seed = 7});
+  std::vector<size_t> rows;
+  for (size_t copy = 0; copy < 3; ++copy)
+    for (size_t r = 0; r < base.NumRows(); ++r) rows.push_back(r);
+  TabularDataset data = SubsetRows(base, rows);
+
+  InstanceGraphGnnOptions options = Options(GnnBackbone::kGcn);
+  options.knn.k = 4;
+  InstanceGraphGnn model(options);
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  FrozenModelOptions f64;
+  f64.precision = kernels::Precision::kF64;
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact, f64);
+  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+
+  TabularDataset fresh = FreshRows(20);
+  for (size_t i = 0; i < fresh.NumRows(); ++i) {
+    TabularDataset one = SubsetRows(fresh, {i});
+    StatusOr<Matrix> want = model.PredictInductive(one);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    StatusOr<Matrix> got = frozen->Score(one);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), want->size());
+    EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                          want->size() * sizeof(double)),
+              0)
+        << "request " << i;
+  }
+}
+
+TEST_F(ServeModelTest, ScoreFeaturesRejectsNonFiniteFeatures) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
+  ASSERT_TRUE(frozen.ok());
+  StatusOr<Matrix> x = frozen->Featurize(FreshRows(3));
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(frozen->ScoreFeatures(*x).ok());
+
+  // A NaN used to score "ok" against arbitrary anchors, and an Inf used to
+  // come back as logit inf. Both are caller errors now.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Matrix poisoned = *x;
+    poisoned(1, 2) = bad;
+    StatusOr<Matrix> scored = frozen->ScoreFeatures(poisoned);
+    ASSERT_FALSE(scored.ok()) << bad;
+    EXPECT_EQ(scored.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST_F(ServeModelTest, LoadRejectsInflatedFeatureHeader) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  const std::string text = artifact.str();
+  const std::regex header("\\nfeatures [0-9]+ [0-9]+\\n");
+  ASSERT_TRUE(std::regex_search(text, header));
+
+  // Used to allocate 4e9 x 46 doubles and die on std::bad_alloc.
+  for (const char* inflated :
+       {"\nfeatures 4000000000 46\n", "\nfeatures 140 4000000000\n"}) {
+    std::istringstream in(std::regex_replace(
+        text, header, inflated, std::regex_constants::format_first_only));
+    StatusOr<FrozenModel> frozen = FrozenModel::Load(in);
+    ASSERT_FALSE(frozen.ok()) << inflated;
+    EXPECT_EQ(frozen.status().code(), StatusCode::kIoError) << inflated;
+  }
+}
+
 TEST_F(ServeModelTest, ArtifactFileRoundTrip) {
   TabularDataset data = TrainData();
   InstanceGraphGnn model(Options(GnnBackbone::kGcn));
@@ -488,6 +630,35 @@ TEST_F(ServeModelTest, EngineRejectsWrongDimension) {
   ServeStats stats = engine.Stats();
   EXPECT_EQ(stats.requests, 0u);
   // Dimension mismatches are caller bugs, not admission-control shedding.
+  EXPECT_EQ(stats.rejected, 0u);
+}
+
+TEST_F(ServeModelTest, EngineRejectsNonFiniteFeatures) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
+  ASSERT_TRUE(frozen.ok());
+  StatusOr<Matrix> x = frozen->Featurize(FreshRows(1));
+  ASSERT_TRUE(x.ok());
+
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.AddTenant("t", &*frozen).ok());
+  MultiTenantEngine engine(&registry);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    std::vector<double> row(x->row_data(0), x->row_data(0) + x->cols());
+    row[0] = bad;
+    StatusOr<SubmitResult> submitted = engine.SubmitTraced("t", row);
+    ASSERT_FALSE(submitted.ok()) << bad;
+    EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  engine.Stop();
+  ServeStats stats = engine.Stats();
+  EXPECT_EQ(stats.requests, 0u);
+  // A caller error, not admission-control shedding.
   EXPECT_EQ(stats.rejected, 0u);
 }
 

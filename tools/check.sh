@@ -172,7 +172,7 @@ load_stage() {
   cmake --preset default &&
     cmake --build --preset default -j "$(nproc)" --target gnn4tdl_cli &&
     ./build/tools/gnn4tdl_cli loadgen --epochs 8 --rps 200 --duration-s 0.5 \
-      --seed 42 --shards 4 --cache 256
+      --seed 42
 }
 
 obs_stage() {

@@ -66,10 +66,6 @@ struct CliArgs {
   double duration_s = 1.0;
   size_t workers = 4;
   double think_ms = 0.0;
-  // Serving-side index options: shards over the attachment scan and a
-  // read-through neighbor cache (both bit-exact vs the plain index).
-  size_t shards = 0;
-  size_t cache = 0;
   std::string csv;
   std::string label = "label";
   bool regression = false;
@@ -146,10 +142,6 @@ void PrintUsage() {
       "  --deadline-ms F       serve: batch deadline in ms (default 2)\n"
       "  --queue-capacity N    serve/loadgen: per-tenant queue bound\n"
       "                        (default 4096); overflow rejects admission\n"
-      "  --shards N            serve/loadgen: shard the kNN attachment index\n"
-      "                        N ways (default off; any N is bit-exact)\n"
-      "  --cache N             serve/loadgen: read-through neighbor cache\n"
-      "                        capacity in entries (default off)\n"
       "  --obsdump PATH        loadgen/obsdump: write the flight-recorder\n"
       "                        ring + retained digests as JSON\n"
       "  --trace-id N          loadgen/obsdump: after the run, look up one\n"
@@ -271,14 +263,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       const char* v = next();
       if (!v) return false;
       args->queue_capacity = static_cast<size_t>(std::atoi(v));
-    } else if (flag == "--shards") {
-      const char* v = next();
-      if (!v) return false;
-      args->shards = static_cast<size_t>(std::atoi(v));
-    } else if (flag == "--cache") {
-      const char* v = next();
-      if (!v) return false;
-      args->cache = static_cast<size_t>(std::atoi(v));
     } else if (flag == "--mode") {
       const char* v = next();
       if (!v) return false;
@@ -404,8 +388,7 @@ int RunFreeze(const CliArgs& args) {
 }
 
 /// Load options for score/serve/loadgen: --precision, when given, overrides
-/// the artifact's recorded serving tier; --shards/--cache configure the
-/// sharded attachment index and its read-through neighbor cache.
+/// the artifact's recorded serving tier.
 StatusOr<FrozenModelOptions> LoadOptionsFromArgs(const CliArgs& args) {
   FrozenModelOptions options;
   if (!args.precision.empty()) {
@@ -414,8 +397,6 @@ StatusOr<FrozenModelOptions> LoadOptionsFromArgs(const CliArgs& args) {
     if (!precision.ok()) return precision.status();
     options.precision = *precision;
   }
-  options.index_shards = args.shards;
-  options.neighbor_cache_capacity = args.cache;
   return options;
 }
 
