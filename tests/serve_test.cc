@@ -1,8 +1,8 @@
 // Tests for src/serve: KnnIndex, InductiveAttacher, FrozenModel artifacts,
 // and the micro-batching ServingEngine. The load-bearing claims: frozen
-// subgraph scoring is bit-exact with full-graph PredictInductive for the
-// degree-normalized backbones, and the artifact round-trips through a file
-// into a fresh process.
+// subgraph scoring is bit-exact with full-graph PredictInductive for every
+// served configuration, and the artifact round-trips through a file into a
+// fresh process.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +27,7 @@
 #include "serve/knn_index.h"
 #include "serve/registry.h"
 #include "serve/tenant_engine.h"
+#include "served_configs.h"
 
 namespace gnn4tdl {
 namespace {
@@ -220,9 +221,15 @@ class ServeModelTest : public ::testing::Test {
   }
 };
 
-TEST_F(ServeModelTest, FrozenScoresBitExactWithPredictInductiveGcn) {
+class ServedBitExactTest : public ServeModelTest,
+                           public ::testing::WithParamInterface<ServedConfig> {
+};
+
+TEST_P(ServedBitExactTest, MatchesPredictInductive) {
   TabularDataset data = TrainData();
-  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  InstanceGraphGnnOptions options = Options(GnnBackbone::kGcn);
+  ApplyServedConfig(GetParam(), &options);
+  InstanceGraphGnn model(options);
   ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
 
   TabularDataset fresh = FreshRows(12);
@@ -240,6 +247,7 @@ TEST_F(ServeModelTest, FrozenScoresBitExactWithPredictInductiveGcn) {
   // floating-point arithmetic exactly, through the artifact round trip.
   EXPECT_TRUE(served->AllClose(*reference, 0.0));
 
+  if (GetParam() != ServedConfig::kGcn) return;
   // The attacher genuinely prunes: the 2-hop receptive field of 12 rows in a
   // k=8 graph of 200 nodes stays a strict subgraph.
   StatusOr<Matrix> x = frozen->Featurize(fresh);
@@ -251,43 +259,11 @@ TEST_F(ServeModelTest, FrozenScoresBitExactWithPredictInductiveGcn) {
   EXPECT_EQ(batch->degrees.size(), batch->graph.num_nodes());
 }
 
-TEST_F(ServeModelTest, FrozenScoresBitExactWithPredictInductiveSage) {
-  TabularDataset data = TrainData();
-  InstanceGraphGnn model(Options(GnnBackbone::kSage));
-  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
-
-  TabularDataset fresh = FreshRows(10);
-  StatusOr<Matrix> reference = model.PredictInductive(fresh);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  std::stringstream artifact;
-  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
-  StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
-  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
-  StatusOr<Matrix> served = frozen->Score(fresh);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE(served->AllClose(*reference, 0.0));
-}
-
-TEST_F(ServeModelTest, FrozenScoresBitExactWithPredictInductiveGin) {
-  // GIN aggregates over the raw adjacency (no degree normalization), so the
-  // receptive-field subgraph is exact without any degree override.
-  TabularDataset data = TrainData();
-  InstanceGraphGnn model(Options(GnnBackbone::kGin));
-  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
-
-  TabularDataset fresh = FreshRows(8);
-  StatusOr<Matrix> reference = model.PredictInductive(fresh);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  std::stringstream artifact;
-  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
-  StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
-  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
-  StatusOr<Matrix> served = frozen->Score(fresh);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE(served->AllClose(*reference, 0.0));
-}
+INSTANTIATE_TEST_SUITE_P(Configs, ServedBitExactTest,
+                         ::testing::ValuesIn(AllServedConfigs()),
+                         [](const auto& info) {
+                           return ServedConfigName(info.param);
+                         });
 
 TEST_F(ServeModelTest, SingleRowScoringIsDeterministic) {
   TabularDataset data = TrainData();
