@@ -175,24 +175,24 @@ StatusOr<Featurizer> Featurizer::Load(std::istream& in) {
   if (!(in >> f.num_source_cols_ >> f.output_dim_)) {
     return Status::IoError("truncated featurizer block");
   }
-  f.numeric_stats_.resize(f.num_source_cols_);
-  f.cardinalities_.resize(f.num_source_cols_);
-  f.has_missing_.resize(f.num_source_cols_);
+  // Both counts are unchecked input: the vectors grow with what the stream
+  // really holds instead of being resized to the counts, so an inflated
+  // count ends as a truncated block rather than an allocation it sized.
   for (size_t c = 0; c < f.num_source_cols_; ++c) {
+    NumericStats stats;
     size_t cardinality = 0;
     int missing = 0;
-    if (!(in >> f.numeric_stats_[c].mean >> f.numeric_stats_[c].stddev >>
-          cardinality >> missing)) {
+    if (!(in >> stats.mean >> stats.stddev >> cardinality >> missing)) {
       return Status::IoError("truncated featurizer block");
     }
-    f.cardinalities_[c] = cardinality;
-    f.has_missing_[c] = missing != 0;
+    f.numeric_stats_.push_back(stats);
+    f.cardinalities_.push_back(cardinality);
+    f.has_missing_.push_back(missing != 0);
   }
-  f.output_to_source_.resize(f.output_dim_);
   for (size_t j = 0; j < f.output_dim_; ++j) {
-    if (!(in >> f.output_to_source_[j])) {
-      return Status::IoError("truncated featurizer block");
-    }
+    size_t source = 0;
+    if (!(in >> source)) return Status::IoError("truncated featurizer block");
+    f.output_to_source_.push_back(source);
   }
   f.fitted_ = true;
   return f;

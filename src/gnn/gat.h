@@ -45,6 +45,9 @@ class GatLayer : public Module {
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return head_dim_ * num_heads_; }
   size_t num_heads() const { return num_heads_; }
+  const Linear& head_proj(size_t head) const { return *head_proj_[head]; }
+  const Tensor& attn_src(size_t head) const { return attn_src_[head]; }
+  const Tensor& attn_dst(size_t head) const { return attn_dst_[head]; }
 
  private:
   size_t in_dim_;

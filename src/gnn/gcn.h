@@ -29,6 +29,7 @@ class GcnLayer : public Module {
 
   size_t in_dim() const { return linear_.in_dim(); }
   size_t out_dim() const { return linear_.out_dim(); }
+  const Linear& linear() const { return linear_; }
 
  private:
   Linear linear_;

@@ -21,6 +21,12 @@ class GgnnLayer : public Module {
   Tensor Forward(const Tensor& h, const SparseMatrix& norm_adj) const;
 
   size_t dim() const { return dim_; }
+  const Linear& update_x() const { return update_x_; }
+  const Linear& update_h() const { return update_h_; }
+  const Linear& reset_x() const { return reset_x_; }
+  const Linear& reset_h() const { return reset_h_; }
+  const Linear& cand_x() const { return cand_x_; }
+  const Linear& cand_h() const { return cand_h_; }
 
  private:
   size_t dim_;

@@ -23,6 +23,7 @@ class GinLayer : public Module {
 
   size_t in_dim() const { return mlp_.in_dim(); }
   size_t out_dim() const { return mlp_.out_dim(); }
+  const Mlp& mlp() const { return mlp_; }
 
   /// Current value of the learnable eps.
   double epsilon() const { return eps_.value()(0, 0); }

@@ -37,6 +37,16 @@ class GraphTransformerLayer : public Module {
   double StructureBias() const { return beta_.value()(0, 0); }
 
   size_t dim() const { return dim_; }
+  size_t attn_dim() const { return attn_dim_; }
+  const Linear& query() const { return query_; }
+  const Linear& key() const { return key_; }
+  const Linear& value() const { return value_; }
+  const Linear& out() const { return out_; }
+  const Mlp& ffn() const { return ffn_; }
+  const Tensor& ln1_gamma() const { return ln1_gamma_; }
+  const Tensor& ln1_beta() const { return ln1_beta_; }
+  const Tensor& ln2_gamma() const { return ln2_gamma_; }
+  const Tensor& ln2_beta() const { return ln2_beta_; }
 
  private:
   size_t dim_;

@@ -29,6 +29,8 @@ class SageLayer : public Module {
 
   size_t in_dim() const { return self_.in_dim(); }
   size_t out_dim() const { return self_.out_dim(); }
+  const Linear& self() const { return self_; }
+  const Linear& neighbor() const { return neighbor_; }
 
  private:
   Linear self_;

@@ -22,7 +22,7 @@ Status WriteEdgeList(const Graph& g, std::ostream& out, bool with_edge_count) {
   return Status::OK();
 }
 
-StatusOr<Graph> ReadEdgeList(std::istream& in) {
+StatusOr<Graph> ReadEdgeList(std::istream& in, size_t max_nodes) {
   std::string line;
   if (!std::getline(in, line)) return Status::IoError("empty edge list stream");
   std::istringstream header(line);
@@ -31,6 +31,12 @@ StatusOr<Graph> ReadEdgeList(std::istream& in) {
   if (!(header >> hash >> tag >> num_nodes) || hash != "#" ||
       tag != "gnn4tdl-edgelist") {
     return Status::InvalidArgument("stream is not a gnn4tdl edge list");
+  }
+  // The graph allocates per node, so the count is checked before that.
+  if (num_nodes > max_nodes) {
+    return Status::IoError("edge list header claims " +
+                           std::to_string(num_nodes) + " nodes, more than " +
+                           std::to_string(max_nodes));
   }
   size_t num_edges = 0;
   const bool has_edge_count = static_cast<bool>(header >> num_edges);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <limits>
 #include <string>
 
 #include "common/status.h"
@@ -29,7 +30,12 @@ namespace gnn4tdl {
 
 /// Reads an edge list from a stream. If the header carries an edge count,
 /// exactly that many edge lines are consumed; otherwise reads to end of
-/// stream. Standalone files written without the count still parse.
-[[nodiscard]] StatusOr<Graph> ReadEdgeList(std::istream& in);
+/// stream. Standalone files written without the count still parse. A header
+/// node count above `max_nodes` is IoError, raised before anything is
+/// allocated from it (callers that know what the rest of the stream must
+/// hold per node pass that bound).
+[[nodiscard]] StatusOr<Graph> ReadEdgeList(
+    std::istream& in,
+    size_t max_nodes = std::numeric_limits<size_t>::max());
 
 }  // namespace gnn4tdl

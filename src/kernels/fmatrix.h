@@ -17,8 +17,9 @@ namespace gnn4tdl::kernels {
 /// deliberately *not* a second autograd container: it has no tape, no
 /// gradients, and no arithmetic operators — all compute on FMatrix goes
 /// through the dispatched kernels in kernels/kernels.h. Training stays on the
-/// double-precision Matrix; conversion happens once at a FrozenModel load
-/// boundary (see serve/f32_scorer.h).
+/// double-precision Matrix; weights are cast once when a FrozenModel loads
+/// at f32 (serve/f32_scorer.h), and the few steps with no f32 kernel widen
+/// to Matrix and narrow back (models/knn_gnn.cc).
 class FMatrix {
  public:
   FMatrix() : rows_(0), cols_(0) {}

@@ -1,14 +1,16 @@
 #include "models/knn_gnn.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "data/metrics.h"
 #include "gnn/appnp.h"
 #include "gnn/graph_transformer.h"
 #include "graph/sampling.h"
-#include "nn/serialize.h"
-
-#include <algorithm>
-#include <cmath>
+#include "kernels/kernels.h"
+#include "nn/fused.h"
 #include "nn/ops.h"
+#include "nn/serialize.h"
 
 namespace gnn4tdl {
 
@@ -114,6 +116,277 @@ struct InstanceGraphGnn::Operators {
     return out;
   }
 };
+
+namespace {
+
+using kernels::FCsr;
+using kernels::FMatrix;
+
+/// Eval-mode numerics in double: the value functions the tape ops call, with
+/// no tape, so ScoreOnGraph reproduces the tape forward of PredictInductive
+/// bit for bit.
+struct F64Eval {
+  using Mat = Matrix;
+
+  const Matrix& W(const Tensor& t) const { return t.value(); }
+  Matrix Act(Matrix x, Activation act) const {
+    fused::ApplyActivation(&x, act);
+    return x;
+  }
+  Matrix Linear(const Matrix& x, const gnn4tdl::Linear& layer,
+                Activation act) const {
+    Matrix out = x.Matmul(layer.weight().value());
+    if (layer.bias().defined()) {
+      fused::AddRowInPlace(&out, layer.bias().value());
+    }
+    return Act(std::move(out), act);
+  }
+  Matrix MatMul(const Matrix& a, const Matrix& b) const { return a.Matmul(b); }
+  Matrix MatMulNt(const Matrix& a, const Matrix& b) const {
+    return a.Matmul(b.Transpose());
+  }
+  Matrix Spmm(const SparseMatrix& s, const Matrix& x,
+              Activation act = Activation::kNone) const {
+    return Act(s.Multiply(x), act);
+  }
+  Matrix AddAct(const Matrix& a, const Matrix& b, Activation act) const {
+    return Act(a + b, act);
+  }
+  /// sa * a + sb * b, each product rounded before the sum.
+  Matrix ScaleAdd(const Matrix& a, double sa, const Matrix& b,
+                  double sb) const {
+    return a * sa + b * sb;
+  }
+  Matrix Mul(const Matrix& a, const Matrix& b) const { return a.CwiseMul(b); }
+  /// (1 - z) ⊙ h + z ⊙ cand: the GGNN state update.
+  Matrix GateMix(const Matrix& z, const Matrix& h, const Matrix& cand) const {
+    return (Matrix::Ones(z.rows(), z.cols()) - z).CwiseMul(h) +
+           z.CwiseMul(cand);
+  }
+  Matrix ConcatCols(const Matrix& a, const Matrix& b) const {
+    return a.ConcatCols(b);
+  }
+  Matrix LayerNorm(const Matrix& x, const Tensor& gamma,
+                   const Tensor& beta) const {
+    return ops::LayerNormRowsValue(x, gamma.value(), beta.value());
+  }
+  Matrix SoftmaxRows(const Matrix& x) const {
+    return ops::SoftmaxRowsValue(x);
+  }
+  Matrix PairNorm(const Matrix& x) const { return ops::PairNormRowsValue(x); }
+  /// One GAT head's aggregation: LeakyRelu edge logits from the projected
+  /// source and destination scores, softmax over each node's in-edges, then
+  /// the attention-weighted sum of `hw` rows.
+  Matrix EdgeAttention(const Matrix& s_src, const Matrix& s_dst,
+                       const Matrix& hw,
+                       const GatLayer::EdgeIndex& edges) const {
+    Matrix logits = s_src.GatherRows(edges.src) + s_dst.GatherRows(edges.dst);
+    fused::ApplyActivation(&logits, Activation::kLeakyRelu);
+    const Matrix alpha = SegmentSoftmax(logits, edges.dst, edges.num_nodes);
+    SparseMatrix weighted = edges.pattern;
+    std::vector<double>& values = weighted.mutable_values();
+    for (size_t e = 0; e < edges.slot.size(); ++e) {
+      values[edges.slot[e]] = alpha(e, 0);
+    }
+    return weighted.Multiply(hw);
+  }
+};
+
+/// Eval-mode numerics in f32: the kernels:: tier over weights cast once
+/// (InstanceGraphGnn::CastWeightsToF32). Steps with no f32 kernel (GGNN's
+/// gate products, layer norm, row softmax, PairNorm) widen to double, run
+/// F64Eval's step and narrow back.
+struct F32Eval {
+  using Mat = FMatrix;
+
+  /// Runs a kernel that writes its result through a trailing out-pointer.
+  template <typename Kernel, typename... Args>
+  static FMatrix Run(Kernel kernel, const Args&... args) {
+    FMatrix out;
+    kernel(args..., &out);
+    return out;
+  }
+
+  const FMatrix& W(const Tensor& t) const {
+    auto it = weights.find(t.id());
+    GNN4TDL_CHECK_MSG(it != weights.end(), "parameter has no f32 cast");
+    return it->second;
+  }
+  FMatrix Act(FMatrix x, Activation act) const {
+    if (act != Activation::kNone) {
+      kernels::BiasAct(&x, nullptr, ToKernelActivation(act));
+    }
+    return x;
+  }
+  FMatrix Linear(const FMatrix& x, const gnn4tdl::Linear& layer,
+                 Activation act) const {
+    FMatrix out = MatMul(x, W(layer.weight()));
+    const float* bias =
+        layer.bias().defined() ? W(layer.bias()).data() : nullptr;
+    if (bias != nullptr || act != Activation::kNone) {
+      kernels::BiasAct(&out, bias, ToKernelActivation(act));
+    }
+    return out;
+  }
+  FMatrix MatMul(const FMatrix& a, const FMatrix& b) const {
+    return Run(kernels::Matmul, a, b);
+  }
+  FMatrix MatMulNt(const FMatrix& a, const FMatrix& b) const {
+    return Run(kernels::MatmulNt, a, b);
+  }
+  FMatrix Spmm(const FCsr& s, const FMatrix& x,
+               Activation act = Activation::kNone) const {
+    FMatrix out;
+    kernels::SpmmBiasAct(s, x, nullptr, ToKernelActivation(act), &out);
+    return out;
+  }
+  FMatrix AddAct(const FMatrix& a, const FMatrix& b, Activation act) const {
+    return Act(ScaleAdd(a, 1.0, b, 1.0), act);
+  }
+  FMatrix ScaleAdd(const FMatrix& a, double sa, const FMatrix& b,
+                   double sb) const {
+    return Run(kernels::ScaleAdd, a, static_cast<float>(sa), b,
+               static_cast<float>(sb));
+  }
+  FMatrix Mul(const FMatrix& a, const FMatrix& b) const {
+    return FMatrix::FromDouble(f64.Mul(a.ToDouble(), b.ToDouble()));
+  }
+  FMatrix GateMix(const FMatrix& z, const FMatrix& h,
+                  const FMatrix& cand) const {
+    return FMatrix::FromDouble(
+        f64.GateMix(z.ToDouble(), h.ToDouble(), cand.ToDouble()));
+  }
+  FMatrix ConcatCols(const FMatrix& a, const FMatrix& b) const {
+    GNN4TDL_CHECK_EQ(a.rows(), b.rows());
+    FMatrix out(a.rows(), a.cols() + b.cols());
+    for (size_t r = 0; r < a.rows(); ++r) {
+      std::copy(a.row_data(r), a.row_data(r) + a.cols(), out.row_data(r));
+      std::copy(b.row_data(r), b.row_data(r) + b.cols(),
+                out.row_data(r) + a.cols());
+    }
+    return out;
+  }
+  FMatrix LayerNorm(const FMatrix& x, const Tensor& gamma,
+                    const Tensor& beta) const {
+    return FMatrix::FromDouble(f64.LayerNorm(x.ToDouble(), gamma, beta));
+  }
+  FMatrix SoftmaxRows(const FMatrix& x) const {
+    return FMatrix::FromDouble(f64.SoftmaxRows(x.ToDouble()));
+  }
+  FMatrix PairNorm(const FMatrix& x) const {
+    return FMatrix::FromDouble(f64.PairNorm(x.ToDouble()));
+  }
+  FMatrix EdgeAttention(const FMatrix& s_src, const FMatrix& s_dst,
+                        const FMatrix& hw,
+                        const GatLayer::EdgeIndex& edges) const {
+    std::vector<float> logits(edges.src.size());
+    for (size_t e = 0; e < logits.size(); ++e) {
+      logits[e] = kernels::detail::ApplyBiasAct(
+          s_src(edges.src[e], 0) + s_dst(edges.dst[e], 0), 0.0f,
+          kernels::FAct::kLeakyRelu, 0.2f);
+    }
+    std::vector<float> alpha;
+    kernels::SegmentSoftmax(logits, edges.dst, edges.num_nodes, &alpha);
+    FCsr weighted = FCsr::FromDouble(edges.pattern);
+    FMatrix out;
+    kernels::WeightedSpmm(alpha, edges.slot, &weighted, hw, &out);
+    return out;
+  }
+
+  const InstanceGraphGnn::F32Weights& weights;
+  F64Eval f64;
+};
+
+Status CheckScoreInputs(bool fitted, size_t rows, const Graph& graph,
+                        const std::vector<double>* degree_override) {
+  if (!fitted) return Status::FailedPrecondition("scoring before Fit");
+  if (rows != graph.num_nodes()) {
+    return Status::InvalidArgument("feature rows do not match graph nodes");
+  }
+  if (degree_override != nullptr &&
+      degree_override->size() != graph.num_nodes()) {
+    return Status::InvalidArgument("degree override size mismatch");
+  }
+  return Status::OK();
+}
+
+/// Operators in f32: the double ones cast down once per batch.
+struct F32Operators {
+  FCsr sparse;
+  GatLayer::EdgeIndex edge_index;
+  FMatrix dense;
+};
+
+template <typename B>
+typename B::Mat MlpEval(const B& b, const Mlp& mlp, typename B::Mat h) {
+  const size_t n = mlp.layers().size();
+  for (size_t i = 0; i < n; ++i) {
+    h = b.Linear(h, *mlp.layers()[i],
+                 i + 1 < n ? mlp.activation() : Activation::kNone);
+  }
+  return h;
+}
+
+template <typename B>
+typename B::Mat GatEval(const B& b, const GatLayer& layer,
+                        const typename B::Mat& h,
+                        const GatLayer::EdgeIndex& edges) {
+  typename B::Mat out;
+  for (size_t head = 0; head < layer.num_heads(); ++head) {
+    const typename B::Mat hw =
+        b.Linear(h, layer.head_proj(head), Activation::kNone);
+    typename B::Mat agg =
+        b.EdgeAttention(b.MatMul(hw, b.W(layer.attn_src(head))),
+                        b.MatMul(hw, b.W(layer.attn_dst(head))), hw, edges);
+    out = head == 0 ? std::move(agg) : b.ConcatCols(out, agg);
+  }
+  return out;
+}
+
+template <typename B, typename Csr>
+typename B::Mat GgnnEval(const B& b, const GgnnLayer& layer,
+                         const typename B::Mat& h, const Csr& norm_adj) {
+  const typename B::Mat m = b.Spmm(norm_adj, h);
+  const auto gate = [&](const gnn4tdl::Linear& from_m,
+                        const gnn4tdl::Linear& from_h,
+                        const typename B::Mat& state, Activation act) {
+    return b.AddAct(b.Linear(m, from_m, Activation::kNone),
+                    b.Linear(state, from_h, Activation::kNone), act);
+  };
+  const typename B::Mat z =
+      gate(layer.update_x(), layer.update_h(), h, Activation::kSigmoid);
+  const typename B::Mat r =
+      gate(layer.reset_x(), layer.reset_h(), h, Activation::kSigmoid);
+  const typename B::Mat cand =
+      gate(layer.cand_x(), layer.cand_h(), b.Mul(r, h), Activation::kTanh);
+  return b.GateMix(z, h, cand);
+}
+
+template <typename B>
+typename B::Mat TransformerEval(const B& b, const GraphTransformerLayer& layer,
+                                const typename B::Mat& h,
+                                const typename B::Mat& adj_dense) {
+  const typename B::Mat normed =
+      b.LayerNorm(h, layer.ln1_gamma(), layer.ln1_beta());
+  const typename B::Mat q = b.Linear(normed, layer.query(), Activation::kNone);
+  const typename B::Mat k = b.Linear(normed, layer.key(), Activation::kNone);
+  const typename B::Mat v = b.Linear(normed, layer.value(), Activation::kNone);
+  // softmax(Q K^T / sqrt(dk) + beta * A_hat)
+  const typename B::Mat attn = b.SoftmaxRows(b.ScaleAdd(
+      b.MatMulNt(q, k),
+      1.0 / std::sqrt(static_cast<double>(layer.attn_dim())), adj_dense,
+      layer.StructureBias()));
+  const typename B::Mat residual = b.AddAct(
+      h, b.Linear(b.MatMul(attn, v), layer.out(), Activation::kNone),
+      Activation::kNone);
+  return b.AddAct(residual,
+                  MlpEval(b, layer.ffn(),
+                          b.LayerNorm(residual, layer.ln2_gamma(),
+                                      layer.ln2_beta())),
+                  Activation::kNone);
+}
+
+}  // namespace
 
 /// Backbone stack: owns the layers (parameters only; operators are passed to
 /// Forward so the weights are graph-independent).
@@ -248,6 +521,85 @@ struct InstanceGraphGnn::Encoder : public Module {
           h = layer->Forward(h, adj_dense_);
         return h;
       }
+    }
+    GNN4TDL_CHECK_MSG(false, "unknown backbone");
+    return h;
+  }
+
+  /// Forward's eval-mode steps (dropout off), written once over the numeric
+  /// backend `B`: F64Eval for ScoreOnGraph, F32Eval for ScoreOnGraphF32.
+  /// `ops` holds the per-batch operators in the backend's types.
+  template <typename B, typename Ops>
+  typename B::Mat Eval(const B& b, typename B::Mat h, const Ops& ops) const {
+    using Mat = typename B::Mat;
+    const InstanceGraphGnnOptions& o = options_;
+    switch (o.backbone) {
+      case GnnBackbone::kGcn: {
+        std::vector<Mat> layer_outputs;
+        for (size_t l = 0; l < gcn_.size(); ++l) {
+          const bool interior = l + 1 < gcn_.size();
+          h = b.Spmm(ops.sparse,
+                     b.Linear(h, gcn_[l]->linear(), Activation::kNone),
+                     interior && !o.use_pair_norm ? Activation::kRelu
+                                                  : Activation::kNone);
+          if (interior && o.use_pair_norm) {
+            h = b.Act(b.PairNorm(h), Activation::kRelu);
+          }
+          if (o.use_jumping_knowledge) layer_outputs.push_back(h);
+        }
+        if (o.use_jumping_knowledge) {
+          h = layer_outputs[0];
+          for (size_t l = 1; l < layer_outputs.size(); ++l)
+            h = b.ConcatCols(h, layer_outputs[l]);
+        }
+        return b.Act(std::move(h), Activation::kRelu);
+      }
+      case GnnBackbone::kSage:
+        for (size_t l = 0; l < sage_.size(); ++l) {
+          const SageLayer& layer = *sage_[l];
+          h = b.AddAct(
+              b.Linear(h, layer.self(), Activation::kNone),
+              b.Linear(b.Spmm(ops.sparse, h), layer.neighbor(),
+                       Activation::kNone),
+              l + 1 < sage_.size() ? Activation::kRelu : Activation::kNone);
+        }
+        return b.Act(std::move(h), Activation::kRelu);
+      case GnnBackbone::kGat:
+        for (size_t l = 0; l < gat_.size(); ++l) {
+          h = GatEval(b, *gat_[l], h, ops.edge_index);
+          if (l + 1 < gat_.size()) h = b.Act(std::move(h), Activation::kRelu);
+        }
+        return b.Act(std::move(h), Activation::kRelu);
+      case GnnBackbone::kGin:
+        for (const auto& layer : gin_) {
+          // mlp((1 + eps) h + sum_nbr(h)), the scaled term as h + eps h.
+          Mat agg = b.Spmm(ops.sparse, h);
+          h = MlpEval(b, layer->mlp(),
+                      b.AddAct(b.ScaleAdd(h, layer->epsilon(), h, 1.0), agg,
+                               Activation::kNone));
+        }
+        return b.Act(std::move(h), Activation::kRelu);
+      case GnnBackbone::kGgnn:
+        h = b.Linear(h, *input_proj_, Activation::kRelu);
+        for (size_t step = 0; step < o.num_layers; ++step)
+          h = GgnnEval(b, *ggnn_, h, ops.sparse);
+        return h;
+      case GnnBackbone::kAppnp: {
+        // AppnpPropagate: H <- (1 - alpha) A H + alpha H0.
+        const Mat h0 =
+            b.Act(MlpEval(b, *appnp_mlp_, std::move(h)), Activation::kRelu);
+        h = h0;
+        for (size_t step = 0; step < o.appnp_steps; ++step) {
+          h = b.ScaleAdd(b.Spmm(ops.sparse, h), 1.0 - o.appnp_alpha, h0,
+                         o.appnp_alpha);
+        }
+        return h;
+      }
+      case GnnBackbone::kTransformer:
+        h = b.Linear(h, *input_proj_, Activation::kRelu);
+        for (const auto& layer : transformer_)
+          h = TransformerEval(b, *layer, h, ops.dense);
+        return h;
     }
     GNN4TDL_CHECK_MSG(false, "unknown backbone");
     return h;
@@ -585,15 +937,17 @@ Status InstanceGraphGnn::LoadTrainedParameters(std::istream& in) {
   return LoadParameters(bundle, in);
 }
 
-StatusOr<std::vector<Matrix>> InstanceGraphGnn::TrainedParameterMatrices()
+StatusOr<InstanceGraphGnn::F32Weights> InstanceGraphGnn::CastWeightsToF32()
     const {
   if (encoder_ == nullptr || head_ == nullptr) {
     return Status::FailedPrecondition(
-        "TrainedParameterMatrices before Fit or RestoreForInference");
+        "CastWeightsToF32 before Fit or RestoreForInference");
   }
   TrainedBundle bundle(encoder_.get(), head_.get());
-  std::vector<Matrix> out;
-  for (const Tensor& t : bundle.Parameters()) out.push_back(t.value());
+  F32Weights out;
+  for (const Tensor& t : bundle.Parameters()) {
+    out.emplace(t.id(), FMatrix::FromDouble(t.value()));
+  }
   return out;
 }
 
@@ -632,19 +986,26 @@ Status InstanceGraphGnn::RestoreForInference(TaskType task, size_t num_outputs,
 StatusOr<Matrix> InstanceGraphGnn::ScoreOnGraph(
     const Matrix& x, const Graph& graph,
     const std::vector<double>* degree_override) const {
-  if (!fitted_) return Status::FailedPrecondition("ScoreOnGraph before Fit");
-  if (x.rows() != graph.num_nodes()) {
-    return Status::InvalidArgument("feature rows do not match graph nodes");
-  }
-  if (degree_override != nullptr &&
-      degree_override->size() != graph.num_nodes()) {
-    return Status::InvalidArgument("degree override size mismatch");
-  }
-  Operators local_ops =
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckScoreInputs(fitted_, x.rows(), graph, degree_override));
+  const F64Eval b;
+  const Operators ops =
       Operators::Build(options_.backbone, graph, degree_override);
-  Tensor emb = encoder_->Forward(Tensor::Constant(x), local_ops, rng_,
-                                 /*training=*/false);
-  return head_->Forward(emb).value();
+  return b.Linear(encoder_->Eval(b, x, ops), *head_, Activation::kNone);
+}
+
+StatusOr<FMatrix> InstanceGraphGnn::ScoreOnGraphF32(
+    const FMatrix& x, const Graph& graph, const std::vector<double>& degrees,
+    const F32Weights& weights) const {
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckScoreInputs(fitted_, x.rows(), graph, &degrees));
+  // Normalized in double with the same degrees as the f64 path, then cast.
+  Operators ops = Operators::Build(options_.backbone, graph, &degrees);
+  const F32Operators ops32{FCsr::FromDouble(ops.sparse),
+                           std::move(ops.edge_index),
+                           FMatrix::FromDouble(ops.dense)};
+  const F32Eval b{weights, F64Eval{}};
+  return b.Linear(encoder_->Eval(b, x, ops32), *head_, Activation::kNone);
 }
 
 }  // namespace gnn4tdl

@@ -3,6 +3,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "construct/rule_based.h"
@@ -12,6 +13,7 @@
 #include "gnn/ggnn.h"
 #include "gnn/gin.h"
 #include "gnn/sage.h"
+#include "kernels/fmatrix.h"
 #include "models/model.h"
 #include "train/aux_tasks.h"
 #include "train/trainer.h"
@@ -164,12 +166,11 @@ class InstanceGraphGnn : public TabularModel {
   /// encoder+head (call after Fit or RestoreForInference).
   Status LoadTrainedParameters(std::istream& in);
 
-  /// The trained parameter values, flattened in registration order: encoder
-  /// parameters first (per-layer order documented in docs/KERNELS.md), then
-  /// the head's weight and bias. This is the extraction boundary the f32
-  /// serving tier casts down from (serve/f32_scorer.h); training state stays
-  /// untouched.
-  StatusOr<std::vector<Matrix>> TrainedParameterMatrices() const;
+  /// Every trained encoder and head parameter cast to f32, keyed by its
+  /// tensor's id(): the weights ScoreOnGraphF32 reads. Built once per
+  /// serving model; training state stays untouched.
+  using F32Weights = std::unordered_map<const void*, kernels::FMatrix>;
+  StatusOr<F32Weights> CastWeightsToF32() const;
 
   /// Rebuilds the inference state from frozen-artifact pieces without
   /// training: assembles encoder/head for `num_outputs` outputs, installs the
@@ -187,10 +188,19 @@ class InstanceGraphGnn : public TabularModel {
   /// node (excluding the self-loop GCN normalization adds) to use instead of
   /// degrees computed from `graph` — the mechanism serve/InductiveAttacher
   /// uses to make k-hop subgraph scoring bit-exact with full-graph inductive
-  /// prediction.
+  /// prediction. Runs the eval-mode forward with no autograd tape, computing
+  /// the same values as the taped forward of PredictInductive.
   StatusOr<Matrix> ScoreOnGraph(
       const Matrix& x, const Graph& graph,
       const std::vector<double>* degree_override = nullptr) const;
+
+  /// ScoreOnGraph's forward over the f32 kernel tier (the body of
+  /// serve/F32Scorer): the same per-backbone steps on f32 features and
+  /// `weights` from CastWeightsToF32(). The operator is normalized in double
+  /// with `degrees` and cast down once.
+  StatusOr<kernels::FMatrix> ScoreOnGraphF32(
+      const kernels::FMatrix& x, const Graph& graph,
+      const std::vector<double>& degrees, const F32Weights& weights) const;
 
  private:
   struct Operators;

@@ -49,36 +49,6 @@ double StableSigmoid(double z) {
   return e / (1.0 + e);
 }
 
-// In-place act(m) — per element the same pure function ops.cc's Map-based
-// activations apply, so the result is bit-identical to the unfused node.
-void ApplyActivation(Matrix* m, Activation act, double alpha) {
-  if (act == Activation::kNone) return;
-  ParallelFor(0, m->rows(), RowGrain(m->cols()), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      double* row = m->row_data(i);
-      for (size_t j = 0; j < m->cols(); ++j) {
-        const double v = row[j];
-        switch (act) {
-          case Activation::kRelu:
-            row[j] = v > 0 ? v : 0.0;
-            break;
-          case Activation::kLeakyRelu:
-            row[j] = v > 0 ? v : alpha * v;
-            break;
-          case Activation::kSigmoid:
-            row[j] = StableSigmoid(v);
-            break;
-          case Activation::kTanh:
-            row[j] = std::tanh(v);
-            break;
-          case Activation::kNone:
-            break;
-        }
-      }
-    }
-  });
-}
-
 // In-place activation backward: scales `ga` by act'(pre-activation), reading
 // the forward output `out`. Bit-identical to the unfused activation
 // backward: relu/leaky preserve the pre-activation's sign (out <= 0 iff
@@ -117,14 +87,6 @@ void MaskActivationGrad(Matrix* ga, const Matrix& out, Activation act,
   });
 }
 
-// AddRowBroadcast's forward loop, applied in place.
-void AddRowInPlace(Matrix* m, const Matrix& bias) {
-  for (size_t r = 0; r < m->rows(); ++r) {
-    double* row = m->row_data(r);
-    for (size_t c = 0; c < m->cols(); ++c) row[c] += bias(0, c);
-  }
-}
-
 // The unfused activation with an explicit leaky slope (Activate() always
 // uses the ops.h default, which fused callers may override).
 Tensor ActivateUnfused(const Tensor& t, Activation act, double alpha) {
@@ -133,6 +95,41 @@ Tensor ActivateUnfused(const Tensor& t, Activation act, double alpha) {
 }
 
 }  // namespace
+
+void ApplyActivation(Matrix* m, Activation act, double alpha) {
+  if (act == Activation::kNone) return;
+  ParallelFor(0, m->rows(), RowGrain(m->cols()), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      double* row = m->row_data(i);
+      for (size_t j = 0; j < m->cols(); ++j) {
+        const double v = row[j];
+        switch (act) {
+          case Activation::kRelu:
+            row[j] = v > 0 ? v : 0.0;
+            break;
+          case Activation::kLeakyRelu:
+            row[j] = v > 0 ? v : alpha * v;
+            break;
+          case Activation::kSigmoid:
+            row[j] = StableSigmoid(v);
+            break;
+          case Activation::kTanh:
+            row[j] = std::tanh(v);
+            break;
+          case Activation::kNone:
+            break;
+        }
+      }
+    }
+  });
+}
+
+void AddRowInPlace(Matrix* m, const Matrix& bias) {
+  for (size_t r = 0; r < m->rows(); ++r) {
+    double* row = m->row_data(r);
+    for (size_t c = 0; c < m->cols(); ++c) row[c] += bias(0, c);
+  }
+}
 
 void SetFusionEnabled(bool enabled) {
   g_fusion_enabled.store(enabled, std::memory_order_relaxed);

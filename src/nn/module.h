@@ -99,6 +99,9 @@ class Mlp : public Module {
 
   size_t in_dim() const { return layers_.front()->in_dim(); }
   size_t out_dim() const { return layers_.back()->out_dim(); }
+  const std::vector<std::unique_ptr<Linear>>& layers() const { return layers_; }
+  /// The activation between layers (none after the last).
+  Activation activation() const { return act_; }
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;

@@ -39,6 +39,26 @@ double StableSigmoid(double z) {
   return e / (1.0 + e);
 }
 
+// RowL2Normalize's value: each row over max(its L2 norm, eps), the divisors
+// left in *norms for the backward.
+Matrix RowL2NormalizeValue(const Matrix& a, double eps,
+                           std::vector<double>* norms) {
+  const size_t n = a.rows();
+  const size_t d = a.cols();
+  norms->assign(n, 0.0);
+  Matrix out(n, d);
+  // Rows are independent: parallel row blocks, serial per-row loops.
+  ParallelFor(0, n, RowGrain(2 * d), [&](size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) {
+      double s = 0.0;
+      for (size_t c = 0; c < d; ++c) s += a(r, c) * a(r, c);
+      (*norms)[r] = std::max(std::sqrt(s), eps);
+      for (size_t c = 0; c < d; ++c) out(r, c) = a(r, c) / (*norms)[r];
+    }
+  });
+  return out;
+}
+
 }  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -453,19 +473,8 @@ Tensor EdgeSoftmax(const Tensor& logits, const std::vector<size_t>& dst,
 
 Tensor RowL2Normalize(const Tensor& a, double eps) {
   TapeOpScope op_scope("RowL2Normalize");
-  const size_t n = a.rows();
-  const size_t d = a.cols();
-  std::vector<double> norms(n);
-  Matrix out(n, d);
-  // Rows are independent: parallel row blocks, serial per-row loops.
-  ParallelFor(0, n, RowGrain(2 * d), [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      double s = 0.0;
-      for (size_t c = 0; c < d; ++c) s += a.value()(r, c) * a.value()(r, c);
-      norms[r] = std::max(std::sqrt(s), eps);
-      for (size_t c = 0; c < d; ++c) out(r, c) = a.value()(r, c) / norms[r];
-    }
-  });
+  std::vector<double> norms;
+  Matrix out = RowL2NormalizeValue(a.value(), eps, &norms);
   Matrix normalized = out;
   return Tensor::FromOp(std::move(out), {a},
                         [a, normalized, norms](const Matrix& g) {
@@ -487,9 +496,9 @@ Tensor RowL2Normalize(const Tensor& a, double eps) {
                         });
 }
 
-Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                     double eps) {
-  TapeOpScope op_scope("LayerNormRows");
+Matrix LayerNormRowsValue(const Matrix& x, const Matrix& gamma,
+                          const Matrix& beta, double eps, Matrix* x_hat_out,
+                          std::vector<double>* inv_std_out) {
   const size_t n = x.rows();
   const size_t d = x.cols();
   GNN4TDL_CHECK_EQ(gamma.rows(), 1u);
@@ -498,7 +507,6 @@ Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   GNN4TDL_CHECK_EQ(beta.cols(), d);
   GNN4TDL_CHECK_GT(d, 0u);
 
-  // Forward: cache the normalized values x_hat and the inverse stddevs.
   // Row-parallel; per-row statistics keep their serial accumulation order.
   Matrix x_hat(n, d);
   std::vector<double> inv_std(n);
@@ -506,22 +514,34 @@ Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   ParallelFor(0, n, RowGrain(4 * d), [&](size_t lo, size_t hi) {
     for (size_t r = lo; r < hi; ++r) {
       double mean = 0.0;
-      for (size_t c = 0; c < d; ++c) mean += x.value()(r, c);
+      for (size_t c = 0; c < d; ++c) mean += x(r, c);
       mean /= static_cast<double>(d);
       double var = 0.0;
       for (size_t c = 0; c < d; ++c) {
-        double centered = x.value()(r, c) - mean;
+        double centered = x(r, c) - mean;
         var += centered * centered;
       }
       var /= static_cast<double>(d);
       inv_std[r] = 1.0 / std::sqrt(var + eps);
       for (size_t c = 0; c < d; ++c)
-        x_hat(r, c) = (x.value()(r, c) - mean) * inv_std[r];
+        x_hat(r, c) = (x(r, c) - mean) * inv_std[r];
       for (size_t c = 0; c < d; ++c)
-        out(r, c) = x_hat(r, c) * gamma.value()(0, c) + beta.value()(0, c);
+        out(r, c) = x_hat(r, c) * gamma(0, c) + beta(0, c);
     }
   });
+  if (x_hat_out != nullptr) *x_hat_out = std::move(x_hat);
+  if (inv_std_out != nullptr) *inv_std_out = std::move(inv_std);
+  return out;
+}
 
+Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+                     double eps) {
+  TapeOpScope op_scope("LayerNormRows");
+  // The backward reads the normalized values x_hat and the inverse stddevs.
+  Matrix x_hat;
+  std::vector<double> inv_std;
+  Matrix out = LayerNormRowsValue(x.value(), gamma.value(), beta.value(), eps,
+                                  &x_hat, &inv_std);
   return Tensor::FromOp(
       std::move(out), {x, gamma, beta},
       [x, gamma, beta, x_hat, inv_std](const Matrix& g) {
@@ -562,6 +582,18 @@ Tensor LayerNormRows(const Tensor& x, const Tensor& gamma, const Tensor& beta,
           x.AccumulateGrad(gx);
         }
       });
+}
+
+Matrix PairNormRowsValue(const Matrix& x, double scale, double eps) {
+  const size_t n = x.rows();
+  GNN4TDL_CHECK_GT(n, 0u);
+  // PairNormRows' composition below, step for step on values.
+  const Matrix ones_col = Matrix::Ones(n, 1);
+  const Matrix col_mean =
+      ones_col.Transpose().Matmul(x) * (1.0 / static_cast<double>(n));
+  const Matrix centered = x - ones_col.Matmul(col_mean);
+  std::vector<double> norms;
+  return RowL2NormalizeValue(centered, eps, &norms) * scale;
 }
 
 Tensor PairNormRows(const Tensor& x, double scale, double eps) {
@@ -695,8 +727,7 @@ Tensor SumAbs(const Tensor& a) {
   });
 }
 
-Tensor SoftmaxRows(const Tensor& logits) {
-  TapeOpScope op_scope("SoftmaxRows");
+Matrix SoftmaxRowsValue(const Matrix& logits) {
   const size_t n = logits.rows();
   const size_t c_dim = logits.cols();
   Matrix out(n, c_dim);
@@ -704,16 +735,21 @@ Tensor SoftmaxRows(const Tensor& logits) {
   ParallelFor(0, n, RowGrain(4 * c_dim), [&](size_t lo, size_t hi) {
     for (size_t r = lo; r < hi; ++r) {
       double mx = -std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < c_dim; ++c)
-        mx = std::max(mx, logits.value()(r, c));
+      for (size_t c = 0; c < c_dim; ++c) mx = std::max(mx, logits(r, c));
       double sum = 0.0;
       for (size_t c = 0; c < c_dim; ++c) {
-        out(r, c) = std::exp(logits.value()(r, c) - mx);
+        out(r, c) = std::exp(logits(r, c) - mx);
         sum += out(r, c);
       }
       for (size_t c = 0; c < c_dim; ++c) out(r, c) /= sum;
     }
   });
+  return out;
+}
+
+Tensor SoftmaxRows(const Tensor& logits) {
+  TapeOpScope op_scope("SoftmaxRows");
+  Matrix out = SoftmaxRowsValue(logits.value());
   Matrix softmax = out;
   return Tensor::FromOp(std::move(out), {logits},
                         [logits, softmax](const Matrix& g) {

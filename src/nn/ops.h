@@ -161,4 +161,24 @@ Tensor MseLoss(const Tensor& pred, const Matrix& target,
 Tensor BceWithLogits(const Tensor& pred, const std::vector<double>& targets,
                      const std::vector<double>& weights = {});
 
+// ---------------------------------------------------------------------------
+// Forward values without a tape
+// ---------------------------------------------------------------------------
+// Bit-identical values of the ops above whose forward is more than one
+// Matrix call, for eval-mode forwards that record no tape (ScoreOnGraph).
+
+/// LayerNormRows' value. `x_hat` and `inv_std`, when non-null, receive the
+/// normalized rows and inverse stddevs its backward reads.
+Matrix LayerNormRowsValue(const Matrix& x, const Matrix& gamma,
+                          const Matrix& beta, double eps = 1e-5,
+                          Matrix* x_hat = nullptr,
+                          std::vector<double>* inv_std = nullptr);
+
+/// SoftmaxRows' value.
+Matrix SoftmaxRowsValue(const Matrix& logits);
+
+/// PairNormRows' value.
+Matrix PairNormRowsValue(const Matrix& x, double scale = 1.0,
+                         double eps = 1e-12);
+
 }  // namespace gnn4tdl::ops

@@ -66,6 +66,8 @@ Tensor Tensor::FromOp(Matrix value, std::vector<Tensor> parents,
   return t;
 }
 
+uint64_t Tensor::NodesCreated() { return g_tensor_seq.load(); }
+
 std::string Tensor::DescribeNode(const Impl* node) {
   std::string desc = "tape node #" + std::to_string(node->seq) + " (";
   if (node->backward_fn) {

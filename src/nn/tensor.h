@@ -95,6 +95,10 @@ class Tensor {
   /// Stable identity for use as a map key.
   const void* id() const { return impl_.get(); }
 
+  /// Tensors (leaves and op outputs) created so far in this process: lets a
+  /// test check that a forward records no tape.
+  static uint64_t NodesCreated();
+
   /// Number of distinct tape nodes reachable from this one through parent
   /// edges, including this node — the size of the graph Backward() would
   /// walk. O(nodes) each call; intended for per-epoch observability, not

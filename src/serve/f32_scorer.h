@@ -1,41 +1,33 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/graph.h"
 #include "kernels/fmatrix.h"
-#include "kernels/kernels.h"
 #include "models/knn_gnn.h"
 
 namespace gnn4tdl {
 
-/// Single-precision forward-only scorer: the f32 serving twin of
-/// InstanceGraphGnn::ScoreOnGraph. Built once from a restored model — the
-/// trained encoder+head parameters are cast down to float at that boundary
-/// and the double training state is never touched again — then Score() runs
-/// the whole attached-batch forward pass through the dispatched f32 kernels
-/// (kernels::Dispatch(): AVX2+FMA when the CPU has it, bit-identical scalar
-/// otherwise).
-///
-/// Numerics: per-batch graph operators (GCN/mean normalization, GAT edge
-/// index) are still computed in double — they are O(edges) setup, not the
-/// bandwidth-bound hot path — and cast down per batch. Dense propagation and
-/// attention run in f32; logits match the f64 path to ~1e-4 relative for the
-/// 2-layer serving configs (tolerances documented in docs/KERNELS.md and
-/// enforced by tests/serve_precision_test.cc).
-///
-/// Supported backbones: GCN (incl. jumping knowledge), SAGE, GIN, GAT, APPNP.
-/// GGNN, graph transformer, and PairNorm configurations are not mirrored —
-/// FrozenModel silently keeps those on the f64 path (Supports() is the gate).
+/// Single-precision forward-only scorer for every backbone: the model's
+/// eval-mode forward (the steps ScoreOnGraph runs) over the dispatched f32
+/// kernels (kernels::Dispatch(): AVX2+FMA when the CPU has it, bit-identical
+/// scalar otherwise). Build() casts the trained parameters down once; the
+/// double training state is never touched again. Per-batch operators are
+/// normalized in double and cast down; steps with no f32 kernel (GGNN gate
+/// products, layer norm, row softmax, PairNorm) widen to double and narrow
+/// back. Logits stay within 1e-3 of the f64 path (docs/KERNELS.md, enforced
+/// by tests/serve_precision_test.cc).
 class F32Scorer {
  public:
-  /// True when `options` describe a model this scorer can mirror.
-  static bool Supports(const InstanceGraphGnnOptions& options);
-
-  /// Extracts and casts the trained parameters of a fitted/restored model.
-  /// Fails if Supports() is false or the model has no trained parameters.
-  static StatusOr<F32Scorer> Build(const InstanceGraphGnn& model);
+  /// Casts the trained parameters of a fitted/restored model, which must
+  /// outlive the scorer.
+  static StatusOr<F32Scorer> Build(const InstanceGraphGnn& model) {
+    StatusOr<InstanceGraphGnn::F32Weights> weights = model.CastWeightsToF32();
+    if (!weights.ok()) return weights.status();
+    return F32Scorer(&model, std::move(*weights));
+  }
 
   /// Forward pass on an attached batch: `x` holds one f32 feature row per
   /// node of `graph`, `degrees` are the extended-graph degrees the
@@ -43,32 +35,17 @@ class F32Scorer {
   /// degree_override). Returns per-node head logits.
   StatusOr<kernels::FMatrix> Score(const kernels::FMatrix& x,
                                    const Graph& graph,
-                                   const std::vector<double>& degrees) const;
-
-  size_t num_outputs() const { return head_w_.cols(); }
+                                   const std::vector<double>& degrees) const {
+    return model_->ScoreOnGraphF32(x, graph, degrees, weights_);
+  }
 
  private:
-  F32Scorer() = default;
+  F32Scorer(const InstanceGraphGnn* model,
+            InstanceGraphGnn::F32Weights weights)
+      : model_(model), weights_(std::move(weights)) {}
 
-  /// One encoder layer's casted parameters; which members are populated
-  /// depends on the backbone (see the per-backbone forward in f32_scorer.cc).
-  struct Layer {
-    kernels::FMatrix w;        // GCN W / SAGE self W / GIN W1 / APPNP W1...
-    std::vector<float> b;      // ...and its bias (empty = none)
-    kernels::FMatrix w2;       // SAGE neighbor W / GIN W2
-    std::vector<float> b2;     // GIN b2
-    float eps = 0.0f;          // GIN
-    // GAT per-head parameters: projection (in x head_dim) and attention
-    // vectors (head_dim x 1, stored as FMatrix columns).
-    std::vector<kernels::FMatrix> head_proj;
-    std::vector<kernels::FMatrix> attn_src;
-    std::vector<kernels::FMatrix> attn_dst;
-  };
-
-  InstanceGraphGnnOptions options_;
-  std::vector<Layer> layers_;
-  kernels::FMatrix head_w_;
-  std::vector<float> head_b_;
+  const InstanceGraphGnn* model_;
+  InstanceGraphGnn::F32Weights weights_;
 };
 
 }  // namespace gnn4tdl

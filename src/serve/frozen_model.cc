@@ -4,12 +4,11 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 
 #include "graph/graph_io.h"
-#include "obs/metrics.h"
-#include "obs/warn.h"
 
 namespace gnn4tdl {
 
@@ -34,6 +33,20 @@ size_t EffectiveHops(const InstanceGraphGnnOptions& o) {
 /// the whole training graph to stay faithful to PredictInductive.
 bool NeedsFullNeighborhood(const InstanceGraphGnnOptions& o) {
   return o.backbone == GnnBackbone::kTransformer || o.use_pair_norm;
+}
+
+/// Bytes from the read position to the end of `in`; the size_t maximum when
+/// the stream cannot seek.
+size_t BytesLeft(std::istream& in) {
+  constexpr size_t kUnknown = std::numeric_limits<size_t>::max();
+  const std::streampos here = in.tellg();
+  if (here == std::streampos(-1)) return kUnknown;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  return end == std::streampos(-1) ? kUnknown
+                                   : static_cast<size_t>(end - here);
 }
 
 Status ExpectField(std::istream& in, const std::string& want) {
@@ -85,27 +98,6 @@ Status FrozenModel::Save(const InstanceGraphGnn& model, std::ostream& out,
   if (!out) return Status::IoError("frozen model stream is not writable");
 
   const InstanceGraphGnnOptions& o = model.options();
-
-  // Freeze-time twin of the Load-side fallback warning: if the artifact is
-  // being stamped f32 but the backbone has no f32 tier, every future load
-  // will quietly serve f64. Say so now, while the operator who chose the
-  // precision is still watching, and export the precision the artifact will
-  // actually serve (docs/SERVING.md "f32 support matrix").
-  const bool f32_unservable = precision == kernels::Precision::kF32 &&
-                              !F32Scorer::Supports(o);
-  if (f32_unservable) {
-    obs::WarnOnce("freeze-f32-unservable",
-                  std::string("freezing with precision f32 but backbone ") +
-                      GnnBackboneName(o.backbone) +
-                      (o.use_pair_norm ? "+pairnorm" : "") +
-                      " has no f32 tier; this artifact will serve f64");
-  }
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.freeze_effective_precision")
-        .Set(precision == kernels::Precision::kF32 && !f32_unservable ? 32.0
-                                                                      : 64.0);
-  }
 
   std::streamsize old_precision = out.precision(17);
   out << kFrozenMagic << '\n';
@@ -225,7 +217,9 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
   if (!featurizer.ok()) return featurizer.status();
 
   in >> std::ws;  // ReadEdgeList is line-oriented; start it on the magic line
-  StatusOr<Graph> graph = ReadEdgeList(in);
+  // Every node needs a feature row later in the stream, so the node count
+  // cannot exceed the bytes left.
+  StatusOr<Graph> graph = ReadEdgeList(in, BytesLeft(in));
   if (!graph.ok()) return graph.status();
 
   size_t n = 0, d = 0;
@@ -274,35 +268,14 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
       &frozen.model_->graph(), &frozen.model_->feature_cache(),
       frozen.index_.get(), attach);
 
-  // Precision selection: load-time override beats the artifact's record; f32
-  // degrades to f64 for backbones the f32 tier does not mirror — loudly:
-  // logged once per process and exported as serve.effective_precision so a
-  // fleet silently serving slower/wider than requested is visible.
   frozen.artifact_precision_ = artifact_precision;
-  const kernels::Precision want =
-      options.precision.value_or(artifact_precision);
-  frozen.requested_precision_ = want;
-  if (want == kernels::Precision::kF32 && F32Scorer::Supports(o)) {
+  frozen.precision_ = options.precision.value_or(artifact_precision);
+  if (frozen.precision_ == kernels::Precision::kF32) {
     StatusOr<F32Scorer> scorer = F32Scorer::Build(*frozen.model_);
     if (!scorer.ok()) return scorer.status();
     frozen.f32_scorer_ = std::make_unique<F32Scorer>(std::move(*scorer));
     frozen.x_train_f32_ =
         kernels::FMatrix::FromDouble(frozen.model_->feature_cache());
-    frozen.precision_ = kernels::Precision::kF32;
-  } else {
-    frozen.precision_ = kernels::Precision::kF64;
-    if (want == kernels::Precision::kF32) {
-      obs::WarnOnce("serve-f32-fallback",
-                    std::string("f32 serving requested but backbone ") +
-                        GnnBackboneName(o.backbone) +
-                        (o.use_pair_norm ? "+pairnorm" : "") +
-                        " has no f32 tier; serving f64");
-    }
-  }
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.effective_precision")
-        .Set(frozen.precision_ == kernels::Precision::kF32 ? 32.0 : 64.0);
   }
   return frozen;
 }
@@ -326,37 +299,16 @@ StatusOr<Matrix> FrozenModel::Featurize(const TabularDataset& rows) const {
 
 StatusOr<Matrix> FrozenModel::ScoreFeatures(const Matrix& x_new) const {
   GNN4TDL_RETURN_IF_ERROR(CheckFiniteFeatures(x_new.data(), x_new.size()));
-  if (precision_ == kernels::Precision::kF32) {
-    // f32 path: the attacher skips the double feature gather; the batch
-    // feature matrix is assembled directly in single precision from the
-    // pre-cast training cache plus the cast-down new rows.
-    StatusOr<AttachedBatch> batch =
-        attacher_->Attach(x_new, /*with_features=*/false);
-    if (!batch.ok()) return batch.status();
-    const size_t n_sub = batch->train_nodes.size();
-    kernels::FMatrix features(n_sub + batch->num_new, x_train_f32_.cols());
-    for (size_t i = 0; i < n_sub; ++i) {
-      features.SetRow(i, x_train_f32_, batch->train_nodes[i]);
-    }
-    for (size_t i = 0; i < batch->num_new; ++i) {
-      features.SetRowFromDouble(n_sub + i, x_new.row_data(i));
-    }
-    StatusOr<kernels::FMatrix> logits =
-        f32_scorer_->Score(features, batch->graph, batch->degrees);
-    if (!logits.ok()) return logits.status();
-    Matrix out(batch->num_new, logits->cols());
-    for (size_t i = 0; i < batch->num_new; ++i) {
-      for (size_t j = 0; j < logits->cols(); ++j) {
-        out(i, j) = static_cast<double>((*logits)(n_sub + i, j));
-      }
-    }
-    return out;
-  }
-
-  StatusOr<AttachedBatch> batch = attacher_->Attach(x_new);
+  const bool f32 = precision_ == kernels::Precision::kF32;
+  // The f32 path assembles its own features, so the attacher skips the
+  // double gather.
+  StatusOr<AttachedBatch> batch =
+      attacher_->Attach(x_new, /*with_features=*/!f32);
   if (!batch.ok()) return batch.status();
   StatusOr<Matrix> logits =
-      model_->ScoreOnGraph(batch->features, batch->graph, &batch->degrees);
+      f32 ? ScoreF32(x_new, *batch)
+          : model_->ScoreOnGraph(batch->features, batch->graph,
+                                 &batch->degrees);
   if (!logits.ok()) return logits.status();
   const size_t n_sub = batch->train_nodes.size();
   Matrix out(batch->num_new, logits->cols());
@@ -365,6 +317,24 @@ StatusOr<Matrix> FrozenModel::ScoreFeatures(const Matrix& x_new) const {
               logits->row_data(n_sub + i) + logits->cols(), out.row_data(i));
   }
   return out;
+}
+
+StatusOr<Matrix> FrozenModel::ScoreF32(const Matrix& x_new,
+                                       const AttachedBatch& batch) const {
+  // Batch features in single precision: the pre-cast training cache rows
+  // plus the cast-down new rows.
+  const size_t n_sub = batch.train_nodes.size();
+  kernels::FMatrix features(n_sub + batch.num_new, x_train_f32_.cols());
+  for (size_t i = 0; i < n_sub; ++i) {
+    features.SetRow(i, x_train_f32_, batch.train_nodes[i]);
+  }
+  for (size_t i = 0; i < batch.num_new; ++i) {
+    features.SetRowFromDouble(n_sub + i, x_new.row_data(i));
+  }
+  StatusOr<kernels::FMatrix> logits =
+      f32_scorer_->Score(features, batch.graph, batch.degrees);
+  if (!logits.ok()) return logits.status();
+  return logits->ToDouble();
 }
 
 StatusOr<Matrix> FrozenModel::Score(const TabularDataset& rows) const {

@@ -37,11 +37,14 @@ struct FrozenModelOptions {
 /// InductiveAttacher so incoming rows can be scored against the frozen
 /// instance graph.
 ///
-/// For GCN/SAGE-family backbones the served scores are bit-identical to
+/// Served at f64, the scores of every backbone (with or without jumping
+/// knowledge or PairNorm) are bit-identical to
 /// InstanceGraphGnn::PredictInductive on the original model: the attacher
 /// extracts the exact receptive field of the new rows and overrides node
 /// degrees with their full-extended-graph values, so the k-hop subgraph
 /// forward pass computes the same floating-point sums as the full graph.
+/// Served at f32, every backbone runs the same forward on the f32 kernel
+/// tier, within the 1e-3 logit bound.
 class FrozenModel {
  public:
   FrozenModel(FrozenModel&&) = default;
@@ -86,28 +89,24 @@ class FrozenModel {
   const KnnIndex& index() const { return *index_; }
   const InductiveAttacher& attacher() const { return *attacher_; }
 
-  /// The precision ScoreFeatures actually runs at. May be kF64 even when the
-  /// artifact (or the load-time override) asked for kF32: backbones the f32
-  /// tier does not mirror (GGNN, transformer, PairNorm configs) fall back to
-  /// the double path. The downgrade is never silent — Load logs it (once per
-  /// process) and, when metrics are on, exports serve.effective_precision.
+  /// The precision ScoreFeatures runs at: the load-time override if given,
+  /// else the artifact's record.
   kernels::Precision precision() const { return precision_; }
   /// The precision recorded in the artifact (v1 artifacts: kF64).
   kernels::Precision artifact_precision() const { return artifact_precision_; }
-  /// The precision Load was asked for: the override if given, else the
-  /// artifact's record. Compare with precision() to detect a fallback.
-  kernels::Precision requested_precision() const {
-    return requested_precision_;
-  }
 
  private:
   FrozenModel() = default;
+
+  /// ScoreFeatures' f32 forward over an attached batch: logits for every
+  /// node of the batch graph, widened to double.
+  StatusOr<Matrix> ScoreF32(const Matrix& x_new,
+                            const AttachedBatch& batch) const;
 
   std::unique_ptr<InstanceGraphGnn> model_;
   std::unique_ptr<KnnIndex> index_;
   std::unique_ptr<InductiveAttacher> attacher_;
   kernels::Precision artifact_precision_ = kernels::Precision::kF64;
-  kernels::Precision requested_precision_ = kernels::Precision::kF64;
   kernels::Precision precision_ = kernels::Precision::kF64;
   /// f32 serving state, populated only when precision_ == kF32: the casted
   /// scorer and the pre-cast featurized training matrix batches gather from.

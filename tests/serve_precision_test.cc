@@ -1,6 +1,7 @@
 // FrozenModel precision tier: artifact versioning (v1 compatibility, v2
 // precision field round trip, corrupt-field errors) and f32-vs-f64 serving
-// agreement across every backbone the f32 tier mirrors.
+// agreement across every served configuration: all seven backbones plus GCN
+// with jumping knowledge and GCN with PairNorm, each served at f32.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,8 @@
 #include "data/synthetic.h"
 #include "kernels/kernels.h"
 #include "models/knn_gnn.h"
-#include "serve/f32_scorer.h"
 #include "serve/frozen_model.h"
+#include "served_configs.h"
 
 namespace gnn4tdl {
 namespace {
@@ -34,7 +35,6 @@ InstanceGraphGnnOptions Options(GnnBackbone backbone) {
   options.train.max_epochs = 30;
   options.train.verbose = false;
   options.seed = 3;
-  if (backbone == GnnBackbone::kAppnp) options.appnp_steps = 4;
   return options;
 }
 
@@ -74,10 +74,13 @@ std::string SaveToString(const InstanceGraphGnn& model, Precision precision) {
 
 // --- f32 vs f64 serving agreement -------------------------------------------
 
-class F32BackboneTest : public ::testing::TestWithParam<GnnBackbone> {};
+class F32BackboneTest : public ::testing::TestWithParam<ServedConfig> {};
 
 TEST_P(F32BackboneTest, F32LogitsMatchF64WithinTolerance) {
-  std::unique_ptr<InstanceGraphGnn> model = TrainModel(Options(GetParam()));
+  InstanceGraphGnnOptions options = Options(GnnBackbone::kGcn);
+  ApplyServedConfig(GetParam(), &options);
+  if (options.backbone == GnnBackbone::kAppnp) options.appnp_steps = 4;
+  std::unique_ptr<InstanceGraphGnn> model = TrainModel(std::move(options));
   const std::string artifact = SaveToString(*model, Precision::kF32);
   TabularDataset fresh = FreshRows(12);
 
@@ -102,18 +105,13 @@ TEST_P(F32BackboneTest, F32LogitsMatchF64WithinTolerance) {
   ASSERT_EQ(got->rows(), want->rows());
   ASSERT_EQ(got->cols(), want->cols());
   EXPECT_TRUE(got->AllClose(*want, kLogitTol))
-      << "f32 logits diverged from f64 for backbone "
-      << GnnBackboneName(GetParam());
+      << "f32 logits diverged from f64 for " << ServedConfigName(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSupportedBackbones, F32BackboneTest,
-                         ::testing::Values(GnnBackbone::kGcn,
-                                           GnnBackbone::kSage,
-                                           GnnBackbone::kGin,
-                                           GnnBackbone::kGat,
-                                           GnnBackbone::kAppnp),
+                         ::testing::ValuesIn(AllServedConfigs()),
                          [](const auto& info) {
-                           return std::string(GnnBackboneName(info.param));
+                           return ServedConfigName(info.param);
                          });
 
 TEST(F32ServingTest, JumpingKnowledgeGcnMatches) {
@@ -139,32 +137,6 @@ TEST(F32ServingTest, JumpingKnowledgeGcnMatches) {
   StatusOr<Matrix> want = frozen_f64->Score(fresh);
   ASSERT_TRUE(want.ok());
   EXPECT_TRUE(got->AllClose(*want, kLogitTol));
-}
-
-TEST(F32ServingTest, UnsupportedBackboneFallsBackToF64) {
-  ASSERT_FALSE(F32Scorer::Supports(Options(GnnBackbone::kGgnn)));
-  std::unique_ptr<InstanceGraphGnn> model = TrainModel(Options(GnnBackbone::kGgnn));
-  const std::string artifact = SaveToString(*model, Precision::kF32);
-
-  std::istringstream in(artifact);
-  StatusOr<FrozenModel> frozen = FrozenModel::Load(in);
-  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
-  // The artifact records f32, but serving silently stays on the double path.
-  EXPECT_EQ(frozen->artifact_precision(), Precision::kF32);
-  EXPECT_EQ(frozen->precision(), Precision::kF64);
-
-  TabularDataset fresh = FreshRows(6);
-  StatusOr<Matrix> served = frozen->Score(fresh);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  StatusOr<Matrix> reference = model->PredictInductive(fresh);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_TRUE(served->AllClose(*reference, 0.0));
-}
-
-TEST(F32ServingTest, PairNormConfigFallsBackToF64) {
-  InstanceGraphGnnOptions options = Options(GnnBackbone::kGcn);
-  options.use_pair_norm = true;
-  EXPECT_FALSE(F32Scorer::Supports(options));
 }
 
 TEST(F32ServingTest, OverrideForcesF32OnF64Artifact) {

@@ -241,11 +241,14 @@ TEST_P(ServedBitExactTest, MatchesPredictInductive) {
   StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
   ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
 
+  const uint64_t tensors_before = Tensor::NodesCreated();
   StatusOr<Matrix> served = frozen->Score(fresh);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   // The k-hop subgraph forward pass must reproduce the full extended-graph
-  // floating-point arithmetic exactly, through the artifact round trip.
+  // floating-point arithmetic exactly, through the artifact round trip, and
+  // without the autograd tape PredictInductive records.
   EXPECT_TRUE(served->AllClose(*reference, 0.0));
+  EXPECT_EQ(Tensor::NodesCreated(), tensors_before);
 
   if (GetParam() != ServedConfig::kGcn) return;
   // The attacher genuinely prunes: the 2-hop receptive field of 12 rows in a
@@ -459,6 +462,65 @@ TEST_F(ServeModelTest, LoadRejectsInflatedFeatureHeader) {
     ASSERT_FALSE(frozen.ok()) << inflated;
     EXPECT_EQ(frozen.status().code(), StatusCode::kIoError) << inflated;
   }
+}
+
+// Replaces the line that starts `at` in `text` with `line`.
+std::string ReplaceLine(const std::string& text, size_t at,
+                        const std::string& line) {
+  std::string out = text;
+  out.replace(at, text.find('\n', at) - at, line);
+  return out;
+}
+
+void ExpectLoadIoError(const std::string& artifact) {
+  std::istringstream in(artifact);
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(in);
+  ASSERT_FALSE(frozen.ok());
+  EXPECT_EQ(frozen.status().code(), StatusCode::kIoError)
+      << frozen.status().ToString();
+}
+
+TEST_F(ServeModelTest, LoadRejectsInflatedEdgeListHeader) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  const std::string text = artifact.str();
+  const size_t at = text.find("# gnn4tdl-edgelist ");
+  ASSERT_NE(at, std::string::npos);
+  const std::string edges = std::to_string(model.graph().num_edges());
+
+  // Used to abort with std::length_error inside Graph::FromEdges.
+  for (const char* nodes : {"1152921504606846976", "4000000000"}) {
+    SCOPED_TRACE(nodes);
+    ExpectLoadIoError(ReplaceLine(
+        text, at, std::string("# gnn4tdl-edgelist ") + nodes + " " + edges));
+  }
+}
+
+TEST_F(ServeModelTest, LoadRejectsInflatedFeaturizerHeader) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  const std::string text = artifact.str();
+  // The featurizer block opens with its magic line and its options line,
+  // then "<source columns> <output columns>".
+  size_t at = text.find("gnn4tdl-featurizer");
+  ASSERT_NE(at, std::string::npos);
+  at = text.find('\n', text.find('\n', at) + 1) + 1;
+  const std::string source_cols = std::to_string(data.NumCols());
+  const std::string output_cols =
+      std::to_string(model.featurizer().OutputDim());
+  ASSERT_EQ(text.substr(at, text.find('\n', at) - at),
+            source_cols + " " + output_cols);
+
+  // Used to abort in Featurizer::Load's resize.
+  const std::string huge = "1152921504606846976";
+  ExpectLoadIoError(ReplaceLine(text, at, source_cols + " " + huge));
+  ExpectLoadIoError(ReplaceLine(text, at, huge + " " + output_cols));
 }
 
 TEST_F(ServeModelTest, ArtifactFileRoundTrip) {

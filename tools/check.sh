@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Umbrella correctness gate:
 #   lint -> asan -> tsan -> threads -> trace -> simd -> fusion -> load ->
-#   obs -> analyze.
+#   obs -> analyze -> bench.
 #
 #   stage 1  lint     build gnn4tdl_lint (default preset) and scan the tree
 #                     with every pass: the style pass (idiom rules) and the
@@ -58,6 +58,14 @@
 #                     toolchain the clang half is skipped with a note; the
 #                     lint stage's lock pass still enforces the
 #                     annotation-coverage subset
+#   stage 11 bench    the train -> freeze -> serve benchmark, short and
+#                     traced: perfbench/run.py for serve_open, score_bulk
+#                     and train_fit (seed 1, 3 s each). Tier-1 never builds
+#                     perfbench/, so this is where a break in the serving API
+#                     it consumes shows. run.py exits non-zero when any output
+#                     check fails: f64_bit_exact (served f64 logits equal
+#                     PredictInductive), f32_within_1e-3, ledger_replay,
+#                     ledger_sum, CheckAccounting and trace_check
 #
 # Every selected stage runs even if an earlier one fails; the summary at the
 # end lists per-stage PASS/FAIL with wall-clock seconds and the script exits
@@ -71,7 +79,7 @@ set -uo pipefail
 
 cd "$(dirname "$0")/.."
 
-all_stages=(lint asan tsan threads trace simd fusion load obs analyze)
+all_stages=(lint asan tsan threads trace simd fusion load obs analyze bench)
 selected=("${all_stages[@]}")
 
 if [[ "${1:-}" == "--stage" ]]; then
@@ -200,6 +208,14 @@ analyze_stage() {
   fi
 }
 
+bench_stage() {
+  local workload
+  for workload in serve_open score_bulk train_fit; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 \
+      --trace 1 || return 1
+  done
+}
+
 for stage in "${selected[@]}"; do
   case "$stage" in
     lint) run_stage lint lint_stage ;;
@@ -212,6 +228,7 @@ for stage in "${selected[@]}"; do
     load) run_stage load load_stage ;;
     obs) run_stage obs obs_stage ;;
     analyze) run_stage analyze analyze_stage "$@" ;;
+    bench) run_stage bench bench_stage ;;
   esac
 done
 

@@ -400,21 +400,6 @@ StatusOr<FrozenModelOptions> LoadOptionsFromArgs(const CliArgs& args) {
   return options;
 }
 
-/// "f64" when served as requested, "f64 (requested f32: no f32 tier for
-/// this backbone)" when the load fell back — the user-facing face of the
-/// serve.effective_precision gauge.
-std::string EffectivePrecisionLabel(const FrozenModel& frozen) {
-  std::string label = kernels::PrecisionName(frozen.precision());
-  if (frozen.precision() != frozen.requested_precision()) {
-    label += " (requested ";
-    label += kernels::PrecisionName(frozen.requested_precision());
-    label += ": no ";
-    label += kernels::PrecisionName(frozen.requested_precision());
-    label += " tier for this backbone)";
-  }
-  return label;
-}
-
 int RunScore(const CliArgs& args) {
   if (args.model.empty()) {
     std::fprintf(stderr, "score requires --model PATH\n");
@@ -436,7 +421,8 @@ int RunScore(const CliArgs& args) {
               "precision %s\n",
               args.model.c_str(), TaskTypeName(frozen->task()),
               frozen->num_train_rows(), frozen->feature_dim(),
-              frozen->num_outputs(), EffectivePrecisionLabel(*frozen).c_str());
+              frozen->num_outputs(),
+              kernels::PrecisionName(frozen->precision()));
 
   StatusOr<TabularDataset> data = LoadData(args);
   if (!data.ok()) {
@@ -567,7 +553,7 @@ int RunServe(const CliArgs& args) {
   std::printf("serving %zu rows (max_batch=%zu, deadline=%.1fms, "
               "precision %s)...\n",
               x->rows(), serve_opts.max_batch, serve_opts.deadline_ms,
-              EffectivePrecisionLabel(*frozen).c_str());
+              kernels::PrecisionName(frozen->precision()));
 
   std::vector<std::future<std::vector<double>>> futures;
   futures.reserve(x->rows());
@@ -679,7 +665,7 @@ int RunLoadgen(const CliArgs& args) {
       }
       features.emplace(std::move(*x));
       std::printf("loadgen precision %s\n",
-                  EffectivePrecisionLabel(*model).c_str());
+                  kernels::PrecisionName(model->precision()));
     }
     Status added = registry.AddTenant(name, std::move(*model), *options);
     if (!added.ok()) {

@@ -30,11 +30,10 @@
 //                             machines; poll a condition with PollUntil
 //                             (tests/poll_until.h) instead.
 //   raw-stderr                fprintf(stderr, ...) or std::cerr in src/
-//                             outside src/obs/ — library diagnostics flow
-//                             through obs::WarnOnce (src/obs/warn.h) so they
-//                             are rate-limited and counted in metrics. Exempt
-//                             with a `lint:stderr(reason)` comment on the
-//                             write's line or the line above (the CHECK
+//                             outside src/obs/ — library code reports
+//                             through Status and metrics, not the terminal.
+//                             Exempt with a `lint:stderr(reason)` comment on
+//                             the write's line or the line above (the CHECK
 //                             macros and the trainer's opt-in epoch log).
 //   fused-raw-alloc           malloc/calloc/realloc/free or a
 //                             std::vector<double|float> scratch buffer in a
@@ -257,9 +256,9 @@ void LintFile(const SourceFile& file, const std::set<std::string>& status_fns,
                            prev(2)->text == "std";
       if (is_fprintf_stderr || is_cerr) {
         out->push_back({rel_path, t.line, "raw-stderr",
-                        "raw stderr write in library code; use obs::WarnOnce "
-                        "(src/obs/warn.h) so diagnostics are rate-limited and "
-                        "counted, or mark the line lint:stderr(reason)"});
+                        "raw stderr write in library code; report through "
+                        "Status or metrics, or mark the line "
+                        "lint:stderr(reason)"});
       }
     }
 

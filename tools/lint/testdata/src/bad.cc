@@ -31,7 +31,7 @@ void Caller(Helper* helper) {
   acc = _mm256_add_ps(acc, acc);     // raw-simd
   (void)acc;
 
-  std::fprintf(stderr, "oops\n");  // raw-stderr: use obs::WarnOnce
+  std::fprintf(stderr, "oops\n");  // raw-stderr
   std::cerr << "oops";             // raw-stderr
   // lint:stderr(fixture: exempted write — must NOT be flagged)
   std::fprintf(stderr, "exempted\n");
