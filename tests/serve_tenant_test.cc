@@ -250,5 +250,38 @@ TEST_F(ServeTenantTest, LatencyFractionBelowIsMonotoneAndBounded) {
             StatusCode::kNotFound);
 }
 
+// A caller that holds its result must see itself in the accounting: the
+// worker records a batch before it resolves the batch's futures. One full
+// batch per round (max_batch 16, a deadline far beyond the batch's compute),
+// then an immediate TenantStats read.
+TEST_F(ServeTenantTest, AccountingLandsBeforeFuturesResolve) {
+  StatusOr<FrozenModel> model = Load();
+  ASSERT_TRUE(model.ok());
+  ModelRegistry registry;
+  TenantOptions options;
+  options.max_batch = 16;
+  options.deadline_ms = 1000.0;
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*model), options).ok());
+  MultiTenantEngine engine(&registry);
+
+  constexpr size_t kRounds = 500;
+  constexpr size_t kRows = 16;
+  size_t short_reads = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    std::vector<std::future<std::vector<double>>> futures;
+    futures.reserve(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      auto f = engine.Submit("t", Row(i));
+      ASSERT_TRUE(f.ok()) << f.status().ToString();
+      futures.push_back(std::move(*f));
+    }
+    for (auto& f : futures) f.get();
+    StatusOr<ServeStats> stats = engine.TenantStats("t");
+    ASSERT_TRUE(stats.ok());
+    if (stats->requests != (round + 1) * kRows) ++short_reads;
+  }
+  EXPECT_EQ(short_reads, 0u);
+}
+
 }  // namespace
 }  // namespace gnn4tdl
