@@ -146,10 +146,7 @@ class LoadGenerator {
 /// per request over every flight-recorder digest (ring and retained) and in
 /// aggregate over the histogram sums — and requires every recorded digest to
 /// carry a nonzero trace id.
-/// Requires a fresh engine that served only this run, Stop()ed first (the
-/// worker publishes a batch's completion counters just after resolving its
-/// futures, so only a joined worker guarantees flushed accounting). OK when
-/// consistent;
+/// Requires a fresh engine that served only this run. OK when consistent;
 /// Internal with a diff message otherwise. The check.sh `load` stage and
 /// bench_load gate on this, so serving accounting cannot silently drift from
 /// what clients observe.

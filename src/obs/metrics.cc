@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/check.h"
+
 namespace gnn4tdl::obs {
 
 namespace {
@@ -18,6 +20,13 @@ size_t ThisThreadShard(size_t num_shards) {
   thread_local size_t assigned =
       next.fetch_add(1, std::memory_order_relaxed);
   return assigned % num_shards;
+}
+
+// Exemplar recency is one process-wide order, so exemplars from different
+// histograms stay comparable after Histogram::Merge.
+uint64_t NextExemplarSeq() {
+  static std::atomic<uint64_t> seq{0};
+  return 1 + seq.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -90,7 +99,35 @@ void Histogram::Record(double value, uint64_t exemplar_trace_id) {
     ShardExemplar& slot = shard.exemplars[index];
     slot.trace_id = exemplar_trace_id;
     slot.value = value;
-    slot.seq = 1 + exemplar_seq_.fetch_add(1, std::memory_order_relaxed);
+    slot.seq = NextExemplarSeq();
+  }
+}
+
+void Histogram::Merge(const Histogram& other) {
+  GNN4TDL_CHECK(&other != this);
+  GNN4TDL_CHECK(options_.min_value == other.options_.min_value &&
+                options_.growth == other.options_.growth &&
+                options_.num_buckets == other.options_.num_buckets);
+  // Snapshot `other` first so no two shard mutexes are ever held at once.
+  uint64_t count;
+  double sum, min, max;
+  const std::vector<uint64_t> counts =
+      other.MergedCounts(&count, &sum, &min, &max);
+  if (count == 0) return;
+  const std::vector<HistogramExemplar> exemplars = other.Exemplars();
+  Shard& shard = shards_[ThisThreadShard(kShards)];
+  MutexLock lock(&shard.mu);
+  for (size_t i = 0; i < counts.size(); ++i) shard.counts[i] += counts[i];
+  shard.sum += sum;
+  if (shard.count == 0 || min < shard.min) shard.min = min;
+  if (shard.count == 0 || max > shard.max) shard.max = max;
+  shard.count += count;
+  if (!exemplars.empty() && shard.exemplars.empty()) {
+    shard.exemplars.resize(shard.counts.size());
+  }
+  for (const HistogramExemplar& e : exemplars) {
+    ShardExemplar& slot = shard.exemplars[e.bucket];
+    if (e.seq > slot.seq) slot = ShardExemplar{e.trace_id, e.value, e.seq};
   }
 }
 
@@ -309,30 +346,6 @@ void MetricsRegistry::WritePrometheus(std::ostream& out) const {
     }
     out << pname << "_sum " << FmtDouble(hist->Sum()) << "\n";
     out << pname << "_count " << hist->Count() << "\n";
-  }
-}
-
-void MetricsRegistry::WriteJsonl(std::ostream& out) const {
-  MutexLock lock(&mu_);
-  for (const auto& [name, counter] : counters_) {
-    out << "{\"metric\":\"" << name << "\",\"type\":\"counter\",\"value\":"
-        << FmtDouble(counter->Value()) << "}\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out << "{\"metric\":\"" << name << "\",\"type\":\"gauge\",\"value\":"
-        << FmtDouble(gauge->Value()) << "}\n";
-  }
-  for (const auto& [name, hist] : histograms_) {
-    out << "{\"metric\":\"" << name << "\",\"type\":\"histogram\",\"count\":"
-        << hist->Count() << ",\"sum\":" << FmtDouble(hist->Sum());
-    if (hist->Count() > 0) {
-      out << ",\"min\":" << FmtDouble(hist->Min())
-          << ",\"max\":" << FmtDouble(hist->Max())
-          << ",\"p50\":" << FmtDouble(hist->Quantile(0.5))
-          << ",\"p95\":" << FmtDouble(hist->Quantile(0.95))
-          << ",\"p99\":" << FmtDouble(hist->Quantile(0.99));
-    }
-    out << "}\n";
   }
 }
 

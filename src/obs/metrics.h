@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <iosfwd>
@@ -70,8 +69,9 @@ struct HistogramOptions {
 /// One per-bucket exemplar: the most recent trace id recorded into that
 /// bucket via Record(value, trace_id). Exported in Prometheus exemplar
 /// syntax so a latency bucket links directly to a dumpable flight-recorder
-/// trace. `seq` is the record's position in the histogram's exemplar
-/// sequence (higher = more recent); the +Inf series uses the overall max.
+/// trace. `seq` is the record's position in the process-wide exemplar
+/// sequence (higher = more recent), so recency still compares after Merge;
+/// the +Inf series uses the overall max.
 struct HistogramExemplar {
   size_t bucket = 0;  // counts slot: 0 = under, 1..n = log buckets, n+1 = over
   double upper_bound = 0.0;  // +Inf for the overflow bucket
@@ -103,6 +103,10 @@ class Histogram {
   /// Exemplar storage is allocated lazily, so histograms that never carry
   /// exemplars pay nothing.
   void Record(double value, uint64_t exemplar_trace_id);
+  /// Adds every sample of `other` (counts, sum, min, max) and keeps, per
+  /// bucket, whichever exemplar is fresher. CHECKs that both histograms have
+  /// the same options and are distinct objects.
+  void Merge(const Histogram& other);
 
   /// The freshest exemplar per bucket (ascending bucket order), merged
   /// across shards by sequence number. Empty if no exemplars were recorded.
@@ -154,8 +158,6 @@ class Histogram {
   // Sized once in the constructor, never resized; per-shard state is guarded
   // by each shard's own mu.
   std::vector<Shard> shards_;  // lint:unguarded(fixed size after construction; elements self-guard)
-  // Global recency order for exemplars across shards (atomic, not guarded).
-  std::atomic<uint64_t> exemplar_seq_{0};  // lint:unguarded(atomic)
 };
 
 /// Named metrics, created on first use and stable for the registry's
@@ -177,8 +179,6 @@ class MetricsRegistry {
   /// Prometheus text exposition: `# TYPE` headers, sanitized names prefixed
   /// gnn4tdl_, histogram `_bucket{le=...}` / `_sum` / `_count` series.
   void WritePrometheus(std::ostream& out) const;
-  /// One JSON object per line: {"metric": ..., "type": ..., ...}.
-  void WriteJsonl(std::ostream& out) const;
 
  private:
   mutable Mutex mu_;

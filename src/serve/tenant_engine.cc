@@ -15,8 +15,8 @@ namespace gnn4tdl {
 namespace {
 
 // Batch sizes are small integers; start the buckets at 1 so each size up to
-// ~16 lands near its own bucket. The mean reported in ServeStats is computed
-// exactly from counters, not from this histogram.
+// ~16 lands near its own bucket. The histogram's Count and Sum are exact, so
+// ServeStats' batches and mean_batch_rows come from it.
 obs::HistogramOptions BatchRowsHistogramOptions() {
   obs::HistogramOptions opts;
   opts.min_value = 1.0;
@@ -42,25 +42,22 @@ std::string ServeStats::ToString() const {
 }
 
 MultiTenantEngine::TenantState::TenantState(const Tenant* t)
-    : tenant(t), batch_rows_hist(BatchRowsHistogramOptions()) {
-  // Resolve the per-tenant metric handles once; registry entries are stable
-  // for the process lifetime, so these never dangle. They are only written
-  // when obs::MetricsEnabled().
-  auto& registry = obs::MetricsRegistry::Global();
-  const std::string prefix = "serve.tenant." + t->name + ".";
-  m_requests = &registry.GetCounter(prefix + "requests_total");
-  m_rejected = &registry.GetCounter(prefix + "rejected_total");
-  m_queue_depth = &registry.GetGauge(prefix + "queue_depth");
-  m_latency = &registry.GetHistogram(prefix + "latency_ms");
-  m_queue_wait = &registry.GetHistogram(prefix + "queue_wait_ms");
-  m_compute = &registry.GetHistogram(prefix + "compute_ms");
+    : tenant(t), batch_rows_hist(BatchRowsHistogramOptions()) {}
+
+void MultiTenantEngine::TenantState::MergeFrom(const TenantState& other) {
+  latency_ms_hist.Merge(other.latency_ms_hist);
+  queue_wait_ms_hist.Merge(other.queue_wait_ms_hist);
+  compute_ms_hist.Merge(other.compute_ms_hist);
+  batch_rows_hist.Merge(other.batch_rows_hist);
+  rejected += other.rejected;
+  first_submit_ns = std::min(first_submit_ns, other.first_submit_ns);
+  last_complete_ns = std::max(last_complete_ns, other.last_complete_ns);
 }
 
 MultiTenantEngine::MultiTenantEngine(const ModelRegistry* registry,
                                      MultiTenantEngineOptions options)
     : registry_(registry),
       clock_(options.clock != nullptr ? options.clock : obs::RealClock()),
-      batch_rows_hist_(BatchRowsHistogramOptions()),
       recorder_(options.recorder) {
   GNN4TDL_CHECK(registry_ != nullptr);
   for (const Tenant* t : registry_->Tenants()) {
@@ -87,7 +84,38 @@ void MultiTenantEngine::Stop() {
     worker_joined_ = true;
   }
   cv_.NotifyAll();
-  if (should_join) worker_.join();
+  if (!should_join) return;
+  worker_.join();
+  if (obs::MetricsEnabled()) ExportMetrics();
+}
+
+void MultiTenantEngine::ExportMetrics() const {
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto export_state = [&registry](const std::string& prefix,
+                                        const TenantState& t,
+                                        size_t max_queue_depth) {
+    registry.GetHistogram(prefix + "latency_ms").Merge(t.latency_ms_hist);
+    registry.GetHistogram(prefix + "queue_wait_ms")
+        .Merge(t.queue_wait_ms_hist);
+    registry.GetHistogram(prefix + "compute_ms").Merge(t.compute_ms_hist);
+    registry.GetHistogram(prefix + "batch_rows", BatchRowsHistogramOptions())
+        .Merge(t.batch_rows_hist);
+    registry.GetCounter(prefix + "requests_total")
+        .Add(static_cast<double>(t.latency_ms_hist.Count()));
+    registry.GetCounter(prefix + "rejected_total")
+        .Add(static_cast<double>(t.rejected));
+    // A peak over every engine of the process, not a live depth.
+    obs::Gauge& peak = registry.GetGauge(prefix + "max_queue_depth");
+    peak.Set(std::max(peak.Value(), static_cast<double>(max_queue_depth)));
+  };
+  MutexLock lock(&mu_);
+  TenantState all(nullptr);
+  for (const auto& t : tenants_) {
+    all.MergeFrom(*t);
+    export_state("serve.tenant." + t->tenant->name + ".", *t,
+                 t->max_queue_depth);
+  }
+  export_state("serve.", all, max_queue_depth_);
 }
 
 StatusOr<std::future<std::vector<double>>> MultiTenantEngine::Submit(
@@ -106,15 +134,12 @@ StatusOr<SubmitResult> MultiTenantEngine::SubmitTraced(
   req.ctx.enqueued_ns = clock_->NowNanos();
   std::future<std::vector<double>> future = req.promise.get_future();
 
-  TenantState* t = nullptr;
-  size_t tenant_depth = 0;
-  size_t total_depth = 0;
   {
     MutexLock lock(&mu_);
     if (stopping_) {
       return Status::FailedPrecondition("serving engine is stopped");
     }
-    t = FindTenantLocked(tenant);
+    TenantState* t = FindTenantLocked(tenant);
     if (t == nullptr) {
       return Status::NotFound("unknown tenant '" + tenant + "'");
     }
@@ -129,13 +154,6 @@ StatusOr<SubmitResult> MultiTenantEngine::SubmitTraced(
         CheckFiniteFeatures(req.features.data(), req.features.size()));
     if (t->queue.size() >= t->tenant->options.queue_capacity) {
       ++t->rejected;
-      ++rejected_;
-      if (obs::MetricsEnabled()) {
-        obs::MetricsRegistry::Global()
-            .GetCounter("serve.rejected_total")
-            .Increment();
-        t->m_rejected->Increment();
-      }
       return Status::ResourceExhausted(
           "tenant '" + tenant + "' queue is full (" +
           std::to_string(t->tenant->options.queue_capacity) + " rows)");
@@ -144,27 +162,12 @@ StatusOr<SubmitResult> MultiTenantEngine::SubmitTraced(
     // so a serialized submitter sees deterministic ids run to run. Admission
     // rejections above never consume an id.
     if (req.ctx.trace_id == 0) req.ctx.trace_id = next_trace_id_++;
-    if (!t->any_request) {
-      t->any_request = true;
-      t->first_submit_ns = req.ctx.enqueued_ns;
-    }
-    if (!any_request_) {
-      any_request_ = true;
-      first_submit_ns_ = req.ctx.enqueued_ns;
-    }
+    t->first_submit_ns = std::min(t->first_submit_ns, req.ctx.enqueued_ns);
     trace_id = req.ctx.trace_id;
     t->queue.push_back(std::move(req));
     ++total_queued_;
     t->max_queue_depth = std::max(t->max_queue_depth, t->queue.size());
     max_queue_depth_ = std::max(max_queue_depth_, total_queued_);
-    tenant_depth = t->queue.size();
-    total_depth = total_queued_;
-  }
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global()
-        .GetGauge("serve.queue_depth")
-        .Set(static_cast<double>(total_depth));
-    t->m_queue_depth->Set(static_cast<double>(tenant_depth));
   }
   cv_.NotifyOne();
   SubmitResult result;
@@ -287,25 +290,10 @@ void MultiTenantEngine::WorkerLoop() {
     }();
     const int64_t done_ns = clock_->NowNanos();
 
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!logits.ok()) {
-        batch[i].promise.set_exception(std::make_exception_ptr(
-            std::runtime_error(logits.status().ToString())));
-      } else {
-        std::vector<double> row(logits->row_data(i),
-                                logits->row_data(i) + logits->cols());
-        batch[i].promise.set_value(std::move(row));
-      }
-    }
-
-    const bool metrics = obs::MetricsEnabled();
-    batch_rows_hist_.Record(static_cast<double>(batch.size()));
+    // Record the batch before resolving its futures, so a caller holding its
+    // result always finds itself in Stats(): 1 histogram record per batch,
+    // 3 per request.
     ts->batch_rows_hist.Record(static_cast<double>(batch.size()));
-    if (metrics) {
-      obs::MetricsRegistry::Global()
-          .GetHistogram("serve.batch_rows", BatchRowsHistogramOptions())
-          .Record(static_cast<double>(batch.size()));
-    }
     // Kernel work totals of the whole batch: summed over captured kernel
     // spans (op-level wrapper spans included, matching KernelCounters'
     // per-name accounting). Allocated bytes come from the root serve/batch
@@ -324,25 +312,9 @@ void MultiTenantEngine::WorkerLoop() {
           static_cast<double>(done_ns - batch_start_ns) / 1e6;
       const double ms =
           static_cast<double>(done_ns - req.ctx.enqueued_ns) / 1e6;
-      latency_ms_hist_.Record(ms, req.ctx.trace_id);
-      queue_wait_ms_hist_.Record(wait_ms, req.ctx.trace_id);
-      compute_ms_hist_.Record(compute_ms, req.ctx.trace_id);
       ts->latency_ms_hist.Record(ms, req.ctx.trace_id);
       ts->queue_wait_ms_hist.Record(wait_ms, req.ctx.trace_id);
       ts->compute_ms_hist.Record(compute_ms, req.ctx.trace_id);
-      if (metrics) {
-        auto& registry = obs::MetricsRegistry::Global();
-        registry.GetHistogram("serve.latency_ms").Record(ms, req.ctx.trace_id);
-        registry.GetHistogram("serve.queue_wait_ms")
-            .Record(wait_ms, req.ctx.trace_id);
-        registry.GetHistogram("serve.compute_ms")
-            .Record(compute_ms, req.ctx.trace_id);
-        registry.GetCounter("serve.requests_total").Increment();
-        ts->m_latency->Record(ms, req.ctx.trace_id);
-        ts->m_queue_wait->Record(wait_ms, req.ctx.trace_id);
-        ts->m_compute->Record(compute_ms, req.ctx.trace_id);
-        ts->m_requests->Increment();
-      }
       if (recorder_.enabled()) {
         obs::RequestDigest digest;
         digest.tenant = ts->tenant->name;
@@ -365,29 +337,33 @@ void MultiTenantEngine::WorkerLoop() {
     }
     {
       MutexLock lock(&mu_);
-      ++batches_;
-      total_batch_rows_ += batch.size();
-      requests_done_ += batch.size();
-      last_complete_ns_ = done_ns;
-      ++ts->batches;
-      ts->total_batch_rows += batch.size();
-      ts->requests_done += batch.size();
       ts->last_complete_ns = done_ns;
+    }
+
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!logits.ok()) {
+        batch[i].promise.set_exception(std::make_exception_ptr(
+            std::runtime_error(logits.status().ToString())));
+      } else {
+        std::vector<double> row(logits->row_data(i),
+                                logits->row_data(i) + logits->cols());
+        batch[i].promise.set_value(std::move(row));
+      }
     }
   }
 }
 
 ServeStats MultiTenantEngine::StatsFor(const TenantState& t) const {
   ServeStats stats;
-  stats.requests = t.requests_done;
-  stats.batches = t.batches;
+  stats.requests = t.latency_ms_hist.Count();
+  stats.batches = t.batch_rows_hist.Count();
   stats.rejected = t.rejected;
   stats.max_queue_depth = t.max_queue_depth;
-  if (t.batches > 0) {
-    stats.mean_batch_rows = static_cast<double>(t.total_batch_rows) /
-                            static_cast<double>(t.batches);
+  if (stats.batches > 0) {
+    stats.mean_batch_rows =
+        t.batch_rows_hist.Sum() / static_cast<double>(stats.batches);
   }
-  if (t.requests_done > 0) {
+  if (stats.requests > 0) {
     stats.p50_ms = t.latency_ms_hist.Quantile(0.50);
     stats.p95_ms = t.latency_ms_hist.Quantile(0.95);
     stats.p99_ms = t.latency_ms_hist.Quantile(0.99);
@@ -405,29 +381,10 @@ ServeStats MultiTenantEngine::StatsFor(const TenantState& t) const {
 
 ServeStats MultiTenantEngine::Stats() const {
   MutexLock lock(&mu_);
-  ServeStats stats;
-  stats.requests = requests_done_;
-  stats.batches = batches_;
-  stats.rejected = rejected_;
-  stats.max_queue_depth = max_queue_depth_;
-  if (batches_ > 0) {
-    stats.mean_batch_rows =
-        static_cast<double>(total_batch_rows_) / static_cast<double>(batches_);
-  }
-  if (requests_done_ > 0) {
-    stats.p50_ms = latency_ms_hist_.Quantile(0.50);
-    stats.p95_ms = latency_ms_hist_.Quantile(0.95);
-    stats.p99_ms = latency_ms_hist_.Quantile(0.99);
-    stats.max_ms = latency_ms_hist_.Max();
-    stats.latency_ms_sum = latency_ms_hist_.Sum();
-    stats.queue_wait_ms_sum = queue_wait_ms_hist_.Sum();
-    stats.compute_ms_sum = compute_ms_hist_.Sum();
-    const double span_s =
-        static_cast<double>(last_complete_ns_ - first_submit_ns_) / 1e9;
-    stats.throughput_rps =
-        span_s > 0.0 ? static_cast<double>(stats.requests) / span_s : 0.0;
-  }
-  return stats;
+  TenantState all(nullptr);
+  for (const auto& t : tenants_) all.MergeFrom(*t);
+  all.max_queue_depth = max_queue_depth_;
+  return StatsFor(all);
 }
 
 StatusOr<ServeStats> MultiTenantEngine::TenantStats(

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -22,15 +23,18 @@ namespace gnn4tdl {
 /// Aggregate serving counters. Latencies are end-to-end per request
 /// (submission to completed scoring).
 ///
-/// Precision contract: the engine keeps latency and batch-size distributions
-/// in fixed-size log-bucket histograms (obs::Histogram), not per-request
-/// history, so memory stays O(1) for any number of requests. The p50/p95/p99
-/// fields are therefore histogram estimates with bounded relative error —
-/// at the default bucket growth of 2^(1/8), within ~4.4% of an exact sorted
-/// percentile. `max_ms`, `requests`, `batches`, `mean_batch_rows`, and
-/// `throughput_rps` are exact. `rejected` counts admission-control
-/// (queue-full) rejections only; stopped-engine, unknown-tenant, and
-/// bad-dimension submissions are caller errors, not load shedding.
+/// Precision contract: each tenant keeps its latency and batch-size
+/// distributions in fixed-size log-bucket histograms (obs::Histogram), not
+/// per-request history, so memory stays O(1) for any number of requests.
+/// These histograms are the only store: the aggregate Stats() merges them.
+/// The p50/p95/p99 fields are histogram estimates with bounded relative
+/// error — at the default bucket growth of 2^(1/8), within ~4.4% of an exact
+/// sorted percentile. `max_ms`, `requests`, `batches`, `mean_batch_rows`, and
+/// `throughput_rps` are exact: requests and batches are histogram counts, and
+/// the batch-rows sum is a sum of small integers. `rejected` counts
+/// admission-control (queue-full) rejections only; stopped-engine,
+/// unknown-tenant, and bad-dimension submissions are caller errors, not load
+/// shedding.
 struct ServeStats {
   size_t requests = 0;
   size_t batches = 0;
@@ -95,8 +99,7 @@ struct MultiTenantEngineOptions {
 ///
 /// Admission control: a Submit beyond the tenant's queue_capacity returns
 /// kResourceExhausted — typed backpressure the caller can retry or shed, never
-/// an exception — and is counted in both engine stats and the serve.rejected
-/// metrics. A batch closes when it reaches the tenant's max_batch or when the
+/// an exception — and is counted in the tenant's `rejected`. A batch closes when it reaches the tenant's max_batch or when the
 /// tenant's oldest request has waited deadline_ms (same policy as the
 /// original single-tenant engine, now per tenant).
 ///
@@ -106,11 +109,13 @@ struct MultiTenantEngineOptions {
 /// registry must outlive the engine and must not gain tenants after the
 /// engine is constructed (the tenant list is snapshotted here).
 ///
-/// Observability: aggregate accounting mirrors the original engine
-/// (serve.requests_total, serve.rejected_total, serve.queue_depth,
-/// serve.latency_ms + the serve.queue_wait_ms / serve.compute_ms split,
-/// serve.batch_rows); per-tenant accounting lands under serve.tenant.<name>.*
-/// when obs::MetricsEnabled(). Every batch forward runs under a "serve/batch"
+/// Observability: each tenant's histograms record every request once, before
+/// its future resolves; Stats() and TenantStats() read them. When
+/// obs::MetricsEnabled(), the Stop() that joins the worker hands them to the
+/// global registry once: serve.tenant.<name>.{latency_ms, queue_wait_ms,
+/// compute_ms, batch_rows} histograms, requests_total / rejected_total
+/// counters and a max_queue_depth gauge, plus the same names under serve.*
+/// summed over tenants. Every batch forward runs under a "serve/batch"
 /// trace span tagged with its member request trace ids. Every completed
 /// request additionally lands a digest in the engine's flight recorder
 /// (recorder()), latency-histogram buckets carry the most recent trace id as
@@ -147,8 +152,9 @@ class MultiTenantEngine {
       const std::string& tenant, std::vector<double> features,
       uint64_t trace_id = 0);
 
-  /// Drains every queue and joins the worker. Idempotent; the destructor
-  /// calls it.
+  /// Drains every queue and joins the worker, then exports the accounting
+  /// to the global registry when obs::MetricsEnabled(). Idempotent: only the
+  /// first call joins and exports. The destructor calls it.
   void Stop();
 
   /// Accounting summed over all tenants.
@@ -182,9 +188,12 @@ class MultiTenantEngine {
     RequestContext ctx;
   };
 
-  /// Per-tenant queue + accounting. Histograms shard internally; everything
-  /// else is guarded by the engine-wide mu_.
+  /// Per-tenant queue + accounting. The four histograms are the engine's
+  /// only store of serving accounting (requests and batches are their
+  /// counts); they shard internally. Everything else is guarded by the
+  /// engine-wide mu_.
   struct TenantState {
+    /// Null for the tenant-sum state that Stats() and the export build.
     const Tenant* tenant = nullptr;
     std::deque<Request> queue;
     /// WRR credits remaining this round.
@@ -194,25 +203,16 @@ class MultiTenantEngine {
     obs::Histogram queue_wait_ms_hist;
     obs::Histogram compute_ms_hist;
     obs::Histogram batch_rows_hist;
-    size_t requests_done = 0;
-    size_t batches = 0;
-    size_t total_batch_rows = 0;
     size_t rejected = 0;
     size_t max_queue_depth = 0;
-    bool any_request = false;
-    int64_t first_submit_ns = 0;
+    /// Earliest admitted submission; INT64_MAX until there is one.
+    int64_t first_submit_ns = std::numeric_limits<int64_t>::max();
     int64_t last_complete_ns = 0;
 
-    /// Global-registry handles, resolved once (names are
-    /// serve.tenant.<name>.*). Written only when obs::MetricsEnabled().
-    obs::Counter* m_requests = nullptr;
-    obs::Counter* m_rejected = nullptr;
-    obs::Gauge* m_queue_depth = nullptr;
-    obs::Histogram* m_latency = nullptr;
-    obs::Histogram* m_queue_wait = nullptr;
-    obs::Histogram* m_compute = nullptr;
-
     explicit TenantState(const Tenant* t);
+    /// Adds `other`'s histograms, rejections and time span into this state
+    /// (not its queue or its max_queue_depth).
+    void MergeFrom(const TenantState& other);
   };
 
   void WorkerLoop();
@@ -232,6 +232,9 @@ class MultiTenantEngine {
         static_cast<const MultiTenantEngine*>(this)->FindTenantLocked(name));
   }
   ServeStats StatsFor(const TenantState& t) const GNN4TDL_REQUIRES(mu_);
+  /// Adds the accounting to obs::MetricsRegistry::Global(); Stop() calls it
+  /// once, after the worker has drained.
+  void ExportMetrics() const;
 
   const ModelRegistry* const registry_;
   const obs::Clock* const clock_;
@@ -244,24 +247,14 @@ class MultiTenantEngine {
   // The vector itself is filled in the constructor (before the worker
   // starts) and never resized; the TenantState contents are mutated under
   // mu_, except the internally-sharded histograms and the const-after-
-  // construction tenant/metric handles.
+  // construction tenant pointer.
   std::vector<std::unique_ptr<TenantState>> tenants_ GNN4TDL_GUARDED_BY(mu_);
 
-  // Aggregate accounting, mirroring the single-tenant engine's fields.
-  obs::Histogram latency_ms_hist_;    // lint:unguarded(Histogram shards internally)
-  obs::Histogram queue_wait_ms_hist_; // lint:unguarded(Histogram shards internally)
-  obs::Histogram compute_ms_hist_;    // lint:unguarded(Histogram shards internally)
-  obs::Histogram batch_rows_hist_;    // lint:unguarded(Histogram shards internally)
-  obs::FlightRecorder recorder_;      // lint:unguarded(FlightRecorder locks internally)
+  obs::FlightRecorder recorder_;  // lint:unguarded(FlightRecorder locks internally)
   uint64_t next_trace_id_ GNN4TDL_GUARDED_BY(mu_) = 1;
-  size_t requests_done_ GNN4TDL_GUARDED_BY(mu_) = 0;
-  size_t batches_ GNN4TDL_GUARDED_BY(mu_) = 0;
-  size_t total_batch_rows_ GNN4TDL_GUARDED_BY(mu_) = 0;
-  size_t rejected_ GNN4TDL_GUARDED_BY(mu_) = 0;
+  /// Peak total queued rows across tenants; not derivable from the
+  /// per-tenant peaks, which need not coincide.
   size_t max_queue_depth_ GNN4TDL_GUARDED_BY(mu_) = 0;
-  bool any_request_ GNN4TDL_GUARDED_BY(mu_) = false;
-  int64_t first_submit_ns_ GNN4TDL_GUARDED_BY(mu_) = 0;
-  int64_t last_complete_ns_ GNN4TDL_GUARDED_BY(mu_) = 0;
 
   /// True once some Stop() call has claimed the join; makes concurrent
   /// Stop()/destructor calls join the worker exactly once (std::thread::join

@@ -214,6 +214,44 @@ TEST(HistogramTest, OutOfRangeValuesClampToExactMinAndMax) {
   EXPECT_DOUBLE_EQ(hist.Max(), 1000.0);
 }
 
+TEST(HistogramTest, MergeAddsSamplesAndKeepsTheFresherExemplar) {
+  const obs::HistogramOptions options{.min_value = 1.0,
+                                      .growth = 2.0,
+                                      .num_buckets = 4};
+  obs::Histogram a(options);
+  obs::Histogram b(options);
+  a.Record(1.5, 11);   // (1,2]
+  a.Record(3.0, 12);   // (2,4]
+  b.Record(0.5);       // underflow, no exemplar
+  b.Record(1.25, 21);  // (1,2], fresher than a's 11
+  b.Record(2.5, 22);   // (2,4]
+  b.Record(100.0);     // overflow
+  a.Record(3.5, 13);   // (2,4], fresher than b's 22
+
+  a.Merge(b);
+  EXPECT_EQ(a.Count(), 7u);
+  EXPECT_DOUBLE_EQ(a.Sum(), 1.5 + 3.0 + 0.5 + 1.25 + 2.5 + 100.0 + 3.5);
+  EXPECT_DOUBLE_EQ(a.Min(), 0.5);
+  EXPECT_DOUBLE_EQ(a.Max(), 100.0);
+  EXPECT_EQ(b.Count(), 4u);  // the source is left as it was
+
+  // Freshness is by record order, not merge order, in either direction.
+  std::vector<uint64_t> ids_by_bound(5, 0);
+  for (const obs::HistogramExemplar& e : a.Exemplars()) {
+    if (e.upper_bound == 2.0) ids_by_bound[2] = e.trace_id;
+    if (e.upper_bound == 4.0) ids_by_bound[4] = e.trace_id;
+  }
+  EXPECT_EQ(ids_by_bound[2], 21u);
+  EXPECT_EQ(ids_by_bound[4], 13u);
+
+  obs::Histogram empty(options);
+  a.Merge(empty);
+  EXPECT_EQ(a.Count(), 7u);
+  empty.Merge(b);
+  EXPECT_DOUBLE_EQ(empty.Min(), 0.5);
+  EXPECT_DOUBLE_EQ(empty.Max(), 100.0);
+}
+
 TEST(MetricsRegistryTest, PrometheusExpositionMatchesGolden) {
   obs::MetricsRegistry registry;
   registry.GetCounter("test.requests").Add(3.0);

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "models/knn_gnn.h"
+#include "obs/metrics.h"
 #include "serve/frozen_model.h"
 #include "serve/registry.h"
 #include "serve/tenant_engine.h"
@@ -248,6 +250,97 @@ TEST_F(ServeTenantTest, LatencyFractionBelowIsMonotoneAndBounded) {
   EXPECT_EQ(*loose, 1.0);
   EXPECT_EQ(engine.TenantLatencyFractionBelow("nope", 1.0).status().code(),
             StatusCode::kNotFound);
+}
+
+/// Turns metric emission on for one scope and restores the previous state.
+class MetricsOn {
+ public:
+  MetricsOn() : was_enabled_(obs::MetricsEnabled()) { obs::EnableMetrics(); }
+  ~MetricsOn() {
+    if (!was_enabled_) obs::DisableMetrics();
+  }
+
+ private:
+  bool was_enabled_;
+};
+
+// The value of one series (`<series> <value>`) in the global registry's
+// Prometheus exposition; 0 when the series is absent.
+double Exported(const std::string& series) {
+  std::ostringstream out;
+  obs::MetricsRegistry::Global().WritePrometheus(out);
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(series + " ", 0) == 0) {
+      return std::stod(line.substr(series.size() + 1));
+    }
+  }
+  return 0.0;
+}
+
+// The registry is process-global, so every check compares before and after.
+// Two engines in turn: each Stop() that joins adds exactly that engine's
+// requests; a second Stop() and the destructor add nothing.
+TEST_F(ServeTenantTest, StopExportsEachSampleExactlyOnce) {
+  MetricsOn metrics;
+  const std::vector<std::string> names = {"export_a", "export_b"};
+  const auto tenant_series = [](const std::string& name,
+                                const std::string& metric) {
+    return "gnn4tdl_serve_tenant_" + name + "_" + metric;
+  };
+  for (size_t round = 0; round < 2; ++round) {
+    ModelRegistry registry;
+    for (const std::string& name : names) {
+      StatusOr<FrozenModel> model = Load();
+      ASSERT_TRUE(model.ok());
+      ASSERT_TRUE(registry.AddTenant(name, std::move(*model)).ok());
+    }
+    std::vector<double> tenant_count_before, tenant_requests_before;
+    for (const std::string& name : names) {
+      tenant_count_before.push_back(
+          Exported(tenant_series(name, "latency_ms_count")));
+      tenant_requests_before.push_back(
+          Exported(tenant_series(name, "requests_total")));
+    }
+    const double count_before = Exported("gnn4tdl_serve_latency_ms_count");
+    const double requests_before = Exported("gnn4tdl_serve_requests_total");
+
+    auto engine = std::make_unique<MultiTenantEngine>(&registry);
+    std::vector<std::future<std::vector<double>>> futures;
+    for (size_t i = 0; i < 5 + 3 * round; ++i) {
+      auto f = engine->Submit(names[i % 2], Row(i));
+      ASSERT_TRUE(f.ok()) << f.status().ToString();
+      futures.push_back(std::move(*f));
+    }
+    for (auto& f : futures) f.get();
+    engine->Stop();
+
+    const ServeStats total = engine->Stats();
+    EXPECT_EQ(total.requests, futures.size());
+    for (size_t t = 0; t < names.size(); ++t) {
+      StatusOr<ServeStats> stats = engine->TenantStats(names[t]);
+      ASSERT_TRUE(stats.ok());
+      const auto requests = static_cast<double>(stats->requests);
+      EXPECT_EQ(Exported(tenant_series(names[t], "latency_ms_count")),
+                tenant_count_before[t] + requests);
+      EXPECT_EQ(Exported(tenant_series(names[t], "requests_total")),
+                tenant_requests_before[t] + requests);
+    }
+    const auto requests = static_cast<double>(total.requests);
+    const double count_after = Exported("gnn4tdl_serve_latency_ms_count");
+    EXPECT_EQ(count_after, count_before + requests);
+    EXPECT_EQ(Exported("gnn4tdl_serve_requests_total"),
+              requests_before + requests);
+    EXPECT_GE(Exported("gnn4tdl_serve_max_queue_depth"),
+              static_cast<double>(total.max_queue_depth));
+
+    engine->Stop();
+    engine.reset();
+    EXPECT_EQ(Exported("gnn4tdl_serve_latency_ms_count"), count_after);
+    EXPECT_EQ(Exported("gnn4tdl_serve_requests_total"),
+              requests_before + requests);
+  }
 }
 
 // A caller that holds its result must see itself in the accounting: the
