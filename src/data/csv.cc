@@ -111,6 +111,16 @@ StatusOr<TabularDataset> ReadCsv(const std::string& path,
           double v;
           int y;
           if (numeric && ParseDouble(s, &v)) {
+            // A numeric class label indexes a class, so it must be a finite
+            // integer below the row count: anything else would truncate,
+            // overflow the cast, or size the class count from the file.
+            if (!(v >= 0.0 && v < static_cast<double>(num_rows)) ||
+                v != std::floor(v)) {
+              return Status::IoError(
+                  "class label '" + s + "' at row " + std::to_string(r + 2) +
+                  " is not an integer in [0, " + std::to_string(num_rows) +
+                  ")");
+            }
             y = static_cast<int>(v);
           } else {
             auto [it, inserted] =
@@ -118,7 +128,6 @@ StatusOr<TabularDataset> ReadCsv(const std::string& path,
             (void)inserted;
             y = it->second;
           }
-          if (y < 0) return Status::IoError("negative class label");
           class_labels[r] = y;
           max_label = std::max(max_label, y);
         }

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -342,6 +343,27 @@ TEST(CsvTest, MissingLabelColumnReturnsNotFound) {
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
   std::remove(path.c_str());
+}
+
+TEST(CsvTest, ClassLabelMustBeAnIntegerBelowTheRowCount) {
+  // A huge label used to size the class count (bad_alloc), a fractional one
+  // silently truncated, and nan / 1e300 were an out-of-range float-to-int
+  // cast.
+  for (const char* label : {"2000000000", "1.5", "nan", "1e300"}) {
+    const std::string path = ::testing::TempDir() + "/gnn4tdl_csv_label.csv";
+    {
+      std::ofstream out(path);
+      out << "x,label\n1.0,0\n2.0," << label << "\n3.0,1\n";
+    }
+    CsvReadOptions opts;
+    opts.label_column = "label";
+    auto result = ReadCsv(path, opts);
+    ASSERT_FALSE(result.ok()) << label;
+    EXPECT_EQ(result.status().code(), StatusCode::kIoError) << label;
+    EXPECT_NE(result.status().message().find("row 3"), std::string::npos)
+        << result.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
