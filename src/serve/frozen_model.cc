@@ -6,7 +6,9 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "graph/graph_io.h"
 
@@ -47,6 +49,71 @@ size_t BytesLeft(std::istream& in) {
   in.seekg(here);
   return end == std::streampos(-1) ? kUnknown
                                    : static_cast<size_t>(end - here);
+}
+
+/// Rejects model-size header fields that a parameter block of `bytes_left`
+/// bytes cannot back, before anything is allocated from them. Every weight
+/// takes at least two bytes there (a digit and a separator). The weights
+/// include at least the head's hidden x outputs matrix, the first layer's
+/// in_dim x hidden projection, and hidden x hidden matrices: one per layer
+/// after the first for GCN, SAGE and GAT, one per layer for GIN and the
+/// transformer, one shared block for GGNN and APPNP. The loop counts are
+/// held to the same budget so an inflated one cannot spin the constructor or
+/// the forward. Counts are doubles so no product overflows.
+Status CheckModelSizes(const InstanceGraphGnnOptions& o, size_t in_dim,
+                       size_t num_outputs, size_t bytes_left) {
+  const double h = static_cast<double>(o.hidden_dim);
+  const double layers = static_cast<double>(o.num_layers);
+  double square_blocks = 0.0;
+  if (o.num_layers > 0) {
+    switch (o.backbone) {
+      case GnnBackbone::kGcn:
+      case GnnBackbone::kSage:
+      case GnnBackbone::kGat:
+        square_blocks = layers - 1.0;
+        break;
+      case GnnBackbone::kGin:
+      case GnnBackbone::kTransformer:
+        square_blocks = layers;
+        break;
+      case GnnBackbone::kGgnn:
+      case GnnBackbone::kAppnp:
+        square_blocks = 1.0;
+        break;
+    }
+  }
+  const double min_weights =
+      h * static_cast<double>(num_outputs) +
+      (o.num_layers > 0 ? static_cast<double>(in_dim) * h : 0.0) +
+      square_blocks * h * h;
+  const std::pair<const char*, double> sizes[] = {
+      {"num_outputs", static_cast<double>(num_outputs)},
+      {"hidden_dim", h},
+      {"num_layers", layers},
+      {"gat_heads", static_cast<double>(o.gat_heads)},
+      {"appnp_steps", static_cast<double>(o.appnp_steps)},
+      {"weight count implied by the header", min_weights}};
+  const double budget = static_cast<double>(bytes_left) / 2.0;
+  for (const auto& [name, value] : sizes) {
+    if (value > budget) {
+      std::ostringstream msg;
+      msg << std::fixed;
+      msg.precision(0);
+      msg << "frozen model: " << name << " " << value
+          << " needs more than the " << bytes_left
+          << " bytes left in the artifact";
+      return Status::IoError(msg.str());
+    }
+  }
+  // GatLayer CHECKs these; from an artifact they are corrupt input.
+  if (o.backbone == GnnBackbone::kGat &&
+      (o.gat_heads == 0 || o.hidden_dim % o.gat_heads != 0)) {
+    return Status::IoError("frozen model: gat_heads " +
+                           std::to_string(o.gat_heads) +
+                           " does not divide hidden_dim " +
+                           std::to_string(o.hidden_dim));
+  }
+  return Status::OK();
 }
 
 Status ExpectField(std::istream& in, const std::string& want) {
@@ -247,6 +314,8 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
       }
     }
   }
+
+  GNN4TDL_RETURN_IF_ERROR(CheckModelSizes(o, d, num_outputs, BytesLeft(in)));
 
   FrozenModel frozen;
   frozen.model_ = std::make_unique<InstanceGraphGnn>(o);

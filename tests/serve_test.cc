@@ -499,6 +499,48 @@ TEST_F(ServeModelTest, LoadRejectsInflatedEdgeListHeader) {
   }
 }
 
+TEST_F(ServeModelTest, LoadRejectsInflatedModelSizeFields) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  const std::string text = artifact.str();
+
+  // hidden_dim and num_outputs of 4e9 used to abort on std::bad_alloc, and
+  // num_layers of 4e9 ran for longer than 20 s. hidden_dim 1000 passes each
+  // field's own bound, but its 1000 x 1000 second layer does not fit the
+  // parameter block either.
+  for (const std::string field :
+       {"num_outputs", "hidden_dim", "num_layers", "gat_heads",
+        "appnp_steps"}) {
+    const size_t at = text.find("\n" + field + " ");
+    ASSERT_NE(at, std::string::npos) << field;
+    for (const char* value : {"4000000000", "1000"}) {
+      if (field != "hidden_dim" && std::string(value) == "1000") continue;
+      SCOPED_TRACE(field + " " + value);
+      ExpectLoadIoError(ReplaceLine(text, at + 1, field + " " + value));
+    }
+  }
+}
+
+TEST_F(ServeModelTest, LoadRejectsGatHeadsThatDoNotDivideHiddenDim) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGat));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  const std::string text = artifact.str();
+  const size_t at = text.find("\ngat_heads ");
+  ASSERT_NE(at, std::string::npos);
+  // Both used to fail GatLayer's CHECKs and abort.
+  for (const char* heads : {"0", "3"}) {
+    SCOPED_TRACE(heads);
+    ExpectLoadIoError(ReplaceLine(text, at + 1, std::string("gat_heads ") +
+                                                    heads));
+  }
+}
+
 TEST_F(ServeModelTest, LoadRejectsInflatedFeaturizerHeader) {
   TabularDataset data = TrainData();
   InstanceGraphGnn model(Options(GnnBackbone::kGcn));
