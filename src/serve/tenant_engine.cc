@@ -24,6 +24,10 @@ obs::HistogramOptions BatchRowsHistogramOptions() {
   return opts;
 }
 
+// Makes the read-max-write of a max_queue_depth gauge atomic when two
+// engines stop at once.
+Mutex peak_gauge_mu;
+
 }  // namespace
 
 std::string ServeStats::ToString() const {
@@ -106,6 +110,7 @@ void MultiTenantEngine::ExportMetrics() const {
         .Add(static_cast<double>(t.rejected));
     // A peak over every engine of the process, not a live depth.
     obs::Gauge& peak = registry.GetGauge(prefix + "max_queue_depth");
+    MutexLock peak_lock(&peak_gauge_mu);
     peak.Set(std::max(peak.Value(), static_cast<double>(max_queue_depth)));
   };
   MutexLock lock(&mu_);

@@ -46,9 +46,14 @@
 #                     metrics), then gnn4tdl_trace_check --obsdump validates
 #                     the digests (per-request wait/compute/total timing
 #                     reconciliation, SLO-breach span subtrees carrying their
-#                     request ids) and --require-exemplar proves every
-#                     non-empty latency bucket's exemplar trace id resolves
-#                     to a digest in the dump
+#                     request ids), --require-metric demands every serve
+#                     metric the engine exports at Stop(): the latency,
+#                     queue-wait, compute and batch-rows histograms under
+#                     serve.* and under each tenant's serve.tenant.<name>.*
+#                     (12 in all) plus the serve.max_queue_depth gauge, and
+#                     --require-exemplar proves every non-empty latency
+#                     bucket's exemplar trace id resolves to a digest in the
+#                     dump
 #   stage 10 analyze  static/undefined-behavior gate: the full test suite
 #                     under the `ubsan` preset (-fsanitize=undefined,
 #                     float-cast-overflow, non-recovering, halt_on_error=1),
@@ -192,7 +197,7 @@ obs_stage() {
       --metrics-out build/obs_metrics.txt &&
     ./build/tools/gnn4tdl_trace_check --obsdump build/obsdump.json \
       --metrics build/obs_metrics.txt \
-      --require-metric "gnn4tdl_serve_tenant_interactive_queue_wait_ms,gnn4tdl_serve_tenant_batch_compute_ms" \
+      --require-metric "gnn4tdl_serve_latency_ms,gnn4tdl_serve_queue_wait_ms,gnn4tdl_serve_compute_ms,gnn4tdl_serve_batch_rows,gnn4tdl_serve_tenant_interactive_latency_ms,gnn4tdl_serve_tenant_interactive_queue_wait_ms,gnn4tdl_serve_tenant_interactive_compute_ms,gnn4tdl_serve_tenant_interactive_batch_rows,gnn4tdl_serve_tenant_batch_latency_ms,gnn4tdl_serve_tenant_batch_queue_wait_ms,gnn4tdl_serve_tenant_batch_compute_ms,gnn4tdl_serve_tenant_batch_batch_rows,gnn4tdl_serve_max_queue_depth" \
       --require-exemplar "gnn4tdl_serve_latency_ms,gnn4tdl_serve_tenant_interactive_queue_wait_ms"
 }
 
