@@ -99,9 +99,10 @@ struct MultiTenantEngineOptions {
 ///
 /// Admission control: a Submit beyond the tenant's queue_capacity returns
 /// kResourceExhausted — typed backpressure the caller can retry or shed, never
-/// an exception — and is counted in the tenant's `rejected`. A batch closes when it reaches the tenant's max_batch or when the
-/// tenant's oldest request has waited deadline_ms (same policy as the
-/// original single-tenant engine, now per tenant).
+/// an exception — and is counted in the tenant's `rejected`. A batch closes
+/// when it reaches the tenant's max_batch or when the tenant's oldest request
+/// has waited deadline_ms (same policy as the original single-tenant engine,
+/// now per tenant).
 ///
 /// Threading: one batching worker for the whole process, so batch forwards
 /// never contend with each other for the shared kernel ThreadPool and scoring
