@@ -236,13 +236,13 @@ TEST(HistogramTest, MergeAddsSamplesAndKeepsTheFresherExemplar) {
   EXPECT_EQ(b.Count(), 4u);  // the source is left as it was
 
   // Freshness is by record order, not merge order, in either direction.
-  std::vector<uint64_t> ids_by_bound(5, 0);
+  uint64_t id_up_to_2 = 0, id_up_to_4 = 0;
   for (const obs::HistogramExemplar& e : a.Exemplars()) {
-    if (e.upper_bound == 2.0) ids_by_bound[2] = e.trace_id;
-    if (e.upper_bound == 4.0) ids_by_bound[4] = e.trace_id;
+    if (e.upper_bound == 2.0) id_up_to_2 = e.trace_id;
+    if (e.upper_bound == 4.0) id_up_to_4 = e.trace_id;
   }
-  EXPECT_EQ(ids_by_bound[2], 21u);
-  EXPECT_EQ(ids_by_bound[4], 13u);
+  EXPECT_EQ(id_up_to_2, 21u);
+  EXPECT_EQ(id_up_to_4, 13u);
 
   obs::Histogram empty(options);
   a.Merge(empty);
