@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -19,6 +20,14 @@ Graph Graph::FromEdges(size_t num_nodes, const std::vector<Edge>& edges,
   }
   Graph g(num_nodes);
   g.adj_ = SparseMatrix::FromTriplets(num_nodes, num_nodes, std::move(triplets));
+  return g;
+}
+
+Graph Graph::FromAdjacency(SparseMatrix adjacency) {
+  GNN4TDL_CHECK_EQ(adjacency.rows(), adjacency.cols());
+  Graph g(0);
+  g.num_nodes_ = adjacency.rows();
+  g.adj_ = std::move(adjacency);
   return g;
 }
 
@@ -141,40 +150,6 @@ bool Graph::IsSymmetric() const {
     }
   }
   return true;
-}
-
-SparseMatrix GcnNormalizedWithDegrees(const Graph& g,
-                                      const std::vector<double>& deg_no_self) {
-  const SparseMatrix& adj = g.adjacency();
-  const size_t n = g.num_nodes();
-  std::vector<Triplet> triplets;
-  triplets.reserve(adj.nnz() + n);
-  for (size_t v = 0; v < n; ++v)
-    for (size_t k = adj.row_ptr()[v]; k < adj.row_ptr()[v + 1]; ++k)
-      triplets.push_back({v, adj.col_idx()[k], adj.values()[k]});
-  for (size_t v = 0; v < n; ++v) triplets.push_back({v, v, 1.0});
-  for (Triplet& t : triplets) {
-    double du = deg_no_self[t.row] + 1.0;
-    double dv = deg_no_self[t.col] + 1.0;
-    double ds = du > 0 ? std::sqrt(du) : 1.0;
-    double dd = dv > 0 ? std::sqrt(dv) : 1.0;
-    t.value /= ds * dd;
-  }
-  return SparseMatrix::FromTriplets(n, n, std::move(triplets));
-}
-
-SparseMatrix RowNormalizedWithDegrees(const Graph& g,
-                                      const std::vector<double>& deg) {
-  const SparseMatrix& adj = g.adjacency();
-  const size_t n = g.num_nodes();
-  std::vector<Triplet> triplets;
-  triplets.reserve(adj.nnz());
-  for (size_t v = 0; v < n; ++v) {
-    if (deg[v] == 0.0) continue;
-    for (size_t k = adj.row_ptr()[v]; k < adj.row_ptr()[v + 1]; ++k)
-      triplets.push_back({v, adj.col_idx()[k], adj.values()[k] / deg[v]});
-  }
-  return SparseMatrix::FromTriplets(n, n, std::move(triplets));
 }
 
 }  // namespace gnn4tdl

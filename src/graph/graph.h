@@ -30,6 +30,9 @@ class Graph {
   static Graph FromEdges(size_t num_nodes, const std::vector<Edge>& edges,
                          bool symmetrize = true);
 
+  /// Takes a square CSR adjacency as is (row v lists the nodes v reads).
+  static Graph FromAdjacency(SparseMatrix adjacency);
+
   size_t num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return adj_.nnz(); }
 
@@ -69,17 +72,5 @@ class Graph {
   size_t num_nodes_;
   SparseMatrix adj_;
 };
-
-/// Graph::GcnNormalized with the normalization degrees supplied externally:
-/// `deg_no_self[v]` is the weighted degree of v *excluding* the self-loop
-/// added here (replicating Graph::GcnNormalized arithmetic exactly). Used to
-/// normalize a k-hop subgraph with the degrees of the graph it was cut from,
-/// so an attached serving batch sees the same operator values as training.
-SparseMatrix GcnNormalizedWithDegrees(const Graph& g,
-                                      const std::vector<double>& deg_no_self);
-
-/// Graph::RowNormalized with externally supplied weighted degrees.
-SparseMatrix RowNormalizedWithDegrees(const Graph& g,
-                                      const std::vector<double>& deg);
 
 }  // namespace gnn4tdl

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <type_traits>
 
 #include "data/metrics.h"
 #include "gnn/appnp.h"
@@ -75,45 +78,233 @@ const char* TrainStrategyName(TrainStrategy s) {
   return "unknown";
 }
 
+size_t PropagationSteps(const InstanceGraphGnnOptions& o) {
+  return o.backbone == GnnBackbone::kAppnp ? o.appnp_steps : o.num_layers;
+}
+
+bool NeedsFullNeighborhood(const InstanceGraphGnnOptions& o) {
+  return o.backbone == GnnBackbone::kTransformer || o.use_pair_norm;
+}
+
+namespace {
+
+/// Under a degree override, a node with no adjacency row but a non-zero
+/// degree is input-only: its row was cut off, so only its input is known.
+bool InputOnly(const Graph& graph, const std::vector<double>& degrees,
+               size_t v) {
+  return graph.adjacency().RowNnz(v) == 0 && degrees[v] != 0.0;
+}
+
+}  // namespace
+
 /// The message-passing operators a backbone consumes, derived from a graph.
 /// Kept separate from the Encoder's parameters so the same trained weights
 /// can run on a different graph — the mechanism behind inductive prediction
 /// on unseen rows (Section 2.5e).
+///
+/// Each step (layer) l runs only on the nodes it computes exactly, V_l. V_0
+/// is every node; V_l is the nodes of V_{l-1} that are not input-only and
+/// whose adjacency row reads only nodes of V_{l-1}. Without a degree
+/// override no node is input-only, so every V_l is every node.
 struct InstanceGraphGnn::Operators {
-  SparseMatrix sparse;
-  GatLayer::EdgeIndex edge_index;
-  Matrix dense;
+  /// One propagation step, from values on V_{l-1} to values on V_l.
+  struct Step {
+    /// The normalized operator: rows V_l, columns V_{l-1}, both ascending.
+    SparseMatrix sparse;
+    kernels::FCsr sparse_f32;  // `sparse` cast down for the f32 forward
+    /// GAT's attention pattern over the same rows and columns.
+    GatLayer::EdgeIndex edge_index;
+    /// Position within V_{l-1} of each node of V_l.
+    std::vector<size_t> keep;
+  };
+  /// Step l is steps[l]; once the frontier stops shrinking the last step
+  /// repeats.
+  std::vector<Step> steps;
+  Matrix dense;  // graph transformer: the full GCN operator, dense
+  kernels::FMatrix dense_f32;
+  /// V_L, the nodes whose outputs every step computes exactly, ascending.
+  std::vector<size_t> exact;
 
-  static Operators Build(GnnBackbone backbone, const Graph& graph,
+  const Step& step(size_t l) const {
+    return steps[std::min(l, steps.size() - 1)];
+  }
+
+  static Operators Build(const InstanceGraphGnnOptions& o, const Graph& graph,
                          const std::vector<double>* degree_override = nullptr) {
+    std::vector<size_t> all(graph.num_nodes());
+    std::iota(all.begin(), all.end(), size_t{0});
     Operators out;
-    switch (backbone) {
-      case GnnBackbone::kGcn:
-      case GnnBackbone::kAppnp:
-        out.sparse = degree_override
-                         ? GcnNormalizedWithDegrees(graph, *degree_override)
-                         : graph.GcnNormalized();
-        break;
-      case GnnBackbone::kSage:
-      case GnnBackbone::kGgnn:
-        out.sparse = degree_override
-                         ? RowNormalizedWithDegrees(graph, *degree_override)
-                         : graph.RowNormalized();
-        break;
-      case GnnBackbone::kGin:
-        out.sparse = graph.adjacency();
-        break;
-      case GnnBackbone::kGat:
-        out.edge_index = GatLayer::BuildEdgeIndex(graph);
-        break;
-      case GnnBackbone::kTransformer:
-        out.dense = (degree_override
-                         ? GcnNormalizedWithDegrees(graph, *degree_override)
-                         : graph.GcnNormalized())
-                        .ToDense();
-        break;
+    out.exact = all;
+    if (degree_override == nullptr ||
+        o.backbone == GnnBackbone::kTransformer) {
+      // One step over every node: no node is input-only, or (global
+      // attention) every node's output reads every node.
+      Step step;
+      switch (o.backbone) {
+        case GnnBackbone::kGcn:
+        case GnnBackbone::kAppnp:
+          step.sparse = graph.GcnNormalized();
+          break;
+        case GnnBackbone::kSage:
+        case GnnBackbone::kGgnn:
+          step.sparse = graph.RowNormalized();
+          break;
+        case GnnBackbone::kGin:
+          step.sparse = graph.adjacency();
+          break;
+        case GnnBackbone::kGat:
+          step.edge_index = GatLayer::BuildEdgeIndex(graph);
+          break;
+        case GnnBackbone::kTransformer:
+          out.dense = (degree_override == nullptr
+                           ? graph.GcnNormalized()
+                           : BuildStep(GnnBackbone::kGcn, graph.adjacency(),
+                                       *degree_override, all, all, all.size())
+                                 .sparse)
+                          .ToDense();
+          break;
+      }
+      step.keep = std::move(all);
+      out.steps.push_back(std::move(step));
+      return out;
     }
+
+    const std::vector<double>& deg = *degree_override;
+    const SparseMatrix& adj = graph.adjacency();
+    constexpr size_t kNone = std::numeric_limits<size_t>::max();
+    std::vector<size_t> rows = all;  // V_{l-1}
+    std::vector<size_t> pos = all;   // position of each node in V_{l-1}
+    const auto kept = [&pos](size_t u) { return pos[u] != kNone; };
+    const size_t* reads = adj.col_idx().data();
+    for (size_t l = 0; l < PropagationSteps(o); ++l) {
+      std::vector<size_t> next;
+      std::vector<size_t> keep;
+      for (size_t p = 0; p < rows.size(); ++p) {
+        const size_t v = rows[p];
+        if (InputOnly(graph, deg, v) ||
+            !std::all_of(reads + adj.row_ptr()[v],
+                         reads + adj.row_ptr()[v + 1], kept)) {
+          continue;
+        }
+        next.push_back(v);
+        keep.push_back(p);
+      }
+      Step step = BuildStep(o.backbone, adj, deg, next, pos, rows.size());
+      step.keep = std::move(keep);
+      out.steps.push_back(std::move(step));
+      const bool shrank = next.size() < rows.size();
+      for (size_t v : rows) pos[v] = kNone;
+      for (size_t i = 0; i < next.size(); ++i) pos[next[i]] = i;
+      rows = std::move(next);
+      if (!shrank) break;
+    }
+    out.exact = std::move(rows);
     return out;
+  }
+
+  /// One step's operator built directly in CSR: the rows `rows` of the
+  /// backbone's operator under the degrees `deg`, each column u remapped to
+  /// pos[u] < cols. Entries keep the order and arithmetic of the full operator
+  /// (Graph::GcnNormalized / RowNormalized with `deg`, GatLayer's edge
+  /// index), so every per-row sum keeps its floating-point order.
+  static Step BuildStep(GnnBackbone backbone, const SparseMatrix& adj,
+                        const std::vector<double>& deg,
+                        const std::vector<size_t>& rows,
+                        const std::vector<size_t>& pos, size_t cols) {
+    const auto norm = [&deg](size_t v) {
+      const double d = deg[v] + 1.0;
+      return d > 0 ? std::sqrt(d) : 1.0;
+    };
+    std::vector<size_t> row_ptr(1, 0);
+    std::vector<size_t> col_idx;
+    std::vector<double> values;
+    for (size_t v : rows) {
+      const size_t begin = adj.row_ptr()[v];
+      const size_t end = adj.row_ptr()[v + 1];
+      switch (backbone) {
+        case GnnBackbone::kGcn:
+        case GnnBackbone::kAppnp:
+        case GnnBackbone::kTransformer: {
+          // D^{-1/2} (A + I) D^{-1/2}: the self-loop merges into an existing
+          // diagonal entry or takes its sorted place.
+          const double ds = norm(v);
+          const double self = 1.0 / (ds * ds);
+          bool self_done = false;
+          for (size_t e = begin; e < end; ++e) {
+            const size_t u = adj.col_idx()[e];
+            if (u > v && !self_done) {
+              col_idx.push_back(pos[v]);
+              values.push_back(self);
+              self_done = true;
+            }
+            double value = adj.values()[e] / (ds * norm(u));
+            if (u == v) {
+              value += self;
+              self_done = true;
+            }
+            col_idx.push_back(pos[u]);
+            values.push_back(value);
+          }
+          if (!self_done) {
+            col_idx.push_back(pos[v]);
+            values.push_back(self);
+          }
+          break;
+        }
+        case GnnBackbone::kSage:
+        case GnnBackbone::kGgnn:
+        case GnnBackbone::kGin:
+          // D^{-1} A (a zero-degree row stays empty), or A itself for GIN.
+          if (backbone != GnnBackbone::kGin && deg[v] == 0.0) break;
+          for (size_t e = begin; e < end; ++e) {
+            col_idx.push_back(pos[adj.col_idx()[e]]);
+            values.push_back(backbone == GnnBackbone::kGin
+                                 ? adj.values()[e]
+                                 : adj.values()[e] / deg[v]);
+          }
+          break;
+        case GnnBackbone::kGat: {
+          // The sources v reads, then its self-loop when the graph has none:
+          // GatLayer::BuildEdgeIndex's per-destination order.
+          bool has_self = false;
+          for (size_t e = begin; e < end; ++e) {
+            has_self = has_self || adj.col_idx()[e] == v;
+            col_idx.push_back(pos[adj.col_idx()[e]]);
+          }
+          if (!has_self) col_idx.push_back(pos[v]);
+          values.resize(col_idx.size(), 0.0);
+          break;
+        }
+      }
+      row_ptr.push_back(col_idx.size());
+    }
+    Step step;
+    if (backbone != GnnBackbone::kGat) {
+      step.sparse =
+          SparseMatrix::FromCsr(rows.size(), cols, std::move(row_ptr),
+                                std::move(col_idx), std::move(values));
+      return step;
+    }
+    GatLayer::EdgeIndex& edges = step.edge_index;
+    edges.num_nodes = rows.size();
+    edges.src = col_idx;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      edges.dst.insert(edges.dst.end(), row_ptr[i + 1] - row_ptr[i], i);
+    }
+    edges.slot.resize(col_idx.size());
+    std::iota(edges.slot.begin(), edges.slot.end(), size_t{0});
+    edges.pattern = SparseMatrix::FromCsr(rows.size(), cols, std::move(row_ptr),
+                                          std::move(col_idx),
+                                          std::move(values));
+    return step;
+  }
+
+  /// Fills the f32 copies of the operators.
+  void CastToF32() {
+    for (Step& step : steps) {
+      step.sparse_f32 = kernels::FCsr::FromDouble(step.sparse);
+    }
+    dense_f32 = kernels::FMatrix::FromDouble(dense);
   }
 };
 
@@ -129,6 +320,17 @@ struct F64Eval {
   using Mat = Matrix;
 
   const Matrix& W(const Tensor& t) const { return t.value(); }
+  template <typename Step>
+  const SparseMatrix& Op(const Step& step) const {
+    return step.sparse;
+  }
+  template <typename Ops>
+  const Matrix& Dense(const Ops& ops) const {
+    return ops.dense;
+  }
+  Matrix Gather(const Matrix& x, const std::vector<size_t>& rows) const {
+    return x.GatherRows(rows);
+  }
   Matrix Act(Matrix x, Activation act) const {
     fused::ApplyActivation(&x, act);
     return x;
@@ -211,6 +413,19 @@ struct F32Eval {
     auto it = weights.find(t.id());
     GNN4TDL_CHECK_MSG(it != weights.end(), "parameter has no f32 cast");
     return it->second;
+  }
+  template <typename Step>
+  const FCsr& Op(const Step& step) const {
+    return step.sparse_f32;
+  }
+  template <typename Ops>
+  const FMatrix& Dense(const Ops& ops) const {
+    return ops.dense_f32;
+  }
+  FMatrix Gather(const FMatrix& x, const std::vector<size_t>& rows) const {
+    FMatrix out(rows.size(), x.cols());
+    for (size_t i = 0; i < rows.size(); ++i) out.SetRow(i, x, rows[i]);
+    return out;
   }
   FMatrix Act(FMatrix x, Activation act) const {
     if (act != Activation::kNone) {
@@ -297,25 +512,62 @@ struct F32Eval {
   F64Eval f64;
 };
 
-Status CheckScoreInputs(bool fitted, size_t rows, const Graph& graph,
+Status CheckScoreInputs(bool fitted, const InstanceGraphGnnOptions& o,
+                        size_t rows, const Graph& graph,
                         const std::vector<double>* degree_override) {
   if (!fitted) return Status::FailedPrecondition("scoring before Fit");
   if (rows != graph.num_nodes()) {
     return Status::InvalidArgument("feature rows do not match graph nodes");
   }
-  if (degree_override != nullptr &&
-      degree_override->size() != graph.num_nodes()) {
+  if (degree_override == nullptr) return Status::OK();
+  if (degree_override->size() != graph.num_nodes()) {
     return Status::InvalidArgument("degree override size mismatch");
+  }
+  if (!NeedsFullNeighborhood(o)) return Status::OK();
+  for (size_t v = 0; v < graph.num_nodes(); ++v) {
+    if (InputOnly(graph, *degree_override, v)) {
+      return Status::InvalidArgument(
+          "graph transformer and PairNorm outputs read every node, but node " +
+          std::to_string(v) + " is input-only");
+    }
   }
   return Status::OK();
 }
 
-/// Operators in f32: the double ones cast down once per batch.
-struct F32Operators {
-  FCsr sparse;
-  GatLayer::EdgeIndex edge_index;
-  FMatrix dense;
-};
+/// The rows of `h` (one per node of a step's input, V_{l-1}) that the step
+/// computes (V_l, at positions `keep`): `h` itself when the step keeps every
+/// row, else a gathered copy held in *storage.
+template <typename B>
+const typename B::Mat& KeptRows(const B& b, const typename B::Mat& h,
+                                const std::vector<size_t>& keep,
+                                typename B::Mat* storage) {
+  if (keep.size() == h.rows()) return h;
+  *storage = b.Gather(h, keep);
+  return *storage;
+}
+
+/// KeptRows in place.
+template <typename B>
+void KeepRows(const B& b, const std::vector<size_t>& keep,
+              typename B::Mat* h) {
+  if (keep.size() != h->rows()) *h = b.Gather(*h, keep);
+}
+
+/// Widens logits computed on the `exact` nodes to one row per graph node;
+/// the rows of every other node are NaN.
+template <typename Mat>
+Mat ExactRowsOnly(Mat logits, const std::vector<size_t>& exact,
+                  size_t num_nodes) {
+  if (exact.size() == num_nodes) return logits;
+  using T = std::remove_pointer_t<decltype(logits.data())>;
+  Mat out(num_nodes, logits.cols());
+  std::fill_n(out.data(), out.size(), std::numeric_limits<T>::quiet_NaN());
+  for (size_t i = 0; i < exact.size(); ++i) {
+    std::copy(logits.row_data(i), logits.row_data(i) + logits.cols(),
+              out.row_data(exact[i]));
+  }
+  return out;
+}
 
 template <typename B>
 typename B::Mat MlpEval(const B& b, const Mlp& mlp, typename B::Mat h) {
@@ -327,39 +579,43 @@ typename B::Mat MlpEval(const B& b, const Mlp& mlp, typename B::Mat h) {
   return h;
 }
 
-template <typename B>
+template <typename B, typename Step>
 typename B::Mat GatEval(const B& b, const GatLayer& layer,
-                        const typename B::Mat& h,
-                        const GatLayer::EdgeIndex& edges) {
+                        const typename B::Mat& h, const Step& step) {
   typename B::Mat out;
   for (size_t head = 0; head < layer.num_heads(); ++head) {
     const typename B::Mat hw =
         b.Linear(h, layer.head_proj(head), Activation::kNone);
-    typename B::Mat agg =
-        b.EdgeAttention(b.MatMul(hw, b.W(layer.attn_src(head))),
-                        b.MatMul(hw, b.W(layer.attn_dst(head))), hw, edges);
+    typename B::Mat kept;
+    typename B::Mat agg = b.EdgeAttention(
+        b.MatMul(hw, b.W(layer.attn_src(head))),
+        b.MatMul(KeptRows(b, hw, step.keep, &kept),
+                 b.W(layer.attn_dst(head))),
+        hw, step.edge_index);
     out = head == 0 ? std::move(agg) : b.ConcatCols(out, agg);
   }
   return out;
 }
 
-template <typename B, typename Csr>
+template <typename B, typename Step>
 typename B::Mat GgnnEval(const B& b, const GgnnLayer& layer,
-                         const typename B::Mat& h, const Csr& norm_adj) {
-  const typename B::Mat m = b.Spmm(norm_adj, h);
+                         const typename B::Mat& h, const Step& step) {
+  const typename B::Mat m = b.Spmm(b.Op(step), h);
+  typename B::Mat kept;
+  const typename B::Mat& state = KeptRows(b, h, step.keep, &kept);
   const auto gate = [&](const gnn4tdl::Linear& from_m,
                         const gnn4tdl::Linear& from_h,
-                        const typename B::Mat& state, Activation act) {
+                        const typename B::Mat& from, Activation act) {
     return b.AddAct(b.Linear(m, from_m, Activation::kNone),
-                    b.Linear(state, from_h, Activation::kNone), act);
+                    b.Linear(from, from_h, Activation::kNone), act);
   };
   const typename B::Mat z =
-      gate(layer.update_x(), layer.update_h(), h, Activation::kSigmoid);
+      gate(layer.update_x(), layer.update_h(), state, Activation::kSigmoid);
   const typename B::Mat r =
-      gate(layer.reset_x(), layer.reset_h(), h, Activation::kSigmoid);
-  const typename B::Mat cand =
-      gate(layer.cand_x(), layer.cand_h(), b.Mul(r, h), Activation::kTanh);
-  return b.GateMix(z, h, cand);
+      gate(layer.reset_x(), layer.reset_h(), state, Activation::kSigmoid);
+  const typename B::Mat cand = gate(layer.cand_x(), layer.cand_h(),
+                                    b.Mul(r, state), Activation::kTanh);
+  return b.GateMix(z, state, cand);
 }
 
 template <typename B>
@@ -448,8 +704,8 @@ struct InstanceGraphGnn::Encoder : public Module {
   Tensor Forward(const Tensor& x, const Operators& graph_ops, Rng& rng,
                  bool training) const {
     const InstanceGraphGnnOptions& o = options_;
-    const SparseMatrix& norm_adj_ = graph_ops.sparse;
-    const GatLayer::EdgeIndex& edge_index_ = graph_ops.edge_index;
+    const SparseMatrix& norm_adj_ = graph_ops.step(0).sparse;
+    const GatLayer::EdgeIndex& edge_index_ = graph_ops.step(0).edge_index;
     const Matrix& adj_dense_ = graph_ops.dense;
     Tensor h = x;
     switch (o.backbone) {
@@ -528,24 +784,30 @@ struct InstanceGraphGnn::Encoder : public Module {
 
   /// Forward's eval-mode steps (dropout off), written once over the numeric
   /// backend `B`: F64Eval for ScoreOnGraph, F32Eval for ScoreOnGraphF32.
-  /// `ops` holds the per-batch operators in the backend's types.
-  template <typename B, typename Ops>
-  typename B::Mat Eval(const B& b, typename B::Mat h, const Ops& ops) const {
+  /// Step l runs only on the rows it computes exactly (Operators: V_l), so
+  /// the result has one row per node of ops.exact.
+  template <typename B>
+  typename B::Mat Eval(const B& b, typename B::Mat h,
+                       const Operators& ops) const {
     using Mat = typename B::Mat;
     const InstanceGraphGnnOptions& o = options_;
     switch (o.backbone) {
       case GnnBackbone::kGcn: {
         std::vector<Mat> layer_outputs;
         for (size_t l = 0; l < gcn_.size(); ++l) {
+          const Operators::Step& step = ops.step(l);
           const bool interior = l + 1 < gcn_.size();
-          h = b.Spmm(ops.sparse,
+          h = b.Spmm(b.Op(step),
                      b.Linear(h, gcn_[l]->linear(), Activation::kNone),
                      interior && !o.use_pair_norm ? Activation::kRelu
                                                   : Activation::kNone);
           if (interior && o.use_pair_norm) {
             h = b.Act(b.PairNorm(h), Activation::kRelu);
           }
-          if (o.use_jumping_knowledge) layer_outputs.push_back(h);
+          if (o.use_jumping_knowledge) {
+            for (Mat& out : layer_outputs) KeepRows(b, step.keep, &out);
+            layer_outputs.push_back(h);
+          }
         }
         if (o.use_jumping_knowledge) {
           h = layer_outputs[0];
@@ -557,40 +819,48 @@ struct InstanceGraphGnn::Encoder : public Module {
       case GnnBackbone::kSage:
         for (size_t l = 0; l < sage_.size(); ++l) {
           const SageLayer& layer = *sage_[l];
+          const Operators::Step& step = ops.step(l);
+          Mat kept;
           h = b.AddAct(
-              b.Linear(h, layer.self(), Activation::kNone),
-              b.Linear(b.Spmm(ops.sparse, h), layer.neighbor(),
+              b.Linear(KeptRows(b, h, step.keep, &kept), layer.self(),
+                       Activation::kNone),
+              b.Linear(b.Spmm(b.Op(step), h), layer.neighbor(),
                        Activation::kNone),
               l + 1 < sage_.size() ? Activation::kRelu : Activation::kNone);
         }
         return b.Act(std::move(h), Activation::kRelu);
       case GnnBackbone::kGat:
         for (size_t l = 0; l < gat_.size(); ++l) {
-          h = GatEval(b, *gat_[l], h, ops.edge_index);
+          h = GatEval(b, *gat_[l], h, ops.step(l));
           if (l + 1 < gat_.size()) h = b.Act(std::move(h), Activation::kRelu);
         }
         return b.Act(std::move(h), Activation::kRelu);
       case GnnBackbone::kGin:
-        for (const auto& layer : gin_) {
+        for (size_t l = 0; l < gin_.size(); ++l) {
           // mlp((1 + eps) h + sum_nbr(h)), the scaled term as h + eps h.
-          Mat agg = b.Spmm(ops.sparse, h);
-          h = MlpEval(b, layer->mlp(),
-                      b.AddAct(b.ScaleAdd(h, layer->epsilon(), h, 1.0), agg,
-                               Activation::kNone));
+          const Operators::Step& step = ops.step(l);
+          const Mat agg = b.Spmm(b.Op(step), h);
+          Mat kept;
+          const Mat& self = KeptRows(b, h, step.keep, &kept);
+          h = MlpEval(b, gin_[l]->mlp(),
+                      b.AddAct(b.ScaleAdd(self, gin_[l]->epsilon(), self, 1.0),
+                               agg, Activation::kNone));
         }
         return b.Act(std::move(h), Activation::kRelu);
       case GnnBackbone::kGgnn:
         h = b.Linear(h, *input_proj_, Activation::kRelu);
         for (size_t step = 0; step < o.num_layers; ++step)
-          h = GgnnEval(b, *ggnn_, h, ops.sparse);
+          h = GgnnEval(b, *ggnn_, h, ops.step(step));
         return h;
       case GnnBackbone::kAppnp: {
         // AppnpPropagate: H <- (1 - alpha) A H + alpha H0.
-        const Mat h0 =
+        Mat h0 =
             b.Act(MlpEval(b, *appnp_mlp_, std::move(h)), Activation::kRelu);
         h = h0;
-        for (size_t step = 0; step < o.appnp_steps; ++step) {
-          h = b.ScaleAdd(b.Spmm(ops.sparse, h), 1.0 - o.appnp_alpha, h0,
+        for (size_t l = 0; l < o.appnp_steps; ++l) {
+          const Operators::Step& step = ops.step(l);
+          KeepRows(b, step.keep, &h0);
+          h = b.ScaleAdd(b.Spmm(b.Op(step), h), 1.0 - o.appnp_alpha, h0,
                          o.appnp_alpha);
         }
         return h;
@@ -598,7 +868,7 @@ struct InstanceGraphGnn::Encoder : public Module {
       case GnnBackbone::kTransformer:
         h = b.Linear(h, *input_proj_, Activation::kRelu);
         for (const auto& layer : transformer_)
-          h = TransformerEval(b, *layer, h, ops.dense);
+          h = TransformerEval(b, *layer, h, b.Dense(ops));
         return h;
     }
     GNN4TDL_CHECK_MSG(false, "unknown backbone");
@@ -722,7 +992,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
       regression ? 1 : static_cast<size_t>(data.num_classes());
   encoder_ = std::make_unique<Encoder>(options_, x_cache_.cols(), rng_);
   operators_ = std::make_unique<Operators>(
-      Operators::Build(options_.backbone, graph_));
+      Operators::Build(options_, graph_));
   const bool jk = options_.use_jumping_knowledge &&
                   options_.backbone == GnnBackbone::kGcn;
   const size_t emb_dim =
@@ -882,7 +1152,7 @@ StatusOr<Matrix> InstanceGraphGnn::PredictInductive(
   }
   Graph extended = Graph::FromEdges(n_train + n_new, edges,
                                     /*symmetrize=*/false);
-  Operators extended_ops = Operators::Build(options_.backbone, extended);
+  Operators extended_ops = Operators::Build(options_, extended);
 
   Matrix x_all = x_cache_.ConcatRows(x_new);
   Tensor emb = encoder_->Forward(Tensor::Constant(x_all), extended_ops, rng_,
@@ -972,7 +1242,7 @@ Status InstanceGraphGnn::RestoreForInference(TaskType task, size_t num_outputs,
 
   encoder_ = std::make_unique<Encoder>(options_, x_cache_.cols(), rng_);
   operators_ =
-      std::make_unique<Operators>(Operators::Build(options_.backbone, graph_));
+      std::make_unique<Operators>(Operators::Build(options_, graph_));
   const bool jk = options_.use_jumping_knowledge &&
                   options_.backbone == GnnBackbone::kGcn;
   const size_t emb_dim =
@@ -986,26 +1256,27 @@ Status InstanceGraphGnn::RestoreForInference(TaskType task, size_t num_outputs,
 StatusOr<Matrix> InstanceGraphGnn::ScoreOnGraph(
     const Matrix& x, const Graph& graph,
     const std::vector<double>* degree_override) const {
-  GNN4TDL_RETURN_IF_ERROR(
-      CheckScoreInputs(fitted_, x.rows(), graph, degree_override));
+  GNN4TDL_RETURN_IF_ERROR(CheckScoreInputs(fitted_, options_, x.rows(), graph,
+                                           degree_override));
   const F64Eval b;
-  const Operators ops =
-      Operators::Build(options_.backbone, graph, degree_override);
-  return b.Linear(encoder_->Eval(b, x, ops), *head_, Activation::kNone);
+  const Operators ops = Operators::Build(options_, graph, degree_override);
+  return ExactRowsOnly(
+      b.Linear(encoder_->Eval(b, x, ops), *head_, Activation::kNone),
+      ops.exact, graph.num_nodes());
 }
 
 StatusOr<FMatrix> InstanceGraphGnn::ScoreOnGraphF32(
     const FMatrix& x, const Graph& graph, const std::vector<double>& degrees,
     const F32Weights& weights) const {
   GNN4TDL_RETURN_IF_ERROR(
-      CheckScoreInputs(fitted_, x.rows(), graph, &degrees));
+      CheckScoreInputs(fitted_, options_, x.rows(), graph, &degrees));
   // Normalized in double with the same degrees as the f64 path, then cast.
-  Operators ops = Operators::Build(options_.backbone, graph, &degrees);
-  const F32Operators ops32{FCsr::FromDouble(ops.sparse),
-                           std::move(ops.edge_index),
-                           FMatrix::FromDouble(ops.dense)};
+  Operators ops = Operators::Build(options_, graph, &degrees);
+  ops.CastToF32();
   const F32Eval b{weights, F64Eval{}};
-  return b.Linear(encoder_->Eval(b, x, ops32), *head_, Activation::kNone);
+  return ExactRowsOnly(
+      b.Linear(encoder_->Eval(b, x, ops), *head_, Activation::kNone),
+      ops.exact, graph.num_nodes());
 }
 
 }  // namespace gnn4tdl

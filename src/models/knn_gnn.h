@@ -115,6 +115,15 @@ struct InstanceGraphGnnOptions {
   uint64_t seed = 3;
 };
 
+/// Number of message-passing steps the backbone runs (its layers, or APPNP's
+/// propagation steps): the hop radius of a node's receptive field.
+size_t PropagationSteps(const InstanceGraphGnnOptions& o);
+
+/// True when a node's output can depend on nodes outside its receptive field
+/// (global attention, or PairNorm's batch statistics), so scoring a subgraph
+/// needs every node's full neighborhood.
+bool NeedsFullNeighborhood(const InstanceGraphGnnOptions& o);
+
 /// The generic instance-graph GNN for tabular data: the family covering
 /// LSTM-GNN / LUNAR / SLAPS-static / SUBLIME-static / GNN4MV-style methods
 /// (Table 2). Construct an instance graph from the featurized table, stack a
@@ -183,21 +192,29 @@ class InstanceGraphGnn : public TabularModel {
 
   /// Forward-only scoring on an alternative graph with this model's trained
   /// weights: builds the backbone's message-passing operator from `graph` and
-  /// returns head logits for every node (`x` holds one feature row per node).
+  /// returns head logits, one row per node (`x` holds one feature row per
+  /// node). Runs the eval-mode forward with no autograd tape, computing the
+  /// same values as the taped forward of PredictInductive.
+  ///
   /// `degree_override`, when non-null, supplies the weighted degree of each
   /// node (excluding the self-loop GCN normalization adds) to use instead of
-  /// degrees computed from `graph` — the mechanism serve/InductiveAttacher
-  /// uses to make k-hop subgraph scoring bit-exact with full-graph inductive
-  /// prediction. Runs the eval-mode forward with no autograd tape, computing
-  /// the same values as the taped forward of PredictInductive.
+  /// degrees computed from `graph` — how serve/InductiveAttacher makes k-hop
+  /// subgraph scoring bit-exact with full-graph inductive prediction. Under
+  /// an override, a node with an empty adjacency row and a non-zero degree
+  /// is input-only: its own neighborhood was cut off. Layer l then runs only
+  /// on V_l, the nodes of V_{l-1} that are not input-only and whose rows
+  /// read only V_{l-1} (V_0 is every node); the head runs on V_L and every
+  /// other row is NaN. Graph transformer and PairNorm outputs read every
+  /// node, so for them an input-only node is InvalidArgument. Without an
+  /// override every row is computed.
   StatusOr<Matrix> ScoreOnGraph(
       const Matrix& x, const Graph& graph,
       const std::vector<double>* degree_override = nullptr) const;
 
   /// ScoreOnGraph's forward over the f32 kernel tier (the body of
-  /// serve/F32Scorer): the same per-backbone steps on f32 features and
-  /// `weights` from CastWeightsToF32(). The operator is normalized in double
-  /// with `degrees` and cast down once.
+  /// serve/F32Scorer): the same per-backbone steps, frontier and NaN rows on
+  /// f32 features and `weights` from CastWeightsToF32(). The operators are
+  /// normalized in double with `degrees` and cast down once.
   StatusOr<kernels::FMatrix> ScoreOnGraphF32(
       const kernels::FMatrix& x, const Graph& graph,
       const std::vector<double>& degrees, const F32Weights& weights) const;

@@ -1,7 +1,8 @@
 #include "serve/attacher.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstddef>
+#include <limits>
 
 #include "obs/trace.h"
 
@@ -44,33 +45,35 @@ StatusOr<AttachedBatch> InductiveAttacher::Attach(const Matrix& x_new,
   std::vector<std::vector<KnnHit>> anchors = index_->QueryBatch(x_new,
                                                                options_.k);
 
-  // 2. Collect the training nodes inside the new rows' receptive field:
-  // anchors are at distance 1, so hops-1 further BFS levels over the training
-  // graph reach everything `hops` propagation steps can read.
-  std::vector<char> included(n_train, 0);
-  if (options_.full_neighborhood) {
-    std::fill(included.begin(), included.end(), 1);
-  } else {
+  // 2. Hop distance of each training node from the new rows: anchors are at
+  // distance 1, and hops-1 further BFS levels over the training graph reach
+  // everything `hops` propagation steps can read. Nodes nearer than `hops`
+  // keep their adjacency rows; the outer ring at exactly `hops` is input
+  // only. A full neighborhood keeps every node's row.
+  constexpr size_t kFar = std::numeric_limits<size_t>::max();
+  const size_t hops = options_.hops;
+  std::vector<size_t> depth(n_train, options_.full_neighborhood ? 0 : kFar);
+  const SparseMatrix& adj = train_graph_->adjacency();
+  const std::vector<size_t>& row_ptr = adj.row_ptr();
+  const std::vector<size_t>& col_idx = adj.col_idx();
+  const std::vector<double>& values = adj.values();
+  if (!options_.full_neighborhood) {
     std::vector<size_t> frontier;
     for (const auto& hits : anchors) {
       for (const KnnHit& h : hits) {
-        if (!included[h.index]) {
-          included[h.index] = 1;
+        if (depth[h.index] == kFar) {
+          depth[h.index] = 1;
           frontier.push_back(h.index);
         }
       }
     }
-    const SparseMatrix& adj = train_graph_->adjacency();
-    const std::vector<size_t>& row_ptr = adj.row_ptr();
-    const std::vector<size_t>& col_idx = adj.col_idx();
-    for (size_t level = 1; level < options_.hops && !frontier.empty();
-         ++level) {
+    for (size_t level = 2; level <= hops && !frontier.empty(); ++level) {
       std::vector<size_t> next;
       for (size_t v : frontier) {
         for (size_t e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
-          size_t w = col_idx[e];
-          if (!included[w]) {
-            included[w] = 1;
+          const size_t w = col_idx[e];
+          if (depth[w] == kFar) {
+            depth[w] = level;
             next.push_back(w);
           }
         }
@@ -79,55 +82,77 @@ StatusOr<AttachedBatch> InductiveAttacher::Attach(const Matrix& x_new,
     }
   }
 
+  // 3. Local ids: included training nodes in ascending original id order,
+  // so CSR column order (and floating-point summation order) matches the
+  // full extended graph; then the new rows.
   AttachedBatch batch;
   batch.num_new = n_new;
+  std::vector<size_t> local(n_train, kFar);
   for (size_t v = 0; v < n_train; ++v) {
-    if (included[v]) batch.train_nodes.push_back(v);
+    if (depth[v] == kFar) continue;
+    local[v] = batch.train_nodes.size();
+    batch.train_nodes.push_back(v);
   }
   const size_t n_sub = batch.train_nodes.size();
-  std::unordered_map<size_t, size_t> local;
-  local.reserve(n_sub);
-  for (size_t i = 0; i < n_sub; ++i) local[batch.train_nodes[i]] = i;
 
-  // 3. Subgraph edges: training edges between included nodes (original
-  // weights), plus the attach edges in both directions with weight 1.0 —
-  // exactly what PredictInductive appends to the full extended graph.
-  std::vector<Edge> edges;
-  const SparseMatrix& adj = train_graph_->adjacency();
-  const std::vector<size_t>& row_ptr = adj.row_ptr();
-  const std::vector<size_t>& col_idx = adj.col_idx();
-  const std::vector<double>& values = adj.values();
-  for (size_t i = 0; i < n_sub; ++i) {
-    size_t v = batch.train_nodes[i];
-    for (size_t e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
-      auto it = local.find(col_idx[e]);
-      if (it != local.end()) edges.push_back({i, it->second, values[e]});
-    }
-  }
-
-  // 4. Extended-graph degrees. Included training nodes start from their full
-  // training-graph weighted degree (frontier nodes keep correct degrees even
-  // though some of their in-subgraph edges are truncated — their aggregated
-  // values are never consumed, only their normalization-relevant degree is).
-  // Attach-edge increments are applied in ascending new-row order, matching
-  // the CSR column order — and thus float summation order — of the full
-  // extended graph's degree computation.
+  // 4. Attach edges, grouped by anchor in ascending new-row order, and the
+  // extended-graph degrees: every included training node starts from its
+  // full training-graph weighted degree, and attach-edge increments are
+  // applied in ascending new-row order, matching the CSR column order (and
+  // thus float summation order) of the full extended graph's degrees.
   batch.degrees.assign(n_sub + n_new, 0.0);
   for (size_t i = 0; i < n_sub; ++i) {
     batch.degrees[i] = full_degree_[batch.train_nodes[i]];
   }
+  std::vector<size_t> attach_ptr(n_sub + 1, 0);
   for (size_t i = 0; i < n_new; ++i) {
-    size_t new_local = n_sub + i;
     for (const KnnHit& h : anchors[i]) {
-      size_t anchor_local = local.at(h.index);
-      edges.push_back({new_local, anchor_local, 1.0});
-      edges.push_back({anchor_local, new_local, 1.0});
-      batch.degrees[anchor_local] += 1.0;
-      batch.degrees[new_local] += 1.0;
+      ++attach_ptr[local[h.index] + 1];
+      batch.degrees[local[h.index]] += 1.0;
+      batch.degrees[n_sub + i] += 1.0;
     }
   }
+  for (size_t a = 0; a < n_sub; ++a) attach_ptr[a + 1] += attach_ptr[a];
+  std::vector<size_t> attach_new(attach_ptr[n_sub]);
+  std::vector<size_t> cursor(attach_ptr.begin(), attach_ptr.end() - 1);
+  for (size_t i = 0; i < n_new; ++i) {
+    for (const KnnHit& h : anchors[i]) attach_new[cursor[local[h.index]]++] = i;
+  }
 
-  batch.graph = Graph::FromEdges(n_sub + n_new, edges, /*symmetrize=*/false);
+  // 5. The batch CSR, straight from the training CSR: a training node nearer
+  // than `hops` keeps its training row (original weights) followed by its
+  // attach edges (weight 1.0, new rows sort after every training node); a
+  // new row reads its anchors. Exactly what PredictInductive's extended
+  // graph holds in those rows.
+  std::vector<size_t> sub_ptr(n_sub + n_new + 1, 0);
+  std::vector<size_t> sub_col;
+  std::vector<double> sub_val;
+  for (size_t i = 0; i < n_sub; ++i) {
+    const size_t v = batch.train_nodes[i];
+    if (depth[v] < hops) {
+      for (size_t e = row_ptr[v]; e < row_ptr[v + 1]; ++e) {
+        sub_col.push_back(local[col_idx[e]]);
+        sub_val.push_back(values[e]);
+      }
+      for (size_t a = attach_ptr[i]; a < attach_ptr[i + 1]; ++a) {
+        sub_col.push_back(n_sub + attach_new[a]);
+        sub_val.push_back(1.0);
+      }
+    }
+    sub_ptr[i + 1] = sub_col.size();
+  }
+  for (size_t i = 0; i < n_new; ++i) {
+    const size_t begin = sub_col.size();
+    for (const KnnHit& h : anchors[i]) sub_col.push_back(local[h.index]);
+    std::sort(sub_col.begin() + static_cast<std::ptrdiff_t>(begin),
+              sub_col.end());
+    sub_val.resize(sub_col.size(), 1.0);
+    sub_ptr[n_sub + i + 1] = sub_col.size();
+  }
+  batch.graph = Graph::FromAdjacency(SparseMatrix::FromCsr(
+      n_sub + n_new, n_sub + n_new, std::move(sub_ptr), std::move(sub_col),
+      std::move(sub_val)));
+
   if (with_features) {
     batch.features = x_train_->GatherRows(batch.train_nodes).ConcatRows(x_new);
   }

@@ -17,10 +17,10 @@ struct InductiveAttacherOptions {
   /// steps). The extracted subgraph covers every training node within `hops`
   /// hops of a new row — the exact receptive field of the new rows.
   size_t hops = 2;
-  /// Include every training node regardless of distance. Required for
-  /// backbones whose receptive field is global (graph transformer) or whose
-  /// layers couple all rows (PairNorm); otherwise a pure efficiency/accuracy
-  /// trade-off knob.
+  /// Include every training node, each with its full adjacency row. Required
+  /// for backbones whose receptive field is global (graph transformer) or
+  /// whose layers couple all rows (PairNorm). A local backbone's logits for
+  /// the new rows are the same either way.
   bool full_neighborhood = false;
 };
 
@@ -28,14 +28,22 @@ struct InductiveAttacherOptions {
 /// Node layout: the included training nodes first (in ascending original id
 /// order, so CSR column order — and therefore floating-point summation order
 /// — matches the full extended graph), then the new rows.
+///
+/// Only nodes within `hops - 1` of a new row (the new rows, the anchors and
+/// the inner BFS levels) have adjacency rows, identical to their rows in the
+/// full extended graph. The outer ring at exactly `hops` keeps its feature
+/// row and extended-graph degree but has an empty adjacency row: it is
+/// input-only, and InstanceGraphGnn::ScoreOnGraph returns NaN for it and for
+/// every other node it cannot compute exactly. The new rows are always exact.
 struct AttachedBatch {
   Graph graph;
   /// One feature row per subgraph node.
   Matrix features;
   /// Weighted degree of each subgraph node *in the full extended graph*
   /// (training graph + this batch's attach edges, excluding the self-loop GCN
-  /// normalization adds). Passing this to InstanceGraphGnn::ScoreOnGraph
-  /// makes subgraph scoring bit-exact with full-graph PredictInductive.
+  /// normalization adds). Passing this to InstanceGraphGnn::ScoreOnGraph as
+  /// the degree override makes the exact rows bit-identical to full-graph
+  /// PredictInductive.
   std::vector<double> degrees;
   /// Original training-graph ids of the included training nodes, ascending.
   std::vector<size_t> train_nodes;
@@ -50,7 +58,9 @@ struct AttachedBatch {
 /// rows (via the prebuilt exact KnnIndex), and only the training nodes inside
 /// the new rows' `hops`-hop receptive field are materialized — the irregular
 /// neighborhood gather is bounded per request instead of touching the whole
-/// training set.
+/// training set. The batch CSR is built straight from the frozen training
+/// CSR plus the attach edges, keeping only the rows the batch's nodes within
+/// `hops - 1` read (see AttachedBatch).
 ///
 /// The referenced graph, feature matrix, and index must outlive the attacher
 /// (FrozenModel owns all three behind stable pointers).

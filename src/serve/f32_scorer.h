@@ -32,7 +32,8 @@ class F32Scorer {
   /// Forward pass on an attached batch: `x` holds one f32 feature row per
   /// node of `graph`, `degrees` are the extended-graph degrees the
   /// normalization must use (same contract as ScoreOnGraph's
-  /// degree_override). Returns per-node head logits.
+  /// degree_override). Returns per-node head logits, NaN on the rows the
+  /// layers cannot compute exactly.
   StatusOr<kernels::FMatrix> Score(const kernels::FMatrix& x,
                                    const Graph& graph,
                                    const std::vector<double>& degrees) const {

@@ -21,22 +21,6 @@ namespace {
 constexpr char kFrozenMagicV1[] = "gnn4tdl-frozen-model-v1";
 constexpr char kFrozenMagic[] = "gnn4tdl-frozen-model-v2";
 
-/// Number of message-passing steps the backbone runs — the receptive-field
-/// radius the attacher must cover.
-size_t EffectiveHops(const InstanceGraphGnnOptions& o) {
-  if (o.backbone == GnnBackbone::kAppnp) {
-    return std::max<size_t>(o.appnp_steps, 1);
-  }
-  return std::max<size_t>(o.num_layers, 1);
-}
-
-/// True when per-node outputs depend on nodes outside any k-hop ball (global
-/// attention, or PairNorm's batch statistics): the attacher must then keep
-/// the whole training graph to stay faithful to PredictInductive.
-bool NeedsFullNeighborhood(const InstanceGraphGnnOptions& o) {
-  return o.backbone == GnnBackbone::kTransformer || o.use_pair_norm;
-}
-
 /// Bytes from the read position to the end of `in`; the size_t maximum when
 /// the stream cannot seek.
 size_t BytesLeft(std::istream& in) {
@@ -331,7 +315,7 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
 
   InductiveAttacherOptions attach;
   attach.k = std::max<size_t>(o.knn.k, 1);
-  attach.hops = EffectiveHops(o);
+  attach.hops = std::max<size_t>(PropagationSteps(o), 1);
   attach.full_neighborhood = NeedsFullNeighborhood(o);
   frozen.attacher_ = std::make_unique<InductiveAttacher>(
       &frozen.model_->graph(), &frozen.model_->feature_cache(),

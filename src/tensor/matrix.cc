@@ -377,7 +377,7 @@ Matrix Matrix::Reshape(size_t new_rows, size_t new_cols) const {
 bool Matrix::AllClose(const Matrix& other, double tol) const {
   if (rows_ != other.rows_ || cols_ != other.cols_) return false;
   for (size_t i = 0; i < data_.size(); ++i)
-    if (std::fabs(data_[i] - other.data_[i]) > tol) return false;
+    if (!(std::fabs(data_[i] - other.data_[i]) <= tol)) return false;
   return true;
 }
 

@@ -159,7 +159,8 @@ class Matrix {
   /// (new_rows * new_cols must equal size()).
   Matrix Reshape(size_t new_rows, size_t new_cols) const;
 
-  /// True if shapes match and entries differ by at most `tol`.
+  /// True if shapes match and entries differ by at most `tol` (a NaN entry
+  /// is never close).
   bool AllClose(const Matrix& other, double tol = 1e-9) const;
 
   /// Debug string, rows separated by newlines (small matrices only).

@@ -9,6 +9,7 @@
 
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -354,6 +355,101 @@ TEST_F(SimdParityTest, ScaleAddBitIdentical) {
     scalar_->scale_add(fa, 0.85f, fb, 0.15f, &out_s);
     avx2_->scale_add(fa, 0.85f, fb, 0.15f, &out_v);
     ExpectBitIdentical(out_s, out_v);
+  }
+}
+
+// --- row independence ---------------------------------------------------------
+//
+// Serving runs each GNN layer only on the rows it can compute exactly
+// (models/knn_gnn.cc, Operators), from a gathered subset of the input rows.
+// That is bit-exact only if a kernel's output row never depends on which
+// other rows the call computes: same per-row summation order whatever the
+// row count, chunking or thread count.
+
+// The full calls are large enough to split across pool threads; the subsets
+// are a handful of rows, one chunk.
+constexpr size_t kFullRows = 300;
+const std::vector<size_t> kSubsetRows = {0, 3, 17, 18, 150, 299};
+
+/// The rows `rows` of `s` with each column remapped to its position in
+/// *read, the ascending columns those rows read.
+SparseMatrix RowSlice(const SparseMatrix& s, const std::vector<size_t>& rows,
+                      std::vector<size_t>* read) {
+  read->clear();
+  for (size_t r : rows) {
+    for (size_t k = s.row_ptr()[r]; k < s.row_ptr()[r + 1]; ++k)
+      read->push_back(s.col_idx()[k]);
+  }
+  std::sort(read->begin(), read->end());
+  read->erase(std::unique(read->begin(), read->end()), read->end());
+  std::vector<size_t> row_ptr(1, 0), col_idx;
+  std::vector<double> values;
+  for (size_t r : rows) {
+    for (size_t k = s.row_ptr()[r]; k < s.row_ptr()[r + 1]; ++k) {
+      col_idx.push_back(static_cast<size_t>(
+          std::lower_bound(read->begin(), read->end(), s.col_idx()[k]) -
+          read->begin()));
+      values.push_back(s.values()[k]);
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  return SparseMatrix::FromCsr(rows.size(), read->size(), std::move(row_ptr),
+                               std::move(col_idx), std::move(values));
+}
+
+FMatrix GatherF32(const FMatrix& x, const std::vector<size_t>& rows) {
+  FMatrix out(rows.size(), x.cols());
+  for (size_t i = 0; i < rows.size(); ++i) out.SetRow(i, x, rows[i]);
+  return out;
+}
+
+template <typename Mat>
+void ExpectRowsOfFull(const Mat& subset, const Mat& full,
+                      const std::vector<size_t>& rows) {
+  ASSERT_EQ(subset.rows(), rows.size());
+  ASSERT_EQ(subset.cols(), full.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(0, std::memcmp(subset.row_data(i), full.row_data(rows[i]),
+                             full.cols() * sizeof(*full.data())))
+        << "row " << rows[i];
+  }
+}
+
+TEST(RowIndependenceTest, F64MatmulAndSpmm) {
+  Rng rng(31);
+  const Matrix a = RandomMatrix(kFullRows, 40, rng);
+  const Matrix w = RandomMatrix(40, 24, rng);
+  ExpectRowsOfFull(a.GatherRows(kSubsetRows).Matmul(w), a.Matmul(w),
+                   kSubsetRows);
+
+  const SparseMatrix s = RandomSparse(kFullRows, kFullRows, 0.05, rng);
+  const Matrix x = RandomMatrix(kFullRows, 24, rng);
+  std::vector<size_t> read;
+  const SparseMatrix slice = RowSlice(s, kSubsetRows, &read);
+  ExpectRowsOfFull(slice.Multiply(x.GatherRows(read)), s.Multiply(x),
+                   kSubsetRows);
+}
+
+TEST(RowIndependenceTest, F32MatmulAndSpmmBiasAct) {
+  Rng rng(32);
+  const FMatrix a = FMatrix::FromDouble(RandomMatrix(kFullRows, 40, rng));
+  const FMatrix w = FMatrix::FromDouble(RandomMatrix(40, 24, rng));
+  FMatrix full, subset;
+  kernels::Matmul(a, w, &full);
+  kernels::Matmul(GatherF32(a, kSubsetRows), w, &subset);
+  ExpectRowsOfFull(subset, full, kSubsetRows);
+
+  const SparseMatrix s = RandomSparse(kFullRows, kFullRows, 0.05, rng);
+  const FMatrix x = FMatrix::FromDouble(RandomMatrix(kFullRows, 24, rng));
+  std::vector<float> bias(24);
+  for (float& b : bias) b = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  std::vector<size_t> read;
+  const FCsr slice = FCsr::FromDouble(RowSlice(s, kSubsetRows, &read));
+  for (FAct act : {FAct::kNone, FAct::kRelu}) {
+    kernels::SpmmBiasAct(FCsr::FromDouble(s), x, bias.data(), act, &full);
+    kernels::SpmmBiasAct(slice, GatherF32(x, read), bias.data(), act,
+                         &subset);
+    ExpectRowsOfFull(subset, full, kSubsetRows);
   }
 }
 

@@ -1,7 +1,7 @@
 // FrozenModel precision tier: artifact versioning (v1 compatibility, v2
 // precision field round trip, corrupt-field errors) and f32-vs-f64 serving
-// agreement across every served configuration: all seven backbones plus GCN
-// with jumping knowledge and GCN with PairNorm, each served at f32.
+// agreement across every served configuration (tests/served_configs.h), each
+// served at f32.
 
 #include <gtest/gtest.h>
 

@@ -765,6 +765,196 @@ TEST_F(ServeModelTest, AttacherFullNeighborhoodKeepsEveryTrainingNode) {
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->train_nodes.size(), model.feature_cache().rows());
   EXPECT_EQ(batch->graph.num_nodes(), model.feature_cache().rows() + 4);
+  // Every training edge, plus each attach edge in both directions.
+  EXPECT_EQ(batch->graph.num_edges(),
+            model.graph().num_edges() + 2 * 4 * opts.k);
+}
+
+/// Hop distance of every training node from the new rows, by a BFS over
+/// the training graph from the anchors (distance 1).
+std::vector<size_t> TrainingDepths(
+    const Graph& train, const std::vector<std::vector<KnnHit>>& anchors) {
+  std::vector<size_t> depth(train.num_nodes(),
+                            std::numeric_limits<size_t>::max());
+  std::vector<size_t> queue;
+  for (const auto& hits : anchors) {
+    for (const KnnHit& h : hits) {
+      if (depth[h.index] != 1) queue.push_back(h.index);
+      depth[h.index] = 1;
+    }
+  }
+  for (size_t head = 0; head < queue.size(); ++head) {
+    for (size_t w : train.Neighbors(queue[head])) {
+      if (depth[w] <= depth[queue[head]] + 1) continue;
+      depth[w] = depth[queue[head]] + 1;
+      queue.push_back(w);
+    }
+  }
+  return depth;
+}
+
+/// Hop distance from the new rows of every node of `batch` (0 for the new
+/// rows themselves).
+std::vector<size_t> BatchDepths(const std::vector<size_t>& training_depth,
+                                const AttachedBatch& batch) {
+  std::vector<size_t> depth(batch.graph.num_nodes(), 0);
+  for (size_t i = 0; i < batch.train_nodes.size(); ++i) {
+    depth[i] = training_depth[batch.train_nodes[i]];
+  }
+  return depth;
+}
+
+TEST_F(ServeModelTest, AttacherKeepsRowsOnlyWithinHopsMinusOne) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  const Graph& train = model.graph();
+  StatusOr<KnnIndex> index = KnnIndex::Build(
+      model.feature_cache(), model.options().knn.metric,
+      model.options().knn.gamma);
+  ASSERT_TRUE(index.ok());
+  StatusOr<Matrix> x = model.featurizer().Transform(FreshRows(5));
+  ASSERT_TRUE(x.ok());
+  const size_t k = 8;
+  const std::vector<std::vector<KnnHit>> anchors = index->QueryBatch(*x, k);
+  const std::vector<size_t> training_depth = TrainingDepths(train, anchors);
+  // Each training node's in-edges in the extended graph: its training row
+  // plus one edge from every new row it anchors.
+  std::vector<size_t> in_edges(train.num_nodes(), 0);
+  for (size_t v = 0; v < train.num_nodes(); ++v) {
+    in_edges[v] = train.adjacency().RowNnz(v);
+  }
+  for (const auto& hits : anchors) {
+    for (const KnnHit& h : hits) ++in_edges[h.index];
+  }
+
+  for (size_t hops : {1u, 2u, 3u}) {
+    InductiveAttacher attacher(&model.graph(), &model.feature_cache(),
+                               &*index, {.k = k, .hops = hops});
+    StatusOr<AttachedBatch> batch = attacher.Attach(*x);
+    ASSERT_TRUE(batch.ok());
+    // The receptive field: exactly the training nodes within `hops`.
+    std::vector<size_t> field;
+    for (size_t v = 0; v < train.num_nodes(); ++v) {
+      if (training_depth[v] <= hops) field.push_back(v);
+    }
+    EXPECT_EQ(batch->train_nodes, field) << "hops " << hops;
+
+    const std::vector<size_t> depth = BatchDepths(training_depth, *batch);
+    size_t expected_edges = x->rows() * k;  // the new rows' own rows
+    for (size_t i = 0; i < batch->graph.num_nodes(); ++i) {
+      EXPECT_EQ(batch->graph.adjacency().RowNnz(i) > 0, depth[i] < hops)
+          << "node " << i << " at depth " << depth[i] << ", hops " << hops;
+      if (i < batch->train_nodes.size() && depth[i] < hops) {
+        expected_edges += in_edges[batch->train_nodes[i]];
+      }
+    }
+    EXPECT_EQ(batch->graph.num_edges(), expected_edges) << "hops " << hops;
+  }
+}
+
+/// The extended graph PredictInductive builds: the training graph plus each
+/// new row's attach edges in both directions, new rows after the training
+/// nodes.
+Graph ExtendedGraph(const Graph& train,
+                    const std::vector<std::vector<KnnHit>>& anchors) {
+  std::vector<Edge> edges = train.EdgeList();
+  for (size_t i = 0; i < anchors.size(); ++i) {
+    for (const KnnHit& h : anchors[i]) {
+      edges.push_back({train.num_nodes() + i, h.index, 1.0});
+      edges.push_back({h.index, train.num_nodes() + i, 1.0});
+    }
+  }
+  return Graph::FromEdges(train.num_nodes() + anchors.size(), edges,
+                          /*symmetrize=*/false);
+}
+
+// ScoreOnGraph on an attached batch: each row is either NaN or bit-identical
+// to that node's row on the full extended graph. The new rows are always
+// exact; the outer ring, which is input-only, never is.
+TEST_F(ServeModelTest, ScoreOnGraphReturnsNanOutsideTheExactRows) {
+  TabularDataset data = TrainData();
+  TabularDataset fresh = FreshRows(4);
+  for (ServedConfig config : AllServedConfigs()) {
+    SCOPED_TRACE(ServedConfigName(config));
+    InstanceGraphGnnOptions options = Options(GnnBackbone::kGcn);
+    ApplyServedConfig(config, &options);
+    if (options.backbone == GnnBackbone::kAppnp) options.appnp_steps = 3;
+    InstanceGraphGnn trained(options);
+    ASSERT_TRUE(trained.Fit(data, TrainSplit(data)).ok());
+    std::stringstream artifact;
+    ASSERT_TRUE(FrozenModel::Save(trained, artifact).ok());
+    StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
+    ASSERT_TRUE(frozen.ok());
+    const InstanceGraphGnn& model = frozen->model();
+    StatusOr<Matrix> x = frozen->Featurize(fresh);
+    ASSERT_TRUE(x.ok());
+    const InductiveAttacherOptions& attach = frozen->attacher().options();
+    const std::vector<std::vector<KnnHit>> anchors =
+        frozen->index().QueryBatch(*x, attach.k);
+
+    if (attach.full_neighborhood) {
+      // A global layer cannot score a cut-down neighborhood.
+      InductiveAttacher truncated(&model.graph(), &model.feature_cache(),
+                                  &frozen->index(),
+                                  {.k = attach.k, .hops = attach.hops});
+      StatusOr<AttachedBatch> batch = truncated.Attach(*x);
+      ASSERT_TRUE(batch.ok());
+      StatusOr<Matrix> scored =
+          model.ScoreOnGraph(batch->features, batch->graph, &batch->degrees);
+      ASSERT_FALSE(scored.ok());
+      EXPECT_EQ(scored.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+
+    StatusOr<AttachedBatch> batch = frozen->attacher().Attach(*x);
+    ASSERT_TRUE(batch.ok());
+    StatusOr<Matrix> scored =
+        model.ScoreOnGraph(batch->features, batch->graph, &batch->degrees);
+    ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+    StatusOr<Matrix> full = model.ScoreOnGraph(
+        model.feature_cache().ConcatRows(*x),
+        ExtendedGraph(model.graph(), anchors));
+    ASSERT_TRUE(full.ok());
+
+    const std::vector<size_t> depth =
+        BatchDepths(TrainingDepths(model.graph(), anchors), *batch);
+    const size_t n_sub = batch->train_nodes.size();
+    size_t exact_rows = 0;
+    for (size_t i = 0; i < scored->rows(); ++i) {
+      const size_t node = i < n_sub ? batch->train_nodes[i]
+                                    : model.graph().num_nodes() + i - n_sub;
+      const bool nan = std::isnan((*scored)(i, 0));
+      if (i >= n_sub) {
+        EXPECT_FALSE(nan) << "new row " << i - n_sub;
+      }
+      if (depth[i] == attach.hops) {
+        EXPECT_TRUE(nan) << "outer node " << i;
+      }
+      if (nan) continue;
+      ++exact_rows;
+      EXPECT_EQ(0, std::memcmp(scored->row_data(i), full->row_data(node),
+                               scored->cols() * sizeof(double)))
+          << "node " << i << " at depth " << depth[i];
+    }
+    EXPECT_LT(exact_rows, scored->rows());
+  }
+}
+
+TEST_F(ServeModelTest, ScoreOnGraphWithoutOverrideScoresEveryRow) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kSage));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  StatusOr<Matrix> scored =
+      model.ScoreOnGraph(model.feature_cache(), model.graph());
+  ASSERT_TRUE(scored.ok());
+  for (size_t i = 0; i < scored->size(); ++i) {
+    ASSERT_TRUE(std::isfinite(scored->data()[i])) << "entry " << i;
+  }
+  // The eval forward without an override is the taped forward of Predict.
+  StatusOr<Matrix> predicted = model.Predict(data);
+  ASSERT_TRUE(predicted.ok());
+  EXPECT_TRUE(scored->AllClose(*predicted, 0.0));
 }
 
 }  // namespace

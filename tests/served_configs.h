@@ -1,7 +1,9 @@
 #pragma once
 
 // The model configurations every serving contract is checked over: the seven
-// Table 5 backbones plus GCN with jumping knowledge and GCN with PairNorm.
+// Table 5 backbones plus GCN with jumping knowledge, GCN with PairNorm, and
+// two frontier depths: a 1-layer GCN, whose anchors are input-only, and a
+// 3-layer SAGE, whose frontier shrinks twice before the last layer.
 // Shared by the bit-exactness suite (tests/serve_test.cc) and the f32
 // tolerance suite (tests/serve_precision_test.cc).
 
@@ -23,6 +25,8 @@ enum class ServedConfig {
   kTransformer,
   kGcnJumpingKnowledge,
   kGcnPairNorm,
+  kGcnOneLayer,
+  kSageThreeLayers,
 };
 
 inline std::vector<ServedConfig> AllServedConfigs() {
@@ -30,10 +34,11 @@ inline std::vector<ServedConfig> AllServedConfigs() {
           ServedConfig::kGat,         ServedConfig::kGin,
           ServedConfig::kGgnn,        ServedConfig::kAppnp,
           ServedConfig::kTransformer, ServedConfig::kGcnJumpingKnowledge,
-          ServedConfig::kGcnPairNorm};
+          ServedConfig::kGcnPairNorm, ServedConfig::kGcnOneLayer,
+          ServedConfig::kSageThreeLayers};
 }
 
-/// Sets the backbone and the GCN extras of `config` on `options`.
+/// Sets the backbone, the GCN extras and the depth of `config` on `options`.
 inline void ApplyServedConfig(ServedConfig config,
                               InstanceGraphGnnOptions* options) {
   switch (config) {
@@ -44,6 +49,14 @@ inline void ApplyServedConfig(ServedConfig config,
     case ServedConfig::kGcnPairNorm:
       options->backbone = GnnBackbone::kGcn;
       options->use_pair_norm = true;
+      return;
+    case ServedConfig::kGcnOneLayer:
+      options->backbone = GnnBackbone::kGcn;
+      options->num_layers = 1;
+      return;
+    case ServedConfig::kSageThreeLayers:
+      options->backbone = GnnBackbone::kSage;
+      options->num_layers = 3;
       return;
     default:
       options->backbone = static_cast<GnnBackbone>(config);
@@ -58,6 +71,10 @@ inline std::string ServedConfigName(ServedConfig config) {
       return "gcn_jk";
     case ServedConfig::kGcnPairNorm:
       return "gcn_pairnorm";
+    case ServedConfig::kGcnOneLayer:
+      return "gcn_1layer";
+    case ServedConfig::kSageThreeLayers:
+      return "sage_3layer";
     default:
       return GnnBackboneName(static_cast<GnnBackbone>(config));
   }

@@ -24,7 +24,12 @@
 #                     GNN4TDL_SIMD=scalar and once with GNN4TDL_SIMD=avx2.
 #                     The parity tests assert scalar and AVX2 tiers are
 #                     bit-identical, so a pass here means the dispatch choice
-#                     can never change served logits
+#                     can never change served logits. The kernel suite also
+#                     holds the row-independence contract per-layer frontier
+#                     serving relies on, and the served bit-exactness suite
+#                     runs at GNN4TDL_THREADS=1 and =4: frontier batches are
+#                     mostly one chunk, so this covers the pool's inline
+#                     path and its pooled path
 #   stage 7  fusion   fused-execution + arena memory contract: the fusion
 #                     bit-exactness suite (fused single-node ops vs their
 #                     unfused compositions, values and gradients compared by
@@ -164,11 +169,16 @@ trace_stage() {
 simd_stage() {
   cmake --preset default &&
     cmake --build --preset default -j "$(nproc)" \
-      --target gnn4tdl_kernels_test --target gnn4tdl_serve_precision_test &&
+      --target gnn4tdl_kernels_test --target gnn4tdl_serve_precision_test \
+      --target gnn4tdl_serve_test &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_serve_precision_test &&
-    GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_serve_precision_test
+    GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_serve_precision_test &&
+    GNN4TDL_THREADS=1 ./build/tests/gnn4tdl_serve_test \
+      --gtest_filter='Configs/ServedBitExactTest.*' &&
+    GNN4TDL_THREADS=4 ./build/tests/gnn4tdl_serve_test \
+      --gtest_filter='Configs/ServedBitExactTest.*'
 }
 
 fusion_stage() {
