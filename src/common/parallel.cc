@@ -178,14 +178,16 @@ void ThreadPool::Run(size_t num_chunks,
   // chunk body that re-entered Run would deadlock on run_mu_, which its own
   // caller holds for the duration of the outer job.
   RejectNested("ThreadPool::Run");
-  MutexLock run_lock(&run_mu_);
-  if (workers_.empty() || num_chunks == 1) {
-    // Serial fallback: run inline with the guard active; exceptions
-    // propagate directly.
+  // Serial fallback: run inline with the guard active; exceptions propagate
+  // directly. A single chunk never needs the workers, so it skips run_mu_ too
+  // and does not wait behind another thread's pooled job.
+  const auto run_inline = [&] {
     ParallelRegionScope scope;
     for (size_t c = 0; c < num_chunks; ++c) chunk_fn(c);
-    return;
-  }
+  };
+  if (num_chunks == 1) return run_inline();
+  MutexLock run_lock(&run_mu_);
+  if (workers_.empty()) return run_inline();
 
   {
     MutexLock lock(&mu_);

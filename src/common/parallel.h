@@ -40,7 +40,8 @@ size_t ThreadCountFromEnv();
 ///  - Run() executes chunk_fn(0..num_chunks-1) and blocks until all chunks
 ///    finish. Concurrent Run() calls from different threads are serialized.
 ///  - With num_threads() == 1 (or a single chunk) everything executes inline
-///    on the caller — the serial fallback, bit-exact with pre-pool code.
+///    on the caller — the serial fallback, bit-exact with pre-pool code. A
+///    single chunk does not wait for another thread's job to finish.
 ///  - The first exception thrown by a chunk cancels the remaining chunks and
 ///    is rethrown on the calling thread.
 ///  - All kernels in tensor/ and nn/ route through the singleton Global()
@@ -79,8 +80,8 @@ class ThreadPool {
   void FinishChunk() GNN4TDL_EXCLUDES(mu_);
   void RunChunk(size_t chunk, const std::function<void(size_t)>& fn);
 
-  // Serializes Run() callers (and SetNumThreads) so at most one job is
-  // in flight; the pool is shared but not reentrant.
+  // Serializes multi-chunk Run() callers (and SetNumThreads) so at most one
+  // job is in flight; the pool is shared but not reentrant.
   Mutex run_mu_;
 
   // Guards the job state below.

@@ -14,11 +14,11 @@ CandidateEdges KnnCandidates(const Matrix& x, size_t k,
   CandidateEdges out;
   // Collect the symmetric union of directed kNN edges.
   std::vector<std::pair<size_t, size_t>> pairs;
+  const std::vector<std::vector<KnnHit>> hits =
+      KnnReference(x, metric).TopK(x, k, /*exclude_self=*/true);
   for (size_t i = 0; i < n; ++i) {
-    for (const KnnHit& hit :
-         ExactTopK(x.row_data(i), x, k, metric, /*gamma=*/1.0, /*exclude=*/i)) {
+    for (const KnnHit& hit : hits[i])
       pairs.push_back({std::min(i, hit.index), std::max(i, hit.index)});
-    }
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());

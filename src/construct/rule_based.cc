@@ -30,46 +30,47 @@ Graph KnnGraph(const Matrix& x, const KnnGraphOptions& options) {
   GNN4TDL_CHECK_GT(options.k, 0u);
   const size_t k = std::min(options.k, n > 0 ? n - 1 : 0);
 
-  // Top-k neighbor lists.
-  std::vector<std::vector<size_t>> nbrs(n);
-  std::vector<std::vector<double>> sims(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (const KnnHit& hit : ExactTopK(x.row_data(i), x, k, options.metric,
-                                       options.gamma, /*exclude=*/i)) {
-      nbrs[i].push_back(hit.index);
-      sims[i].push_back(hit.similarity);
-    }
-  }
+  const std::vector<std::vector<KnnHit>> nbrs =
+      KnnReference(x, options.metric, options.gamma)
+          .TopK(x, k, /*exclude_self=*/true);
 
+  // Each selected pair as (min, max), in selection order.
   std::vector<Edge> edges;
+  edges.reserve(n * k);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t t = 0; t < nbrs[i].size(); ++t) {
-      size_t j = nbrs[i][t];
+    for (const KnnHit& hit : nbrs[i]) {
+      const size_t j = hit.index;
       if (options.mutual) {
-        if (std::find(nbrs[j].begin(), nbrs[j].end(), i) == nbrs[j].end())
-          continue;
         if (j < i) continue;  // mutual pairs added once, then symmetrized
+        if (std::none_of(nbrs[j].begin(), nbrs[j].end(),
+                         [i](const KnnHit& h) { return h.index == i; }))
+          continue;
       }
-      double w = options.weighted
-                     ? WeightFromSimilarity(sims[i][t], options.metric)
-                     : 1.0;
-      edges.push_back({i, j, w});
+      const double w =
+          options.weighted ? WeightFromSimilarity(hit.similarity, options.metric)
+                           : 1.0;
+      edges.push_back({std::min(i, j), std::max(i, j), w});
     }
   }
-  // Symmetrize; duplicate-summing in FromTriplets may double weights where
-  // both directions were selected, so rebuild with max-normalization: use the
-  // union by inserting each undirected pair once.
-  std::map<std::pair<size_t, size_t>, double> undirected;
+  // Symmetrize as the union of directed edges: FromTriplets would sum the two
+  // directions of a pair selected both ways, so keep each undirected pair
+  // once, in ascending (min, max) order, folding a duplicate's weight in with
+  // std::max in selection order.
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const Edge& a, const Edge& b) {
+                     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+                   });
+  size_t kept = 0;
   for (const Edge& e : edges) {
-    auto key = std::minmax(e.src, e.dst);
-    auto [it, inserted] = undirected.emplace(key, e.weight);
-    if (!inserted) it->second = std::max(it->second, e.weight);
+    Edge* last = kept > 0 ? &edges[kept - 1] : nullptr;
+    if (last != nullptr && last->src == e.src && last->dst == e.dst) {
+      last->weight = std::max(last->weight, e.weight);
+    } else {
+      edges[kept++] = e;
+    }
   }
-  std::vector<Edge> unique_edges;
-  unique_edges.reserve(undirected.size());
-  for (const auto& [key, w] : undirected)
-    unique_edges.push_back({key.first, key.second, w});
-  return Graph::FromEdges(n, unique_edges, /*symmetrize=*/true);
+  edges.resize(kept);
+  return Graph::FromEdges(n, edges, /*symmetrize=*/true);
 }
 
 Graph ThresholdGraph(const Matrix& x, const ThresholdGraphOptions& options) {

@@ -29,10 +29,10 @@ const char* SimilarityMetricName(SimilarityMetric m);
 StatusOr<SimilarityMetric> SimilarityMetricFromName(const std::string& name);
 
 /// Similarity between the length-`dim` vectors `a` and `b`. `gamma` is the RBF
-/// bandwidth (ignored by other metrics). This is the only implementation of
-/// the metric arithmetic: every other similarity in the library (RowSimilarity,
-/// ExactTopK, and through it kNN construction, inductive attachment and the
-/// serving index) evaluates it with the query or first row as `a`.
+/// bandwidth (ignored by other metrics). This is the definition of the metric
+/// arithmetic: RowSimilarity evaluates it directly, and KnnReference::TopK
+/// (kNN construction, inductive attachment, the serving index) reproduces it
+/// bit for bit with the query as `a`.
 double VectorSimilarity(const double* a, const double* b, size_t dim,
                         SimilarityMetric m, double gamma = 1.0);
 
@@ -66,17 +66,41 @@ inline bool BetterHit(const KnnHit& a, const KnnHit& b) {
   return a.index < b.index;
 }
 
-/// Marks "no excluded row" for ExactTopK.
-inline constexpr size_t kNoExcludedRow = static_cast<size_t>(-1);
+/// Reference rows packed once for the exact kNN search, in the layout of the
+/// f64 scan kernel (kernels::KnnScan: blocks of four rows, dimension-major
+/// inside a block, so one SIMD lane scores one row). Also holds the per-row
+/// constants the metric needs, computed with VectorSimilarity's own
+/// sequence: ||b||^2 for cosine, the mean and ||b - mean||^2 for Pearson.
+/// Immutable after construction; TopK may run from any number of threads.
+class KnnReference {
+ public:
+  KnnReference(const Matrix& rows, SimilarityMetric metric,
+               double gamma = 1.0);
 
-/// The exact k-nearest-neighbor search every kNN rule shares: scores `query`
-/// (length reference.cols()) against each row of `reference` with
-/// VectorSimilarity and returns the min(k, candidates) best hits, ordered by
-/// BetterHit. `exclude` drops one reference row from the candidates (the
-/// query's own row when building a graph over `reference` itself).
-std::vector<KnnHit> ExactTopK(const double* query, const Matrix& reference,
-                              size_t k, SimilarityMetric metric,
-                              double gamma = 1.0,
-                              size_t exclude = kNoExcludedRow);
+  size_t cols() const { return cols_; }
+
+  /// The exact k-nearest-neighbor search every kNN rule shares: scores each
+  /// row of `queries` (cols() columns) against every reference row and
+  /// returns out[i], the min(k, candidates) best hits for query i ordered by
+  /// BetterHit. Every similarity is bit-identical to VectorSimilarity with
+  /// the query as `a`. With `exclude_self`, query i never returns reference
+  /// row i (a table searched against itself; no more queries than rows).
+  ///
+  /// Queries run across the thread pool, a small batch on the calling
+  /// thread. A query's answer depends only on it and the reference, never on
+  /// the thread count, the SIMD tier or the other queries in the call.
+  std::vector<std::vector<KnnHit>> TopK(const Matrix& queries, size_t k,
+                                        bool exclude_self = false) const;
+
+ private:
+  size_t rows_;
+  size_t cols_;
+  size_t blocks_;
+  SimilarityMetric metric_;
+  double gamma_;
+  std::vector<double> packed_;    // blocks_ x cols_ x 4, zero-padded rows
+  std::vector<double> row_mean_;  // Pearson: each packed row's mean
+  std::vector<double> row_norm_;  // cosine ||b||^2, Pearson ||b - mean||^2
+};
 
 }  // namespace gnn4tdl

@@ -168,9 +168,50 @@ void ScaleAddScalar(const FMatrix& a, float sa, const FMatrix& b, float sb,
     po[i] = std::fmaf(sa, pa[i], sb * pb[i]);
 }
 
+// The kNN scan's per-pair step: one similarity metric's loop body, query
+// first (see KnnScanOp). Lane order never enters the arithmetic.
+template <KnnScanOp Op>
+void KnnScanOpScalar(const double* queries, size_t num_queries,
+                     const double* packed, const double* row_mean,
+                     size_t blocks, size_t dim, double* out) {
+  const size_t stride = blocks * kKnnLanes;
+  for (size_t q = 0; q < num_queries; ++q) {
+    const double* query = queries + q * dim;
+    for (size_t b = 0; b < blocks; ++b) {
+      const double* block = packed + b * dim * kKnnLanes;
+      for (size_t l = 0; l < kKnnLanes; ++l) {
+        double s = 0.0;
+        for (size_t j = 0; j < dim; ++j) {
+          const double r = block[j * kKnnLanes + l];
+          if constexpr (Op == KnnScanOp::kSquaredDiff) {
+            const double diff = query[j] - r;
+            s += diff * diff;
+          } else if constexpr (Op == KnnScanOp::kAbsDiff) {
+            s += std::fabs(query[j] - r);
+          } else if constexpr (Op == KnnScanOp::kDot) {
+            s += query[j] * r;
+          } else {
+            s += query[j] * (r - row_mean[b * kKnnLanes + l]);
+          }
+        }
+        out[q * stride + b * kKnnLanes + l] = s;
+      }
+    }
+  }
+}
+
+void KnnScanScalar(KnnScanOp op, const double* queries, size_t num_queries,
+                   const double* packed, const double* row_mean, size_t blocks,
+                   size_t dim, double* out) {
+  detail::WithKnnScanOp(op, [&](auto scan_op) {
+    KnnScanOpScalar<scan_op.value>(queries, num_queries, packed, row_mean,
+                                   blocks, dim, out);
+  });
+}
+
 const KernelTable kScalarTable = {
     SimdLevel::kScalar, MatmulScalar,   MatmulNtScalar,    SpmmScalar,
-    BiasActScalar,      ScaleAddScalar, SpmmBiasActScalar,
+    BiasActScalar,      ScaleAddScalar, SpmmBiasActScalar, KnnScanScalar,
 };
 
 SimdLevel ProbeSimdLevel() {
@@ -332,6 +373,23 @@ void ScaleAdd(const FMatrix& a, float sa, const FMatrix& b, float sb,
   const double mn = static_cast<double>(a.size());
   obs::KernelScope kernel("scale_add_f32", 3.0 * mn, 4.0 * 3.0 * mn);
   Dispatch().scale_add(a, sa, b, sb, out);
+}
+
+void KnnScan(KnnScanOp op, const double* queries, size_t num_queries,
+             const double* packed, const double* row_mean, size_t blocks,
+             size_t dim, double* out) {
+  GNN4TDL_CHECK(op != KnnScanOp::kCenteredDot || row_mean != nullptr);
+  const double m = static_cast<double>(num_queries);
+  const double n = static_cast<double>(blocks * kKnnLanes);
+  const double d = static_cast<double>(dim);
+  // Per pair and dimension: subtract (or the centring subtract), multiply or
+  // fabs, add; the dot product skips the subtract. Bytes: the queries, the
+  // packed rows and the scores, each touched once.
+  const double ops_per_step = op == KnnScanOp::kDot ? 2.0 : 3.0;
+  obs::KernelScope kernel("knn_scan_f64", ops_per_step * m * n * d,
+                          8.0 * (m * d + n * d + m * n));
+  Dispatch().knn_scan(op, queries, num_queries, packed, row_mean, blocks, dim,
+                      out);
 }
 
 }  // namespace gnn4tdl::kernels

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -35,6 +36,23 @@ StatusOr<Precision> PrecisionFromName(const std::string& name);
 enum class FAct { kNone, kRelu, kLeakyRelu, kSigmoid, kTanh };
 
 // ---------------------------------------------------------------------------
+// f64 exact kNN scan layout
+// ---------------------------------------------------------------------------
+
+/// Reference rows per block of the kNN scan layout: one AVX2 lane (four
+/// doubles) scores one reference row.
+inline constexpr size_t kKnnLanes = 4;
+
+/// Per-pair accumulation of the kNN scan. Each is one similarity metric's
+/// loop body in construct/similarity, with the query as the first operand.
+enum class KnnScanOp {
+  kSquaredDiff,  // s += (q - r) * (q - r)       Euclidean, RBF
+  kAbsDiff,      // s += |q - r|                 Manhattan
+  kDot,          // s += q * r                   cosine, inner product
+  kCenteredDot,  // s += q * (r - row_mean)      Pearson (q already centred)
+};
+
+// ---------------------------------------------------------------------------
 // Runtime SIMD dispatch
 // ---------------------------------------------------------------------------
 
@@ -48,10 +66,11 @@ enum class SimdLevel { kScalar, kAvx2 };
 
 const char* SimdLevelName(SimdLevel level);
 
-/// The f32 kernel function table one SIMD tier implements. All kernels are
-/// thread-safe (pure, write-disjoint ParallelFor partitions) and run on the
-/// shared ThreadPool where row counts justify it, with the same
-/// bit-exact-at-every-thread-count contract as the double kernels.
+/// The kernel function table one SIMD tier implements: the f32 inference
+/// kernels plus the f64 kNN scan. All kernels are thread-safe (pure,
+/// write-disjoint ParallelFor partitions) and run on the shared ThreadPool
+/// where row counts justify it, with the same bit-exact-at-every-thread-count
+/// contract as the double kernels.
 struct KernelTable {
   SimdLevel level = SimdLevel::kScalar;
 
@@ -82,6 +101,11 @@ struct KernelTable {
   /// layer kernel of the fused execution tier (docs/MEMORY.md).
   void (*spmm_bias_act)(const FCsr& s, const FMatrix& x, const float* bias,
                         FAct act, float alpha, FMatrix* out) = nullptr;
+
+  /// The f64 kNN scan (see KnnScan): leaf-level, no pool dispatch.
+  void (*knn_scan)(KnnScanOp op, const double* queries, size_t num_queries,
+                   const double* packed, const double* row_mean, size_t blocks,
+                   size_t dim, double* out) = nullptr;
 };
 
 /// The table for an explicit tier. kScalar always works; kAvx2 returns null
@@ -142,6 +166,26 @@ void ScaleAdd(const FMatrix& a, float sa, const FMatrix& b, float sb,
               FMatrix* out);
 
 // ---------------------------------------------------------------------------
+// Public f64 kNN scan (dispatch + obs accounting as above)
+// ---------------------------------------------------------------------------
+
+/// The f64 exact kNN scan: `op`'s accumulation of every query against every
+/// packed reference row. `queries` is num_queries x dim, row-major. `packed`
+/// holds `blocks` blocks of kKnnLanes reference rows, dimension-major inside
+/// a block: row b * kKnnLanes + l, dimension j sits at
+/// packed[(b * dim + j) * kKnnLanes + l]. `row_mean` (kCenteredDot only,
+/// null otherwise) has one value per packed row. out is num_queries x
+/// (blocks * kKnnLanes), row-major, and is overwritten.
+///
+/// Each lane runs its pair's sequence in dimension order with a separate
+/// rounding per subtract, multiply and add, and never an FMA, so out is
+/// bit-identical to the scalar loop over one row on every tier and for every
+/// query grouping. Leaf-level: callers parallelize across queries.
+void KnnScan(KnnScanOp op, const double* queries, size_t num_queries,
+             const double* packed, const double* row_mean, size_t blocks,
+             size_t dim, double* out);
+
+// ---------------------------------------------------------------------------
 // Shared accumulation-order helpers (internal; in the header so the scalar
 // and AVX2 translation units compile the *same* combine code)
 // ---------------------------------------------------------------------------
@@ -179,6 +223,23 @@ inline float ApplyBiasAct(float v, float bias, FAct act, float alpha) {
       return std::tanh(x);
   }
   return x;
+}
+
+/// Calls fn(std::integral_constant<KnnScanOp, op>{}): the kNN scan's
+/// runtime-to-compile-time op switch, shared by both tiers.
+template <typename Fn>
+void WithKnnScanOp(KnnScanOp op, Fn&& fn) {
+  using Op = KnnScanOp;
+  switch (op) {
+    case Op::kSquaredDiff:
+      return fn(std::integral_constant<Op, Op::kSquaredDiff>{});
+    case Op::kAbsDiff:
+      return fn(std::integral_constant<Op, Op::kAbsDiff>{});
+    case Op::kDot:
+      return fn(std::integral_constant<Op, Op::kDot>{});
+    case Op::kCenteredDot:
+      return fn(std::integral_constant<Op, Op::kCenteredDot>{});
+  }
 }
 
 /// Defined by the AVX2 translation unit: the AVX2 table when that unit was

@@ -251,9 +251,119 @@ void ScaleAddAvx2(const FMatrix& a, float sa, const FMatrix& b, float sb,
   for (; i < total; ++i) po[i] = std::fmaf(sa, pa[i], sb * pb[i]);
 }
 
+// --- f64 kNN scan ------------------------------------------------------------
+// Lane l of every vector is reference row b * kKnnLanes + l, so each vector op
+// below is four independent copies of the scalar tier's per-pair step, with
+// the query as the first operand. Vector sub/mul/add round exactly like their
+// scalar forms, andnot of the sign bit is std::fabs, and -ffp-contract=off
+// keeps GCC from fusing the mul/add pairs into the FMAs this TU may emit.
+
+template <KnnScanOp Op>
+inline __m256d KnnStep(__m256d s, __m256d q, __m256d r) {
+  if constexpr (Op == KnnScanOp::kSquaredDiff) {
+    const __m256d diff = _mm256_sub_pd(q, r);
+    return _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
+  } else if constexpr (Op == KnnScanOp::kAbsDiff) {
+    return _mm256_add_pd(
+        s, _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(q, r)));
+  } else {  // kDot; kCenteredDot gets r already centred
+    return _mm256_add_pd(s, _mm256_mul_pd(q, r));
+  }
+}
+
+// NQ queries x NB blocks held in NQ * NB accumulators: every packed load is
+// reused by NQ queries and every broadcast by NB blocks, and the independent
+// add chains hide the add latency even for a single query.
+template <KnnScanOp Op, size_t NQ, size_t NB>
+void KnnTileAvx2(const double* queries, size_t dim, const double* packed,
+                 const double* row_mean, size_t b0, size_t stride,
+                 double* out) {
+  __m256d acc[NQ][NB];
+  __m256d mean[NB];
+  for (size_t nb = 0; nb < NB; ++nb) {
+    mean[nb] = Op == KnnScanOp::kCenteredDot
+                   ? _mm256_loadu_pd(row_mean + (b0 + nb) * kKnnLanes)
+                   : _mm256_setzero_pd();
+    for (size_t nq = 0; nq < NQ; ++nq) acc[nq][nb] = _mm256_setzero_pd();
+  }
+  // The NQ and NB loops unroll, so the accumulators stay in registers.
+  for (size_t j = 0; j < dim; ++j) {
+    __m256d r[NB];
+#pragma GCC unroll 4
+    for (size_t nb = 0; nb < NB; ++nb) {
+      r[nb] = _mm256_loadu_pd(packed + ((b0 + nb) * dim + j) * kKnnLanes);
+      if constexpr (Op == KnnScanOp::kCenteredDot)
+        r[nb] = _mm256_sub_pd(r[nb], mean[nb]);
+    }
+#pragma GCC unroll 4
+    for (size_t nq = 0; nq < NQ; ++nq) {
+      const __m256d q = _mm256_broadcast_sd(queries + nq * dim + j);
+#pragma GCC unroll 4
+      for (size_t nb = 0; nb < NB; ++nb)
+        acc[nq][nb] = KnnStep<Op>(acc[nq][nb], q, r[nb]);
+    }
+  }
+  for (size_t nq = 0; nq < NQ; ++nq) {
+    for (size_t nb = 0; nb < NB; ++nb)
+      _mm256_storeu_pd(out + nq * stride + (b0 + nb) * kKnnLanes, acc[nq][nb]);
+  }
+}
+
+// NQ queries against every block: NB-block tiles, then single blocks.
+template <KnnScanOp Op, size_t NQ>
+void KnnQueriesAvx2(const double* queries, const double* packed,
+                    const double* row_mean, size_t blocks, size_t dim,
+                    double* out) {
+  constexpr size_t kBlocksPerTile = NQ == 1 ? 4 : 2;
+  const size_t stride = blocks * kKnnLanes;
+  size_t b = 0;
+  for (; b + kBlocksPerTile <= blocks; b += kBlocksPerTile) {
+    KnnTileAvx2<Op, NQ, kBlocksPerTile>(queries, dim, packed, row_mean, b,
+                                        stride, out);
+  }
+  for (; b < blocks; ++b)
+    KnnTileAvx2<Op, NQ, 1>(queries, dim, packed, row_mean, b, stride, out);
+}
+
+template <KnnScanOp Op>
+void KnnScanOpAvx2(const double* queries, size_t num_queries,
+                   const double* packed, const double* row_mean, size_t blocks,
+                   size_t dim, double* out) {
+  const size_t stride = blocks * kKnnLanes;
+  size_t q = 0;
+  for (; q + 4 <= num_queries; q += 4) {
+    KnnQueriesAvx2<Op, 4>(queries + q * dim, packed, row_mean, blocks, dim,
+                          out + q * stride);
+  }
+  const double* tail = queries + q * dim;
+  double* tail_out = out + q * stride;
+  switch (num_queries - q) {
+    case 3:
+      KnnQueriesAvx2<Op, 3>(tail, packed, row_mean, blocks, dim, tail_out);
+      break;
+    case 2:
+      KnnQueriesAvx2<Op, 2>(tail, packed, row_mean, blocks, dim, tail_out);
+      break;
+    case 1:
+      KnnQueriesAvx2<Op, 1>(tail, packed, row_mean, blocks, dim, tail_out);
+      break;
+    default:
+      break;
+  }
+}
+
+void KnnScanAvx2(KnnScanOp op, const double* queries, size_t num_queries,
+                 const double* packed, const double* row_mean, size_t blocks,
+                 size_t dim, double* out) {
+  detail::WithKnnScanOp(op, [&](auto scan_op) {
+    KnnScanOpAvx2<scan_op.value>(queries, num_queries, packed, row_mean,
+                                 blocks, dim, out);
+  });
+}
+
 const KernelTable kAvx2Table = {
     SimdLevel::kAvx2, MatmulAvx2,   MatmulNtAvx2,    SpmmAvx2,
-    BiasActAvx2,      ScaleAddAvx2, SpmmBiasActAvx2,
+    BiasActAvx2,      ScaleAddAvx2, SpmmBiasActAvx2, KnnScanAvx2,
 };
 
 }  // namespace

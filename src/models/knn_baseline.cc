@@ -35,9 +35,11 @@ StatusOr<Matrix> KnnBaseline::Predict(const TabularDataset& data) {
   const size_t out_dim =
       task_ == TaskType::kRegression ? 1 : static_cast<size_t>(num_classes_);
   Matrix out(x->rows(), out_dim);
+  const std::vector<std::vector<KnnHit>> hits =
+      KnnReference(x_train_, options_.metric, options_.gamma)
+          .TopK(*x, options_.k);
   for (size_t r = 0; r < x->rows(); ++r) {
-    std::vector<KnnHit> nbrs = ExactTopK(x->row_data(r), x_train_, options_.k,
-                                         options_.metric, options_.gamma);
+    const std::vector<KnnHit>& nbrs = hits[r];
     if (task_ == TaskType::kRegression) {
       double sum = 0.0;
       for (const KnnHit& h : nbrs) sum += y_train_reg_[h.index];
@@ -66,10 +68,11 @@ StatusOr<Matrix> KnnDistanceDetector::Predict(const TabularDataset& data) {
   StatusOr<Matrix> x = featurizer_.Transform(data);
   if (!x.ok()) return x.status();
   Matrix scores(x->rows(), 1);
+  const std::vector<std::vector<KnnHit>> hits =
+      KnnReference(*x, SimilarityMetric::kEuclidean)
+          .TopK(*x, options_.k, /*exclude_self=*/true);
   for (size_t r = 0; r < x->rows(); ++r) {
-    std::vector<KnnHit> nbrs =
-        ExactTopK(x->row_data(r), *x, options_.k, SimilarityMetric::kEuclidean,
-                  /*gamma=*/1.0, /*exclude=*/r);
+    const std::vector<KnnHit>& nbrs = hits[r];
     double sum = 0.0;
     for (const KnnHit& h : nbrs) sum += -h.similarity;  // euclidean distance
     scores(r, 0) =

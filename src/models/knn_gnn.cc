@@ -1141,11 +1141,11 @@ StatusOr<Matrix> InstanceGraphGnn::PredictInductive(
   // the training graph, and new rows must not see each other — matching the
   // one-at-a-time deployment setting).
   std::vector<Edge> edges = graph_.EdgeList();
-  const size_t k = std::max<size_t>(options_.knn.k, 1);
+  const std::vector<std::vector<KnnHit>> anchors =
+      KnnReference(x_cache_, options_.knn.metric, options_.knn.gamma)
+          .TopK(x_new, std::max<size_t>(options_.knn.k, 1));
   for (size_t i = 0; i < n_new; ++i) {
-    for (const KnnHit& hit : ExactTopK(x_new.row_data(i), x_cache_, k,
-                                       options_.knn.metric,
-                                       options_.knn.gamma)) {
+    for (const KnnHit& hit : anchors[i]) {
       edges.push_back({n_train + i, hit.index, 1.0});
       edges.push_back({hit.index, n_train + i, 1.0});
     }

@@ -13,13 +13,13 @@ namespace gnn4tdl {
 /// reference matrix (the featurized training table of a FrozenModel). Built
 /// once at load time, queried per request by serve/InductiveAttacher.
 ///
-/// Queries run construct/similarity ExactTopK, the same search
+/// Queries run construct/similarity KnnReference::TopK, the same search
 /// InstanceGraphGnn::PredictInductive attaches new rows with, so the served
 /// neighbor lists (indices, similarity bits and BetterHit order) are
-/// identical to the training side's.
+/// identical to the training side's. The index keeps only the packed rows.
 class KnnIndex {
  public:
-  [[nodiscard]] static StatusOr<KnnIndex> Build(Matrix reference,
+  [[nodiscard]] static StatusOr<KnnIndex> Build(const Matrix& reference,
                                                 SimilarityMetric metric,
                                                 double gamma = 1.0);
 
@@ -27,17 +27,16 @@ class KnnIndex {
   /// column), best first. k is clamped to [1, reference rows].
   std::vector<KnnHit> Query(const double* query, size_t k) const;
 
-  /// Queries every row of `x`; out[i] = hits for row i.
+  /// Queries every row of `x`; out[i] = hits for row i. k is clamped as in
+  /// Query.
   std::vector<std::vector<KnnHit>> QueryBatch(const Matrix& x,
                                               size_t k) const;
 
  private:
-  KnnIndex(Matrix reference, SimilarityMetric metric, double gamma)
-      : reference_(std::move(reference)), metric_(metric), gamma_(gamma) {}
+  explicit KnnIndex(KnnReference reference)
+      : reference_(std::move(reference)) {}
 
-  Matrix reference_;
-  SimilarityMetric metric_;
-  double gamma_;
+  KnnReference reference_;
 };
 
 }  // namespace gnn4tdl

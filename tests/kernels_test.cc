@@ -1,5 +1,6 @@
-// f32 kernel tier: storage round-trips, f32-vs-double tolerance, and
-// bit-exactness between the scalar and AVX2 dispatch tables.
+// Kernel tier: f32 storage round-trips, f32-vs-double tolerance, and
+// bit-exactness between the scalar and AVX2 dispatch tables (the f32
+// kernels and the f64 kNN scan).
 //
 // Tolerance contract (documented in docs/KERNELS.md): for the reduction
 // depths serving uses (k <= a few hundred), every f32 kernel matches the
@@ -355,6 +356,44 @@ TEST_F(SimdParityTest, ScaleAddBitIdentical) {
     scalar_->scale_add(fa, 0.85f, fb, 0.15f, &out_s);
     avx2_->scale_add(fa, 0.85f, fb, 0.15f, &out_v);
     ExpectBitIdentical(out_s, out_v);
+  }
+}
+
+TEST_F(SimdParityTest, KnnScanBitIdenticalForEveryQueryGrouping) {
+  using kernels::KnnScanOp;
+  using kernels::kKnnLanes;
+  Rng rng(27);
+  for (KnnScanOp op : {KnnScanOp::kSquaredDiff, KnnScanOp::kAbsDiff,
+                       KnnScanOp::kDot, KnnScanOp::kCenteredDot}) {
+    // Query counts around the 4-query tile, block counts around the 2- and
+    // 4-block tiles.
+    for (size_t nq : {1u, 2u, 3u, 4u, 5u, 9u}) {
+      for (size_t blocks : {1u, 2u, 3u, 5u}) {
+        for (size_t dim : {1u, 7u}) {
+          const size_t n = blocks * kKnnLanes;
+          Matrix queries = RandomMatrix(nq, dim, rng);
+          Matrix packed = RandomMatrix(n, dim, rng);  // any layout will do
+          Matrix mean = RandomMatrix(1, n, rng);
+          std::vector<double> out_s(nq * n), out_v(nq * n), one(n);
+          scalar_->knn_scan(op, queries.data(), nq, packed.data(), mean.data(),
+                            blocks, dim, out_s.data());
+          avx2_->knn_scan(op, queries.data(), nq, packed.data(), mean.data(),
+                          blocks, dim, out_v.data());
+          ASSERT_EQ(0, std::memcmp(out_s.data(), out_v.data(),
+                                   out_s.size() * sizeof(double)))
+              << "op " << static_cast<int>(op) << " nq " << nq << " blocks "
+              << blocks << " dim " << dim;
+          // A query scanned alone gets the bits it got in the group.
+          for (size_t q = 0; q < nq; ++q) {
+            avx2_->knn_scan(op, queries.row_data(q), 1, packed.data(),
+                            mean.data(), blocks, dim, one.data());
+            ASSERT_EQ(0, std::memcmp(one.data(), out_v.data() + q * n,
+                                     n * sizeof(double)))
+                << "op " << static_cast<int>(op) << " query " << q;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,9 @@
 #include "common/parallel.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,6 +48,36 @@ TEST(ThreadPoolTest, RunWithZeroChunksIsANoOp) {
   bool called = false;
   pool.Run(0, [&](size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPoolTest, SingleChunkJobsDoNotWaitForAPooledJob) {
+  PoolSizeGuard guard;
+  ThreadPool::Global().SetNumThreads(2);
+  // Another thread's two-chunk job, parked until `release`, holds the pool.
+  std::promise<void> entered;
+  std::atomic<int> arrived{0};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<void> pooled = std::async(std::launch::async, [&] {
+    ParallelFor(0, 2, 1, [&](size_t, size_t) {
+      if (arrived.fetch_add(1) == 0) entered.set_value();
+      released.wait();
+    });
+  });
+  entered.get_future().wait();
+  // One-range jobs run inline on their own thread meanwhile.
+  std::future<int> single = std::async(std::launch::async, [] {
+    int runs = 0;
+    ParallelFor(0, 1, 1, [&](size_t, size_t) { ++runs; });
+    ThreadPool::Global().Run(1, [&](size_t) { ++runs; });
+    return runs;
+  });
+  const bool done = single.wait_for(std::chrono::seconds(30)) ==
+                    std::future_status::ready;
+  release.set_value();
+  pooled.get();
+  ASSERT_TRUE(done) << "a one-chunk job waited for the pooled job";
+  EXPECT_EQ(single.get(), 2);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

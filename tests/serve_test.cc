@@ -12,12 +12,14 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <map>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "construct/rule_based.h"
 #include "construct/similarity.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -42,27 +44,52 @@ Matrix RandomFeatures(size_t n, size_t d, uint64_t seed) {
   return Matrix::Randn(n, d, rng);
 }
 
-/// The oracle: every reference row scored with construct/similarity
-/// RowSimilarity (query stacked as row 0), then a stable sort by similarity
-/// descending, so exact ties keep ascending reference index.
+/// The oracle: every reference row but `exclude` scored with
+/// construct/similarity RowSimilarity (query stacked as row 0), then a stable
+/// sort by similarity descending with NaN after every number, so exact ties
+/// and NaNs keep ascending reference index.
 std::vector<KnnHit> BruteForceKnn(const Matrix& reference, const double* query,
                                   size_t k, SimilarityMetric metric,
-                                  double gamma) {
+                                  double gamma,
+                                  size_t exclude = static_cast<size_t>(-1)) {
   Matrix stacked(2, reference.cols());
   std::copy(query, query + reference.cols(), stacked.row_data(0));
   std::vector<KnnHit> scored;
   for (size_t j = 0; j < reference.rows(); ++j) {
+    if (j == exclude) continue;
     std::copy(reference.row_data(j), reference.row_data(j) + reference.cols(),
               stacked.row_data(1));
     scored.push_back({j, RowSimilarity(stacked, 0, 1, metric, gamma)});
   }
   std::stable_sort(scored.begin(), scored.end(),
                    [](const KnnHit& a, const KnnHit& b) {
-                     return a.similarity > b.similarity;
+                     if (std::isnan(a.similarity)) return false;
+                     return std::isnan(b.similarity) ||
+                            a.similarity > b.similarity;
                    });
   scored.resize(std::min(k, scored.size()));
   return scored;
 }
+
+/// Same indices and same similarity bits, rank by rank.
+void ExpectSameHits(const std::vector<KnnHit>& hits,
+                    const std::vector<KnnHit>& expected,
+                    const std::string& where) {
+  ASSERT_EQ(hits.size(), expected.size()) << where;
+  for (size_t t = 0; t < hits.size(); ++t) {
+    EXPECT_EQ(hits[t].index, expected[t].index) << where << " rank " << t;
+    EXPECT_EQ(std::memcmp(&hits[t].similarity, &expected[t].similarity,
+                          sizeof(double)),
+              0)
+        << where << " rank " << t << ": " << hits[t].similarity << " vs "
+        << expected[t].similarity;
+  }
+}
+
+constexpr SimilarityMetric kAllMetrics[] = {
+    SimilarityMetric::kEuclidean, SimilarityMetric::kManhattan,
+    SimilarityMetric::kCosine,    SimilarityMetric::kRbf,
+    SimilarityMetric::kPearson,   SimilarityMetric::kInnerProduct};
 
 /// `distinct` random rows, each stored three times (interleaved, so copies
 /// are far apart in index order), then `grid` rows drawn from {-1, 0, 1}:
@@ -89,8 +116,22 @@ Matrix TieHeavyReference(size_t distinct, size_t grid, size_t d,
 
 TEST(KnnIndexTest, ExactModeMatchesBruteForce) {
   const size_t d = 6;
-  const Matrix random_reference = RandomFeatures(80, d, 5);
+  // Reference sizes on both sides of the 4-row lane blocks (1, 2, 3, 5, 81
+  // and 101 leave a partial last block), the tie-heavy table, and a table
+  // with NaN and +-Inf coordinates in its first, a middle and its last rows.
   const Matrix tie_reference = TieHeavyReference(20, 40, d, 13);
+  std::vector<std::pair<std::string, Matrix>> references;
+  for (size_t n : {1u, 2u, 3u, 5u, 80u, 81u, 101u}) {
+    references.push_back(
+        {"random" + std::to_string(n), RandomFeatures(n, d, 5 + n)});
+  }
+  references.push_back({"ties", tie_reference});
+  Matrix non_finite = RandomFeatures(81, d, 31);
+  non_finite(0, 2) = std::numeric_limits<double>::quiet_NaN();
+  non_finite(41, 0) = std::numeric_limits<double>::infinity();
+  non_finite(80, 5) = -std::numeric_limits<double>::infinity();
+  references.push_back({"non_finite", non_finite});
+
   // Random queries, copies of duplicated rows, and grid rows.
   Matrix queries = RandomFeatures(6, d, 9);
   queries = queries.ConcatRows(tie_reference.GatherRows({0, 7, 19, 41, 60}));
@@ -100,31 +141,33 @@ TEST(KnnIndexTest, ExactModeMatchesBruteForce) {
     grid_queries.data()[i] = static_cast<double>(rng.Int(-1, 1));
   queries = queries.ConcatRows(grid_queries);
 
-  for (const Matrix* reference : {&random_reference, &tie_reference}) {
-    for (SimilarityMetric metric :
-         {SimilarityMetric::kEuclidean, SimilarityMetric::kManhattan,
-          SimilarityMetric::kCosine, SimilarityMetric::kRbf,
-          SimilarityMetric::kPearson, SimilarityMetric::kInnerProduct}) {
-      StatusOr<KnnIndex> index = KnnIndex::Build(*reference, metric, 0.5);
+  for (const auto& [name, reference] : references) {
+    const size_t n = reference.rows();
+    for (SimilarityMetric metric : kAllMetrics) {
+      StatusOr<KnnIndex> index = KnnIndex::Build(reference, metric, 0.5);
       ASSERT_TRUE(index.ok()) << index.status().ToString();
-      for (size_t k : {1u, 7u, 12u}) {
+      const KnnReference packed(reference, metric, 0.5);
+      for (size_t k : {size_t{1}, size_t{7}, size_t{12}, n, n + 3}) {
+        const std::string where = name + " " + SimilarityMetricName(metric) +
+                                  " k " + std::to_string(k);
         std::vector<std::vector<KnnHit>> batch = index->QueryBatch(queries, k);
         ASSERT_EQ(batch.size(), queries.rows());
         for (size_t q = 0; q < queries.rows(); ++q) {
-          const std::vector<KnnHit>& hits = batch[q];
-          std::vector<KnnHit> expected =
-              BruteForceKnn(*reference, queries.row_data(q), k, metric, 0.5);
-          ASSERT_EQ(hits.size(), expected.size());
-          for (size_t t = 0; t < hits.size(); ++t) {
-            EXPECT_EQ(hits[t].index, expected[t].index)
-                << SimilarityMetricName(metric) << " k " << k << " query "
-                << q << " rank " << t;
-            EXPECT_EQ(std::memcmp(&hits[t].similarity,
-                                  &expected[t].similarity, sizeof(double)),
-                      0)
-                << SimilarityMetricName(metric) << " k " << k << " query "
-                << q << " rank " << t;
-          }
+          ExpectSameHits(
+              batch[q],
+              BruteForceKnn(reference, queries.row_data(q), k, metric, 0.5),
+              where + " query " + std::to_string(q));
+        }
+        // The table against itself, each row excluded from its own answer:
+        // covers exclusion at the first, last and tail-block rows.
+        std::vector<std::vector<KnnHit>> self =
+            packed.TopK(reference, k, /*exclude_self=*/true);
+        ASSERT_EQ(self.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+          ExpectSameHits(self[i],
+                         BruteForceKnn(reference, reference.row_data(i), k,
+                                       metric, 0.5, /*exclude=*/i),
+                         where + " self " + std::to_string(i));
         }
       }
     }
@@ -155,10 +198,10 @@ TEST(KnnIndexTest, NanSimilaritiesRankLastInIndexOrder) {
   // A NaN query makes every similarity NaN; the anchors are still a
   // deterministic answer (the lowest indices), not heap order.
   Matrix reference = RandomFeatures(30, 4, 17);
-  std::vector<double> query(4, 0.0);
-  query[2] = nan;
-  std::vector<KnnHit> hits = ExactTopK(query.data(), reference, 5,
-                                       SimilarityMetric::kEuclidean);
+  Matrix query(1, 4);
+  query(0, 2) = nan;
+  std::vector<KnnHit> hits =
+      KnnReference(reference, SimilarityMetric::kEuclidean).TopK(query, 5)[0];
   ASSERT_EQ(hits.size(), 5u);
   for (size_t t = 0; t < hits.size(); ++t) {
     EXPECT_EQ(hits[t].index, t);
@@ -168,15 +211,83 @@ TEST(KnnIndexTest, NanSimilaritiesRankLastInIndexOrder) {
 
 TEST(KnnIndexTest, ExactTopKExcludesOneRow) {
   Matrix reference = TieHeavyReference(10, 0, 3, 29);
-  std::vector<KnnHit> hits = ExactTopK(reference.row_data(4), reference, 3,
-                                       SimilarityMetric::kEuclidean, 1.0,
-                                       /*exclude=*/4);
+  std::vector<KnnHit> hits =
+      KnnReference(reference, SimilarityMetric::kEuclidean)
+          .TopK(reference, 3, /*exclude_self=*/true)[4];
   // Row 4's two copies (14, 24) tie at distance 0; the excluded row itself
   // never appears.
   ASSERT_EQ(hits.size(), 3u);
   EXPECT_EQ(hits[0].index, 14u);
   EXPECT_EQ(hits[1].index, 24u);
   EXPECT_NE(hits[2].index, 4u);
+}
+
+/// KnnGraph's rules applied to BruteForceKnn neighbor lists, symmetrized
+/// through a std::map keyed by (min, max) that keeps the larger weight.
+Graph OracleKnnGraph(const Matrix& x, const KnnGraphOptions& options) {
+  const size_t n = x.rows();
+  const size_t k = std::min(options.k, n - 1);
+  std::vector<std::vector<KnnHit>> nbrs(n);
+  for (size_t i = 0; i < n; ++i) {
+    nbrs[i] = BruteForceKnn(x, x.row_data(i), k, options.metric, options.gamma,
+                            /*exclude=*/i);
+  }
+  std::map<std::pair<size_t, size_t>, double> undirected;
+  for (size_t i = 0; i < n; ++i) {
+    for (const KnnHit& hit : nbrs[i]) {
+      const size_t j = hit.index;
+      const bool mutual =
+          std::any_of(nbrs[j].begin(), nbrs[j].end(),
+                      [i](const KnnHit& h) { return h.index == i; });
+      if (options.mutual && (!mutual || j < i)) continue;
+      double w = 1.0;
+      if (options.weighted) {
+        const bool distance = options.metric == SimilarityMetric::kEuclidean ||
+                              options.metric == SimilarityMetric::kManhattan;
+        w = distance ? std::exp(hit.similarity)
+                     : std::max(hit.similarity, 1e-6);
+      }
+      auto [it, inserted] = undirected.emplace(std::minmax(i, j), w);
+      if (!inserted) it->second = std::max(it->second, w);
+    }
+  }
+  std::vector<Edge> edges;
+  for (const auto& [key, w] : undirected)
+    edges.push_back({key.first, key.second, w});
+  return Graph::FromEdges(n, edges, /*symmetrize=*/true);
+}
+
+TEST(KnnGraphTest, MatchesBruteForceOracleBitForBit) {
+  // 61 rows (a partial last lane block), with duplicated rows for ties.
+  const Matrix x =
+      RandomFeatures(25, 5, 41).ConcatRows(TieHeavyReference(8, 12, 5, 43));
+  for (SimilarityMetric metric : kAllMetrics) {
+    for (bool mutual : {false, true}) {
+      for (bool weighted : {false, true}) {
+        KnnGraphOptions options;
+        options.k = 6;
+        options.metric = metric;
+        options.gamma = 0.5;
+        options.mutual = mutual;
+        options.weighted = weighted;
+        const std::vector<Edge> got = KnnGraph(x, options).EdgeList();
+        const std::vector<Edge> want = OracleKnnGraph(x, options).EdgeList();
+        const std::string where = std::string(SimilarityMetricName(metric)) +
+                                  (mutual ? " mutual" : " union") +
+                                  (weighted ? " weighted" : " unweighted");
+        ASSERT_EQ(got.size(), want.size()) << where;
+        ASSERT_GT(got.size(), 0u) << where;
+        for (size_t e = 0; e < got.size(); ++e) {
+          EXPECT_EQ(got[e].src, want[e].src) << where << " edge " << e;
+          EXPECT_EQ(got[e].dst, want[e].dst) << where << " edge " << e;
+          EXPECT_EQ(std::memcmp(&got[e].weight, &want[e].weight,
+                                sizeof(double)),
+                    0)
+              << where << " edge " << e;
+        }
+      }
+    }
+  }
 }
 
 TEST(KnnIndexTest, RejectsEmptyReference) {

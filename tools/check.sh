@@ -19,7 +19,7 @@
 #                     artifacts (well-formed trace JSON, required span names
 #                     present, no negative durations, required metrics in the
 #                     Prometheus dump)
-#   stage 6  simd     f32 kernel-tier contract: the kernel tolerance/parity
+#   stage 6  simd     kernel-tier contract: the kernel tolerance/parity
 #                     suite plus the f32 serving suite, run once with
 #                     GNN4TDL_SIMD=scalar and once with GNN4TDL_SIMD=avx2.
 #                     The parity tests assert scalar and AVX2 tiers are
@@ -29,7 +29,12 @@
 #                     serving relies on, and the served bit-exactness suite
 #                     runs at GNN4TDL_THREADS=1 and =4: frontier batches are
 #                     mostly one chunk, so this covers the pool's inline
-#                     path and its pooled path
+#                     path and its pooled path. The exact kNN suites
+#                     (KnnIndexTest, KnnGraphTest: the f64 lane-packed scan
+#                     against a brute-force oracle, bit for bit, lane tails
+#                     and non-finite rows included) run at every pairing of
+#                     SIMD=scalar|avx2 and THREADS=1|4, since the scan is
+#                     dispatched by tier and its queries run across the pool
 #   stage 7  fusion   fused-execution + arena memory contract: the fusion
 #                     bit-exactness suite (fused single-node ops vs their
 #                     unfused compositions, values and gradients compared by
@@ -178,7 +183,19 @@ simd_stage() {
     GNN4TDL_THREADS=1 ./build/tests/gnn4tdl_serve_test \
       --gtest_filter='Configs/ServedBitExactTest.*' &&
     GNN4TDL_THREADS=4 ./build/tests/gnn4tdl_serve_test \
-      --gtest_filter='Configs/ServedBitExactTest.*'
+      --gtest_filter='Configs/ServedBitExactTest.*' &&
+    knn_tier_matrix
+}
+
+knn_tier_matrix() {
+  local simd threads
+  for simd in scalar avx2; do
+    for threads in 1 4; do
+      GNN4TDL_SIMD="$simd" GNN4TDL_THREADS="$threads" \
+        ./build/tests/gnn4tdl_serve_test \
+        --gtest_filter='KnnIndexTest.*:KnnGraphTest.*' || return 1
+    done
+  done
 }
 
 fusion_stage() {
