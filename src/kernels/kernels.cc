@@ -1,11 +1,12 @@
-// Scalar f32 kernel tier + runtime dispatch. This translation unit is
-// compiled with -ffp-contract=off so the compiler cannot fuse the explicit
-// mul/add structure behind our backs: every accumulation that must match the
+// Scalar kernel tier + runtime dispatch. This translation unit is compiled
+// with -ffp-contract=off so the compiler cannot fuse the explicit mul/add
+// structure behind our backs: every f32 accumulation that must match the
 // AVX2 tier bit for bit goes through std::fmaf (single rounding, the scalar
-// twin of _mm256_fmadd_ps) in the same summation order. The scalar tier is a
-// portability fallback and a correctness reference, not a fast path — on
-// machines without hardware FMA, std::fmaf falls back to libm's correctly
-// rounded soft implementation.
+// twin of _mm256_fmadd_ps) in the same summation order, and every f64
+// product and sum keeps its own rounding, as the AVX2 tier's mul/add do.
+// The scalar tier is a portability fallback and a correctness reference, not
+// a fast path — on machines without hardware FMA, std::fmaf falls back to
+// libm's correctly rounded soft implementation.
 
 #include "kernels/kernels.h"
 
@@ -209,9 +210,115 @@ void KnnScanScalar(KnnScanOp op, const double* queries, size_t num_queries,
   });
 }
 
+// --- f64 training kernels ---------------------------------------------------
+// The reference loops of Matrix::Matmul / TransposeMatmul / MatmulTranspose,
+// SparseMatrix::Multiply / TransposeMultiply and the fused activation
+// epilogue, over the row range their caller's chunk owns.
+
+void MatmulF64Scalar(const double* a, const double* b, size_t k_dim, size_t n,
+                     size_t lo, size_t hi, double* out) {
+  for (size_t i = lo; i < hi; ++i) {
+    double* out_row = out + i * n;
+    const double* a_row = a + i * k_dim;
+    for (size_t k = 0; k < k_dim; ++k) {
+      double av = a_row[k];
+      if (av == 0.0) continue;
+      const double* b_row = b + k * n;
+      for (size_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
+    }
+  }
+}
+
+void MatmulTnF64Scalar(const double* a, const double* b, size_t rows,
+                       size_t cols, size_t n, size_t lo, size_t hi,
+                       double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* a_row = a + r * cols;
+    const double* b_row = b + r * n;
+    for (size_t i = lo; i < hi; ++i) {
+      double av = a_row[i];
+      if (av == 0.0) continue;
+      double* out_row = out + i * n;
+      for (size_t j = 0; j < n; ++j) out_row[j] += av * b_row[j];
+    }
+  }
+}
+
+void MatmulNtF64Scalar(const double* a, const double* b, size_t k_dim,
+                       size_t n, size_t lo, size_t hi, double* out) {
+  for (size_t i = lo; i < hi; ++i) {
+    const double* a_row = a + i * k_dim;
+    double* out_row = out + i * n;
+    for (size_t j = 0; j < n; ++j) {
+      const double* b_row = b + j * k_dim;
+      double acc = 0.0;
+      for (size_t k = 0; k < k_dim; ++k) acc += a_row[k] * b_row[k];
+      out_row[j] = acc;
+    }
+  }
+}
+
+void SpmmF64Scalar(const size_t* row_ptr, const size_t* col_idx,
+                   const double* values, const double* x, size_t n, size_t lo,
+                   size_t hi, double* out) {
+  for (size_t r = lo; r < hi; ++r) {
+    double* out_row = out + r * n;
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const double v = values[k];
+      const double* d_row = x + col_idx[k] * n;
+      for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
+    }
+  }
+}
+
+void SpmmTF64Scalar(const size_t* row_ptr, const size_t* col_idx,
+                    const double* values, const double* x, size_t n, size_t lo,
+                    size_t hi, double* out) {
+  for (size_t r = lo; r < hi; ++r) {
+    const double* d_row = x + r * n;
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const double v = values[k];
+      double* out_row = out + col_idx[k] * n;
+      for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
+    }
+  }
+}
+
+void BiasActF64Scalar(double* x, size_t cols, const double* bias, FAct act,
+                      double alpha, size_t lo, size_t hi) {
+  for (size_t i = lo; i < hi; ++i) {
+    double* row = x + i * cols;
+    if (bias != nullptr) {
+      for (size_t c = 0; c < cols; ++c) row[c] += bias[c];
+    }
+    if (act == FAct::kNone) continue;
+    for (size_t j = 0; j < cols; ++j)
+      row[j] = detail::ActF64(row[j], act, alpha);
+  }
+}
+
+void ActGradF64Scalar(double* g, const double* out, size_t cols, FAct act,
+                      double alpha, size_t lo, size_t hi) {
+  if (act == FAct::kNone) return;
+  for (size_t i = lo; i < hi; ++i) {
+    double* row = g + i * cols;
+    const double* o = out + i * cols;
+    for (size_t j = 0; j < cols; ++j)
+      row[j] = detail::ActGradF64(row[j], o[j], act, alpha);
+  }
+}
+
 const KernelTable kScalarTable = {
-    SimdLevel::kScalar, MatmulScalar,   MatmulNtScalar,    SpmmScalar,
-    BiasActScalar,      ScaleAddScalar, SpmmBiasActScalar, KnnScanScalar,
+    SimdLevel::kScalar,
+    MatmulScalar,
+    MatmulNtScalar,
+    SpmmScalar,
+    BiasActScalar,
+    ScaleAddScalar,
+    SpmmBiasActScalar,
+    KnnScanScalar,
+    {MatmulF64Scalar, MatmulTnF64Scalar, MatmulNtF64Scalar, SpmmF64Scalar,
+     SpmmTF64Scalar, BiasActF64Scalar, ActGradF64Scalar},
 };
 
 SimdLevel ProbeSimdLevel() {

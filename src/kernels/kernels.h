@@ -56,21 +56,80 @@ enum class KnnScanOp {
 // Runtime SIMD dispatch
 // ---------------------------------------------------------------------------
 
-/// Instruction-set tier of an f32 kernel implementation. kScalar is always
-/// available and is the bit-exact reference for every vectorized tier: the
-/// two paths use single-rounding fused multiply-adds (std::fmaf vs
-/// _mm256_fmadd_ps) in the identical summation order, so for the same inputs
-/// they produce the same bits — CI runs the tolerance suite under both and a
-/// dedicated test memcmp-compares them (tools/check.sh stage `simd`).
+/// Instruction-set tier of a kernel table. kScalar is always available and
+/// is the bit-exact reference for every vectorized tier. Each entry keeps
+/// its scalar rounding sequence per output element at every tier: the f32
+/// kernels round every accumulation once with a fused multiply-add
+/// (std::fmaf vs _mm256_fmadd_ps) in the identical order; the f64 kernels
+/// (the kNN scan and the training kernels in F64Kernels) never use an FMA
+/// and round each product and each sum on its own, as the scalar loops do.
+/// Vector lanes are independent output elements, so for the same inputs both
+/// tiers produce the same bits (NaN outputs stay NaN in the same positions;
+/// only their payload or sign may differ). CI runs the parity suite under
+/// both tiers and memcmp-compares them (tools/check.sh stage `simd`).
 enum class SimdLevel { kScalar, kAvx2 };
 
 const char* SimdLevelName(SimdLevel level);
 
+/// The f64 training kernels of one SIMD tier (docs/KERNELS.md "f64 training
+/// kernels"). Every entry is leaf-level: it takes raw row-major pointers,
+/// sizes and a range of output (or, for spmm_t, input) rows, and never
+/// dispatches to the pool. Partitioning, partial outputs and obs accounting
+/// stay with the callers in tensor/ and nn/fused, so the tier never changes
+/// a chunk boundary. Per output element each entry runs the scalar loop's
+/// sequence: the same order over its reduction, each product rounded and then
+/// added, no FMA.
+struct F64Kernels {
+  /// out(i, :) += a(i, :) * b for i in [row_begin, row_end); a is (m x k),
+  /// b is (k x n), out is (m x n). Terms with a(i, k) == 0.0 are skipped.
+  void (*matmul)(const double* a, const double* b, size_t k, size_t n,
+                 size_t row_begin, size_t row_end, double* out) = nullptr;
+
+  /// out(i, :) += sum over r ascending of a(r, i) * b(r, :) for i in
+  /// [row_begin, row_end): out = a^T * b with a (rows x cols), b (rows x n),
+  /// out (cols x n). Terms with a(r, i) == 0.0 are skipped.
+  void (*matmul_tn)(const double* a, const double* b, size_t rows,
+                    size_t cols, size_t n, size_t row_begin, size_t row_end,
+                    double* out) = nullptr;
+
+  /// out(i, j) = a(i, :) . b(j, :), k ascending from 0.0, for i in
+  /// [row_begin, row_end): out = a * b^T with a (m x k), b (n x k), out
+  /// (m x n), overwritten.
+  void (*matmul_nt)(const double* a, const double* b, size_t k, size_t n,
+                    size_t row_begin, size_t row_end, double* out) = nullptr;
+
+  /// out(r, :) += sum over the CSR row's nonzeros of value * x(col, :) for r
+  /// in [row_begin, row_end); x and out have n columns.
+  void (*spmm)(const size_t* row_ptr, const size_t* col_idx,
+               const double* values, const double* x, size_t n,
+               size_t row_begin, size_t row_end, double* out) = nullptr;
+
+  /// out(col, :) += value * x(r, :) for every nonzero of the CSR rows
+  /// [row_begin, row_end), in CSR order: the transpose product's scatter.
+  void (*spmm_t)(const size_t* row_ptr, const size_t* col_idx,
+                 const double* values, const double* x, size_t n,
+                 size_t row_begin, size_t row_end, double* out) = nullptr;
+
+  /// In place x(r, j) = act(x(r, j) + bias[j]) for r in [row_begin,
+  /// row_end); with bias null there is no add. `alpha` is the LeakyRelu
+  /// slope; sigmoid is the overflow-free two-branch form.
+  void (*bias_act)(double* x, size_t cols, const double* bias, FAct act,
+                   double alpha, size_t row_begin,
+                   size_t row_end) = nullptr;
+
+  /// In place g(r, j) *= act'(.) read from the activation output
+  /// out(r, j), for r in [row_begin, row_end): relu zeroes and leaky relu
+  /// scales g where out <= 0; sigmoid and tanh scale by s(1 - s) and
+  /// 1 - t^2. kNone leaves g unchanged.
+  void (*act_grad)(double* g, const double* out, size_t cols, FAct act,
+                   double alpha, size_t row_begin, size_t row_end) = nullptr;
+};
+
 /// The kernel function table one SIMD tier implements: the f32 inference
-/// kernels plus the f64 kNN scan. All kernels are thread-safe (pure,
-/// write-disjoint ParallelFor partitions) and run on the shared ThreadPool
-/// where row counts justify it, with the same bit-exact-at-every-thread-count
-/// contract as the double kernels.
+/// kernels, the f64 kNN scan and the f64 training kernels. All kernels are
+/// thread-safe; the f32 ones run on the shared ThreadPool where row counts
+/// justify it, the f64 ones are leaf-level and their callers partition.
+/// Every entry gives the same bits at every thread count.
 struct KernelTable {
   SimdLevel level = SimdLevel::kScalar;
 
@@ -106,6 +165,10 @@ struct KernelTable {
   void (*knn_scan)(KnnScanOp op, const double* queries, size_t num_queries,
                    const double* packed, const double* row_mean, size_t blocks,
                    size_t dim, double* out) = nullptr;
+
+  /// The f64 training kernels: Matrix/SparseMatrix products and the fused
+  /// activation epilogue.
+  F64Kernels f64;
 };
 
 /// The table for an explicit tier. kScalar always works; kAvx2 returns null
@@ -223,6 +286,52 @@ inline float ApplyBiasAct(float v, float bias, FAct act, float alpha) {
       return std::tanh(x);
   }
   return x;
+}
+
+/// Overflow-free logistic function: the f64 sigmoid both tiers call.
+inline double StableSigmoid(double z) {
+  if (z >= 0) {
+    double e = std::exp(-z);
+    return 1.0 / (1.0 + e);
+  }
+  double e = std::exp(z);
+  return e / (1.0 + e);
+}
+
+/// f64 activation of one value: the bias_act reference both tiers apply
+/// (the AVX2 tier in its column tails and for sigmoid/tanh).
+inline double ActF64(double v, FAct act, double alpha) {
+  switch (act) {
+    case FAct::kRelu:
+      return v > 0 ? v : 0.0;
+    case FAct::kLeakyRelu:
+      return v > 0 ? v : alpha * v;
+    case FAct::kSigmoid:
+      return StableSigmoid(v);
+    case FAct::kTanh:
+      return std::tanh(v);
+    case FAct::kNone:
+      break;
+  }
+  return v;
+}
+
+/// One gradient value g scaled by act' read from the activation output o:
+/// the act_grad reference both tiers apply.
+inline double ActGradF64(double g, double o, FAct act, double alpha) {
+  switch (act) {
+    case FAct::kRelu:
+      return o <= 0 ? 0.0 : g;
+    case FAct::kLeakyRelu:
+      return o <= 0 ? g * alpha : g;
+    case FAct::kSigmoid:
+      return g * (o * (1.0 - o));
+    case FAct::kTanh:
+      return g * (1.0 - o * o);
+    case FAct::kNone:
+      break;
+  }
+  return g;
 }
 
 /// Calls fn(std::integral_constant<KnnScanOp, op>{}): the kNN scan's

@@ -1,18 +1,20 @@
-// AVX2+FMA f32 kernel tier. This translation unit is always part of the
-// build; the intrinsics inside are gated on GNN4TDL_HAVE_AVX2_TU, which the
-// build sets only on x86-64 (together with -mavx2 -mfma -ffp-contract=off).
-// On other targets detail::Avx2TableOrNull() simply returns null and dispatch
+// AVX2+FMA kernel tier. This translation unit is always part of the build;
+// the intrinsics inside are gated on GNN4TDL_HAVE_AVX2_TU, which the build
+// sets only on x86-64 (together with -mavx2 -mfma -ffp-contract=off). On
+// other targets detail::Avx2TableOrNull() simply returns null and dispatch
 // stays scalar.
 //
 // Bit-exactness contract with kernels.cc (verified by tests/kernels_test.cc
-// and the check.sh `simd` stage): every accumulation is a single-rounding
+// and the check.sh `simd` stage): every f32 accumulation is a single-rounding
 // fused multiply-add (_mm256_fmadd_ps here, std::fmaf there) applied in the
-// identical summation order. Vector lanes in matmul/spmm map to independent
-// output columns, so 8-wide execution does not reorder any sum; matmul_nt
-// stripes dot products across the 8 lanes exactly like the scalar path's
-// acc[k % 8] and reduces through the shared detail::Combine8 tree.
-// -ffp-contract=off matters here too: without it GCC may contract the
-// separate mul/add in the scale_add tail into an fma the scalar tier did not
+// identical summation order, and every f64 product and sum rounds on its own
+// (mul_pd, add_pd) in the scalar loop's order. Vector lanes in the f32
+// matmul/spmm and in every f64 kernel map to independent output columns, so
+// wide execution does not reorder any sum; the f32 matmul_nt stripes dot
+// products across the 8 lanes exactly like the scalar path's acc[k % 8] and
+// reduces through the shared detail::Combine8 tree. -ffp-contract=off
+// matters here too: without it GCC may contract a separate mul/add (the f32
+// scale_add tail, every f64 kernel) into an fma the scalar tier did not
 // perform.
 
 #include "kernels/kernels.h"
@@ -20,7 +22,10 @@
 #if defined(GNN4TDL_HAVE_AVX2_TU)
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <vector>
 
 #include "common/parallel.h"
 
@@ -361,9 +366,349 @@ void KnnScanAvx2(KnnScanOp op, const double* queries, size_t num_queries,
   });
 }
 
+// --- f64 training kernels ---------------------------------------------------
+// One lane is one output column. Every output element runs the scalar tier's
+// sequence: the same starting value (what out holds, 0.0 for a fresh
+// Matrix; 0.0 for matmul_nt), the same order over the reduction, each
+// product rounded by mul_pd and then added by add_pd, no FMA (-ffp-contract
+// =off keeps GCC from fusing the pairs). Up to kF64TileVecs accumulators
+// hold a tile of output columns in registers across the whole reduction;
+// column tails (n % 4) run the scalar loop. The matmul zero skip tests one
+// broadcast scalar, so it stays a branch and skips exactly the terms the
+// scalar tier skips (0 * Inf would otherwise add a NaN).
+
+constexpr size_t kF64Lanes = 4;
+constexpr size_t kF64TileVecs = 8;  // 32 columns
+
+template <size_t NV>
+using VecCount = std::integral_constant<size_t, NV>;
+
+// Calls fn(VecCount<NV>{}, j0) over the full vectors of the first n4
+// columns: tiles of 8 vectors, then one each of 4, 2 and 1 as needed.
+template <typename Fn>
+inline void ForEachColumnTile(size_t n4, Fn&& fn) {
+  const size_t nv = n4 / kF64Lanes;
+  size_t v = 0;
+  for (; v + kF64TileVecs <= nv; v += kF64TileVecs)
+    fn(VecCount<kF64TileVecs>{}, v * kF64Lanes);
+  if (nv - v >= 4) {
+    fn(VecCount<4>{}, v * kF64Lanes);
+    v += 4;
+  }
+  if (nv - v >= 2) {
+    fn(VecCount<2>{}, v * kF64Lanes);
+    v += 2;
+  }
+  if (nv - v >= 1) fn(VecCount<1>{}, v * kF64Lanes);
+}
+
+template <size_t NV>
+inline void LoadTile(const double* p, __m256d* acc) {
+#pragma GCC unroll 8
+  for (size_t v = 0; v < NV; ++v) acc[v] = _mm256_loadu_pd(p + v * kF64Lanes);
+}
+
+template <size_t NV>
+inline void StoreTile(const __m256d* acc, double* p) {
+#pragma GCC unroll 8
+  for (size_t v = 0; v < NV; ++v) _mm256_storeu_pd(p + v * kF64Lanes, acc[v]);
+}
+
+// acc[v] += s * row[v], each lane rounded as the scalar `out += s * row`.
+template <size_t NV>
+inline void AxpyTile(__m256d s, const double* row, __m256d* acc) {
+#pragma GCC unroll 8
+  for (size_t v = 0; v < NV; ++v) {
+    acc[v] = _mm256_add_pd(
+        acc[v], _mm256_mul_pd(s, _mm256_loadu_pd(row + v * kF64Lanes)));
+  }
+}
+
+// The zero-skip tile of matmul and matmul_tn: acc += a(k) * b(k, :) over k
+// in [k0, k1), with a(k) read at a[k * a_stride]. b and out_row are offset
+// to the tile's first column.
+template <size_t NV>
+inline void ZeroSkipTileF64(const double* a, size_t a_stride, const double* b,
+                            size_t n, size_t k0, size_t k1, double* out_row) {
+  __m256d acc[NV];
+  LoadTile<NV>(out_row, acc);
+  for (size_t k = k0; k < k1; ++k) {
+    const double av = a[k * a_stride];
+    if (av == 0.0) continue;
+    AxpyTile<NV>(_mm256_set1_pd(av), b + k * n, acc);
+  }
+  StoreTile<NV>(acc, out_row);
+}
+
+// One output row of matmul (a_stride 1) or of matmul_tn (a is a column read
+// with the row stride, over one block of r): register tiles, then the scalar
+// loop over the column tail.
+void ZeroSkipRowF64(const double* a, size_t a_stride, const double* b,
+                    size_t n, size_t k0, size_t k1, double* out_row) {
+  const size_t n4 = n - n % kF64Lanes;
+  ForEachColumnTile(n4, [&](auto nv, size_t j0) {
+    ZeroSkipTileF64<nv.value>(a, a_stride, b + j0, n, k0, k1, out_row + j0);
+  });
+  if (n4 == n) return;
+  for (size_t k = k0; k < k1; ++k) {
+    double av = a[k * a_stride];
+    if (av == 0.0) continue;
+    const double* b_row = b + k * n;
+    for (size_t j = n4; j < n; ++j) out_row[j] += av * b_row[j];
+  }
+}
+
+void MatmulF64Avx2(const double* a, const double* b, size_t k_dim, size_t n,
+                   size_t lo, size_t hi, double* out) {
+  for (size_t i = lo; i < hi; ++i)
+    ZeroSkipRowF64(a + i * k_dim, 1, b, n, 0, k_dim, out + i * n);
+}
+
+// Rows of b per matmul_tn pass: a block of about 128 KiB stays in L2 while
+// every output row of the range accumulates over it.
+constexpr size_t kTnBlockDoubles = 16384;
+
+void MatmulTnF64Avx2(const double* a, const double* b, size_t rows,
+                     size_t cols, size_t n, size_t lo, size_t hi,
+                     double* out) {
+  const size_t block =
+      std::max<size_t>(16, kTnBlockDoubles / std::max<size_t>(n, 1));
+  // Blocks run in ascending r and each output row carries its partial sums
+  // from one block to the next through out, so every element still sums
+  // over r in ascending order.
+  for (size_t r0 = 0; r0 < rows; r0 += block) {
+    const size_t r1 = std::min(rows, r0 + block);
+    for (size_t i = lo; i < hi; ++i)
+      ZeroSkipRowF64(a + i, cols, b, n, r0, r1, out + i * n);
+  }
+}
+
+// bt is b^T packed (k x n4, row stride n4), offset to the tile.
+template <size_t NV>
+inline void MatmulNtTileF64(const double* a_row, const double* bt,
+                            size_t k_dim, size_t n4, double* out_row) {
+  __m256d acc[NV];
+#pragma GCC unroll 8
+  for (size_t v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
+  for (size_t k = 0; k < k_dim; ++k)
+    AxpyTile<NV>(_mm256_set1_pd(a_row[k]), bt + k * n4, acc);
+  StoreTile<NV>(acc, out_row);
+}
+
+void MatmulNtF64Avx2(const double* a, const double* b, size_t k_dim, size_t n,
+                     size_t lo, size_t hi, double* out) {
+  const size_t n4 = n - n % kF64Lanes;
+  // Pack b^T once per call so that lanes are output columns, as in matmul:
+  // each lane then runs its dot product's own k-ordered sequence. The pack
+  // buffer is per thread and only grows, so pool threads do not allocate
+  // on every call.
+  thread_local std::vector<double> bt;
+  if (bt.size() < k_dim * n4) bt.resize(k_dim * n4);
+  for (size_t j = 0; j < n4; ++j) {
+    const double* b_row = b + j * k_dim;
+    for (size_t k = 0; k < k_dim; ++k) bt[k * n4 + j] = b_row[k];
+  }
+  for (size_t i = lo; i < hi; ++i) {
+    const double* a_row = a + i * k_dim;
+    double* out_row = out + i * n;
+    ForEachColumnTile(n4, [&](auto nv, size_t j0) {
+      MatmulNtTileF64<nv.value>(a_row, bt.data() + j0, k_dim, n4,
+                                out_row + j0);
+    });
+    for (size_t j = n4; j < n; ++j) {
+      const double* b_row = b + j * k_dim;
+      double acc = 0.0;
+      for (size_t k = 0; k < k_dim; ++k) acc += a_row[k] * b_row[k];
+      out_row[j] = acc;
+    }
+  }
+}
+
+// x and out_row are offset to the tile.
+template <size_t NV>
+inline void SpmmTileF64(const size_t* col_idx, const double* values,
+                        size_t k0, size_t k1, const double* x, size_t n,
+                        double* out_row) {
+  __m256d acc[NV];
+  LoadTile<NV>(out_row, acc);
+  for (size_t k = k0; k < k1; ++k)
+    AxpyTile<NV>(_mm256_set1_pd(values[k]), x + col_idx[k] * n, acc);
+  StoreTile<NV>(acc, out_row);
+}
+
+void SpmmF64Avx2(const size_t* row_ptr, const size_t* col_idx,
+                 const double* values, const double* x, size_t n, size_t lo,
+                 size_t hi, double* out) {
+  const size_t n4 = n - n % kF64Lanes;
+  for (size_t r = lo; r < hi; ++r) {
+    double* out_row = out + r * n;
+    ForEachColumnTile(n4, [&](auto nv, size_t j0) {
+      SpmmTileF64<nv.value>(col_idx, values, row_ptr[r], row_ptr[r + 1],
+                            x + j0, n, out_row + j0);
+    });
+    if (n4 == n) continue;
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const double v = values[k];
+      const double* d_row = x + col_idx[k] * n;
+      for (size_t j = n4; j < n; ++j) out_row[j] += v * d_row[j];
+    }
+  }
+}
+
+// The scatter of one CSR row: its x row tile stays in registers while each
+// nonzero's output row tile is updated in CSR order. x_row and out are
+// offset to the tile.
+template <size_t NV>
+inline void SpmmTTileF64(const size_t* col_idx, const double* values,
+                         size_t k0, size_t k1, const double* x_row, size_t n,
+                         double* out) {
+  __m256d d[NV];
+  LoadTile<NV>(x_row, d);
+  for (size_t k = k0; k < k1; ++k) {
+    const __m256d vv = _mm256_set1_pd(values[k]);
+    double* out_row = out + col_idx[k] * n;
+#pragma GCC unroll 8
+    for (size_t v = 0; v < NV; ++v) {
+      double* p = out_row + v * kF64Lanes;
+      _mm256_storeu_pd(
+          p, _mm256_add_pd(_mm256_loadu_pd(p), _mm256_mul_pd(vv, d[v])));
+    }
+  }
+}
+
+void SpmmTF64Avx2(const size_t* row_ptr, const size_t* col_idx,
+                  const double* values, const double* x, size_t n, size_t lo,
+                  size_t hi, double* out) {
+  const size_t n4 = n - n % kF64Lanes;
+  for (size_t r = lo; r < hi; ++r) {
+    const double* d_row = x + r * n;
+    ForEachColumnTile(n4, [&](auto nv, size_t j0) {
+      SpmmTTileF64<nv.value>(col_idx, values, row_ptr[r], row_ptr[r + 1],
+                             d_row + j0, n, out + j0);
+    });
+    if (n4 == n) continue;
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const double v = values[k];
+      double* out_row = out + col_idx[k] * n;
+      for (size_t j = n4; j < n; ++j) out_row[j] += v * d_row[j];
+    }
+  }
+}
+
+// Calls fn(std::integral_constant<FAct, act>{}): the epilogue's
+// runtime-to-compile-time activation switch.
+template <typename Fn>
+void WithAct(FAct act, Fn&& fn) {
+  switch (act) {
+    case FAct::kNone:
+      return fn(std::integral_constant<FAct, FAct::kNone>{});
+    case FAct::kRelu:
+      return fn(std::integral_constant<FAct, FAct::kRelu>{});
+    case FAct::kLeakyRelu:
+      return fn(std::integral_constant<FAct, FAct::kLeakyRelu>{});
+    case FAct::kSigmoid:
+      return fn(std::integral_constant<FAct, FAct::kSigmoid>{});
+    case FAct::kTanh:
+      return fn(std::integral_constant<FAct, FAct::kTanh>{});
+  }
+}
+
+// ReLU is max(v, 0): maxpd returns its second operand unless the first is
+// greater, so NaN and -0.0 give +0.0 like `v > 0 ? v : 0.0`. LeakyRelu
+// blends alpha * v in wherever the ordered v > 0 is false, NaN included.
+// Sigmoid and tanh have no vector part: every column takes the scalar libm
+// path, as in the scalar tier.
+template <FAct A>
+void BiasActRowsF64Avx2(double* x, size_t cols, const double* bias,
+                        double alpha, size_t lo, size_t hi) {
+  constexpr bool kVector =
+      A == FAct::kNone || A == FAct::kRelu || A == FAct::kLeakyRelu;
+  const size_t c4 = kVector ? cols - cols % kF64Lanes : 0;
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d valpha = _mm256_set1_pd(alpha);
+  for (size_t i = lo; i < hi; ++i) {
+    double* row = x + i * cols;
+    size_t j = 0;
+    for (; j < c4; j += kF64Lanes) {
+      __m256d v = _mm256_loadu_pd(row + j);
+      if (bias != nullptr) v = _mm256_add_pd(v, _mm256_loadu_pd(bias + j));
+      if constexpr (A == FAct::kRelu) {
+        v = _mm256_max_pd(v, zero);
+      } else if constexpr (A == FAct::kLeakyRelu) {
+        v = _mm256_blendv_pd(_mm256_mul_pd(valpha, v), v,
+                             _mm256_cmp_pd(v, zero, _CMP_GT_OQ));
+      }
+      _mm256_storeu_pd(row + j, v);
+    }
+    for (; j < cols; ++j) {
+      double v = row[j];
+      if (bias != nullptr) v += bias[j];
+      row[j] = detail::ActF64(v, A, alpha);
+    }
+  }
+}
+
+void BiasActF64Avx2(double* x, size_t cols, const double* bias, FAct act,
+                    double alpha, size_t lo, size_t hi) {
+  WithAct(act, [&](auto a) {
+    BiasActRowsF64Avx2<a.value>(x, cols, bias, alpha, lo, hi);
+  });
+}
+
+// Relu and LeakyRelu select by the ordered compare out <= 0 (false for NaN,
+// as in the scalar branch); the sigmoid and tanh derivatives are plain
+// arithmetic in the scalar expression's order.
+template <FAct A>
+void ActGradRowsF64Avx2(double* g, const double* out, size_t cols,
+                        double alpha, size_t lo, size_t hi) {
+  if constexpr (A == FAct::kNone) return;
+  const size_t c4 = cols - cols % kF64Lanes;
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d valpha = _mm256_set1_pd(alpha);
+  for (size_t i = lo; i < hi; ++i) {
+    double* row = g + i * cols;
+    const double* o_row = out + i * cols;
+    size_t j = 0;
+    for (; j < c4; j += kF64Lanes) {
+      const __m256d gv = _mm256_loadu_pd(row + j);
+      const __m256d o = _mm256_loadu_pd(o_row + j);
+      __m256d r;
+      if constexpr (A == FAct::kRelu) {
+        r = _mm256_blendv_pd(gv, zero, _mm256_cmp_pd(o, zero, _CMP_LE_OQ));
+      } else if constexpr (A == FAct::kLeakyRelu) {
+        r = _mm256_blendv_pd(gv, _mm256_mul_pd(gv, valpha),
+                             _mm256_cmp_pd(o, zero, _CMP_LE_OQ));
+      } else if constexpr (A == FAct::kSigmoid) {
+        r = _mm256_mul_pd(gv, _mm256_mul_pd(o, _mm256_sub_pd(one, o)));
+      } else {
+        r = _mm256_mul_pd(gv, _mm256_sub_pd(one, _mm256_mul_pd(o, o)));
+      }
+      _mm256_storeu_pd(row + j, r);
+    }
+    for (; j < cols; ++j)
+      row[j] = detail::ActGradF64(row[j], o_row[j], A, alpha);
+  }
+}
+
+void ActGradF64Avx2(double* g, const double* out, size_t cols, FAct act,
+                    double alpha, size_t lo, size_t hi) {
+  WithAct(act, [&](auto a) {
+    ActGradRowsF64Avx2<a.value>(g, out, cols, alpha, lo, hi);
+  });
+}
+
 const KernelTable kAvx2Table = {
-    SimdLevel::kAvx2, MatmulAvx2,   MatmulNtAvx2,    SpmmAvx2,
-    BiasActAvx2,      ScaleAddAvx2, SpmmBiasActAvx2, KnnScanAvx2,
+    SimdLevel::kAvx2,
+    MatmulAvx2,
+    MatmulNtAvx2,
+    SpmmAvx2,
+    BiasActAvx2,
+    ScaleAddAvx2,
+    SpmmBiasActAvx2,
+    KnnScanAvx2,
+    {MatmulF64Avx2, MatmulTnF64Avx2, MatmulNtF64Avx2, SpmmF64Avx2,
+     SpmmTF64Avx2, BiasActF64Avx2, ActGradF64Avx2},
 };
 
 }  // namespace

@@ -332,16 +332,16 @@ struct F64Eval {
     return x.GatherRows(rows);
   }
   Matrix Act(Matrix x, Activation act) const {
-    fused::ApplyActivation(&x, act);
+    fused::BiasAct(&x, nullptr, act);
     return x;
   }
   Matrix Linear(const Matrix& x, const gnn4tdl::Linear& layer,
                 Activation act) const {
     Matrix out = x.Matmul(layer.weight().value());
-    if (layer.bias().defined()) {
-      fused::AddRowInPlace(&out, layer.bias().value());
-    }
-    return Act(std::move(out), act);
+    fused::BiasAct(&out,
+                   layer.bias().defined() ? &layer.bias().value() : nullptr,
+                   act);
+    return out;
   }
   Matrix MatMul(const Matrix& a, const Matrix& b) const { return a.Matmul(b); }
   Matrix MatMulNt(const Matrix& a, const Matrix& b) const {
@@ -383,7 +383,7 @@ struct F64Eval {
                        const Matrix& hw,
                        const GatLayer::EdgeIndex& edges) const {
     Matrix logits = s_src.GatherRows(edges.src) + s_dst.GatherRows(edges.dst);
-    fused::ApplyActivation(&logits, Activation::kLeakyRelu);
+    fused::BiasAct(&logits, nullptr, Activation::kLeakyRelu);
     const Matrix alpha = SegmentSoftmax(logits, edges.dst, edges.num_nodes);
     SparseMatrix weighted = edges.pattern;
     std::vector<double>& values = weighted.mutable_values();

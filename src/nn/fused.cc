@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "kernels/kernels.h"
 #include "nn/ops.h"
 #include "obs/kernel_hooks.h"
 #include "obs/metrics.h"
@@ -40,15 +41,6 @@ size_t RowGrain(size_t cost_per_row) {
   return std::max<size_t>(1, kFlopGrain / std::max<size_t>(cost_per_row, 1));
 }
 
-double StableSigmoid(double z) {
-  if (z >= 0) {
-    double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
 // In-place activation backward: scales `ga` by act'(pre-activation), reading
 // the forward output `out`. Bit-identical to the unfused activation
 // backward: relu/leaky preserve the pre-activation's sign (out <= 0 iff
@@ -57,33 +49,10 @@ double StableSigmoid(double z) {
 void MaskActivationGrad(Matrix* ga, const Matrix& out, Activation act,
                         double alpha) {
   if (act == Activation::kNone) return;
+  const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, ga->rows(), RowGrain(ga->cols()), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      double* row = ga->row_data(i);
-      const double* o = out.row_data(i);
-      for (size_t j = 0; j < ga->cols(); ++j) {
-        switch (act) {
-          case Activation::kRelu:
-            if (o[j] <= 0) row[j] = 0.0;
-            break;
-          case Activation::kLeakyRelu:
-            if (o[j] <= 0) row[j] *= alpha;
-            break;
-          case Activation::kSigmoid: {
-            const double s = o[j];
-            row[j] *= s * (1.0 - s);
-            break;
-          }
-          case Activation::kTanh: {
-            const double t = o[j];
-            row[j] *= 1.0 - t * t;
-            break;
-          }
-          case Activation::kNone:
-            break;
-        }
-      }
-    }
+    f64.act_grad(ga->data(), out.data(), ga->cols(), ToKernelActivation(act),
+                 alpha, lo, hi);
   });
 }
 
@@ -96,39 +65,18 @@ Tensor ActivateUnfused(const Tensor& t, Activation act, double alpha) {
 
 }  // namespace
 
-void ApplyActivation(Matrix* m, Activation act, double alpha) {
-  if (act == Activation::kNone) return;
-  ParallelFor(0, m->rows(), RowGrain(m->cols()), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      double* row = m->row_data(i);
-      for (size_t j = 0; j < m->cols(); ++j) {
-        const double v = row[j];
-        switch (act) {
-          case Activation::kRelu:
-            row[j] = v > 0 ? v : 0.0;
-            break;
-          case Activation::kLeakyRelu:
-            row[j] = v > 0 ? v : alpha * v;
-            break;
-          case Activation::kSigmoid:
-            row[j] = StableSigmoid(v);
-            break;
-          case Activation::kTanh:
-            row[j] = std::tanh(v);
-            break;
-          case Activation::kNone:
-            break;
-        }
-      }
-    }
-  });
-}
-
-void AddRowInPlace(Matrix* m, const Matrix& bias) {
-  for (size_t r = 0; r < m->rows(); ++r) {
-    double* row = m->row_data(r);
-    for (size_t c = 0; c < m->cols(); ++c) row[c] += bias(0, c);
+void BiasAct(Matrix* m, const Matrix* bias, Activation act, double alpha) {
+  if (bias == nullptr && act == Activation::kNone) return;
+  if (bias != nullptr) {
+    GNN4TDL_CHECK_EQ(bias->rows(), 1u);
+    GNN4TDL_CHECK_EQ(bias->cols(), m->cols());
   }
+  const auto& f64 = kernels::Dispatch().f64;
+  ParallelFor(0, m->rows(), RowGrain(m->cols()), [&](size_t lo, size_t hi) {
+    f64.bias_act(m->data(), m->cols(),
+                 bias != nullptr ? bias->data() : nullptr,
+                 ToKernelActivation(act), alpha, lo, hi);
+  });
 }
 
 void SetFusionEnabled(bool enabled) {
@@ -155,8 +103,7 @@ Tensor LinearBiasAct(const Tensor& x, const Tensor& w, const Tensor& b,
   CountFusion("linear_bias_act", /*hit=*/true);
   TapeOpScope op_scope("LinearBiasAct");
   Matrix out = x.value().Matmul(w.value());
-  if (b.defined()) AddRowInPlace(&out, b.value());
-  ApplyActivation(&out, act, leaky_alpha);
+  BiasAct(&out, b.defined() ? &b.value() : nullptr, act, leaky_alpha);
   // The activation backward needs the output; kNone needs nothing.
   Matrix act_out = act == Activation::kNone ? Matrix() : out;
   std::vector<Tensor> parents{x, w};
@@ -190,8 +137,7 @@ Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
   TapeOpScope op_scope("SpmmBiasAct");
   SparseMatrix sp_copy = sp;  // tape owns the operator, as in ops::SpMM
   Matrix out = sp.Multiply(x.value());
-  if (b.defined()) AddRowInPlace(&out, b.value());
-  ApplyActivation(&out, act, leaky_alpha);
+  BiasAct(&out, b.defined() ? &b.value() : nullptr, act, leaky_alpha);
   Matrix act_out = act == Activation::kNone ? Matrix() : out;
   std::vector<Tensor> parents{x};
   if (b.defined()) parents.push_back(b);
@@ -217,7 +163,7 @@ Tensor AddAct(const Tensor& a, const Tensor& b, Activation act,
   CountFusion("add_act", /*hit=*/true);
   TapeOpScope op_scope("AddAct");
   Matrix out = a.value() + b.value();
-  ApplyActivation(&out, act, leaky_alpha);
+  BiasAct(&out, nullptr, act, leaky_alpha);
   Matrix act_out = act == Activation::kNone ? Matrix() : out;
   return Tensor::FromOp(
       std::move(out), {a, b},

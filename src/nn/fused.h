@@ -28,13 +28,13 @@ namespace gnn4tdl::fused {
 void SetFusionEnabled(bool enabled);
 bool FusionEnabled();
 
-/// In place act(m): per element the same function ops.cc's activations
-/// apply. The value step every fused node ends with, and what eval-mode
-/// forwards without a tape call.
-void ApplyActivation(Matrix* m, Activation act, double alpha = 0.2);
-
-/// In place m(r, :) += bias(0, :): AddRowBroadcast's forward loop.
-void AddRowInPlace(Matrix* m, const Matrix& bias);
+/// In place m(r, :) = act(m(r, :) + bias(0, :)), with no add when `bias`
+/// is null: per element AddRowBroadcast's add, then the same function
+/// ops.cc's activations apply. The value step every fused node ends with,
+/// and what eval-mode forwards without a tape call. Runs the dispatched f64
+/// epilogue kernel (kernels::F64Kernels::bias_act) over row blocks.
+void BiasAct(Matrix* m, const Matrix* bias, Activation act,
+             double alpha = 0.2);
 
 /// act(x·W [+ b]) as one node. `b` may be undefined (no bias term).
 /// Replaces MatMul + AddRowBroadcast + activation; eliminates the pre-bias

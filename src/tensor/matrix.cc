@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/parallel.h"
+#include "kernels/kernels.h"
 #include "obs/kernel_hooks.h"
 
 namespace gnn4tdl {
@@ -183,17 +184,9 @@ Matrix Matrix::Matmul(const Matrix& other) const {
   // Parallel over blocks of output rows: each row's accumulation runs in the
   // same i-k-j order as the serial kernel (streams through `other` row-major,
   // friendly to cache), so results are bit-exact for every thread count.
+  const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, rows_, RowGrain(k_dim * n), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      double* out_row = out.row_data(i);
-      const double* a_row = row_data(i);
-      for (size_t k = 0; k < k_dim; ++k) {
-        double a = a_row[k];
-        if (a == 0.0) continue;
-        const double* b_row = other.row_data(k);
-        for (size_t j = 0; j < n; ++j) out_row[j] += a * b_row[j];
-      }
-    }
+    f64.matmul(data(), other.data(), k_dim, n, lo, hi, out.data());
   });
   return out;
 }
@@ -209,17 +202,9 @@ Matrix Matrix::TransposeMatmul(const Matrix& other) const {
   // thread scans all input rows r but only touches its own output block, and
   // each out(i, j) accumulates in the same r-ascending order as the serial
   // kernel — write-disjoint and bit-exact for every thread count.
+  const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, cols_, RowGrain(rows_ * n), [&](size_t lo, size_t hi) {
-    for (size_t r = 0; r < rows_; ++r) {
-      const double* a_row = row_data(r);
-      const double* b_row = other.row_data(r);
-      for (size_t i = lo; i < hi; ++i) {
-        double a = a_row[i];
-        if (a == 0.0) continue;
-        double* out_row = out.row_data(i);
-        for (size_t j = 0; j < n; ++j) out_row[j] += a * b_row[j];
-      }
-    }
+    f64.matmul_tn(data(), other.data(), rows_, cols_, n, lo, hi, out.data());
   });
   return out;
 }
@@ -231,18 +216,11 @@ Matrix Matrix::MatmulTranspose(const Matrix& other) const {
       "matmul_nt", 2.0 * static_cast<double>(rows_) * cols_ * other.rows_,
       8.0 * (static_cast<double>(rows_) * cols_ + other.rows_ * cols_ +
              static_cast<double>(rows_) * other.rows_));
+  const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, rows_, RowGrain(other.rows_ * cols_),
               [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const double* a_row = row_data(i);
-      double* out_row = out.row_data(i);
-      for (size_t j = 0; j < other.rows_; ++j) {
-        const double* b_row = other.row_data(j);
-        double acc = 0.0;
-        for (size_t k = 0; k < cols_; ++k) acc += a_row[k] * b_row[k];
-        out_row[j] = acc;
-      }
-    }
+    f64.matmul_nt(data(), other.data(), cols_, other.rows_, lo, hi,
+                  out.data());
   });
   return out;
 }
@@ -276,7 +254,10 @@ double Matrix::Mean() const {
 
 double Matrix::MaxAbs() const {
   double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
+  for (double v : data_) {
+    if (std::isnan(v)) return v;
+    m = std::max(m, std::fabs(v));
+  }
   return m;
 }
 

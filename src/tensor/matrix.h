@@ -129,6 +129,8 @@ class Matrix {
 
   double Sum() const;
   double Mean() const;
+  /// Largest |element|; NaN when any element is NaN, so a magnitude check
+  /// on a NaN output fails.
   double MaxAbs() const;
   /// Frobenius norm.
   double Norm() const;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/parallel.h"
+#include "kernels/kernels.h"
 #include "obs/kernel_hooks.h"
 
 namespace gnn4tdl {
@@ -85,16 +86,11 @@ Matrix SparseMatrix::Multiply(const Matrix& dense) const {
              static_cast<double>(rows_) * n));
   // CSR rows are independent: parallel over output-row blocks, each row
   // accumulating in serial k-order — bit-exact for every thread count.
+  const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, rows_, SpmmRowGrain(nnz(), rows_, n),
               [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      double* out_row = out.row_data(r);
-      for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const double v = values_[k];
-        const double* d_row = dense.row_data(col_idx_[k]);
-        for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
-      }
-    }
+    f64.spmm(row_ptr_.data(), col_idx_.data(), values_.data(), dense.data(),
+             n, lo, hi, out.data());
   });
   return out;
 }
@@ -113,32 +109,23 @@ Matrix SparseMatrix::TransposeMultiply(const Matrix& dense) const {
   // thread count (chunk boundaries depend only on the pool size), and
   // identical to the serial kernel whenever one chunk suffices. Partials are
   // capped at one per pool lane to bound memory at threads * sizeof(out).
+  const auto& f64 = kernels::Dispatch().f64;
+  const auto scatter = [&](size_t lo, size_t hi, Matrix* into) {
+    f64.spmm_t(row_ptr_.data(), col_idx_.data(), values_.data(), dense.data(),
+               n, lo, hi, into->data());
+  };
   std::vector<Range> ranges =
       PartitionRange(0, rows_, SpmmRowGrain(nnz(), rows_, n),
                      ThreadPool::Global().num_threads());
   if (ranges.size() <= 1) {
     Matrix out(cols_, n);
-    for (size_t r = 0; r < rows_; ++r) {
-      const double* d_row = dense.row_data(r);
-      for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const double v = values_[k];
-        double* out_row = out.row_data(col_idx_[k]);
-        for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
-      }
-    }
+    scatter(0, rows_, &out);
     return out;
   }
   std::vector<Matrix> partials(ranges.size());
   ThreadPool::Global().Run(ranges.size(), [&](size_t c) {
     Matrix part(cols_, n);
-    for (size_t r = ranges[c].begin; r < ranges[c].end; ++r) {
-      const double* d_row = dense.row_data(r);
-      for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const double v = values_[k];
-        double* out_row = part.row_data(col_idx_[k]);
-        for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
-      }
-    }
+    scatter(ranges[c].begin, ranges[c].end, &part);
     partials[c] = std::move(part);
   });
   TreeCombine(partials, [](Matrix& into, const Matrix& from) {

@@ -1,6 +1,6 @@
 // Kernel tier: f32 storage round-trips, f32-vs-double tolerance, and
 // bit-exactness between the scalar and AVX2 dispatch tables (the f32
-// kernels and the f64 kNN scan).
+// kernels, the f64 kNN scan and the f64 training kernels).
 //
 // Tolerance contract (documented in docs/KERNELS.md): for the reduction
 // depths serving uses (k <= a few hundred), every f32 kernel matches the
@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -392,6 +394,207 @@ TEST_F(SimdParityTest, KnnScanBitIdenticalForEveryQueryGrouping) {
                 << "op " << static_cast<int>(op) << " query " << q;
           }
         }
+      }
+    }
+  }
+}
+
+// --- f64 training kernels, scalar vs AVX2 ------------------------------------
+//
+// The tier contract of the f64 entries: every output that is not NaN has
+// the same bits at both tiers, and NaN outputs sit in the same positions.
+// Only a NaN's payload or sign may differ, because the compiler may commute
+// an add in either tier's loop.
+
+/// Uniform values in [-1, 1] with 0.0, -0.0, NaN, +-Inf and subnormals mixed
+/// in. NaN and Inf are rare enough that most dot products stay finite.
+std::vector<double> SpecialValues(size_t count, Rng& rng) {
+  const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  std::vector<double> out(count);
+  for (double& v : out) {
+    const double u = rng.Uniform(0.0, 1.0);
+    if (u < 0.10) {
+      v = 0.0;
+    } else if (u < 0.15) {
+      v = -0.0;
+    } else if (u < 0.165) {
+      v = std::numeric_limits<double>::denorm_min();
+    } else if (u < 0.18) {
+      v = -4.9e-310;  // subnormal
+    } else if (u < 0.184) {
+      v = kNonFinite[rng.Int(0, 2)];
+    } else {
+      v = rng.Uniform(-1.0, 1.0);
+    }
+  }
+  return out;
+}
+
+void ExpectSameBitsOrBothNaN(const std::vector<double>& scalar,
+                             const std::vector<double>& avx2,
+                             const std::string& what) {
+  ASSERT_EQ(scalar.size(), avx2.size()) << what;
+  for (size_t i = 0; i < scalar.size(); ++i) {
+    if (std::isnan(scalar[i]) || std::isnan(avx2[i])) {
+      ASSERT_TRUE(std::isnan(scalar[i]) && std::isnan(avx2[i]))
+          << what << " element " << i << ": " << scalar[i] << " vs "
+          << avx2[i];
+      continue;
+    }
+    ASSERT_EQ(0, std::memcmp(&scalar[i], &avx2[i], sizeof(double)))
+        << what << " element " << i << ": " << scalar[i] << " vs " << avx2[i];
+  }
+}
+
+/// A rows x cols CSR with about a third of the entries set, values drawn by
+/// SpecialValues.
+struct TestCsr {
+  std::vector<size_t> row_ptr{0};
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+};
+
+TestCsr SpecialCsr(size_t rows, size_t cols, Rng& rng) {
+  TestCsr csr;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      if (rng.Uniform(0.0, 1.0) < 0.35) csr.col_idx.push_back(c);
+    }
+    csr.row_ptr.push_back(csr.col_idx.size());
+  }
+  csr.values = SpecialValues(csr.col_idx.size(), rng);
+  return csr;
+}
+
+TEST_F(SimdParityTest, F64KernelsBitIdentical) {
+  using kernels::F64Kernels;
+  Rng rng(41);
+  const F64Kernels& s = scalar_->f64;
+  const F64Kernels& v = avx2_->f64;
+  for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 31u, 32u, 33u, 64u, 65u}) {
+    for (size_t m : {1u, 2u, 5u, 33u}) {
+      for (size_t k : {1u, 3u, 32u, 64u}) {
+        const std::string shape = " m=" + std::to_string(m) +
+                                  " k=" + std::to_string(k) +
+                                  " n=" + std::to_string(n);
+        const std::vector<double> a = SpecialValues(m * k, rng);
+        const std::vector<double> b = SpecialValues(k * n, rng);
+        std::vector<double> out_s(m * n, 0.0), out_v(m * n, 0.0);
+        s.matmul(a.data(), b.data(), k, n, 0, m, out_s.data());
+        v.matmul(a.data(), b.data(), k, n, 0, m, out_v.data());
+        ExpectSameBitsOrBothNaN(out_s, out_v, "matmul" + shape);
+
+        // a^T * b with a (k x m), b (k x n): reduction over the k rows.
+        const std::vector<double> bt = SpecialValues(k * n, rng);
+        out_s.assign(m * n, 0.0);
+        out_v.assign(m * n, 0.0);
+        s.matmul_tn(a.data(), bt.data(), k, m, n, 0, m, out_s.data());
+        v.matmul_tn(a.data(), bt.data(), k, m, n, 0, m, out_v.data());
+        ExpectSameBitsOrBothNaN(out_s, out_v, "matmul_tn" + shape);
+
+        // a * c^T with c (n x k).
+        const std::vector<double> c = SpecialValues(n * k, rng);
+        out_s.assign(m * n, 1.0);
+        out_v.assign(m * n, -1.0);
+        s.matmul_nt(a.data(), c.data(), k, n, 0, m, out_s.data());
+        v.matmul_nt(a.data(), c.data(), k, n, 0, m, out_v.data());
+        ExpectSameBitsOrBothNaN(out_s, out_v, "matmul_nt" + shape);
+
+        // (m x k) CSR times x (k x n), and its transpose times y (m x n).
+        const TestCsr csr = SpecialCsr(m, k, rng);
+        out_s.assign(m * n, 0.0);
+        out_v.assign(m * n, 0.0);
+        s.spmm(csr.row_ptr.data(), csr.col_idx.data(), csr.values.data(),
+               b.data(), n, 0, m, out_s.data());
+        v.spmm(csr.row_ptr.data(), csr.col_idx.data(), csr.values.data(),
+               b.data(), n, 0, m, out_v.data());
+        ExpectSameBitsOrBothNaN(out_s, out_v, "spmm" + shape);
+
+        const std::vector<double> y = SpecialValues(m * n, rng);
+        out_s.assign(k * n, 0.0);
+        out_v.assign(k * n, 0.0);
+        s.spmm_t(csr.row_ptr.data(), csr.col_idx.data(), csr.values.data(),
+                 y.data(), n, 0, m, out_s.data());
+        v.spmm_t(csr.row_ptr.data(), csr.col_idx.data(), csr.values.data(),
+                 y.data(), n, 0, m, out_v.data());
+        ExpectSameBitsOrBothNaN(out_s, out_v, "spmm_t" + shape);
+      }
+
+      // The epilogue: every activation, with and without a bias row.
+      const std::vector<double> x = SpecialValues(m * n, rng);
+      const std::vector<double> act_out = SpecialValues(m * n, rng);
+      const std::vector<double> bias = SpecialValues(n, rng);
+      for (FAct act : {FAct::kNone, FAct::kRelu, FAct::kLeakyRelu,
+                       FAct::kSigmoid, FAct::kTanh}) {
+        const std::string what = " act=" +
+                                 std::to_string(static_cast<int>(act)) +
+                                 " m=" + std::to_string(m) +
+                                 " n=" + std::to_string(n);
+        for (const double* b : {static_cast<const double*>(nullptr),
+                                bias.data()}) {
+          std::vector<double> xs = x, xv = x;
+          s.bias_act(xs.data(), n, b, act, 0.2, 0, m);
+          v.bias_act(xv.data(), n, b, act, 0.2, 0, m);
+          ExpectSameBitsOrBothNaN(xs, xv, "bias_act" + what);
+        }
+        std::vector<double> gs = x, gv = x;
+        s.act_grad(gs.data(), act_out.data(), n, act, 0.2, 0, m);
+        v.act_grad(gv.data(), act_out.data(), n, act, 0.2, 0, m);
+        ExpectSameBitsOrBothNaN(gs, gv, "act_grad" + what);
+      }
+    }
+  }
+
+  // matmul_tn over more rows than one of the AVX2 entry's L2 blocks: partial
+  // sums carry from block to block through out.
+  const size_t rows = 600, cols = 5, n = 65;
+  const std::vector<double> a = SpecialValues(rows * cols, rng);
+  const std::vector<double> b = SpecialValues(rows * n, rng);
+  std::vector<double> out_s(cols * n, 0.0), out_v(cols * n, 0.0);
+  s.matmul_tn(a.data(), b.data(), rows, cols, n, 0, cols, out_s.data());
+  v.matmul_tn(a.data(), b.data(), rows, cols, n, 0, cols, out_v.data());
+  ExpectSameBitsOrBothNaN(out_s, out_v, "matmul_tn blocked");
+}
+
+// The matmul zero skip is observable: 0 * Inf is NaN, so a kernel that
+// multiplied the skipped terms would turn these finite outputs into NaN.
+TEST(F64KernelTest, MatmulZeroSkipKeepsInfinityOut) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    const KernelTable* table = kernels::GetKernelTable(level);
+    if (table == nullptr) continue;
+    for (size_t n : {2u, 5u, 33u}) {
+      // a = [[0, -0, 1], [-0, 2, 0]] against b rows of +Inf, finite, -Inf
+      // where a is zero: every term that survives the skip is finite.
+      const std::vector<double> a = {0.0, -0.0, 1.0, -0.0, 2.0, 0.0};
+      std::vector<double> b(3 * n);
+      for (size_t j = 0; j < n; ++j) {
+        b[j] = inf;
+        b[n + j] = 0.5 + static_cast<double>(j);
+        b[2 * n + j] = j % 2 == 0 ? -inf : 0.25;
+      }
+      std::vector<double> out(2 * n, 0.0);
+      table->f64.matmul(a.data(), b.data(), 3, n, 0, 2, out.data());
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(out[j], b[2 * n + j])
+            << kernels::SimdLevelName(level) << " n=" << n;
+        EXPECT_EQ(out[n + j], 2.0 * b[n + j])
+            << kernels::SimdLevelName(level) << " n=" << n;
+      }
+      // The same a, read transposed: a^T is (3 x 2) over rows of b2 (2 x n).
+      std::vector<double> b2(2 * n);
+      for (size_t j = 0; j < n; ++j) {
+        b2[j] = inf;
+        b2[n + j] = -inf;
+      }
+      std::vector<double> out_tn(3 * n, 0.0);
+      table->f64.matmul_tn(a.data(), b2.data(), 2, 3, n, 0, 3, out_tn.data());
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(out_tn[j], 0.0) << kernels::SimdLevelName(level);
+        EXPECT_EQ(out_tn[n + j], -inf) << kernels::SimdLevelName(level);
+        EXPECT_EQ(out_tn[2 * n + j], inf) << kernels::SimdLevelName(level);
       }
     }
   }

@@ -97,6 +97,9 @@ TEST(MatrixTest, Reductions) {
   EXPECT_EQ(a.Mean(), 0.5);
   EXPECT_EQ(a.MaxAbs(), 4.0);
   EXPECT_NEAR(a.Norm(), std::sqrt(1.0 + 4 + 9 + 16), 1e-12);
+  // A NaN anywhere makes MaxAbs NaN, so magnitude checks cannot pass on it.
+  Matrix with_nan = Matrix::FromRows({{1, std::nan("")}, {-7, 2}});
+  EXPECT_TRUE(std::isnan(with_nan.MaxAbs()));
 }
 
 TEST(MatrixTest, RowAndColSums) {

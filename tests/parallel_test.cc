@@ -242,21 +242,27 @@ SparseMatrix RandomCsr(size_t rows, size_t cols, size_t per_row,
 TEST(KernelDeterminismTest, MatmulBitExactAcrossThreadCounts) {
   PoolSizeGuard guard;
   Matrix a = RandomDense(37, 53, 1);
-  Matrix b = RandomDense(53, 29, 2);
-  ThreadPool::Global().SetNumThreads(1);
-  Matrix serial = a.Matmul(b);
-  Matrix serial_t = a.TransposeMatmul(a);
-  Matrix serial_bt = a.MatmulTranspose(a);
-  ThreadPool::Global().SetNumThreads(4);
-  Matrix parallel = a.Matmul(b);
-  Matrix parallel_t = a.TransposeMatmul(a);
-  Matrix parallel_bt = a.MatmulTranspose(a);
-  for (size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial.data()[i], parallel.data()[i]);
-  for (size_t i = 0; i < serial_t.size(); ++i)
-    ASSERT_EQ(serial_t.data()[i], parallel_t.data()[i]);
-  for (size_t i = 0; i < serial_bt.size(); ++i)
-    ASSERT_EQ(serial_bt.data()[i], parallel_bt.data()[i]);
+  // Output column counts below, at and around the 4-lane vector width and
+  // the 32-column register tile, so lane tails run at both thread counts.
+  for (size_t n : {2u, 5u, 29u, 32u, 65u}) {
+    Matrix b = RandomDense(53, n, 2);
+    Matrix c = RandomDense(37, n, 3);
+    Matrix d = RandomDense(n, 53, 4);
+    ThreadPool::Global().SetNumThreads(1);
+    Matrix serial = a.Matmul(b);
+    Matrix serial_t = a.TransposeMatmul(c);
+    Matrix serial_bt = a.MatmulTranspose(d);
+    ThreadPool::Global().SetNumThreads(4);
+    Matrix parallel = a.Matmul(b);
+    Matrix parallel_t = a.TransposeMatmul(c);
+    Matrix parallel_bt = a.MatmulTranspose(d);
+    for (size_t i = 0; i < serial.size(); ++i)
+      ASSERT_EQ(serial.data()[i], parallel.data()[i]) << "n=" << n;
+    for (size_t i = 0; i < serial_t.size(); ++i)
+      ASSERT_EQ(serial_t.data()[i], parallel_t.data()[i]) << "n=" << n;
+    for (size_t i = 0; i < serial_bt.size(); ++i)
+      ASSERT_EQ(serial_bt.data()[i], parallel_bt.data()[i]) << "n=" << n;
+  }
 }
 
 TEST(KernelDeterminismTest, SpmmBitExactAcrossThreadCounts) {

@@ -23,18 +23,25 @@
 #                     suite plus the f32 serving suite, run once with
 #                     GNN4TDL_SIMD=scalar and once with GNN4TDL_SIMD=avx2.
 #                     The parity tests assert scalar and AVX2 tiers are
-#                     bit-identical, so a pass here means the dispatch choice
-#                     can never change served logits. The kernel suite also
-#                     holds the row-independence contract per-layer frontier
-#                     serving relies on, and the served bit-exactness suite
-#                     runs at GNN4TDL_THREADS=1 and =4: frontier batches are
-#                     mostly one chunk, so this covers the pool's inline
-#                     path and its pooled path. The exact kNN suites
-#                     (KnnIndexTest, KnnGraphTest: the f64 lane-packed scan
-#                     against a brute-force oracle, bit for bit, lane tails
-#                     and non-finite rows included) run at every pairing of
-#                     SIMD=scalar|avx2 and THREADS=1|4, since the scan is
-#                     dispatched by tier and its queries run across the pool
+#                     bit-identical (the f64 training kernels: every
+#                     non-NaN output, NaN in the same positions), so a pass
+#                     here means the dispatch choice can never change served
+#                     logits. f64 training and serving run on the dispatched
+#                     tier too (matmul family, SpMM, the activation
+#                     epilogue) and their queries and rows run across the
+#                     pool, so one matrix runs at every pairing of
+#                     SIMD=scalar|avx2 and THREADS=1|4: the exact kNN suites
+#                     (KnnIndexTest, KnnGraphTest: the lane-packed scan
+#                     against a brute-force oracle, bit for bit), the served
+#                     bit-exactness suite (Configs/ServedBitExactTest),
+#                     RowIndependenceTest (the contract per-layer frontier
+#                     serving relies on), KernelDeterminismTest, the fusion
+#                     suite and the gradcheck suite. Last, one gnn4tdl_cli
+#                     freeze with a fixed seed runs at each tier, both at
+#                     THREADS=4, and the two artifacts must be byte-identical:
+#                     a whole training run checked across tiers. The thread
+#                     count is held fixed because artifacts differ across
+#                     thread counts by design (spmm_t reduces per lane)
 #   stage 7  fusion   fused-execution + arena memory contract: the fusion
 #                     bit-exactness suite (fused single-node ops vs their
 #                     unfused compositions, values and gradients compared by
@@ -175,27 +182,44 @@ simd_stage() {
   cmake --preset default &&
     cmake --build --preset default -j "$(nproc)" \
       --target gnn4tdl_kernels_test --target gnn4tdl_serve_precision_test \
-      --target gnn4tdl_serve_test &&
+      --target gnn4tdl_serve_test --target gnn4tdl_parallel_test \
+      --target gnn4tdl_fusion_test --target gnn4tdl_gradcheck_test \
+      --target gnn4tdl_cli &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_serve_precision_test &&
     GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_serve_precision_test &&
-    GNN4TDL_THREADS=1 ./build/tests/gnn4tdl_serve_test \
-      --gtest_filter='Configs/ServedBitExactTest.*' &&
-    GNN4TDL_THREADS=4 ./build/tests/gnn4tdl_serve_test \
-      --gtest_filter='Configs/ServedBitExactTest.*' &&
-    knn_tier_matrix
+    tier_matrix &&
+    cross_tier_freeze
 }
 
-knn_tier_matrix() {
+tier_matrix() {
   local simd threads
   for simd in scalar avx2; do
     for threads in 1 4; do
-      GNN4TDL_SIMD="$simd" GNN4TDL_THREADS="$threads" \
+      echo "-- GNN4TDL_SIMD=${simd} GNN4TDL_THREADS=${threads}"
+      (
+        export GNN4TDL_SIMD="$simd" GNN4TDL_THREADS="$threads"
         ./build/tests/gnn4tdl_serve_test \
-        --gtest_filter='KnnIndexTest.*:KnnGraphTest.*' || return 1
+          --gtest_filter='KnnIndexTest.*:KnnGraphTest.*:Configs/ServedBitExactTest.*' &&
+          ./build/tests/gnn4tdl_kernels_test \
+            --gtest_filter='RowIndependenceTest.*' &&
+          ./build/tests/gnn4tdl_parallel_test \
+            --gtest_filter='KernelDeterminismTest.*' &&
+          ./build/tests/gnn4tdl_fusion_test &&
+          ./build/tests/gnn4tdl_gradcheck_test
+      ) || return 1
     done
   done
+}
+
+cross_tier_freeze() {
+  local simd
+  for simd in scalar avx2; do
+    GNN4TDL_SIMD="$simd" GNN4TDL_THREADS=4 ./build/tools/gnn4tdl_cli freeze \
+      --seed 7 --out "build/cross_tier_${simd}.gnn4tdl" || return 1
+  done
+  cmp build/cross_tier_scalar.gnn4tdl build/cross_tier_avx2.gnn4tdl
 }
 
 fusion_stage() {
