@@ -138,6 +138,12 @@ DoubleBuffer::DoubleBuffer(size_t n, double value) {
   if (ptr_ != nullptr) std::fill(ptr_, ptr_ + size_, value);
 }
 
+DoubleBuffer DoubleBuffer::Uninitialized(size_t n) {
+  DoubleBuffer buf;
+  buf.Acquire(n);
+  return buf;
+}
+
 DoubleBuffer::DoubleBuffer(const std::vector<double>& src) {
   Acquire(src.size());
   if (ptr_ != nullptr) std::memcpy(ptr_, src.data(), size_ * sizeof(double));

@@ -14,7 +14,8 @@
 // lifetime (model parameters updated under an ArenaScope, snapshots) stay
 // valid — the state, and with it every slab, lives until the last escapee
 // is destroyed. Returning a buffer pushes its slab back on the freelist; it
-// is recycled dirty (the next checkout zero-fills or overwrites).
+// is recycled dirty (the next checkout zero-fills or overwrites, or, for
+// DoubleBuffer::Uninitialized, leaves the writing to its caller).
 //
 // Scoping: ArenaScope installs an arena as the calling thread's allocation
 // target; Matrix construction on that thread draws from it. Pool worker
@@ -94,6 +95,9 @@ class DoubleBuffer {
   DoubleBuffer(size_t n, double value);
   /// Copies `src` (used by the Matrix(rows, cols, vector) constructor).
   explicit DoubleBuffer(const std::vector<double>& src);
+  /// n doubles, left unwritten: a recycled slab keeps its old contents.
+  /// Only for outputs whose every element is written before it is read.
+  static DoubleBuffer Uninitialized(size_t n);
 
   DoubleBuffer(const DoubleBuffer& other);
   DoubleBuffer& operator=(const DoubleBuffer& other);

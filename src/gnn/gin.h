@@ -21,6 +21,10 @@ class GinLayer : public Module {
 
   Tensor Forward(const Tensor& h, const SparseMatrix& sum_adj) const;
 
+  /// Forward followed by `act`, fused into the MLP's last layer node.
+  Tensor Forward(const Tensor& h, const SparseMatrix& sum_adj,
+                 Activation act) const;
+
   size_t in_dim() const { return mlp_.in_dim(); }
   size_t out_dim() const { return mlp_.out_dim(); }
   const Mlp& mlp() const { return mlp_; }

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "obs/kernel_hooks.h"
 
 namespace gnn4tdl::kernels {
@@ -297,14 +298,15 @@ void BiasActF64Scalar(double* x, size_t cols, const double* bias, FAct act,
   }
 }
 
-void ActGradF64Scalar(double* g, const double* out, size_t cols, FAct act,
-                      double alpha, size_t lo, size_t hi) {
-  if (act == FAct::kNone) return;
+void ActGradF64Scalar(const double* g, const double* out, double* dst,
+                      size_t cols, FAct act, double alpha, size_t lo,
+                      size_t hi) {
   for (size_t i = lo; i < hi; ++i) {
-    double* row = g + i * cols;
+    const double* row = g + i * cols;
     const double* o = out + i * cols;
+    double* d = dst + i * cols;
     for (size_t j = 0; j < cols; ++j)
-      row[j] = detail::ActGradF64(row[j], o[j], act, alpha);
+      d[j] = detail::ActGradF64(row[j], o[j], act, alpha);
   }
 }
 
@@ -317,6 +319,7 @@ const KernelTable kScalarTable = {
     ScaleAddScalar,
     SpmmBiasActScalar,
     KnnScanScalar,
+    Mt19937_64::TwistAndTemper,
     {MatmulF64Scalar, MatmulTnF64Scalar, MatmulNtF64Scalar, SpmmF64Scalar,
      SpmmTF64Scalar, BiasActF64Scalar, ActGradF64Scalar},
 };

@@ -117,19 +117,21 @@ struct F64Kernels {
                    double alpha, size_t row_begin,
                    size_t row_end) = nullptr;
 
-  /// In place g(r, j) *= act'(.) read from the activation output
+  /// dst(r, j) = g(r, j) * act'(.) read from the activation output
   /// out(r, j), for r in [row_begin, row_end): relu zeroes and leaky relu
   /// scales g where out <= 0; sigmoid and tanh scale by s(1 - s) and
-  /// 1 - t^2. kNone leaves g unchanged.
-  void (*act_grad)(double* g, const double* out, size_t cols, FAct act,
-                   double alpha, size_t row_begin, size_t row_end) = nullptr;
+  /// 1 - t^2; kNone copies g. dst may be g (in place).
+  void (*act_grad)(const double* g, const double* out, double* dst,
+                   size_t cols, FAct act, double alpha, size_t row_begin,
+                   size_t row_end) = nullptr;
 };
 
 /// The kernel function table one SIMD tier implements: the f32 inference
-/// kernels, the f64 kNN scan and the f64 training kernels. All kernels are
-/// thread-safe; the f32 ones run on the shared ThreadPool where row counts
-/// justify it, the f64 ones are leaf-level and their callers partition.
-/// Every entry gives the same bits at every thread count.
+/// kernels, the f64 kNN scan, the MT19937-64 block and the f64 training
+/// kernels. All kernels are thread-safe; the f32 ones run on the shared
+/// ThreadPool where row counts justify it, the f64 ones are leaf-level and
+/// their callers partition. Every entry gives the same bits at every thread
+/// count.
 struct KernelTable {
   SimdLevel level = SimdLevel::kScalar;
 
@@ -165,6 +167,12 @@ struct KernelTable {
   void (*knn_scan)(KnnScanOp op, const double* queries, size_t num_queries,
                    const double* packed, const double* row_mean, size_t blocks,
                    size_t dim, double* out) = nullptr;
+
+  /// One MT19937-64 block (Mt19937_64::BlockFn, common/rng.h): twists the
+  /// 312-word state in place and writes its 312 tempered outputs to out.
+  /// Integer arithmetic only, so every tier writes the same words as
+  /// Mt19937_64::TwistAndTemper; Rng's bulk draws run through it.
+  void (*mt64_block)(uint64_t* state, uint64_t* out) = nullptr;
 
   /// The f64 training kernels: Matrix/SparseMatrix products and the fused
   /// activation epilogue.

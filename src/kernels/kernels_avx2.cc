@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 
 namespace gnn4tdl::kernels {
 namespace {
@@ -657,23 +658,23 @@ void BiasActF64Avx2(double* x, size_t cols, const double* bias, FAct act,
 
 // Relu and LeakyRelu select by the ordered compare out <= 0 (false for NaN,
 // as in the scalar branch); the sigmoid and tanh derivatives are plain
-// arithmetic in the scalar expression's order.
+// arithmetic in the scalar expression's order; kNone copies g.
 template <FAct A>
-void ActGradRowsF64Avx2(double* g, const double* out, size_t cols,
-                        double alpha, size_t lo, size_t hi) {
-  if constexpr (A == FAct::kNone) return;
+void ActGradRowsF64Avx2(const double* g, const double* out, double* dst,
+                        size_t cols, double alpha, size_t lo, size_t hi) {
   const size_t c4 = cols - cols % kF64Lanes;
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d valpha = _mm256_set1_pd(alpha);
   for (size_t i = lo; i < hi; ++i) {
-    double* row = g + i * cols;
+    const double* row = g + i * cols;
     const double* o_row = out + i * cols;
+    double* d_row = dst + i * cols;
     size_t j = 0;
     for (; j < c4; j += kF64Lanes) {
       const __m256d gv = _mm256_loadu_pd(row + j);
       const __m256d o = _mm256_loadu_pd(o_row + j);
-      __m256d r;
+      __m256d r = gv;
       if constexpr (A == FAct::kRelu) {
         r = _mm256_blendv_pd(gv, zero, _mm256_cmp_pd(o, zero, _CMP_LE_OQ));
       } else if constexpr (A == FAct::kLeakyRelu) {
@@ -681,21 +682,77 @@ void ActGradRowsF64Avx2(double* g, const double* out, size_t cols,
                              _mm256_cmp_pd(o, zero, _CMP_LE_OQ));
       } else if constexpr (A == FAct::kSigmoid) {
         r = _mm256_mul_pd(gv, _mm256_mul_pd(o, _mm256_sub_pd(one, o)));
-      } else {
+      } else if constexpr (A == FAct::kTanh) {
         r = _mm256_mul_pd(gv, _mm256_sub_pd(one, _mm256_mul_pd(o, o)));
       }
-      _mm256_storeu_pd(row + j, r);
+      _mm256_storeu_pd(d_row + j, r);
     }
     for (; j < cols; ++j)
-      row[j] = detail::ActGradF64(row[j], o_row[j], A, alpha);
+      d_row[j] = detail::ActGradF64(row[j], o_row[j], A, alpha);
   }
 }
 
-void ActGradF64Avx2(double* g, const double* out, size_t cols, FAct act,
-                    double alpha, size_t lo, size_t hi) {
+void ActGradF64Avx2(const double* g, const double* out, double* dst,
+                    size_t cols, FAct act, double alpha, size_t lo,
+                    size_t hi) {
   WithAct(act, [&](auto a) {
-    ActGradRowsF64Avx2<a.value>(g, out, cols, alpha, lo, hi);
+    ActGradRowsF64Avx2<a.value>(g, out, dst, cols, alpha, lo, hi);
   });
+}
+
+// --- MT19937-64 block --------------------------------------------------------
+// Mt19937_64::TwistAndTemper four words at a time. Word k of the twist reads
+// x[k], x[k + 1] and x[k + 156] (k < 156) or the already twisted x[k - 156]
+// (k >= 156), so four consecutive words only read words outside their own
+// group that the scalar order has (or has not yet) overwritten in the same
+// way: lanes k..k+3 for k + 4 <= 311, i.e. words 0..307. Words 308..310 and
+// the wrap (311 reads x[0]) stay scalar. Tempering is per word. Integer
+// only, so the words equal the scalar block's.
+
+constexpr size_t kMtWords = Mt19937_64::kStateWords;
+constexpr size_t kMtShift = Mt19937_64::kShift;
+
+inline __m256i Splat64(uint64_t v) {
+  return _mm256_set1_epi64x(static_cast<int64_t>(v));
+}
+
+void Mt64BlockAvx2(uint64_t* x, uint64_t* out) {
+  const __m256i upper = Splat64(Mt19937_64::kUpperMask);
+  const __m256i matrix_a = Splat64(Mt19937_64::kMatrixA);
+  const __m256i one = _mm256_set1_epi64x(1);
+  const auto load = [](const uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  };
+  constexpr size_t kVectorWords = kMtWords - 4;  // 308
+  for (size_t k = 0; k < kVectorWords; k += 4) {
+    const __m256i y =
+        _mm256_or_si256(_mm256_and_si256(load(x + k), upper),
+                        _mm256_andnot_si256(upper, load(x + k + 1)));
+    // (y & 1) ? a : 0 as a lane mask: 0 - (y & 1) is all ones or zero.
+    const __m256i mag = _mm256_and_si256(
+        _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_and_si256(y, one)),
+        matrix_a);
+    const uint64_t* far = k < kMtShift ? x + k + kMtShift : x + k - kMtShift;
+    const __m256i v = _mm256_xor_si256(
+        load(far), _mm256_xor_si256(_mm256_srli_epi64(y, 1), mag));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + k), v);
+  }
+  for (size_t k = kVectorWords; k + 1 < kMtWords; ++k)
+    x[k] = Mt19937_64::TwistWord(x[k - kMtShift], x[k], x[k + 1]);
+  x[kMtWords - 1] =
+      Mt19937_64::TwistWord(x[kMtShift - 1], x[kMtWords - 1], x[0]);
+
+  const __m256i d = Splat64(0x5555555555555555ULL);
+  const __m256i b = Splat64(0x71D67FFFEDA60000ULL);
+  const __m256i c = Splat64(0xFFF7EEE000000000ULL);
+  for (size_t k = 0; k < kMtWords; k += 4) {
+    __m256i z = load(x + k);
+    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_srli_epi64(z, 29), d));
+    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 17), b));
+    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 37), c));
+    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), z);
+  }
 }
 
 const KernelTable kAvx2Table = {
@@ -707,6 +764,7 @@ const KernelTable kAvx2Table = {
     ScaleAddAvx2,
     SpmmBiasActAvx2,
     KnnScanAvx2,
+    Mt64BlockAvx2,
     {MatmulF64Avx2, MatmulTnF64Avx2, MatmulNtF64Avx2, SpmmF64Avx2,
      SpmmTF64Avx2, BiasActF64Avx2, ActGradF64Avx2},
 };

@@ -569,12 +569,13 @@ Mat ExactRowsOnly(Mat logits, const std::vector<size_t>& exact,
   return out;
 }
 
+/// Mlp::Forward's eval steps; `last` is the output activation.
 template <typename B>
-typename B::Mat MlpEval(const B& b, const Mlp& mlp, typename B::Mat h) {
+typename B::Mat MlpEval(const B& b, const Mlp& mlp, typename B::Mat h,
+                        Activation last = Activation::kNone) {
   const size_t n = mlp.layers().size();
   for (size_t i = 0; i < n; ++i) {
-    h = b.Linear(h, *mlp.layers()[i],
-                 i + 1 < n ? mlp.activation() : Activation::kNone);
+    h = b.Linear(h, *mlp.layers()[i], i + 1 < n ? mlp.activation() : last);
   }
   return h;
 }
@@ -712,9 +713,13 @@ struct InstanceGraphGnn::Encoder : public Module {
       case GnnBackbone::kGcn: {
         std::vector<Tensor> layer_outputs;
         for (size_t l = 0; l < gcn_.size(); ++l) {
-          // Interior layers fuse the ReLU into the aggregation node unless
-          // PairNorm sits between them (nn/fused.h; bit-exact either way).
-          const bool fuse_relu = l + 1 < gcn_.size() && !o.use_pair_norm;
+          // The ReLU after each layer fuses into its aggregation node
+          // (nn/fused.h; bit-exact either way) except where PairNorm sits
+          // between them and, under jumping knowledge, after the last layer,
+          // whose ReLU follows the concat.
+          const bool last = l + 1 == gcn_.size();
+          const bool fuse_relu =
+              last ? !o.use_jumping_knowledge : !o.use_pair_norm;
           h = gcn_[l]->Forward(h, norm_adj_,
                                fuse_relu ? Activation::kRelu
                                          : Activation::kNone);
@@ -733,17 +738,16 @@ struct InstanceGraphGnn::Encoder : public Module {
             jk = ops::ConcatCols(jk, layer_outputs[l]);
           return ops::Relu(jk);
         }
-        return ops::Relu(h);
+        return h;
       }
       case GnnBackbone::kSage:
         for (size_t l = 0; l < sage_.size(); ++l) {
-          const bool interior = l + 1 < sage_.size();
-          h = sage_[l]->Forward(h, norm_adj_,
-                                interior ? Activation::kRelu
-                                         : Activation::kNone);
-          if (interior) h = ops::Dropout(h, o.dropout, rng, training);
+          h = sage_[l]->Forward(h, norm_adj_, Activation::kRelu);
+          if (l + 1 < sage_.size()) {
+            h = ops::Dropout(h, o.dropout, rng, training);
+          }
         }
-        return ops::Relu(h);
+        return h;
       case GnnBackbone::kGat:
         for (size_t l = 0; l < gat_.size(); ++l) {
           h = gat_[l]->Forward(h, edge_index_);
@@ -755,24 +759,26 @@ struct InstanceGraphGnn::Encoder : public Module {
         return ops::Relu(h);
       case GnnBackbone::kGin:
         for (size_t l = 0; l < gin_.size(); ++l) {
-          h = gin_[l]->Forward(h, norm_adj_);
-          if (l + 1 < gin_.size()) {
-            h = ops::Dropout(h, o.dropout, rng, training);
-          }
+          const bool interior = l + 1 < gin_.size();
+          h = gin_[l]->Forward(h, norm_adj_,
+                               interior ? Activation::kNone
+                                        : Activation::kRelu);
+          if (interior) h = ops::Dropout(h, o.dropout, rng, training);
         }
-        return ops::Relu(h);
+        return h;
       case GnnBackbone::kGgnn: {
-        h = ops::Relu(input_proj_->Forward(h));
+        h = input_proj_->Forward(h, Activation::kRelu);
         for (size_t step = 0; step < o.num_layers; ++step)
           h = ggnn_->Forward(h, norm_adj_);
         return h;
       }
       case GnnBackbone::kAppnp: {
-        Tensor h0 = ops::Relu(appnp_mlp_->Forward(h, rng, training));
+        Tensor h0 =
+            appnp_mlp_->Forward(h, rng, training, Activation::kRelu);
         return AppnpPropagate(h0, norm_adj_, o.appnp_steps, o.appnp_alpha);
       }
       case GnnBackbone::kTransformer: {
-        h = ops::Relu(input_proj_->Forward(h));
+        h = input_proj_->Forward(h, Activation::kRelu);
         for (const auto& layer : transformer_)
           h = layer->Forward(h, adj_dense_);
         return h;
@@ -797,10 +803,11 @@ struct InstanceGraphGnn::Encoder : public Module {
         for (size_t l = 0; l < gcn_.size(); ++l) {
           const Operators::Step& step = ops.step(l);
           const bool interior = l + 1 < gcn_.size();
+          const bool fuse_relu =
+              interior ? !o.use_pair_norm : !o.use_jumping_knowledge;
           h = b.Spmm(b.Op(step),
                      b.Linear(h, gcn_[l]->linear(), Activation::kNone),
-                     interior && !o.use_pair_norm ? Activation::kRelu
-                                                  : Activation::kNone);
+                     fuse_relu ? Activation::kRelu : Activation::kNone);
           if (interior && o.use_pair_norm) {
             h = b.Act(b.PairNorm(h), Activation::kRelu);
           }
@@ -809,11 +816,10 @@ struct InstanceGraphGnn::Encoder : public Module {
             layer_outputs.push_back(h);
           }
         }
-        if (o.use_jumping_knowledge) {
-          h = layer_outputs[0];
-          for (size_t l = 1; l < layer_outputs.size(); ++l)
-            h = b.ConcatCols(h, layer_outputs[l]);
-        }
+        if (!o.use_jumping_knowledge) return h;
+        h = layer_outputs[0];
+        for (size_t l = 1; l < layer_outputs.size(); ++l)
+          h = b.ConcatCols(h, layer_outputs[l]);
         return b.Act(std::move(h), Activation::kRelu);
       }
       case GnnBackbone::kSage:
@@ -826,9 +832,9 @@ struct InstanceGraphGnn::Encoder : public Module {
                        Activation::kNone),
               b.Linear(b.Spmm(b.Op(step), h), layer.neighbor(),
                        Activation::kNone),
-              l + 1 < sage_.size() ? Activation::kRelu : Activation::kNone);
+              Activation::kRelu);
         }
-        return b.Act(std::move(h), Activation::kRelu);
+        return h;
       case GnnBackbone::kGat:
         for (size_t l = 0; l < gat_.size(); ++l) {
           h = GatEval(b, *gat_[l], h, ops.step(l));
@@ -844,9 +850,11 @@ struct InstanceGraphGnn::Encoder : public Module {
           const Mat& self = KeptRows(b, h, step.keep, &kept);
           h = MlpEval(b, gin_[l]->mlp(),
                       b.AddAct(b.ScaleAdd(self, gin_[l]->epsilon(), self, 1.0),
-                               agg, Activation::kNone));
+                               agg, Activation::kNone),
+                      l + 1 < gin_.size() ? Activation::kNone
+                                          : Activation::kRelu);
         }
-        return b.Act(std::move(h), Activation::kRelu);
+        return h;
       case GnnBackbone::kGgnn:
         h = b.Linear(h, *input_proj_, Activation::kRelu);
         for (size_t step = 0; step < o.num_layers; ++step)
@@ -854,8 +862,7 @@ struct InstanceGraphGnn::Encoder : public Module {
         return h;
       case GnnBackbone::kAppnp: {
         // AppnpPropagate: H <- (1 - alpha) A H + alpha H0.
-        Mat h0 =
-            b.Act(MlpEval(b, *appnp_mlp_, std::move(h)), Activation::kRelu);
+        Mat h0 = MlpEval(b, *appnp_mlp_, std::move(h), Activation::kRelu);
         h = h0;
         for (size_t l = 0; l < o.appnp_steps; ++l) {
           const Operators::Step& step = ops.step(l);
@@ -1063,12 +1070,16 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
 
   std::function<double()> val_fn = nullptr;
   if (!split.val.empty()) {
+    // The eval forward with no tape (ScoreOnGraph's path, which the served
+    // bit-exactness contract holds equal to the taped forward).
     val_fn = [&, this]() -> double {
-      Tensor out = head_->Forward(Encode(x_t, false));
+      const F64Eval b;
+      const Matrix out = b.Linear(encoder_->Eval(b, x_cache_, *operators_),
+                                  *head_, Activation::kNone);
       if (regression) {
-        return -Rmse(out.value(), data.regression_labels(), split.val);
+        return -Rmse(out, data.regression_labels(), split.val);
       }
-      return Accuracy(out.value(), labels_cls, split.val);
+      return Accuracy(out, labels_cls, split.val);
     };
   }
 

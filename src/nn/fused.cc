@@ -41,19 +41,22 @@ size_t RowGrain(size_t cost_per_row) {
   return std::max<size_t>(1, kFlopGrain / std::max<size_t>(cost_per_row, 1));
 }
 
-// In-place activation backward: scales `ga` by act'(pre-activation), reading
-// the forward output `out`. Bit-identical to the unfused activation
-// backward: relu/leaky preserve the pre-activation's sign (out <= 0 iff
-// pre <= 0, since alpha > 0), and sigmoid/tanh derivatives are functions of
-// the output in ops.cc too.
-void MaskActivationGrad(Matrix* ga, const Matrix& out, Activation act,
-                        double alpha) {
-  if (act == Activation::kNone) return;
+// The activation backward: g scaled by act'(pre-activation), read from the
+// forward output `out`. Bit-identical to the unfused activation backward:
+// relu/leaky preserve the pre-activation's sign (out <= 0 iff pre <= 0,
+// since alpha > 0), and sigmoid/tanh derivatives are functions of the output
+// in ops.cc too. kNone routes g itself; otherwise the masked gradient is
+// written to *storage in one pass and returned.
+const Matrix& MaskedGrad(const Matrix& g, const Matrix& out, Activation act,
+                         double alpha, Matrix* storage) {
+  if (act == Activation::kNone) return g;
+  *storage = Matrix::Uninitialized(g.rows(), g.cols());
   const auto& f64 = kernels::Dispatch().f64;
-  ParallelFor(0, ga->rows(), RowGrain(ga->cols()), [&](size_t lo, size_t hi) {
-    f64.act_grad(ga->data(), out.data(), ga->cols(), ToKernelActivation(act),
-                 alpha, lo, hi);
+  ParallelFor(0, g.rows(), RowGrain(g.cols()), [&](size_t lo, size_t hi) {
+    f64.act_grad(g.data(), out.data(), storage->data(), g.cols(),
+                 ToKernelActivation(act), alpha, lo, hi);
   });
+  return *storage;
 }
 
 // The unfused activation with an explicit leaky slope (Activate() always
@@ -104,15 +107,14 @@ Tensor LinearBiasAct(const Tensor& x, const Tensor& w, const Tensor& b,
   TapeOpScope op_scope("LinearBiasAct");
   Matrix out = x.value().Matmul(w.value());
   BiasAct(&out, b.defined() ? &b.value() : nullptr, act, leaky_alpha);
-  // The activation backward needs the output; kNone needs nothing.
-  Matrix act_out = act == Activation::kNone ? Matrix() : out;
   std::vector<Tensor> parents{x, w};
   if (b.defined()) parents.push_back(b);
-  return Tensor::FromOp(
+  // The activation backward reads the node's own output.
+  return Tensor::FromOpWithOutput(
       std::move(out), std::move(parents),
-      [x, w, b, act, leaky_alpha, act_out](const Matrix& g) {
-        Matrix ga = g;
-        MaskActivationGrad(&ga, act_out, act, leaky_alpha);
+      [x, w, b, act, leaky_alpha](const Matrix& g, const Matrix& out) {
+        Matrix storage;
+        const Matrix& ga = MaskedGrad(g, out, act, leaky_alpha, &storage);
         if (b.defined() && b.requires_grad()) b.AccumulateGrad(ga.ColSum());
         if (x.requires_grad()) x.AccumulateGrad(ga.MatmulTranspose(w.value()));
         if (w.requires_grad())
@@ -135,17 +137,17 @@ Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
   }
   CountFusion("spmm_bias_act", /*hit=*/true);
   TapeOpScope op_scope("SpmmBiasAct");
-  SparseMatrix sp_copy = sp;  // tape owns the operator, as in ops::SpMM
   Matrix out = sp.Multiply(x.value());
   BiasAct(&out, b.defined() ? &b.value() : nullptr, act, leaky_alpha);
-  Matrix act_out = act == Activation::kNone ? Matrix() : out;
   std::vector<Tensor> parents{x};
   if (b.defined()) parents.push_back(b);
-  return Tensor::FromOp(
+  // The tape owns a copy of the operator, as in ops::SpMM.
+  return Tensor::FromOpWithOutput(
       std::move(out), std::move(parents),
-      [sp_copy, x, b, act, leaky_alpha, act_out](const Matrix& g) {
-        Matrix ga = g;
-        MaskActivationGrad(&ga, act_out, act, leaky_alpha);
+      [sp_copy = sp, x, b, act, leaky_alpha](const Matrix& g,
+                                             const Matrix& out) {
+        Matrix storage;
+        const Matrix& ga = MaskedGrad(g, out, act, leaky_alpha, &storage);
         if (b.defined() && b.requires_grad()) b.AccumulateGrad(ga.ColSum());
         if (x.requires_grad())
           x.AccumulateGrad(sp_copy.TransposeMultiply(ga));
@@ -164,12 +166,11 @@ Tensor AddAct(const Tensor& a, const Tensor& b, Activation act,
   TapeOpScope op_scope("AddAct");
   Matrix out = a.value() + b.value();
   BiasAct(&out, nullptr, act, leaky_alpha);
-  Matrix act_out = act == Activation::kNone ? Matrix() : out;
-  return Tensor::FromOp(
+  return Tensor::FromOpWithOutput(
       std::move(out), {a, b},
-      [a, b, act, leaky_alpha, act_out](const Matrix& g) {
-        Matrix ga = g;
-        MaskActivationGrad(&ga, act_out, act, leaky_alpha);
+      [a, b, act, leaky_alpha](const Matrix& g, const Matrix& out) {
+        Matrix storage;
+        const Matrix& ga = MaskedGrad(g, out, act, leaky_alpha, &storage);
         if (a.requires_grad()) a.AccumulateGrad(ga);
         if (b.requires_grad()) b.AccumulateGrad(ga);
       });

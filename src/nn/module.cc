@@ -106,22 +106,23 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng, Activation act,
   }
 }
 
-Tensor Mlp::Forward(const Tensor& x, Rng& rng, bool training) const {
+Tensor Mlp::Forward(const Tensor& x, Rng& rng, bool training,
+                    Activation last) const {
   Tensor h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     if (i + 1 < layers_.size()) {
       h = layers_[i]->Forward(h, act_);
       h = ops::Dropout(h, dropout_, rng, training);
     } else {
-      h = layers_[i]->Forward(h);
+      h = layers_[i]->Forward(h, last);
     }
   }
   return h;
 }
 
-Tensor Mlp::Forward(const Tensor& x) const {
+Tensor Mlp::Forward(const Tensor& x, Activation last) const {
   Rng unused(0);
-  return Forward(x, unused, /*training=*/false);
+  return Forward(x, unused, /*training=*/false, last);
 }
 
 }  // namespace gnn4tdl

@@ -91,11 +91,13 @@ class Mlp : public Module {
   Mlp(const std::vector<size_t>& dims, Rng& rng,
       Activation act = Activation::kRelu, double dropout = 0.0);
 
-  /// `training` enables dropout; `rng` draws the dropout masks.
-  Tensor Forward(const Tensor& x, Rng& rng, bool training = false) const;
+  /// `training` enables dropout; `rng` draws the dropout masks. `last` is
+  /// an activation applied to the output, fused into the final layer's node.
+  Tensor Forward(const Tensor& x, Rng& rng, bool training = false,
+                 Activation last = Activation::kNone) const;
 
   /// Convenience inference pass (no dropout).
-  Tensor Forward(const Tensor& x) const;
+  Tensor Forward(const Tensor& x, Activation last = Activation::kNone) const;
 
   size_t in_dim() const { return layers_.front()->in_dim(); }
   size_t out_dim() const { return layers_.back()->out_dim(); }

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <random>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "kernels/kernels.h"
 #include "obs/kernel_hooks.h"
 
 namespace gnn4tdl::ops {
@@ -38,6 +41,19 @@ double StableSigmoid(double z) {
   double e = std::exp(z);
   return e / (1.0 + e);
 }
+
+// Doubles per chunk of the elementwise passes (tensor/matrix.cc's grain).
+constexpr size_t kElemGrain = 16384;
+
+// A URBG that returns one fixed engine draw: runs a std:: distribution on a
+// chosen draw.
+struct FixedDraw {
+  using result_type = Rng::Engine::result_type;
+  static constexpr result_type min() { return Rng::Engine::min(); }
+  static constexpr result_type max() { return Rng::Engine::max(); }
+  result_type operator()() const { return draw; }
+  result_type draw;
+};
 
 // RowL2Normalize's value: each row over max(its L2 norm, eps), the divisors
 // left in *norms for the backward.
@@ -196,44 +212,49 @@ Tensor LeakyRelu(const Tensor& a, double alpha) {
 
 Tensor Sigmoid(const Tensor& a) {
   TapeOpScope op_scope("Sigmoid");
-  Matrix out = a.value().Map(StableSigmoid);
-  return Tensor::FromOp(out, {a}, [a, out](const Matrix& g) {
-    if (!a.requires_grad()) return;
-    Matrix ga = g;
-    ParallelFor(0, ga.rows(), RowGrain(ga.cols()), [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i)
-        for (size_t j = 0; j < ga.cols(); ++j) {
-          double s = out(i, j);
-          ga(i, j) *= s * (1.0 - s);
-        }
-    });
-    a.AccumulateGrad(ga);
-  });
+  return Tensor::FromOpWithOutput(
+      a.value().Map(StableSigmoid), {a},
+      [a](const Matrix& g, const Matrix& out) {
+        if (!a.requires_grad()) return;
+        Matrix ga = g;
+        ParallelFor(0, ga.rows(), RowGrain(ga.cols()),
+                    [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i)
+            for (size_t j = 0; j < ga.cols(); ++j) {
+              double s = out(i, j);
+              ga(i, j) *= s * (1.0 - s);
+            }
+        });
+        a.AccumulateGrad(ga);
+      });
 }
 
 Tensor Tanh(const Tensor& a) {
   TapeOpScope op_scope("Tanh");
-  Matrix out = a.value().Map([](double v) { return std::tanh(v); });
-  return Tensor::FromOp(out, {a}, [a, out](const Matrix& g) {
-    if (!a.requires_grad()) return;
-    Matrix ga = g;
-    ParallelFor(0, ga.rows(), RowGrain(ga.cols()), [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i)
-        for (size_t j = 0; j < ga.cols(); ++j) {
-          double t = out(i, j);
-          ga(i, j) *= 1.0 - t * t;
-        }
-    });
-    a.AccumulateGrad(ga);
-  });
+  return Tensor::FromOpWithOutput(
+      a.value().Map([](double v) { return std::tanh(v); }), {a},
+      [a](const Matrix& g, const Matrix& out) {
+        if (!a.requires_grad()) return;
+        Matrix ga = g;
+        ParallelFor(0, ga.rows(), RowGrain(ga.cols()),
+                    [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i)
+            for (size_t j = 0; j < ga.cols(); ++j) {
+              double t = out(i, j);
+              ga(i, j) *= 1.0 - t * t;
+            }
+        });
+        a.AccumulateGrad(ga);
+      });
 }
 
 Tensor Exp(const Tensor& a) {
   TapeOpScope op_scope("Exp");
-  Matrix out = a.value().Map([](double v) { return std::exp(v); });
-  return Tensor::FromOp(out, {a}, [a, out](const Matrix& g) {
-    if (a.requires_grad()) a.AccumulateGrad(g.CwiseMul(out));
-  });
+  return Tensor::FromOpWithOutput(
+      a.value().Map([](double v) { return std::exp(v); }), {a},
+      [a](const Matrix& g, const Matrix& out) {
+        if (a.requires_grad()) a.AccumulateGrad(g.CwiseMul(out));
+      });
 }
 
 Tensor Log(const Tensor& a) {
@@ -245,18 +266,61 @@ Tensor Log(const Tensor& a) {
                         });
 }
 
+uint64_t DropoutKeepThreshold(double p) {
+  GNN4TDL_CHECK(p > 0.0 && p < 1.0);
+  // The distribution maps the draw to a canonical double that does not
+  // decrease with it and drops iff that is below p, so it drops exactly on
+  // the draws below some threshold; binary search finds it. p < 1, so the
+  // largest draw keeps.
+  std::bernoulli_distribution drop(p);
+  const auto drops = [&drop](uint64_t draw) {
+    FixedDraw engine{draw};
+    return drop(engine);
+  };
+  GNN4TDL_CHECK(!drops(FixedDraw::max()));
+  uint64_t lo = FixedDraw::min();
+  uint64_t hi = FixedDraw::max();
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (drops(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 Tensor Dropout(const Tensor& a, double p, Rng& rng, bool training) {
   TapeOpScope op_scope("Dropout");
   if (!training || p <= 0.0) return a;
   GNN4TDL_CHECK_LT(p, 1.0);
-  Matrix mask(a.rows(), a.cols());
+  // One engine draw per element, as std::bernoulli_distribution(p) takes:
+  // drawn in bulk straight into the mask's storage, then turned into 0.0 or
+  // keep_scale by one compare against the first draw that keeps.
+  static_assert(sizeof(uint64_t) == sizeof(double));
+  Matrix mask = Matrix::Uninitialized(a.rows(), a.cols());
+  const size_t n = mask.size();
+  double* m = mask.data();
+  rng.engine().Generate(reinterpret_cast<uint64_t*>(m), n,
+                        kernels::Dispatch().mt64_block);
+  const uint64_t keep_from = DropoutKeepThreshold(p);
   const double keep_scale = 1.0 / (1.0 - p);
-  for (size_t i = 0; i < mask.rows(); ++i)
-    for (size_t j = 0; j < mask.cols(); ++j)
-      mask(i, j) = rng.Bernoulli(p) ? 0.0 : keep_scale;
-  return Tensor::FromOp(a.value().CwiseMul(mask), {a},
-                        [a, mask](const Matrix& g) {
-                          if (a.requires_grad()) a.AccumulateGrad(g.CwiseMul(mask));
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  const double* av = a.value().data();
+  double* o = out.data();
+  ParallelFor(0, n, kElemGrain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      uint64_t draw;
+      std::memcpy(&draw, m + i, sizeof(draw));
+      m[i] = draw < keep_from ? 0.0 : keep_scale;
+      o[i] = av[i] * m[i];
+    }
+  });
+  return Tensor::FromOp(std::move(out), {a},
+                        [a, mask = std::move(mask)](const Matrix& g) {
+                          if (a.requires_grad())
+                            a.AccumulateGrad(g.CwiseMul(mask));
                         });
 }
 

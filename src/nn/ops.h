@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,8 +50,15 @@ Tensor Exp(const Tensor& a);
 Tensor Log(const Tensor& a);
 
 /// Inverted dropout: zeros entries with prob `p` and rescales survivors by
-/// 1/(1-p). Identity when `training` is false or p == 0.
+/// 1/(1-p). Identity when `training` is false or p == 0. Draws one engine
+/// output per element, in row-major order, and drops exactly where
+/// Rng::Bernoulli(p) would return true on that draw.
 Tensor Dropout(const Tensor& a, double p, Rng& rng, bool training);
+
+/// For p in (0, 1): the smallest engine draw on which
+/// std::bernoulli_distribution(p) returns false. Dropout keeps an element iff
+/// its draw is at least this.
+uint64_t DropoutKeepThreshold(double p);
 
 // ---------------------------------------------------------------------------
 // Shape ops

@@ -7,12 +7,17 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace gnn4tdl {
 
 namespace {
 
 std::atomic<uint64_t> g_tensor_seq{0};
+
+// Doubles per chunk of the first gradient write (tensor/matrix.cc's
+// elementwise grain).
+constexpr size_t kElemGrain = 16384;
 
 // Innermost live TapeOpScope's name for this thread ("" = none).
 thread_local const char* g_current_op = "";
@@ -66,6 +71,19 @@ Tensor Tensor::FromOp(Matrix value, std::vector<Tensor> parents,
   return t;
 }
 
+Tensor Tensor::FromOpWithOutput(
+    Matrix value, std::vector<Tensor> parents,
+    std::function<void(const Matrix& grad, const Matrix& output)>
+        backward_fn) {
+  Tensor t = FromOp(std::move(value), std::move(parents), nullptr);
+  // The closure lives inside the node it points at, so `self` is valid
+  // whenever it runs and adds no ownership cycle.
+  const Impl* self = t.impl_.get();
+  t.impl_->backward_fn = [self, fn = std::move(backward_fn)](
+                             const Matrix& g) { fn(g, self->value); };
+  return t;
+}
+
 uint64_t Tensor::NodesCreated() { return g_tensor_seq.load(); }
 
 std::string Tensor::DescribeNode(const Impl* node) {
@@ -112,10 +130,22 @@ void Tensor::AccumulateGrad(const Matrix& g) const {
     }
     return;
   }
-  if (impl_->grad.empty()) {
-    impl_->grad = Matrix(impl_->value.rows(), impl_->value.cols());
+  if (!impl_->grad.empty()) {
+    impl_->grad += g;
+    return;
   }
-  impl_->grad += g;
+  // The first gradient is 0.0 + g, written in one parallel pass. It is not
+  // a copy of g: the sum turns a -0.0 into +0.0, as accumulating into a
+  // zero start does.
+  GNN4TDL_CHECK_EQ(g.rows(), impl_->value.rows());
+  GNN4TDL_CHECK_EQ(g.cols(), impl_->value.cols());
+  Matrix grad = Matrix::Uninitialized(g.rows(), g.cols());
+  const double* src = g.data();
+  double* dst = grad.data();
+  ParallelFor(0, grad.size(), kElemGrain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) dst[i] = 0.0 + src[i];
+  });
+  impl_->grad = std::move(grad);
 }
 
 void Tensor::ZeroGrad() const {

@@ -59,6 +59,15 @@ class Tensor {
                        std::function<void(const Matrix&)> backward_fn,
                        std::string op = {});
 
+  /// FromOp for an op whose backward reads its own output (the fused
+  /// activation epilogues): `backward_fn(grad_out, output)` receives this
+  /// node's value, so the closure keeps no copy of it. The value is alive
+  /// whenever the backward runs (release_values frees it only afterwards).
+  static Tensor FromOpWithOutput(
+      Matrix value, std::vector<Tensor> parents,
+      std::function<void(const Matrix& grad, const Matrix& output)>
+          backward_fn);
+
   bool defined() const { return impl_ != nullptr; }
 
   const Matrix& value() const { return impl_->value; }

@@ -30,6 +30,14 @@ Matrix::Matrix(size_t rows, size_t cols, std::vector<double> data)
   GNN4TDL_CHECK_EQ(rows_ * cols_, data_.size());
 }
 
+Matrix Matrix::Uninitialized(size_t rows, size_t cols) {
+  Matrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_ = DoubleBuffer::Uninitialized(rows * cols);
+  return m;
+}
+
 Matrix Matrix::Identity(size_t n) {
   Matrix m(n, n);
   for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
@@ -67,11 +75,12 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
 Matrix Matrix::operator+(const Matrix& other) const {
   GNN4TDL_CHECK_EQ(rows_, other.rows_);
   GNN4TDL_CHECK_EQ(cols_, other.cols_);
-  Matrix out = *this;
+  Matrix out = Uninitialized(rows_, cols_);
+  const double* a = data_.data();
   const double* b = other.data_.data();
   double* o = out.data_.data();
   ParallelFor(0, data_.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) o[i] += b[i];
+    for (size_t i = lo; i < hi; ++i) o[i] = a[i] + b[i];
   });
   return out;
 }
@@ -79,11 +88,12 @@ Matrix Matrix::operator+(const Matrix& other) const {
 Matrix Matrix::operator-(const Matrix& other) const {
   GNN4TDL_CHECK_EQ(rows_, other.rows_);
   GNN4TDL_CHECK_EQ(cols_, other.cols_);
-  Matrix out = *this;
+  Matrix out = Uninitialized(rows_, cols_);
+  const double* a = data_.data();
   const double* b = other.data_.data();
   double* o = out.data_.data();
   ParallelFor(0, data_.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) o[i] -= b[i];
+    for (size_t i = lo; i < hi; ++i) o[i] = a[i] - b[i];
   });
   return out;
 }
@@ -91,11 +101,12 @@ Matrix Matrix::operator-(const Matrix& other) const {
 Matrix Matrix::CwiseMul(const Matrix& other) const {
   GNN4TDL_CHECK_EQ(rows_, other.rows_);
   GNN4TDL_CHECK_EQ(cols_, other.cols_);
-  Matrix out = *this;
+  Matrix out = Uninitialized(rows_, cols_);
+  const double* a = data_.data();
   const double* b = other.data_.data();
   double* o = out.data_.data();
   ParallelFor(0, data_.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) o[i] *= b[i];
+    for (size_t i = lo; i < hi; ++i) o[i] = a[i] * b[i];
   });
   return out;
 }
@@ -103,20 +114,22 @@ Matrix Matrix::CwiseMul(const Matrix& other) const {
 Matrix Matrix::CwiseDiv(const Matrix& other) const {
   GNN4TDL_CHECK_EQ(rows_, other.rows_);
   GNN4TDL_CHECK_EQ(cols_, other.cols_);
-  Matrix out = *this;
+  Matrix out = Uninitialized(rows_, cols_);
+  const double* a = data_.data();
   const double* b = other.data_.data();
   double* o = out.data_.data();
   ParallelFor(0, data_.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) o[i] /= b[i];
+    for (size_t i = lo; i < hi; ++i) o[i] = a[i] / b[i];
   });
   return out;
 }
 
 Matrix Matrix::operator*(double s) const {
-  Matrix out = *this;
+  Matrix out = Uninitialized(rows_, cols_);
+  const double* a = data_.data();
   double* o = out.data_.data();
   ParallelFor(0, data_.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) o[i] *= s;
+    for (size_t i = lo; i < hi; ++i) o[i] = a[i] * s;
   });
   return out;
 }
@@ -165,17 +178,18 @@ Matrix Matrix::Map(const std::function<double(double)>& f) const {
   // Contract: f is applied concurrently from pool threads, so it must be
   // pure (no shared mutable state; RNG draws go through the serial
   // factories, never Map).
-  Matrix out = *this;
+  Matrix out = Uninitialized(rows_, cols_);
+  const double* a = data_.data();
   double* o = out.data_.data();
   ParallelFor(0, data_.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) o[i] = f(o[i]);
+    for (size_t i = lo; i < hi; ++i) o[i] = f(a[i]);
   });
   return out;
 }
 
 Matrix Matrix::Matmul(const Matrix& other) const {
   GNN4TDL_CHECK_EQ(cols_, other.rows_);
-  Matrix out(rows_, other.cols_);
+  Matrix out = Uninitialized(rows_, other.cols_);
   const size_t k_dim = cols_;
   const size_t n = other.cols_;
   obs::KernelScope kernel(
@@ -184,8 +198,11 @@ Matrix Matrix::Matmul(const Matrix& other) const {
   // Parallel over blocks of output rows: each row's accumulation runs in the
   // same i-k-j order as the serial kernel (streams through `other` row-major,
   // friendly to cache), so results are bit-exact for every thread count.
+  // Each chunk zeroes its own rows right before the kernel accumulates into
+  // them, so every element still starts at +0.0.
   const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, rows_, RowGrain(k_dim * n), [&](size_t lo, size_t hi) {
+    std::fill(out.row_data(lo), out.row_data(hi), 0.0);
     f64.matmul(data(), other.data(), k_dim, n, lo, hi, out.data());
   });
   return out;
@@ -193,7 +210,7 @@ Matrix Matrix::Matmul(const Matrix& other) const {
 
 Matrix Matrix::TransposeMatmul(const Matrix& other) const {
   GNN4TDL_CHECK_EQ(rows_, other.rows_);
-  Matrix out(cols_, other.cols_);
+  Matrix out = Uninitialized(cols_, other.cols_);
   const size_t n = other.cols_;
   obs::KernelScope kernel(
       "matmul_tn", 2.0 * static_cast<double>(rows_) * cols_ * n,
@@ -201,9 +218,11 @@ Matrix Matrix::TransposeMatmul(const Matrix& other) const {
   // Parallel over blocks of *output* rows (i indexes this->cols_): every
   // thread scans all input rows r but only touches its own output block, and
   // each out(i, j) accumulates in the same r-ascending order as the serial
-  // kernel — write-disjoint and bit-exact for every thread count.
+  // kernel — write-disjoint and bit-exact for every thread count. Each
+  // chunk zeroes its own output rows first.
   const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, cols_, RowGrain(rows_ * n), [&](size_t lo, size_t hi) {
+    std::fill(out.row_data(lo), out.row_data(hi), 0.0);
     f64.matmul_tn(data(), other.data(), rows_, cols_, n, lo, hi, out.data());
   });
   return out;
@@ -211,7 +230,9 @@ Matrix Matrix::TransposeMatmul(const Matrix& other) const {
 
 Matrix Matrix::MatmulTranspose(const Matrix& other) const {
   GNN4TDL_CHECK_EQ(cols_, other.cols_);
-  Matrix out(rows_, other.rows_);
+  // matmul_nt overwrites every output element (each dot product starts at
+  // 0.0 in the kernel), so the output needs no fill.
+  Matrix out = Uninitialized(rows_, other.rows_);
   obs::KernelScope kernel(
       "matmul_nt", 2.0 * static_cast<double>(rows_) * cols_ * other.rows_,
       8.0 * (static_cast<double>(rows_) * cols_ + other.rows_ * cols_ +

@@ -56,6 +56,11 @@ class Matrix {
   }
   static Matrix Identity(size_t n);
 
+  /// rows x cols matrix whose elements are left unwritten (a recycled arena
+  /// slab keeps its old bits). Only for outputs that a kernel writes in full
+  /// before anything reads them.
+  static Matrix Uninitialized(size_t rows, size_t cols);
+
   /// Entries ~ N(0, stddev^2).
   static Matrix Randn(size_t rows, size_t cols, Rng& rng, double stddev = 1.0);
 

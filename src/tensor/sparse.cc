@@ -23,6 +23,9 @@ size_t SpmmRowGrain(size_t nnz, size_t rows, size_t dense_cols) {
   return std::max<size_t>(1, kFlopGrain / avg_row_cost);
 }
 
+// Elements per chunk of the spmm_t partials fold (one add per partial).
+constexpr size_t kFoldGrain = 16384;
+
 }  // namespace
 
 SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
@@ -78,17 +81,19 @@ SparseMatrix SparseMatrix::FromCsr(size_t rows, size_t cols,
 
 Matrix SparseMatrix::Multiply(const Matrix& dense) const {
   GNN4TDL_CHECK_EQ(cols_, dense.rows());
-  Matrix out(rows_, dense.cols());
+  Matrix out = Matrix::Uninitialized(rows_, dense.cols());
   const size_t n = dense.cols();
   obs::KernelScope kernel(
       "spmm", 2.0 * static_cast<double>(nnz()) * n,
       8.0 * (static_cast<double>(nnz()) * (n + 2) +
              static_cast<double>(rows_) * n));
   // CSR rows are independent: parallel over output-row blocks, each row
-  // accumulating in serial k-order — bit-exact for every thread count.
+  // accumulating in serial k-order from +0.0 (the chunk zeroes its own rows
+  // first) — bit-exact for every thread count.
   const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, rows_, SpmmRowGrain(nnz(), rows_, n),
               [&](size_t lo, size_t hi) {
+    std::fill(out.row_data(lo), out.row_data(hi), 0.0);
     f64.spmm(row_ptr_.data(), col_idx_.data(), values_.data(), dense.data(),
              n, lo, hi, out.data());
   });
@@ -128,11 +133,16 @@ Matrix SparseMatrix::TransposeMultiply(const Matrix& dense) const {
     scatter(ranges[c].begin, ranges[c].end, &part);
     partials[c] = std::move(part);
   });
-  TreeCombine(partials, [](Matrix& into, const Matrix& from) {
-    double* a = into.data();
-    const double* b = from.data();
-    const size_t sz = into.size();
-    for (size_t i = 0; i < sz; ++i) a[i] += b[i];
+  // The fold runs TreeCombine's pairwise tree on every element, split over
+  // element ranges so it runs across the pool rather than on the caller.
+  // Chunks only read `parts` (the combine writes through the pointers, to
+  // their own elements).
+  std::vector<double*> parts(partials.size());
+  for (size_t c = 0; c < parts.size(); ++c) parts[c] = partials[c].data();
+  ParallelFor(0, partials[0].size(), kFoldGrain, [&](size_t lo, size_t hi) {
+    TreeCombine(parts, [lo, hi](double* into, const double* from) {
+      for (size_t i = lo; i < hi; ++i) into[i] += from[i];
+    });
   });
   return std::move(partials[0]);
 }

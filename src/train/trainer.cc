@@ -122,47 +122,65 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
           options_.lr_schedule, options_.learning_rate, epoch,
           options_.max_epochs));
     }
-    optimizer_.ZeroGrad();
-    Tensor loss = loss_fn();
+    Tensor loss;
+    {
+      obs::TraceSpan span("train/forward");
+      optimizer_.ZeroGrad();
+      loss = loss_fn();
+    }
     GNN4TDL_CHECK_MSG(loss.rows() == 1 && loss.cols() == 1,
                       "loss_fn must return a scalar tensor");
     result.final_train_loss = loss.value()(0, 0);
-    if (options_.verify_tape_every > 0 &&
-        epoch % options_.verify_tape_every == 0) {
-      TapeVerifier verifier({.check_finite = options_.verify_finite});
-      result.tape_status = verifier.Verify(loss);
-      if (!result.tape_status.ok()) {
-        // A malformed tape (or poisoned values) makes every further step
-        // garbage; stop here and surface the diagnosis instead.
-        if (options_.verbose) {
-          // lint:stderr(opt-in verbose epoch log, not a library diagnostic)
-          std::fprintf(stderr, "epoch %4d  %s\n", epoch,
-                       result.tape_status.ToString().c_str());
+    {
+      // The tape checks that read the recorded forward run under this span
+      // too, so the four phase spans cover the epoch.
+      obs::TraceSpan span("train/backward");
+      if (options_.verify_tape_every > 0 &&
+          epoch % options_.verify_tape_every == 0) {
+        TapeVerifier verifier({.check_finite = options_.verify_finite});
+        result.tape_status = verifier.Verify(loss);
+        if (!result.tape_status.ok()) {
+          // A malformed tape (or poisoned values) makes every further step
+          // garbage; stop here and surface the diagnosis instead.
+          if (options_.verbose) {
+            // lint:stderr(opt-in verbose epoch log, not a library diagnostic)
+            std::fprintf(stderr, "epoch %4d  %s\n", epoch,
+                         result.tape_status.ToString().c_str());
+          }
+          break;
         }
-        break;
       }
+      if (epoch == 0 && obs::MetricsEnabled()) {
+        // Plan before Backward: release-mode external-handle detection needs
+        // the closures still intact. One-time cost, first epoch only.
+        TapePlan plan = BuildTapePlan(loss);
+        auto& registry = obs::MetricsRegistry::Global();
+        registry.GetGauge("tape.naive_peak_bytes")
+            .Set(static_cast<double>(plan.naive_peak_bytes));
+        registry.GetGauge("tape.planned_peak_bytes")
+            .Set(static_cast<double>(plan.planned_peak_bytes));
+      }
+      loss.Backward({.release_values = options_.release_tape_values});
     }
-    if (epoch == 0 && obs::MetricsEnabled()) {
-      // Plan before Backward: release-mode external-handle detection needs
-      // the closures still intact. One-time cost, first epoch only.
-      TapePlan plan = BuildTapePlan(loss);
-      auto& registry = obs::MetricsRegistry::Global();
-      registry.GetGauge("tape.naive_peak_bytes")
-          .Set(static_cast<double>(plan.naive_peak_bytes));
-      registry.GetGauge("tape.planned_peak_bytes")
-          .Set(static_cast<double>(plan.planned_peak_bytes));
+    {
+      obs::TraceSpan span("train/optimizer");
+      if (options_.grad_clip > 0.0) {
+        optimizer_.ClipGradNorm(options_.grad_clip);
+      }
+      if (obs::MetricsEnabled()) {
+        EmitEpochMetrics(params_, loss);
+        if (arena != nullptr) EmitArenaMetrics(*arena);
+      }
+      optimizer_.Step();
     }
-    loss.Backward({.release_values = options_.release_tape_values});
-    if (options_.grad_clip > 0.0) optimizer_.ClipGradNorm(options_.grad_clip);
-    if (obs::MetricsEnabled()) {
-      EmitEpochMetrics(params_, loss);
-      if (arena != nullptr) EmitArenaMetrics(*arena);
-    }
-    optimizer_.Step();
     ++result.epochs_run;
 
     if (val_metric_fn) {
-      double metric = val_metric_fn();
+      double metric;
+      {
+        obs::TraceSpan span("train/validate");
+        metric = val_metric_fn();
+      }
       if (metric > best_metric) {
         best_metric = metric;
         epochs_since_best = 0;

@@ -10,16 +10,20 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "nn/fused.h"
 #include "nn/ops.h"
 #include "nn/tape_plan.h"
 #include "nn/tape_verifier.h"
 #include "nn/tensor.h"
 #include "tensor/matrix.h"
+#include "tensor/sparse.h"
 
 namespace gnn4tdl {
 namespace {
@@ -124,6 +128,136 @@ TEST(ArenaTest, ComputationBitExactUnderArena) {
     under_arena = x.Matmul(y);
   }
   ExpectBitIdentical(plain, under_arena);
+}
+
+// --- Outputs that skip the fill --------------------------------------------
+// Kernel outputs, elementwise results, the first gradient write, dropout and
+// the fused backward no longer zero-fill or copy their storage first: the
+// kernels write every element (the +0.0 accumulator start included). Under an
+// arena whose slabs were released full of NaN and garbage bits, each must
+// equal its heap-path result bit for bit.
+
+// Checks out slabs of every size class up to 2^19 doubles, fills them with
+// quiet NaNs and arbitrary bit patterns (negative zeros, infinities,
+// signaling-NaN payloads, denormals), and releases them dirty.
+void DirtyArena() {
+  ASSERT_TRUE(ArenaScope::Active());
+  std::vector<Matrix> slabs;
+  uint64_t bits = 0x9E3779B97F4A7C15ULL;
+  for (size_t n = 1; n <= (size_t{1} << 19); n *= 2) {
+    const int copies = n <= (size_t{1} << 16) ? 16 : 3;
+    for (int copy = 0; copy < copies; ++copy) {
+      Matrix m(1, n);
+      for (size_t i = 0; i < n; ++i) {
+        bits = bits * 6364136223846793005ULL + 1442695040888963407ULL;
+        double v = std::numeric_limits<double>::quiet_NaN();
+        if (i % 2 == 1) std::memcpy(&v, &bits, sizeof(v));
+        m.data()[i] = v;
+      }
+      slabs.push_back(std::move(m));
+    }
+  }
+}
+
+SparseMatrix RandomCsr(size_t rows, size_t cols, size_t per_row, Rng& rng) {
+  std::vector<Triplet> triplets;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t k = 0; k < per_row; ++k) {
+      const int64_t col = rng.Int(0, static_cast<int64_t>(cols) - 1);
+      triplets.push_back(
+          {r, static_cast<size_t>(col), rng.Uniform(-1.0, 1.0)});
+    }
+  }
+  return SparseMatrix::FromTriplets(rows, cols, std::move(triplets));
+}
+
+// Every output that skips the fill, computed from inputs drawn by `seed`.
+// Each is copied out to the heap as soon as it exists and its buffer goes
+// back to the pool, so under a dirtied arena every output lands in a
+// recycled slab.
+std::vector<std::vector<double>> UnfilledOutputs(uint64_t seed) {
+  std::vector<std::vector<double>> out;
+  const auto keep = [&out](const Matrix& m) {
+    out.emplace_back(m.data(), m.data() + m.size());
+  };
+  Rng rng(seed);
+  // Large enough that the kernels split over several chunks (and spmm_t
+  // over several partials) when the pool has more than one thread.
+  const size_t n = 600, k = 40, m = 48;
+  const Matrix a = RandomMatrix(n, k, rng);
+  const Matrix b = RandomMatrix(k, m, rng);
+  const Matrix c = RandomMatrix(n, m, rng);
+  Matrix d = RandomMatrix(n, m, rng);
+  d(0, 0) = -0.0;
+  const SparseMatrix sp = RandomCsr(n, n, 8, rng);
+
+  keep(a.Matmul(b));
+  keep(a.TransposeMatmul(c));
+  keep(c.MatmulTranspose(d));
+  keep(sp.Multiply(c));
+  keep(sp.TransposeMultiply(c));
+  keep(c + d);
+  keep(c - d);
+  keep(c.CwiseMul(d));
+  keep(c.CwiseDiv(d));
+  keep(c * 0.75);
+  keep(c.Map([](double v) { return v * v; }));
+
+  // First AccumulateGrad: 0.0 + g, so the -0.0 in d lands as +0.0.
+  {
+    Tensor leaf = Tensor::Leaf(Matrix(n, m), true);
+    leaf.AccumulateGrad(d);
+    keep(leaf.grad());
+    EXPECT_FALSE(std::signbit(leaf.grad()(0, 0)));
+  }
+
+  // Dropout, forward and backward.
+  {
+    Tensor x = Tensor::Leaf(c, true);
+    Tensor dropped = ops::Dropout(x, 0.4, rng, /*training=*/true);
+    keep(dropped.value());
+    ops::SumSquares(dropped).Backward();
+    keep(x.grad());
+  }
+
+  // The fused backward with and without an activation mask.
+  for (Activation act : {Activation::kNone, Activation::kRelu}) {
+    Tensor xa = Tensor::Leaf(a, true);
+    Tensor w = Tensor::Leaf(b, true);
+    Tensor bias = Tensor::Leaf(RandomMatrix(1, m, rng), true);
+    Tensor h = fused::LinearBiasAct(xa, w, bias, act);
+    Tensor agg = fused::SpmmBiasAct(sp, h, Tensor(), act);
+    Tensor sum = fused::AddAct(agg, h, act);
+    ops::SumSquares(sum).Backward();
+    keep(sum.value());
+    keep(xa.grad());
+    keep(w.grad());
+    keep(bias.grad());
+  }
+  return out;
+}
+
+TEST(ArenaTest, UnfilledOutputsIgnoreDirtySlabs) {
+  const std::vector<std::vector<double>> heap = UnfilledOutputs(61);
+  std::vector<std::vector<double>> dirty;
+  {
+    Arena arena;
+    ArenaScope scope(&arena);
+    DirtyArena();
+    const ArenaStats before = arena.stats();
+    dirty = UnfilledOutputs(61);
+    const ArenaStats after = arena.stats();
+    // Every checkout came off the freelist: no output got a fresh slab.
+    EXPECT_EQ(after.alloc_calls - before.alloc_calls,
+              after.pool_hits - before.pool_hits);
+  }
+  ASSERT_EQ(heap.size(), dirty.size());
+  for (size_t i = 0; i < heap.size(); ++i) {
+    ASSERT_EQ(heap[i].size(), dirty[i].size()) << "output " << i;
+    EXPECT_EQ(0, std::memcmp(heap[i].data(), dirty[i].data(),
+                             heap[i].size() * sizeof(double)))
+        << "output " << i << " differs under a dirty arena";
+  }
 }
 
 // --- TapePlan ----------------------------------------------------------------

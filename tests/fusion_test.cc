@@ -10,10 +10,15 @@
 // same-inputs same-process A/B with only the tape shape differing.
 
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "data/split.h"
+#include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "models/knn_gnn.h"
 #include "nn/fused.h"
 #include "nn/ops.h"
 #include "nn/tape_verifier.h"
@@ -211,6 +216,76 @@ TEST(FusionTest, FusedTapeIsSmaller) {
   Tensor plain_loss =
       ops::SumSquares(fused::SpmmBiasAct(sp, x, b, Activation::kRelu));
   EXPECT_LT(fused_nodes, plain_loss.TapeSize());
+}
+
+// A whole training run, fusion on vs off: the fused nodes (the last ReLU
+// folded into the final layer's node included) must leave bit-identical
+// trained parameters and logits. Dropout and the validation pass are on.
+struct FitConfig {
+  const char* name;
+  GnnBackbone backbone;
+  bool pair_norm;
+  bool jumping_knowledge;
+};
+
+struct FitResult {
+  std::string params;
+  Matrix logits;
+};
+
+FitResult FitOnce(const FitConfig& config) {
+  TabularDataset data = MakeClusters({.num_rows = 150,
+                                      .num_classes = 3,
+                                      .dim_informative = 5,
+                                      .dim_noise = 3,
+                                      .seed = 11});
+  Rng rng(19);
+  Split split = StratifiedSplit(data.class_labels(), 0.6, 0.2, rng);
+  InstanceGraphGnnOptions options;
+  options.backbone = config.backbone;
+  options.use_pair_norm = config.pair_norm;
+  options.use_jumping_knowledge = config.jumping_knowledge;
+  options.hidden_dim = 12;
+  options.num_layers = 3;
+  options.knn.k = 5;
+  options.dropout = 0.3;
+  options.train.max_epochs = 12;
+  options.train.patience = 4;
+  options.train.verbose = false;
+  options.seed = 5;
+  InstanceGraphGnn model(options);
+  Status fit = model.Fit(data, split);
+  EXPECT_TRUE(fit.ok()) << fit.ToString();
+  FitResult result;
+  std::ostringstream params;
+  EXPECT_TRUE(model.SaveTrainedParameters(params).ok());
+  result.params = params.str();
+  StatusOr<Matrix> logits = model.Predict(data);
+  EXPECT_TRUE(logits.ok());
+  if (logits.ok()) result.logits = *logits;
+  return result;
+}
+
+TEST(FusionTest, WholeFitBitExactFusedVsUnfused) {
+  const FitConfig configs[] = {
+      {"gcn", GnnBackbone::kGcn, false, false},
+      {"gcn_jk", GnnBackbone::kGcn, false, true},
+      {"gcn_pairnorm", GnnBackbone::kGcn, true, false},
+      {"sage", GnnBackbone::kSage, false, false},
+      {"gin", GnnBackbone::kGin, false, false},
+  };
+  for (const FitConfig& config : configs) {
+    SCOPED_TRACE(config.name);
+    ASSERT_TRUE(fused::FusionEnabled());
+    const FitResult fused_fit = FitOnce(config);
+    FitResult plain_fit;
+    {
+      FusionOff off;
+      plain_fit = FitOnce(config);
+    }
+    EXPECT_EQ(fused_fit.params, plain_fit.params);
+    ExpectBitIdentical(fused_fit.logits, plain_fit.logits);
+  }
 }
 
 }  // namespace

@@ -127,6 +127,7 @@ TEST(DispatchTest, ScalarTableAlwaysAvailable) {
   EXPECT_NE(scalar->bias_act, nullptr);
   EXPECT_NE(scalar->scale_add, nullptr);
   EXPECT_NE(scalar->spmm_bias_act, nullptr);
+  EXPECT_NE(scalar->mt64_block, nullptr);
   // Dispatch() always resolves to *some* complete table.
   EXPECT_NE(kernels::Dispatch().matmul, nullptr);
 }
@@ -448,6 +449,37 @@ void ExpectSameBitsOrBothNaN(const std::vector<double>& scalar,
   }
 }
 
+// The MT19937-64 block: from the same state both tiers write the same
+// 312 outputs and leave the same next state, over consecutive blocks from
+// several seeds (so the twist's wrap and its already twisted reads are hit
+// with varied words).
+TEST_F(SimdParityTest, Mt64BlockBitIdentical) {
+  constexpr size_t kWords = Mt19937_64::kStateWords;
+  for (uint64_t seed : {0ULL, 1ULL, 5489ULL, ~0ULL}) {
+    // The seeded state: the standard recurrence Mt19937_64's constructor
+    // runs.
+    std::vector<uint64_t> state_s(kWords);
+    state_s[0] = seed;
+    for (size_t i = 1; i < kWords; ++i) {
+      const uint64_t prev = state_s[i - 1];
+      state_s[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+    std::vector<uint64_t> state_v = state_s;
+    Mt19937_64 engine(seed);
+    std::vector<uint64_t> out_s(kWords), out_v(kWords, 1);
+    for (int block = 0; block < 5; ++block) {
+      scalar_->mt64_block(state_s.data(), out_s.data());
+      avx2_->mt64_block(state_v.data(), out_v.data());
+      ASSERT_EQ(out_s, out_v) << "seed " << seed << " block " << block;
+      ASSERT_EQ(state_s, state_v) << "seed " << seed << " block " << block;
+      // And both equal the engine's own stream.
+      for (size_t k = 0; k < kWords; ++k) {
+        ASSERT_EQ(out_s[k], engine()) << "seed " << seed << " word " << k;
+      }
+    }
+  }
+}
+
 /// A rows x cols CSR with about a third of the entries set, values drawn by
 /// SpecialValues.
 struct TestCsr {
@@ -539,10 +571,13 @@ TEST_F(SimdParityTest, F64KernelsBitIdentical) {
           v.bias_act(xv.data(), n, b, act, 0.2, 0, m);
           ExpectSameBitsOrBothNaN(xs, xv, "bias_act" + what);
         }
-        std::vector<double> gs = x, gv = x;
-        s.act_grad(gs.data(), act_out.data(), n, act, 0.2, 0, m);
-        v.act_grad(gv.data(), act_out.data(), n, act, 0.2, 0, m);
+        // Out of place at both tiers, and in place equal to out of place.
+        std::vector<double> gs(m * n, 1.0), gv(m * n, -1.0), gi = x;
+        s.act_grad(x.data(), act_out.data(), gs.data(), n, act, 0.2, 0, m);
+        v.act_grad(x.data(), act_out.data(), gv.data(), n, act, 0.2, 0, m);
+        v.act_grad(gi.data(), act_out.data(), gi.data(), n, act, 0.2, 0, m);
         ExpectSameBitsOrBothNaN(gs, gv, "act_grad" + what);
+        ExpectSameBitsOrBothNaN(gs, gi, "act_grad in place" + what);
       }
     }
   }

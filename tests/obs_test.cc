@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -117,6 +119,57 @@ TEST_F(TracingTest, SpansOpenedInsideParallelForParentUnderTheCallersSpan) {
   EXPECT_GE(chunks, 1u);
   ASSERT_NE(FindSpan(spans, "pf_driver"), nullptr);
   EXPECT_EQ(FindSpan(spans, "pf_driver")->parent, 0u);
+}
+
+// Trainer::Fit's phase spans are the training ledger: forward, backward,
+// optimizer and validate nest directly under each train/epoch span and
+// together cover at least 95% of it.
+TEST_F(TracingTest, TrainPhaseSpansNestUnderEpochAndCoverIt) {
+  TabularDataset data = MakeClusters({.num_rows = 200,
+                                      .num_classes = 3,
+                                      .dim_informative = 6,
+                                      .dim_noise = 2,
+                                      .seed = 9});
+  Rng rng(21);
+  Split split = StratifiedSplit(data.class_labels(), 0.6, 0.2, rng);
+  InstanceGraphGnnOptions options;
+  options.backbone = GnnBackbone::kGcn;
+  options.hidden_dim = 32;
+  options.num_layers = 2;
+  options.knn.k = 6;
+  options.train.max_epochs = 6;
+  options.train.verbose = false;
+  InstanceGraphGnn model(options);
+  Tracer& tracer = Tracer::Global();
+  tracer.Start();
+  ASSERT_TRUE(model.Fit(data, split).ok());
+  tracer.Stop();
+
+  const std::vector<SpanRecord> spans = tracer.Collect();
+  std::map<uint64_t, int64_t> epoch_dur;
+  for (const SpanRecord& s : spans) {
+    if (s.name == "train/epoch") epoch_dur[s.id] = s.dur_ns;
+  }
+  ASSERT_EQ(epoch_dur.size(), 6u);
+  const std::set<std::string> phases = {"train/forward", "train/backward",
+                                        "train/optimizer", "train/validate"};
+  std::map<uint64_t, int64_t> covered;
+  std::map<std::string, size_t> count;
+  for (const SpanRecord& s : spans) {
+    if (phases.count(s.name) == 0) continue;
+    ASSERT_EQ(epoch_dur.count(s.parent), 1u)
+        << s.name << " is not a child of a train/epoch span";
+    covered[s.parent] += s.dur_ns;
+    ++count[s.name];
+  }
+  for (const std::string& phase : phases) EXPECT_EQ(count[phase], 6u) << phase;
+  int64_t total = 0, total_covered = 0;
+  for (const auto& [id, dur] : epoch_dur) {
+    total += dur;
+    total_covered += covered[id];
+  }
+  EXPECT_GE(static_cast<double>(total_covered),
+            0.95 * static_cast<double>(total));
 }
 
 TEST_F(TracingTest, StoppedTracerRecordsNothing) {

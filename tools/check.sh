@@ -17,8 +17,10 @@
 #                     run (train + freeze + serve) with --trace-out and
 #                     --metrics-out, then gnn4tdl_trace_check validates the
 #                     artifacts (well-formed trace JSON, required span names
-#                     present, no negative durations, required metrics in the
-#                     Prometheus dump)
+#                     present — the training phase spans train/forward,
+#                     train/backward, train/optimizer and train/validate
+#                     included — no negative durations, required metrics in
+#                     the Prometheus dump)
 #   stage 6  simd     kernel-tier contract: the kernel tolerance/parity
 #                     suite plus the f32 serving suite, run once with
 #                     GNN4TDL_SIMD=scalar and once with GNN4TDL_SIMD=avx2.
@@ -28,20 +30,26 @@
 #                     here means the dispatch choice can never change served
 #                     logits. f64 training and serving run on the dispatched
 #                     tier too (matmul family, SpMM, the activation
-#                     epilogue) and their queries and rows run across the
+#                     epilogue, the MT19937-64 block behind dropout's bulk
+#                     draws) and their queries and rows run across the
 #                     pool, so one matrix runs at every pairing of
 #                     SIMD=scalar|avx2 and THREADS=1|4: the exact kNN suites
 #                     (KnnIndexTest, KnnGraphTest: the lane-packed scan
 #                     against a brute-force oracle, bit for bit), the served
 #                     bit-exactness suite (Configs/ServedBitExactTest),
 #                     RowIndependenceTest (the contract per-layer frontier
-#                     serving relies on), KernelDeterminismTest, the fusion
-#                     suite and the gradcheck suite. Last, one gnn4tdl_cli
-#                     freeze with a fixed seed runs at each tier, both at
-#                     THREADS=4, and the two artifacts must be byte-identical:
-#                     a whole training run checked across tiers. The thread
-#                     count is held fixed because artifacts differ across
-#                     thread counts by design (spmm_t reduces per lane)
+#                     serving relies on), KernelDeterminismTest, the
+#                     stream-identity suites (RngTest: the engine is
+#                     std::mt19937_64 and bulk draws equal single ones;
+#                     DropoutTest: masks equal per-element
+#                     std::bernoulli_distribution), the fusion suite and the
+#                     gradcheck suite. Last, gnn4tdl_cli freeze with a fixed
+#                     seed runs at each tier for the default GCN and for
+#                     SAGE, all at THREADS=4, and each backbone's two
+#                     artifacts must be byte-identical: whole training runs
+#                     checked across tiers. The thread count is held fixed
+#                     because artifacts differ across thread counts by
+#                     design (spmm_t reduces per lane)
 #   stage 7  fusion   fused-execution + arena memory contract: the fusion
 #                     bit-exactness suite (fused single-node ops vs their
 #                     unfused compositions, values and gradients compared by
@@ -174,7 +182,8 @@ trace_stage() {
     ./build/tools/gnn4tdl_cli serve --backbone gat --epochs 8 \
       --trace-out build/trace.json --metrics-out build/metrics.txt &&
     ./build/tools/gnn4tdl_trace_check build/trace.json build/metrics.txt \
-      --require-span "pipeline/fit,train/epoch,serve/batch,matmul,spmm,edge_softmax" \
+      --require-span "pipeline/fit,train/epoch,train/forward,train/backward,\
+train/optimizer,train/validate,serve/batch,matmul,spmm,edge_softmax" \
       --require-metric "gnn4tdl_serve_latency_ms,gnn4tdl_serve_batch_rows,gnn4tdl_train_loss,gnn4tdl_serve_requests_total"
 }
 
@@ -184,7 +193,7 @@ simd_stage() {
       --target gnn4tdl_kernels_test --target gnn4tdl_serve_precision_test \
       --target gnn4tdl_serve_test --target gnn4tdl_parallel_test \
       --target gnn4tdl_fusion_test --target gnn4tdl_gradcheck_test \
-      --target gnn4tdl_cli &&
+      --target gnn4tdl_common_test --target gnn4tdl_cli &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_serve_precision_test &&
@@ -206,6 +215,8 @@ tier_matrix() {
             --gtest_filter='RowIndependenceTest.*' &&
           ./build/tests/gnn4tdl_parallel_test \
             --gtest_filter='KernelDeterminismTest.*' &&
+          ./build/tests/gnn4tdl_common_test \
+            --gtest_filter='RngTest.*:DropoutTest.*' &&
           ./build/tests/gnn4tdl_fusion_test &&
           ./build/tests/gnn4tdl_gradcheck_test
       ) || return 1
@@ -214,12 +225,16 @@ tier_matrix() {
 }
 
 cross_tier_freeze() {
-  local simd
-  for simd in scalar avx2; do
-    GNN4TDL_SIMD="$simd" GNN4TDL_THREADS=4 ./build/tools/gnn4tdl_cli freeze \
-      --seed 7 --out "build/cross_tier_${simd}.gnn4tdl" || return 1
+  local backbone simd
+  for backbone in gcn sage; do
+    for simd in scalar avx2; do
+      GNN4TDL_SIMD="$simd" GNN4TDL_THREADS=4 ./build/tools/gnn4tdl_cli \
+        freeze --backbone "$backbone" --seed 7 \
+        --out "build/cross_tier_${backbone}_${simd}.gnn4tdl" || return 1
+    done
+    cmp "build/cross_tier_${backbone}_scalar.gnn4tdl" \
+      "build/cross_tier_${backbone}_avx2.gnn4tdl" || return 1
   done
-  cmp build/cross_tier_scalar.gnn4tdl build/cross_tier_avx2.gnn4tdl
 }
 
 fusion_stage() {
