@@ -1,6 +1,6 @@
 // Multi-tenant serving load benchmark (operational): the standing load-test
 // harness pointed at a two-tenant registry. An interactive tenant (GCN on the
-// f32 tier, tight deadline, 3x WRR weight, small queue) and a batch tenant
+// f32 tier, 3x WRR weight, small queue) and a batch tenant
 // (SAGE on f64, larger batches) share one engine; the seeded open-loop
 // generator sweeps offered RPS to trace a saturation curve. The claims under
 // test: (1) achieved RPS tracks offered until the engine saturates, after
@@ -172,7 +172,6 @@ int RunAll() {
   specs[0].backbone = GnnBackbone::kGcn;
   specs[0].precision = kernels::Precision::kF32;
   specs[0].options.max_batch = 8;
-  specs[0].options.deadline_ms = 1.0;
   specs[0].options.queue_capacity = 64;  // small on purpose: sheds first
   specs[0].options.weight = 3;
   specs[0].options.slo_ms = 20.0;
@@ -181,7 +180,6 @@ int RunAll() {
   specs[1].backbone = GnnBackbone::kSage;
   specs[1].precision = kernels::Precision::kF64;
   specs[1].options.max_batch = 32;
-  specs[1].options.deadline_ms = 4.0;
   specs[1].options.queue_capacity = 256;
   specs[1].options.weight = 1;
   specs[1].options.slo_ms = 100.0;

@@ -143,7 +143,6 @@ int RunAll() {
   specs[0].backbone = GnnBackbone::kGcn;
   specs[0].precision = kernels::Precision::kF32;
   specs[0].options.max_batch = 8;
-  specs[0].options.deadline_ms = 1.0;
   specs[0].options.queue_capacity = 64;
   specs[0].options.weight = 3;
   specs[0].options.slo_ms = 20.0;
@@ -152,7 +151,6 @@ int RunAll() {
   specs[1].backbone = GnnBackbone::kSage;
   specs[1].precision = kernels::Precision::kF64;
   specs[1].options.max_batch = 32;
-  specs[1].options.deadline_ms = 4.0;
   specs[1].options.queue_capacity = 256;
   specs[1].options.weight = 1;
   specs[1].options.slo_ms = 100.0;

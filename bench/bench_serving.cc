@@ -137,7 +137,6 @@ VariantResult BenchVariant(const FrozenModel& frozen, const std::string& name,
   {
     ServingOptions serve_opts;
     serve_opts.max_batch = 16;
-    serve_opts.deadline_ms = 2.0;
     ServingEngine engine(&frozen, serve_opts);
     std::vector<std::future<std::vector<double>>> futures;
     futures.reserve(n);

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 
 #include "common/thread_annotations.h"
@@ -69,13 +67,6 @@ class CondVar {
 
   /// Blocks until notified (or spuriously woken); reacquires before return.
   void Wait(MutexLock& lock) { cv_.wait(*lock.mutex()); }
-
-  /// Blocks for at most `ns` nanoseconds; reacquires before return. The
-  /// relative wait deliberately mirrors the engine's recompute-remaining
-  /// pattern, which keeps deadline logic correct under an obs::FakeClock.
-  void WaitForNanos(MutexLock& lock, int64_t ns) {
-    cv_.wait_for(*lock.mutex(), std::chrono::nanoseconds(ns));
-  }
 
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

@@ -10,7 +10,6 @@ ServingEngine::ServingEngine(const FrozenModel* model, ServingOptions options) {
   GNN4TDL_CHECK(model != nullptr);
   TenantOptions tenant;
   tenant.max_batch = options.max_batch;
-  tenant.deadline_ms = options.deadline_ms;
   tenant.queue_capacity = options.queue_capacity;
   tenant.slo_ms = options.slo_ms;
   Status added = registry_.AddTenant(kDefaultTenant, model, tenant);

@@ -14,16 +14,13 @@ namespace gnn4tdl {
 
 /// Options for ServingEngine.
 struct ServingOptions {
-  /// A batch closes as soon as it holds this many rows...
+  /// Most rows one batch takes from the queue (see TenantOptions).
   size_t max_batch = 16;
-  /// ...or when the oldest queued row has waited this long.
-  double deadline_ms = 2.0;
   /// Submissions beyond this many queued rows are rejected with
   /// kResourceExhausted instead of growing the queue without bound.
   size_t queue_capacity = 4096;
-  /// Time source for latency stamping and deadline waits; null means
-  /// obs::RealClock(). Tests inject an obs::FakeClock for deterministic
-  /// latency assertions.
+  /// Time source for latency stamping; null means obs::RealClock(). Tests
+  /// inject an obs::FakeClock for deterministic latency assertions.
   const obs::Clock* clock = nullptr;
   /// Tenant SLO used for flight-recorder tail sampling (total latency above
   /// this retains the request's span subtree).

@@ -17,7 +17,6 @@ Status ModelRegistry::AddTenantLocked(const std::string& name,
     }
   }
   if (options.max_batch == 0) options.max_batch = 1;
-  if (options.deadline_ms < 0.0) options.deadline_ms = 0.0;
   if (options.queue_capacity == 0) options.queue_capacity = 1;
   if (options.weight == 0) options.weight = 1;
   auto tenant = std::make_unique<Tenant>();

@@ -11,12 +11,14 @@
 
 namespace gnn4tdl {
 
-/// Per-tenant serving policy: batching shape, admission bound, scheduling
+/// Per-tenant serving policy: batch cap, admission bound, scheduling
 /// weight, and the latency objective reports are judged against.
 struct TenantOptions {
-  /// A batch for this tenant closes as soon as it holds this many rows...
+  /// Most rows one batch takes from this tenant's queue. The worker never
+  /// waits for a batch to fill: it takes what is queued when it is free.
   size_t max_batch = 16;
-  /// ...or when the tenant's oldest queued row has waited this long.
+  /// Ignored. Declared only because the benchmark's tenant specs still assign
+  /// it; it goes when those specs are next changed.
   double deadline_ms = 2.0;
   /// Admission bound: submissions beyond this many queued rows are rejected
   /// with kResourceExhausted instead of growing the queue without bound.

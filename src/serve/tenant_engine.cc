@@ -1,7 +1,6 @@
 #include "serve/tenant_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -181,57 +180,24 @@ StatusOr<SubmitResult> MultiTenantEngine::SubmitTraced(
   return result;
 }
 
-bool MultiTenantEngine::TenantReadyLocked(const TenantState& t) const {
-  if (t.queue.empty()) return false;
-  if (stopping_) return true;
-  if (t.queue.size() >= t.tenant->options.max_batch) return true;
-  const int64_t deadline_ns =
-      t.queue.front().ctx.enqueued_ns +
-      static_cast<int64_t>(t.tenant->options.deadline_ms * 1e6);
-  return clock_->NowNanos() >= deadline_ns;
-}
-
-bool MultiTenantEngine::AnyReadyLocked() const {
-  for (const auto& t : tenants_) {
-    if (TenantReadyLocked(*t)) return true;
-  }
-  return false;
-}
-
-int64_t MultiTenantEngine::EarliestDeadlineRemainingNsLocked() const {
-  const int64_t now_ns = clock_->NowNanos();
-  int64_t best = -1;
-  for (const auto& t : tenants_) {
-    if (t->queue.empty()) continue;
-    const int64_t deadline_ns =
-        t->queue.front().ctx.enqueued_ns +
-        static_cast<int64_t>(t->tenant->options.deadline_ms * 1e6);
-    const int64_t remaining = deadline_ns - now_ns;
-    if (best < 0 || remaining < best) best = remaining;
-  }
-  return best < 0 ? 0 : best;
-}
-
 MultiTenantEngine::TenantState* MultiTenantEngine::PickTenantLocked() {
   const size_t n = tenants_.size();
-  if (n == 0) return nullptr;
-  // Two passes: one over the current round's credits, and — if every ready
-  // tenant has already spent its share — one after refilling, which starts
-  // the next round. The scan begins just past the previously picked tenant,
-  // so equal-weight tenants interleave instead of the lowest index winning
-  // every tie.
-  for (int attempt = 0; attempt < 2; ++attempt) {
+  // The scan begins just past the previously picked tenant, so equal-weight
+  // tenants interleave instead of the lowest index winning every tie. When
+  // every non-empty queue has spent this round's credits, the refill starts
+  // the next round and the second pass finds one of them.
+  for (int pass = 0;; ++pass) {
     for (size_t i = 0; i < n; ++i) {
       TenantState& t = *tenants_[(rr_cursor_ + i) % n];
-      if (t.credits > 0 && TenantReadyLocked(t)) {
+      if (t.credits > 0 && !t.queue.empty()) {
         --t.credits;
         rr_cursor_ = (rr_cursor_ + i + 1) % n;
         return &t;
       }
     }
+    if (pass == 1) return nullptr;  // every queue is empty
     for (auto& t : tenants_) t->credits = t->tenant->options.weight;
   }
-  return nullptr;
 }
 
 const MultiTenantEngine::TenantState* MultiTenantEngine::FindTenantLocked(
@@ -251,19 +217,10 @@ void MultiTenantEngine::WorkerLoop() {
       while (!stopping_ && total_queued_ == 0) cv_.Wait(lock);
       if (total_queued_ == 0) break;  // stopping_ and fully drained
 
-      // Hold the earliest-deadline batch open until some tenant fills its
-      // max_batch or times out; stop requests close batches immediately. The
-      // remaining wait is recomputed from the injected clock each iteration
-      // (rather than passing an absolute time_point to wait_until) so the
-      // deadline logic follows a FakeClock in tests.
-      while (!stopping_ && !AnyReadyLocked()) {
-        const int64_t remaining_ns = EarliestDeadlineRemainingNsLocked();
-        if (remaining_ns <= 0) break;
-        cv_.WaitForNanos(lock, remaining_ns);
-      }
-
+      // Work-conserving: a free worker dispatches whatever is queued now.
+      // Rows that arrive while it scores this batch form the next one.
       ts = PickTenantLocked();
-      if (ts == nullptr) continue;  // spurious wake: nothing ready yet
+      GNN4TDL_CHECK(ts != nullptr);  // total_queued_ > 0
       const size_t take =
           std::min(ts->queue.size(), ts->tenant->options.max_batch);
       batch.reserve(take);

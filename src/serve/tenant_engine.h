@@ -79,9 +79,8 @@ struct SubmitResult {
 
 /// Engine-level options; per-tenant policy lives in TenantOptions.
 struct MultiTenantEngineOptions {
-  /// Time source for latency stamping and deadline waits; null means
-  /// obs::RealClock(). Tests inject an obs::FakeClock for deterministic
-  /// latency assertions.
+  /// Time source for latency stamping; null means obs::RealClock(). Tests
+  /// inject an obs::FakeClock for deterministic latency assertions.
   const obs::Clock* clock = nullptr;
   /// Flight-recorder policy (on by default — the ring is bounded and the
   /// per-request cost is one striped mutex push). Set recorder.enabled =
@@ -90,19 +89,22 @@ struct MultiTenantEngineOptions {
 };
 
 /// Micro-batching scorer over every tenant in a ModelRegistry: each tenant
-/// gets its own bounded request queue and batching policy, and one worker
-/// thread drains the queues in weighted round-robin order — each scheduling
-/// round gives a tenant up to `weight` batch closures before the scan moves
-/// on, so a saturated tenant cannot starve an idle one (its backlog only
-/// consumes its own share of batch slots, and the idle tenant's first request
-/// is picked up within one batch of becoming ready).
+/// gets its own bounded request queue and batch cap, and one worker thread
+/// drains the queues in weighted round-robin order — each scheduling round
+/// gives a tenant up to `weight` batches before the scan moves on, so a
+/// saturated tenant cannot starve an idle one (its backlog only consumes its
+/// own share of batch slots, and the idle tenant's first request is picked up
+/// within one batch of being queued).
+///
+/// Dispatch is work-conserving: whenever the worker is free and any row is
+/// queued, it picks a tenant by that round-robin and takes up to the tenant's
+/// max_batch rows at once. No batch is held open waiting for more rows, so
+/// batches form only from rows that arrive while the worker is busy; under
+/// saturation they fill to max_batch.
 ///
 /// Admission control: a Submit beyond the tenant's queue_capacity returns
 /// kResourceExhausted — typed backpressure the caller can retry or shed, never
-/// an exception — and is counted in the tenant's `rejected`. A batch closes
-/// when it reaches the tenant's max_batch or when the tenant's oldest request
-/// has waited deadline_ms (same policy as the original single-tenant engine,
-/// now per tenant).
+/// an exception — and is counted in the tenant's `rejected`.
 ///
 /// Threading: one batching worker for the whole process, so batch forwards
 /// never contend with each other for the shared kernel ThreadPool and scoring
@@ -217,13 +219,8 @@ class MultiTenantEngine {
   };
 
   void WorkerLoop();
-  /// True when some tenant has a closable batch: full to max_batch, past its
-  /// oldest request's deadline, or anything queued while stopping.
-  bool AnyReadyLocked() const GNN4TDL_REQUIRES(mu_);
-  bool TenantReadyLocked(const TenantState& t) const GNN4TDL_REQUIRES(mu_);
-  /// Nanoseconds until the earliest pending deadline (0 when one passed).
-  int64_t EarliestDeadlineRemainingNsLocked() const GNN4TDL_REQUIRES(mu_);
-  /// WRR pick: next ready tenant with credits, refilling a spent round.
+  /// WRR pick: next tenant with queued rows and credits, refilling a spent
+  /// round. Null only when every queue is empty.
   TenantState* PickTenantLocked() GNN4TDL_REQUIRES(mu_);
   const TenantState* FindTenantLocked(const std::string& name) const
       GNN4TDL_REQUIRES(mu_);

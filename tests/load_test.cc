@@ -73,12 +73,10 @@ class LoadTest : public ::testing::Test {
     ASSERT_TRUE(a.ok() && b.ok());
     TenantOptions interactive;
     interactive.max_batch = 8;
-    interactive.deadline_ms = 1.0;
     interactive.weight = 2;
     interactive.slo_ms = 50.0;
     TenantOptions batch;
     batch.max_batch = 16;
-    batch.deadline_ms = 2.0;
     batch.weight = 1;
     batch.slo_ms = 200.0;
     ASSERT_TRUE(registry->AddTenant("interactive", std::move(*a), interactive)

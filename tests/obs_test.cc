@@ -20,12 +20,14 @@
 #include "common/parallel.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "gate_clock.h"
 #include "models/knn_gnn.h"
 #include "obs/clock.h"
 #include "obs/json_lite.h"
 #include "obs/kernel_hooks.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "poll_until.h"
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
 #include "tensor/matrix.h"
@@ -367,9 +369,9 @@ TEST(KernelCountersTest, MatmulReportsExactFlopCount) {
   EXPECT_TRUE(obs::KernelCounters::Snapshot().empty());
 }
 
-// FakeClock-driven engine latency: freeze the clock so the deadline can only
-// expire when the test advances time, then check the latency distribution is
-// exactly the advance we injected.
+// FakeClock-driven engine latency: hold the worker at a gate on its first
+// row, queue two more behind it, advance frozen fake time, then release it.
+// Every latency is exactly the advance we injected.
 TEST(ServingEngineObsTest, FakeClockMakesLatencyDeterministic) {
   TabularDataset data = MakeClusters({.num_rows = 120,
                                       .num_classes = 3,
@@ -394,10 +396,10 @@ TEST(ServingEngineObsTest, FakeClockMakesLatencyDeterministic) {
   ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
 
   FakeClock clock;
+  testing::GateClock gate(&clock);
   ServingOptions serve_opts;
-  serve_opts.max_batch = 3;  // two submissions cannot close the batch by size
-  serve_opts.deadline_ms = 2.0;
-  serve_opts.clock = &clock;
+  serve_opts.max_batch = 3;  // room for both rows queued behind the held one
+  serve_opts.clock = &gate;
   ServingEngine engine(&*frozen, serve_opts);
 
   Matrix x = frozen->Featurize(data).value();
@@ -405,26 +407,31 @@ TEST(ServingEngineObsTest, FakeClockMakesLatencyDeterministic) {
     return std::vector<double>(x.row_data(i), x.row_data(i) + x.cols());
   };
   StatusOr<std::future<std::vector<double>>> f0 = engine.Submit(row(0));
-  StatusOr<std::future<std::vector<double>>> f1 = engine.Submit(row(1));
   ASSERT_TRUE(f0.ok());
+  ASSERT_TRUE(testing::PollUntil([&] { return gate.parked() == 1; }));
+  StatusOr<std::future<std::vector<double>>> f1 = engine.Submit(row(1));
+  StatusOr<std::future<std::vector<double>>> f2 = engine.Submit(row(2));
   ASSERT_TRUE(f1.ok());
-  // Fake time is frozen, so the 2 ms deadline cannot expire until we say so.
+  ASSERT_TRUE(f2.ok());
+  // Fake time is frozen, and the worker reads it only once released.
   clock.AdvanceMillis(7.0);
+  gate.Open();
   f0->get();
   f1->get();
+  f2->get();
   engine.Stop();
 
   ServeStats stats = engine.Stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_rows, 2.0);
-  // Both requests waited exactly 7 fake ms; max is exact, quantiles are
-  // histogram estimates within the documented bound.
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_rows, 1.5);
+  // All three requests took exactly 7 fake ms end to end; max is exact,
+  // quantiles are histogram estimates within the documented bound.
   EXPECT_DOUBLE_EQ(stats.max_ms, 7.0);
   EXPECT_NEAR(stats.p50_ms, 7.0, 7.0 * 0.05);
   EXPECT_NEAR(stats.p99_ms, 7.0, 7.0 * 0.05);
-  // 2 requests over a 7 ms fake window.
-  EXPECT_NEAR(stats.throughput_rps, 2.0 / 0.007, 1.0);
+  // 3 requests over a 7 ms fake window.
+  EXPECT_NEAR(stats.throughput_rps, 3.0 / 0.007, 1.0);
 }
 
 }  // namespace

@@ -17,11 +17,13 @@
 #include "common/rng.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "gate_clock.h"
 #include "models/knn_gnn.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "poll_until.h"
 #include "serve/frozen_model.h"
 #include "serve/registry.h"
 #include "serve/tenant_engine.h"
@@ -255,42 +257,54 @@ class RecorderEngineTest : public ::testing::Test {
   inline static std::optional<Matrix> features_;
 };
 
-// One SLO-breaching batch under a FakeClock: submit three requests while the
-// deadline is open, then advance fake time past both deadline and SLO. The
-// worker closes the batch of exactly three; every digest shows the advanced
-// wait, breaches, and keeps a span subtree findable by trace id.
+// One SLO-breaching batch under a FakeClock: the worker is held at a gate on
+// a row of a second tenant ("hold", SLO well above the run), three requests
+// for "t" queue behind it, fake time jumps past the 5ms SLO, and the gate
+// opens. The worker then takes the batch of exactly three; every "t" digest
+// shows the advanced wait, breaches, and keeps a span subtree findable by
+// trace id.
 struct FakeRunResult {
   std::vector<RequestDigest> ring;
   std::vector<RequestDigest> retained;
 };
 
+// Caller-chosen id of the held row, outside the engine-assigned 1, 2, 3.
+constexpr uint64_t kHeldTraceId = 100;
+
 FakeRunResult RunFakeClockBreachScenario(
     std::vector<double> (*row)(size_t), StatusOr<FrozenModel> model) {
   obs::FakeClock clock;
   obs::Tracer::Global().set_clock(&clock);
+  testing::GateClock gate(&clock);
 
   ModelRegistry registry;
   TenantOptions tenant;
   tenant.max_batch = 8;
-  tenant.deadline_ms = 10.0;
   tenant.slo_ms = 5.0;
   EXPECT_TRUE(registry.AddTenant("t", std::move(*model), tenant).ok());
+  TenantOptions hold;
+  hold.slo_ms = 1000.0;
+  EXPECT_TRUE(registry.AddTenant("hold", registry.Find("t")->model, hold).ok());
 
   MultiTenantEngineOptions engine_options;
-  engine_options.clock = &clock;
+  engine_options.clock = &gate;
   MultiTenantEngine engine(&registry, engine_options);
 
+  StatusOr<SubmitResult> held =
+      engine.SubmitTraced("hold", row(3), kHeldTraceId);
+  EXPECT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_TRUE(testing::PollUntil([&] { return gate.parked() == 1; }));
   std::vector<std::future<std::vector<double>>> futures;
+  futures.push_back(std::move(held->future));
   for (size_t i = 0; i < 3; ++i) {
     StatusOr<SubmitResult> submitted = engine.SubmitTraced("t", row(i));
     EXPECT_TRUE(submitted.ok()) << submitted.status().ToString();
     EXPECT_EQ(submitted->trace_id, i + 1);  // engine-assigned, in order
     futures.push_back(std::move(submitted->future));
   }
-  // Fake time jumps past the 10ms batch deadline and the 5ms SLO; the worker
-  // re-derives the remaining wait from the injected clock and closes the
-  // batch of three.
+  // Fake time jumps past the 5ms SLO before the worker reads it again.
   clock.AdvanceMillis(20.0);
+  gate.Open();
   for (auto& f : futures) f.get();
   engine.Stop();
 
@@ -338,8 +352,17 @@ TEST_F(RecorderEngineTest, SloBreachRetainsSubtreeDeterministically) {
   ASSERT_TRUE(first.ok());
   FakeRunResult run = RunFakeClockBreachScenario(&Row, std::move(first));
 
-  ASSERT_EQ(run.ring.size(), 3u);
+  ASSERT_EQ(run.ring.size(), 4u);
+  size_t breached = 0;
   for (const RequestDigest& d : run.ring) {
+    if (d.trace_id == kHeldTraceId) {
+      EXPECT_EQ(d.tenant, "hold");
+      EXPECT_EQ(d.batch_size, 1u);
+      EXPECT_EQ(d.total_ms, 20.0);
+      EXPECT_FALSE(d.slo_breach);  // 20ms against a 1000ms SLO
+      continue;
+    }
+    ++breached;
     EXPECT_EQ(d.tenant, "t");
     EXPECT_EQ(d.queue_wait_ms, 20.0);  // exact: fake time advanced once
     EXPECT_EQ(d.compute_ms, 0.0);
@@ -350,6 +373,7 @@ TEST_F(RecorderEngineTest, SloBreachRetainsSubtreeDeterministically) {
     EXPECT_TRUE(d.slo_breach);  // 20ms against a 5ms SLO
     EXPECT_TRUE(d.spans.empty());
   }
+  EXPECT_EQ(breached, 3u);
 
   // Tail sampling: every breach keeps its span subtree, and the batch span
   // carries all three member request ids — retrievable by any of them.
@@ -380,7 +404,6 @@ TEST_F(RecorderEngineTest, ConcurrentSubmitAndDumpAreSafe) {
   ModelRegistry registry;
   TenantOptions tenant;
   tenant.max_batch = 4;
-  tenant.deadline_ms = 0.5;
   tenant.queue_capacity = 4096;
   ASSERT_TRUE(registry.AddTenant("t", std::move(*model), tenant).ok());
   MultiTenantEngine engine(&registry);

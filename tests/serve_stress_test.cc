@@ -19,7 +19,9 @@
 
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "gate_clock.h"
 #include "models/knn_gnn.h"
+#include "obs/clock.h"
 #include "poll_until.h"
 #include "serve/engine.h"
 #include "serve/frozen_model.h"
@@ -117,7 +119,6 @@ TEST_F(ServeStressTest, ManyProducersEveryRequestResolvesExactlyOnce) {
 
   ServingOptions opts;
   opts.max_batch = 16;
-  opts.deadline_ms = 1.0;
   ServingEngine engine(&*frozen_, opts);
 
   std::atomic<size_t> ok{0};
@@ -171,7 +172,6 @@ TEST_F(ServeStressTest, ShutdownUnderLoadLosesNoAcceptedRequest) {
 
   ServingOptions opts;
   opts.max_batch = 8;
-  opts.deadline_ms = 1.0;
   ServingEngine engine(&*frozen_, opts);
 
   std::atomic<size_t> ok{0};
@@ -208,15 +208,27 @@ TEST_F(ServeStressTest, ShutdownUnderLoadLosesNoAcceptedRequest) {
 TEST_F(ServeStressTest, QueueFullRejectionsAreCountedConsistently) {
   constexpr size_t kProducers = 4;
   constexpr size_t kPerProducer = 16;
+  constexpr size_t kHeld = 4;
 
+  testing::GateClock gate(obs::RealClock());
   ServingOptions opts;
   opts.max_batch = 2;
-  opts.deadline_ms = 5.0;
   opts.queue_capacity = 2;  // force overflow under concurrent submission
+  opts.clock = &gate;
   ServingEngine engine(&*frozen_, opts);
 
   std::atomic<size_t> ok{0};
   std::atomic<size_t> rejected{0};
+
+  // Hold the worker on the first row: the next two fill the queue and the
+  // last overflows it, so at least one rejection is certain. Then open the
+  // gate and race the producers against the free-running worker.
+  std::vector<std::future<std::vector<double>>> held;
+  SubmitRow(engine, 0, &held, rejected);
+  ASSERT_TRUE(testing::PollUntil([&] { return gate.parked() == 1; }));
+  for (size_t i = 1; i < kHeld; ++i) SubmitRow(engine, i, &held, rejected);
+  EXPECT_EQ(rejected.load(), 1u);
+  gate.Open();
 
   std::vector<std::thread> producers;
   for (size_t p = 0; p < kProducers; ++p) {
@@ -224,14 +236,15 @@ TEST_F(ServeStressTest, QueueFullRejectionsAreCountedConsistently) {
       std::vector<std::future<std::vector<double>>> futures;
       futures.reserve(kPerProducer);
       for (size_t m = 0; m < kPerProducer; ++m)
-        SubmitRow(engine, p * kPerProducer + m, &futures, rejected);
+        SubmitRow(engine, kHeld + p * kPerProducer + m, &futures, rejected);
       Resolve(futures, ok, rejected);
     });
   }
   for (auto& t : producers) t.join();
+  Resolve(held, ok, rejected);
   engine.Stop();
 
-  EXPECT_EQ(ok.load() + rejected.load(), kProducers * kPerProducer);
+  EXPECT_EQ(ok.load() + rejected.load(), kHeld + kProducers * kPerProducer);
   ServeStats stats = engine.Stats();
   // The engine ran the whole time with well-formed rows, so the only
   // rejection path was queue-full — the counter must match what callers saw.

@@ -1,6 +1,7 @@
-// Multi-tenant serving tests: registry validation, typed Submit failures, and
-// weighted round-robin isolation (a backlogged tenant cannot starve a
-// late-arriving one).
+// Multi-tenant serving tests: registry validation, typed Submit failures,
+// work-conserving dispatch (an idle worker takes a row at once; rows queued
+// while it is busy share the next batch), and weighted round-robin isolation
+// (a backlogged tenant cannot starve a late-arriving one).
 
 #include <gtest/gtest.h>
 
@@ -15,8 +16,11 @@
 #include "common/rng.h"
 #include "data/split.h"
 #include "data/synthetic.h"
+#include "gate_clock.h"
 #include "models/knn_gnn.h"
+#include "obs/clock.h"
 #include "obs/metrics.h"
+#include "poll_until.h"
 #include "serve/frozen_model.h"
 #include "serve/registry.h"
 #include "serve/tenant_engine.h"
@@ -112,14 +116,12 @@ TEST_F(ServeTenantTest, RegistryClampsDegenerateOptions) {
   options.max_batch = 0;
   options.queue_capacity = 0;
   options.weight = 0;
-  options.deadline_ms = -1.0;
   ASSERT_TRUE(registry.AddTenant("t", std::move(*model), options).ok());
   const Tenant* t = registry.Find("t");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->options.max_batch, 1u);
   EXPECT_EQ(t->options.queue_capacity, 1u);
   EXPECT_EQ(t->options.weight, 1u);
-  EXPECT_EQ(t->options.deadline_ms, 0.0);
 }
 
 TEST_F(ServeTenantTest, SubmitFailuresAreTyped) {
@@ -128,10 +130,13 @@ TEST_F(ServeTenantTest, SubmitFailuresAreTyped) {
   ModelRegistry registry;
   TenantOptions options;
   options.max_batch = 8;
-  options.deadline_ms = 1000.0;  // park submissions in the queue
   options.queue_capacity = 2;
   ASSERT_TRUE(registry.AddTenant("t", std::move(*model), options).ok());
-  MultiTenantEngine engine(&registry);
+  obs::FakeClock fake;
+  testing::GateClock gate(&fake);
+  MultiTenantEngineOptions engine_options;
+  engine_options.clock = &gate;
+  MultiTenantEngine engine(&registry, engine_options);
 
   auto unknown = engine.Submit("nope", Row(0));
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
@@ -139,31 +144,116 @@ TEST_F(ServeTenantTest, SubmitFailuresAreTyped) {
   auto bad_dim = engine.Submit("t", std::vector<double>(3, 0.0));
   EXPECT_EQ(bad_dim.status().code(), StatusCode::kInvalidArgument);
 
-  // Two fit under queue_capacity; the far deadline keeps the worker from
-  // draining them before the third arrives and overflows admission.
-  auto first = engine.Submit("t", Row(0));
-  auto second = engine.Submit("t", Row(1));
+  // The worker takes the first row at once and is held at the gate, so the
+  // next two fill queue_capacity and the fourth overflows admission.
+  auto held = engine.Submit("t", Row(0));
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(testing::PollUntil([&] { return gate.parked() == 1; }));
+  auto first = engine.Submit("t", Row(1));
+  auto second = engine.Submit("t", Row(2));
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  auto overflow = engine.Submit("t", Row(2));
+  auto overflow = engine.Submit("t", Row(3));
   EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
 
-  engine.Stop();  // drains the two accepted requests
-  EXPECT_EQ(first->get().size(), second->get().size());
+  gate.Open();
+  engine.Stop();  // drains the accepted requests
+  const size_t outputs = held->get().size();
+  EXPECT_EQ(first->get().size(), outputs);
+  EXPECT_EQ(second->get().size(), outputs);
 
-  auto stopped = engine.Submit("t", Row(3));
+  auto stopped = engine.Submit("t", Row(4));
   EXPECT_EQ(stopped.status().code(), StatusCode::kFailedPrecondition);
 
   ServeStats stats = engine.Stats();
-  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.requests, 3u);
   // Admission control only: unknown-tenant/bad-dimension/stopped submissions
   // are caller errors, not shed load.
   EXPECT_EQ(stats.rejected, 1u);
   StatusOr<ServeStats> tenant_stats = engine.TenantStats("t");
   ASSERT_TRUE(tenant_stats.ok());
-  EXPECT_EQ(tenant_stats->requests, 2u);
+  EXPECT_EQ(tenant_stats->requests, 3u);
   EXPECT_EQ(tenant_stats->rejected, 1u);
   EXPECT_EQ(engine.TenantStats("nope").status().code(), StatusCode::kNotFound);
+}
+
+// Work-conserving dispatch: an idle worker scores a lone row at once, with
+// no time passing. Fake time is frozen, so a worker that waited for a batch
+// to fill or for a timer would never resolve the future.
+TEST_F(ServeTenantTest, IdleWorkerDispatchesWithoutTimePassing) {
+  StatusOr<FrozenModel> model = Load();
+  ASSERT_TRUE(model.ok());
+  ModelRegistry registry;
+  TenantOptions options;
+  options.max_batch = 8;
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*model), options).ok());
+  obs::FakeClock clock;
+  MultiTenantEngineOptions engine_options;
+  engine_options.clock = &clock;
+  MultiTenantEngine engine(&registry, engine_options);
+
+  auto f = engine.Submit("t", Row(0));
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_TRUE(testing::PollUntil(
+      [&] {
+        return f->wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+      },
+      std::chrono::seconds(30)));
+  EXPECT_FALSE(f->get().empty());
+  engine.Stop();
+
+  StatusOr<ServeStats> stats = engine.TenantStats("t");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->requests, 1u);
+  EXPECT_EQ(stats->batches, 1u);
+  EXPECT_EQ(stats->queue_wait_ms_sum, 0.0);
+  EXPECT_EQ(stats->max_ms, 0.0);
+}
+
+// Rows that arrive while the worker is busy form the next batches, each
+// capped at max_batch: the worker is held on its first row, 12 more are
+// queued, and the batches are {1}, {8}, {4} in submission order.
+TEST_F(ServeTenantTest, RowsQueuedWhileBusyShareOneBatch) {
+  StatusOr<FrozenModel> model = Load();
+  ASSERT_TRUE(model.ok());
+  ModelRegistry registry;
+  TenantOptions options;
+  options.max_batch = 8;
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*model), options).ok());
+  obs::FakeClock fake;
+  testing::GateClock gate(&fake);
+  MultiTenantEngineOptions engine_options;
+  engine_options.clock = &gate;
+  MultiTenantEngine engine(&registry, engine_options);
+
+  constexpr size_t kQueued = 12;
+  std::vector<std::future<std::vector<double>>> futures;
+  StatusOr<SubmitResult> held = engine.SubmitTraced("t", Row(0));
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  futures.push_back(std::move(held->future));
+  ASSERT_TRUE(testing::PollUntil([&] { return gate.parked() == 1; }));
+  for (size_t i = 1; i <= kQueued; ++i) {
+    StatusOr<SubmitResult> queued = engine.SubmitTraced("t", Row(i));
+    ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+    futures.push_back(std::move(queued->future));
+  }
+  gate.Open();
+  for (auto& f : futures) f.get();
+  engine.Stop();
+
+  StatusOr<ServeStats> stats = engine.TenantStats("t");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->requests, 1 + kQueued);
+  EXPECT_EQ(stats->batches, 3u);
+  // Trace ids are assigned in submission order: 1 was held alone, 2..9 took
+  // the next batch and 10..13 the last.
+  for (uint64_t id = 1; id <= 1 + kQueued; ++id) {
+    std::optional<obs::RequestDigest> digest = engine.recorder().FindTrace(id);
+    ASSERT_TRUE(digest.has_value()) << "trace " << id;
+    const size_t expected = id == 1 ? 1u : (id <= 9 ? 8u : 4u);
+    EXPECT_EQ(digest->batch_size, expected) << "trace " << id;
+  }
 }
 
 // A tenant with a deep backlog must not starve a late-arriving tenant: WRR
@@ -344,16 +434,15 @@ TEST_F(ServeTenantTest, StopExportsEachSampleExactlyOnce) {
 }
 
 // A caller that holds its result must see itself in the accounting: the
-// worker records a batch before it resolves the batch's futures. One full
-// batch per round (max_batch 16, a deadline far beyond the batch's compute),
-// then an immediate TenantStats read.
+// worker records a batch before it resolves the batch's futures. Each round
+// submits 16 rows (split into batches by whenever the worker is free), waits
+// for all of them, then reads TenantStats at once.
 TEST_F(ServeTenantTest, AccountingLandsBeforeFuturesResolve) {
   StatusOr<FrozenModel> model = Load();
   ASSERT_TRUE(model.ok());
   ModelRegistry registry;
   TenantOptions options;
   options.max_batch = 16;
-  options.deadline_ms = 1000.0;
   ASSERT_TRUE(registry.AddTenant("t", std::move(*model), options).ok());
   MultiTenantEngine engine(&registry);
 

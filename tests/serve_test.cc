@@ -736,7 +736,6 @@ TEST_F(ServeModelTest, EngineSingleRequestBatchesAreBitDeterministic) {
 
   ServingOptions opts;
   opts.max_batch = 1;  // every request scores alone -> equals ScoreFeatures
-  opts.deadline_ms = 0.0;
   ServingEngine engine(&*frozen, opts);
   for (size_t i = 0; i < x->rows(); ++i) {
     StatusOr<std::future<std::vector<double>>> f = engine.Submit(
@@ -776,7 +775,6 @@ TEST_F(ServeModelTest, EngineMicroBatchingAgreesWithDirectScoring) {
 
   ServingOptions opts;
   opts.max_batch = 8;
-  opts.deadline_ms = 5.0;
   ServingEngine engine(&*frozen, opts);
   std::vector<std::future<std::vector<double>>> futures;
   for (size_t i = 0; i < x->rows(); ++i) {

@@ -10,7 +10,7 @@
 //      fixture in tools/analyze/testdata/, gated by tools/analyze/tsa.sh.
 //   2. Mutex / MutexLock / CondVar must behave like the std primitives they
 //      wrap: mutual exclusion, RAII release (including on exception),
-//      try_lock semantics, and wait/notify with both flavors of Wait.
+//      try_lock semantics, and wait/notify.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "poll_until.h"
 
 namespace gnn4tdl {
 namespace {
@@ -129,40 +128,6 @@ TEST(CondVarTest, WaitWakesOnNotify) {
   cv.NotifyAll();
   waiter.join();
   EXPECT_EQ(observed, 42);
-}
-
-TEST(CondVarTest, WaitForNanosTimesOutWithoutNotify) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-
-  MutexLock lock(&mu);
-  // 1ms bounded wait with nobody notifying: must return (not hang) and the
-  // predicate must still be false. A hang here fails via test timeout.
-  cv.WaitForNanos(lock, 1'000'000);
-  EXPECT_FALSE(ready);
-}
-
-TEST(CondVarTest, WaitForNanosWakesEarlyOnNotify) {
-  Mutex mu;
-  CondVar cv;
-  bool ready = false;
-  std::atomic<bool> done{false};
-
-  std::thread waiter([&] {
-    MutexLock lock(&mu);
-    // Generous deadline; the notify below should end the wait long before.
-    while (!ready) cv.WaitForNanos(lock, 5'000'000'000);
-    done.store(true);
-  });
-
-  {
-    MutexLock lock(&mu);
-    ready = true;
-  }
-  cv.NotifyOne();
-  EXPECT_TRUE(testing::PollUntil([&] { return done.load(); }));
-  waiter.join();
 }
 
 TEST(MutexLockTest, ExposesTheHeldMutexForCondVarUse) {

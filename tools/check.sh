@@ -59,12 +59,17 @@
 #                     under Address+UB sanitizers and at GNN4TDL_THREADS=1
 #                     and =4 — the fused kernels' row-block parallel paths
 #                     must be bit-exact at every thread count
-#   stage 8  load     multi-tenant serving smoke: a short seeded gnn4tdl_cli
-#                     loadgen run (two tenants, open loop). The CLI itself
-#                     exits non-zero on any request error or when the
-#                     generator's offered/completed/rejected tallies disagree
-#                     with the engine's counters, so this stage gates on
-#                     rejection-accounting consistency, not just liveness
+#   stage 8  load     multi-tenant serving smoke: two short seeded
+#                     gnn4tdl_cli loadgen runs over two tenants, one open
+#                     loop at 200 rps and one closed-loop saturation case
+#                     (16 synchronous clients, 2000 requests) that keeps the
+#                     work-conserving worker busy so batches fill. Each
+#                     prints the tenants' engine batches and mean batch rows.
+#                     The CLI itself exits non-zero on any request error or
+#                     when the generator's offered/completed/rejected
+#                     tallies disagree with the engine's counters, so this
+#                     stage gates on rejection-accounting consistency, not
+#                     just liveness
 #   stage 9  obs      request-tracing + flight-recorder smoke: a seeded
 #                     gnn4tdl_cli obsdump run (loadgen with the recorder on,
 #                     then the ring dumped as JSON alongside the Prometheus
@@ -251,7 +256,9 @@ load_stage() {
   cmake --preset default &&
     cmake --build --preset default -j "$(nproc)" --target gnn4tdl_cli &&
     ./build/tools/gnn4tdl_cli loadgen --epochs 8 --rps 200 --duration-s 0.5 \
-      --seed 42
+      --seed 42 &&
+    ./build/tools/gnn4tdl_cli loadgen --epochs 8 --mode closed --workers 16 \
+      --rps 4000 --duration-s 0.5 --seed 42
 }
 
 obs_stage() {

@@ -11,7 +11,7 @@
 //
 //   gnn4tdl_cli freeze --out model.gnn4tdl [--csv data.csv ...]
 //   gnn4tdl_cli score --model model.gnn4tdl [--csv new_rows.csv]
-//   gnn4tdl_cli serve --model model.gnn4tdl [--batch 16 --deadline-ms 2]
+//   gnn4tdl_cli serve --model model.gnn4tdl [--batch 16]
 //   gnn4tdl_cli loadgen [--rps 200 --duration-s 1 --mode open]
 //
 // `freeze` trains an instance-graph GNN and writes a frozen artifact;
@@ -22,17 +22,24 @@
 // the seeded load harness, failing the process on any error or on a
 // rejection-accounting mismatch. Without --csv all four use the same
 // synthetic demo table (regenerated deterministically from --seed).
+//
+// Numeric flags are parsed whole and range-checked: a bad value is a usage
+// error (exit 2) naming the flag, raised before anything runs.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,7 +65,6 @@ struct CliArgs {
   std::string out = "model.gnn4tdl";
   std::string model;
   size_t batch = 16;
-  double deadline_ms = 2.0;
   size_t queue_capacity = 4096;
   // loadgen traffic shape.
   std::string mode = "open";  // open | closed
@@ -139,7 +145,6 @@ void PrintUsage() {
       "  --out PATH            freeze: artifact output path\n"
       "  --model PATH          score/serve/loadgen: artifact to load\n"
       "  --batch N             serve: max rows per micro-batch (default 16)\n"
-      "  --deadline-ms F       serve: batch deadline in ms (default 2)\n"
       "  --queue-capacity N    serve/loadgen: per-tenant queue bound\n"
       "                        (default 4096); overflow rejects admission\n"
       "  --obsdump PATH        loadgen/obsdump: write the flight-recorder\n"
@@ -149,11 +154,50 @@ void PrintUsage() {
       "  --mode NAME           loadgen: open | closed arrival loop\n"
       "  --rps F               loadgen: offered requests/s (default 200)\n"
       "  --duration-s F        loadgen: open-loop duration (default 1)\n"
-      "  --workers N           loadgen: closed-loop clients (default 4)\n"
+      "  --workers N           loadgen: closed-loop clients (default 4,\n"
+      "                        at most 256)\n"
       "  --think-ms F          loadgen: closed-loop think time (default 0)\n"
       "  --precision NAME      f32 | f64. freeze: serving tier recorded in\n"
       "                        the artifact (default f64). score/serve:\n"
       "                        override the artifact's recorded tier\n");
+}
+
+/// Most closed-loop clients `loadgen --workers` may start (one thread each).
+constexpr size_t kMaxWorkers = 256;
+/// Most requests `loadgen` may offer (--rps x --duration-s); the open loop
+/// builds its whole arrival schedule up front.
+constexpr double kMaxOfferedRequests = 1e7;
+/// Upper bounds for flags with no natural cap of their own.
+constexpr uint64_t kAnyU64 = std::numeric_limits<uint64_t>::max();
+constexpr double kAnyRate = std::numeric_limits<double>::max();
+
+/// Parses the whole of `text` as a number in [lo, hi] into `*out`. Anything
+/// else — trailing characters, a sign on an unsigned count, overflow, NaN or
+/// infinity, a value out of range — is reported against `flag` on stderr
+/// and returns false.
+template <typename T>
+bool ParseNumber(const std::string& flag, const char* text, T lo, T hi,
+                 T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end && ptr != text;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  ok = ok && value >= lo && value <= hi;
+  if (!ok) {
+    std::ostringstream range;
+    range << (std::is_floating_point_v<T> ? "a finite number" : "an integer");
+    if (hi == std::numeric_limits<T>::max()) {
+      range << " >= " << lo;
+    } else {
+      range << " in [" << lo << ", " << hi << "]";
+    }
+    std::fprintf(stderr, "bad value for %s: '%s' (want %s)\n", flag.c_str(),
+                 text, range.str().c_str());
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
@@ -177,6 +221,12 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         return nullptr;
       }
       return argv[++i];
+    };
+    // The flag's value as a number in [lo, hi]; false when missing or bad.
+    auto number = [&]<typename T>(T* out, std::type_identity_t<T> lo,
+                                  std::type_identity_t<T> hi) {
+      const char* v = next();
+      return v != nullptr && ParseNumber(flag, v, lo, hi, out);
     };
     if (flag == "--help" || flag == "-h") {
       PrintUsage();
@@ -208,41 +258,23 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->precision = v;
     } else if (flag == "--knn-k") {
-      const char* v = next();
-      if (!v) return false;
-      args->knn_k = static_cast<size_t>(std::atoi(v));
+      if (!number(&args->knn_k, 1, 4096)) return false;
     } else if (flag == "--hidden") {
-      const char* v = next();
-      if (!v) return false;
-      args->hidden = static_cast<size_t>(std::atoi(v));
+      if (!number(&args->hidden, 1, 65536)) return false;
     } else if (flag == "--layers") {
-      const char* v = next();
-      if (!v) return false;
-      args->layers = static_cast<size_t>(std::atoi(v));
+      if (!number(&args->layers, 1, 64)) return false;
     } else if (flag == "--epochs") {
-      const char* v = next();
-      if (!v) return false;
-      args->epochs = std::atoi(v);
+      if (!number(&args->epochs, 1, 1000000)) return false;
     } else if (flag == "--lr") {
-      const char* v = next();
-      if (!v) return false;
-      args->lr = std::atof(v);
+      if (!number(&args->lr, 0.0, kAnyRate)) return false;
     } else if (flag == "--train-frac") {
-      const char* v = next();
-      if (!v) return false;
-      args->train_frac = std::atof(v);
+      if (!number(&args->train_frac, 0.0, 1.0)) return false;
     } else if (flag == "--val-frac") {
-      const char* v = next();
-      if (!v) return false;
-      args->val_frac = std::atof(v);
+      if (!number(&args->val_frac, 0.0, 1.0)) return false;
     } else if (flag == "--folds") {
-      const char* v = next();
-      if (!v) return false;
-      args->folds = static_cast<size_t>(std::atoi(v));
+      if (!number(&args->folds, 0, 1000)) return false;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      args->seed = static_cast<uint64_t>(std::atoll(v));
+      if (!number(&args->seed, 0, kAnyU64)) return false;
     } else if (flag == "--out") {
       const char* v = next();
       if (!v) return false;
@@ -252,17 +284,9 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->model = v;
     } else if (flag == "--batch") {
-      const char* v = next();
-      if (!v) return false;
-      args->batch = static_cast<size_t>(std::atoi(v));
-    } else if (flag == "--deadline-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args->deadline_ms = std::atof(v);
+      if (!number(&args->batch, 1, 65536)) return false;
     } else if (flag == "--queue-capacity") {
-      const char* v = next();
-      if (!v) return false;
-      args->queue_capacity = static_cast<size_t>(std::atoi(v));
+      if (!number(&args->queue_capacity, 1, 1 << 24)) return false;
     } else if (flag == "--mode") {
       const char* v = next();
       if (!v) return false;
@@ -272,21 +296,13 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         return false;
       }
     } else if (flag == "--rps") {
-      const char* v = next();
-      if (!v) return false;
-      args->rps = std::atof(v);
+      if (!number(&args->rps, 0.0, kAnyRate)) return false;
     } else if (flag == "--duration-s") {
-      const char* v = next();
-      if (!v) return false;
-      args->duration_s = std::atof(v);
+      if (!number(&args->duration_s, 0.0, kAnyRate)) return false;
     } else if (flag == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      args->workers = static_cast<size_t>(std::atoi(v));
+      if (!number(&args->workers, 1, kMaxWorkers)) return false;
     } else if (flag == "--think-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args->think_ms = std::atof(v);
+      if (!number(&args->think_ms, 0.0, 60000.0)) return false;
     } else if (flag == "--trace-out") {
       const char* v = next();
       if (!v) return false;
@@ -300,14 +316,18 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!v) return false;
       args->obsdump_out = v;
     } else if (flag == "--trace-id") {
-      const char* v = next();
-      if (!v) return false;
-      args->print_trace_id = static_cast<uint64_t>(std::atoll(v));
+      if (!number(&args->print_trace_id, 0, kAnyU64)) return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       PrintUsage();
       return false;
     }
+  }
+  if (args->rps * args->duration_s > kMaxOfferedRequests) {
+    std::fprintf(stderr,
+                 "--rps x --duration-s offers %.0f requests, more than %.0f\n",
+                 args->rps * args->duration_s, kMaxOfferedRequests);
+    return false;
   }
   return true;
 }
@@ -547,12 +567,10 @@ int RunServe(const CliArgs& args) {
 
   ServingOptions serve_opts;
   serve_opts.max_batch = args.batch;
-  serve_opts.deadline_ms = args.deadline_ms;
   serve_opts.queue_capacity = args.queue_capacity;
   ServingEngine engine(&*frozen, serve_opts);
-  std::printf("serving %zu rows (max_batch=%zu, deadline=%.1fms, "
-              "precision %s)...\n",
-              x->rows(), serve_opts.max_batch, serve_opts.deadline_ms,
+  std::printf("serving %zu rows (max_batch=%zu, precision %s)...\n",
+              x->rows(), serve_opts.max_batch,
               kernels::PrecisionName(frozen->precision()));
 
   std::vector<std::future<std::vector<double>>> futures;
@@ -590,12 +608,13 @@ int RunServe(const CliArgs& args) {
   return 0;
 }
 
-// Serves one artifact under two tenants — "interactive" (tight deadline,
-// 3x scheduling weight, 50ms SLO) and "batch" (4x batch size and deadline,
-// 250ms SLO) — and drives both with the seeded load harness. The process
-// fails on any request error or when the generator's tallies disagree with
-// the engine's counters, so tools/check.sh can gate its `load` stage on the
-// exit code alone.
+// Serves one artifact under two tenants — "interactive" (--batch rows per
+// batch, 3x scheduling weight, 50ms SLO) and "batch" (4x the batch size,
+// 250ms SLO) — and drives both with the seeded load harness. After the run
+// it prints each tenant's engine batch count and mean batch rows, which show
+// how full batches get at the offered load. The process fails on any request
+// error or when the generator's tallies disagree with the engine's counters,
+// so tools/check.sh can gate its `load` stage on the exit code alone.
 int RunLoadgen(const CliArgs& args) {
   StatusOr<TabularDataset> data = LoadData(args);
   if (!data.ok()) {
@@ -633,13 +652,11 @@ int RunLoadgen(const CliArgs& args) {
 
   TenantOptions interactive;
   interactive.max_batch = args.batch;
-  interactive.deadline_ms = args.deadline_ms;
   interactive.queue_capacity = args.queue_capacity;
   interactive.weight = 3;
   interactive.slo_ms = 50.0;
   TenantOptions batch;
   batch.max_batch = args.batch * 4;
-  batch.deadline_ms = args.deadline_ms * 4;
   batch.queue_capacity = args.queue_capacity;
   batch.weight = 1;
   batch.slo_ms = 250.0;
@@ -706,6 +723,13 @@ int RunLoadgen(const CliArgs& args) {
   }
   engine.Stop();  // flush accounting before reconciling against it
   std::printf("%s\n", report->ToString().c_str());
+  for (const auto& [name, options] : tenants) {
+    const ServeStats stats = engine.TenantStats(name).value();
+    std::printf("engine tenant %s: batches=%zu mean_batch_rows=%.2f "
+                "(max_batch %zu)\n",
+                name, stats.batches, stats.mean_batch_rows,
+                options->max_batch);
+  }
 
   Status accounting = CheckAccounting(engine, *report);
   if (!accounting.ok()) {
