@@ -6,12 +6,12 @@
 //
 // Besides the google-benchmark complexity suite, the binary runs a thread
 // sweep (1/2/4/8 lanes) over the parallel hot-path kernels — dense matmul,
-// CSR SpMM, SpMM-transpose, edge softmax — and writes BENCH_parallel.json
-// with wall-clock AND process-CPU time per point, plus the max deviation of
-// each multithreaded result from the threads=1 run (0 for the write-disjoint
-// kernels, ~1e-15 relative for the tree-reduced ones). num_cores in the
-// header says whether the wall-clock speedup column is meaningful on the
-// machine that produced the file.
+// CSR SpMM, SpMM over the transpose (the backward's Transpose().Multiply),
+// edge softmax — and writes BENCH_parallel.json with wall-clock AND
+// process-CPU time per point, plus the max deviation of each multithreaded
+// result from the threads=1 run (0 for every kernel: none partitions by the
+// pool size). num_cores in the header says whether the wall-clock speedup
+// column is meaningful on the machine that produced the file.
 
 #include <benchmark/benchmark.h>
 
@@ -242,7 +242,8 @@ void RunParallelSweep() {
   sweeps.push_back(SweepKernel("spmm_20k_k10_d32", thread_counts, reps,
                                [&] { return adj.Multiply(h); }));
   sweeps.push_back(SweepKernel("spmm_transpose_20k_k10_d32", thread_counts,
-                               reps, [&] { return adj.TransposeMultiply(h); }));
+                               reps,
+                               [&] { return adj.Transpose().Multiply(h); }));
   sweeps.push_back(SweepKernel("edge_softmax_200k", thread_counts, reps, [&] {
     return SegmentSoftmax(logits, seg, n);
   }));
@@ -254,7 +255,7 @@ void RunParallelSweep() {
   obs::KernelCounters::Enable();
   (void)a.Matmul(b);
   (void)adj.Multiply(h);
-  (void)adj.TransposeMultiply(h);
+  (void)adj.Transpose().Multiply(h);
   (void)SegmentSoftmax(logits, seg, n);
   obs::KernelCounters::Disable();
 

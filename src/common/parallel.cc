@@ -12,8 +12,8 @@ namespace gnn4tdl {
 namespace {
 
 // Load-balance factor for plain loops: more chunks than threads so a slow
-// chunk does not leave the other lanes idle. Reductions use exactly
-// num_threads chunks instead (fewer partials to store and combine).
+// chunk does not leave the other lanes idle. Reductions cap their chunks at
+// kReduceMaxChunks instead, whatever the pool size.
 constexpr size_t kChunksPerThread = 4;
 
 // Set while any thread executes a ParallelFor/reduction body; used to reject
@@ -252,10 +252,8 @@ double ParallelReduceSum(
     size_t begin, size_t end, size_t grain,
     const std::function<double(size_t, size_t)>& chunk_sum) {
   RejectNested("ParallelReduceSum");
-  const size_t threads = ThreadPool::Global().num_threads();
-  // Exactly one partial per pool lane: fewer partials to combine and a
-  // partition that depends only on the thread count.
-  std::vector<Range> ranges = PartitionRange(begin, end, grain, threads);
+  std::vector<Range> ranges =
+      PartitionRange(begin, end, grain, kReduceMaxChunks);
   if (ranges.empty()) return 0.0;
   std::vector<double> partials(ranges.size(), 0.0);
   RunRanges(ranges, [&](size_t idx, const Range& r) {

@@ -40,8 +40,8 @@ size_t ThreadCountFromEnv();
 ///  - Run() executes chunk_fn(0..num_chunks-1) and blocks until all chunks
 ///    finish. Concurrent Run() calls from different threads are serialized.
 ///  - With num_threads() == 1 (or a single chunk) everything executes inline
-///    on the caller — the serial fallback, bit-exact with pre-pool code. A
-///    single chunk does not wait for another thread's job to finish.
+///    on the caller, chunk by chunk — the serial fallback. A single chunk
+///    does not wait for another thread's job to finish.
 ///  - The first exception thrown by a chunk cancels the remaining chunks and
 ///    is rethrown on the calling thread.
 ///  - All kernels in tensor/ and nn/ route through the singleton Global()
@@ -111,8 +111,8 @@ class ThreadPool {
 /// Deterministic partition of [begin, end) into at most `max_chunks` chunks
 /// of at least `grain` indices each (the last chunks may be one index
 /// larger). Boundaries depend only on the range, grain, and max_chunks —
-/// never on scheduling — which is what makes chunked reductions reproducible
-/// for a fixed thread count.
+/// never on scheduling — which is what makes chunked reductions reproducible;
+/// with a constant max_chunks they are the same at every thread count.
 std::vector<Range> PartitionRange(size_t begin, size_t end, size_t grain,
                                   size_t max_chunks);
 
@@ -127,20 +127,25 @@ std::vector<Range> PartitionRange(size_t begin, size_t end, size_t grain,
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& body);
 
+/// Chunk cap of the tree reductions (ParallelReduceSum and the segment
+/// softmax accumulators). It is a constant rather than the pool size, so a
+/// reduction's partition, and with it every bit of its result, depends only
+/// on the input size: the same at every thread count.
+inline constexpr size_t kReduceMaxChunks = 8;
+
 /// Deterministic parallel sum: chunk_sum(b, e) returns the serial sum of its
-/// chunk, and the per-chunk partials are combined by a fixed pairwise tree.
-/// For a fixed thread count the result is identical across runs; with one
-/// chunk (threads=1 or a small range) it equals the serial sum bit-for-bit.
-/// Partials are combined in chunk order, so thread counts only differ by
-/// floating-point association (observed differences ~1e-15 relative).
+/// chunk over PartitionRange(begin, end, grain, kReduceMaxChunks), and the
+/// per-chunk partials are combined by a fixed pairwise tree. The result is
+/// bit-identical at every thread count; with one chunk (a range shorter than
+/// two grains) it equals the serial sum bit-for-bit.
 double ParallelReduceSum(size_t begin, size_t end, size_t grain,
                          const std::function<double(size_t, size_t)>& chunk_sum);
 
 /// In-place pairwise tree combine of per-chunk partial accumulators:
 /// combine(parts[i], parts[i+stride]) folds the right element into the left,
 /// strides doubling, leaving the total in parts[0]. Deterministic for a fixed
-/// parts.size(). Used by accumulating kernels (SpMM-transpose, edge-softmax)
-/// whose partials are whole matrices or per-group arrays.
+/// parts.size(). Used by ParallelReduceSum and by the segment softmax
+/// kernels, whose partials are per-group arrays.
 template <typename T, typename Combine>
 void TreeCombine(std::vector<T>& parts, Combine&& combine) {
   for (size_t stride = 1; stride < parts.size(); stride *= 2) {

@@ -19,7 +19,7 @@ namespace gnn4tdl {
 /// α_ij = softmax_j(LeakyReLU(aᵀ [W h_i ; W h_j])) and update
 /// h_i' = σ(Σ_j α_ij W h_j). The per-destination softmax is the
 /// SegmentSoftmax kernel (tensor/sparse), whose forward and backward are
-/// tree-reduced on the shared pool — deterministic for a fixed thread count.
+/// tree-reduced on the shared pool — bit-identical at every thread count.
 class GatLayer : public Module {
  public:
   GatLayer(size_t in_dim, size_t out_dim, size_t num_heads, Rng& rng);

@@ -213,8 +213,8 @@ void KnnScanScalar(KnnScanOp op, const double* queries, size_t num_queries,
 
 // --- f64 training kernels ---------------------------------------------------
 // The reference loops of Matrix::Matmul / TransposeMatmul / MatmulTranspose,
-// SparseMatrix::Multiply / TransposeMultiply and the fused activation
-// epilogue, over the row range their caller's chunk owns.
+// SparseMatrix::Multiply and the fused activation epilogue, over the row
+// range their caller's chunk owns.
 
 void MatmulF64Scalar(const double* a, const double* b, size_t k_dim, size_t n,
                      size_t lo, size_t hi, double* out) {
@@ -272,19 +272,6 @@ void SpmmF64Scalar(const size_t* row_ptr, const size_t* col_idx,
   }
 }
 
-void SpmmTF64Scalar(const size_t* row_ptr, const size_t* col_idx,
-                    const double* values, const double* x, size_t n, size_t lo,
-                    size_t hi, double* out) {
-  for (size_t r = lo; r < hi; ++r) {
-    const double* d_row = x + r * n;
-    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const double v = values[k];
-      double* out_row = out + col_idx[k] * n;
-      for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
-    }
-  }
-}
-
 void BiasActF64Scalar(double* x, size_t cols, const double* bias, FAct act,
                       double alpha, size_t lo, size_t hi) {
   for (size_t i = lo; i < hi; ++i) {
@@ -321,7 +308,7 @@ const KernelTable kScalarTable = {
     KnnScanScalar,
     Mt19937_64::TwistAndTemper,
     {MatmulF64Scalar, MatmulTnF64Scalar, MatmulNtF64Scalar, SpmmF64Scalar,
-     SpmmTF64Scalar, BiasActF64Scalar, ActGradF64Scalar},
+     BiasActF64Scalar, ActGradF64Scalar},
 };
 
 SimdLevel ProbeSimdLevel() {

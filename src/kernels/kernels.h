@@ -73,12 +73,11 @@ const char* SimdLevelName(SimdLevel level);
 
 /// The f64 training kernels of one SIMD tier (docs/KERNELS.md "f64 training
 /// kernels"). Every entry is leaf-level: it takes raw row-major pointers,
-/// sizes and a range of output (or, for spmm_t, input) rows, and never
-/// dispatches to the pool. Partitioning, partial outputs and obs accounting
-/// stay with the callers in tensor/ and nn/fused, so the tier never changes
-/// a chunk boundary. Per output element each entry runs the scalar loop's
-/// sequence: the same order over its reduction, each product rounded and then
-/// added, no FMA.
+/// sizes and a range of output rows, and never dispatches to the pool.
+/// Partitioning and obs accounting stay with the callers in tensor/ and
+/// nn/fused, so the tier never changes a chunk boundary. Per output element
+/// each entry runs the scalar loop's sequence: the same order over its
+/// reduction, each product rounded and then added, no FMA.
 struct F64Kernels {
   /// out(i, :) += a(i, :) * b for i in [row_begin, row_end); a is (m x k),
   /// b is (k x n), out is (m x n). Terms with a(i, k) == 0.0 are skipped.
@@ -103,12 +102,6 @@ struct F64Kernels {
   void (*spmm)(const size_t* row_ptr, const size_t* col_idx,
                const double* values, const double* x, size_t n,
                size_t row_begin, size_t row_end, double* out) = nullptr;
-
-  /// out(col, :) += value * x(r, :) for every nonzero of the CSR rows
-  /// [row_begin, row_end), in CSR order: the transpose product's scatter.
-  void (*spmm_t)(const size_t* row_ptr, const size_t* col_idx,
-                 const double* values, const double* x, size_t n,
-                 size_t row_begin, size_t row_end, double* out) = nullptr;
 
   /// In place x(r, j) = act(x(r, j) + bias[j]) for r in [row_begin,
   /// row_end); with bias null there is no add. `alpha` is the LeakyRelu

@@ -527,9 +527,9 @@ void MatmulNtF64Avx2(const double* a, const double* b, size_t k_dim, size_t n,
 
 // x and out_row are offset to the tile.
 template <size_t NV>
-inline void SpmmTileF64(const size_t* col_idx, const double* values,
-                        size_t k0, size_t k1, const double* x, size_t n,
-                        double* out_row) {
+inline void SpmmRowTileF64(const size_t* col_idx, const double* values,
+                           size_t k0, size_t k1, const double* x, size_t n,
+                           double* out_row) {
   __m256d acc[NV];
   LoadTile<NV>(out_row, acc);
   for (size_t k = k0; k < k1; ++k)
@@ -544,53 +544,13 @@ void SpmmF64Avx2(const size_t* row_ptr, const size_t* col_idx,
   for (size_t r = lo; r < hi; ++r) {
     double* out_row = out + r * n;
     ForEachColumnTile(n4, [&](auto nv, size_t j0) {
-      SpmmTileF64<nv.value>(col_idx, values, row_ptr[r], row_ptr[r + 1],
-                            x + j0, n, out_row + j0);
+      SpmmRowTileF64<nv.value>(col_idx, values, row_ptr[r], row_ptr[r + 1],
+                               x + j0, n, out_row + j0);
     });
     if (n4 == n) continue;
     for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       const double v = values[k];
       const double* d_row = x + col_idx[k] * n;
-      for (size_t j = n4; j < n; ++j) out_row[j] += v * d_row[j];
-    }
-  }
-}
-
-// The scatter of one CSR row: its x row tile stays in registers while each
-// nonzero's output row tile is updated in CSR order. x_row and out are
-// offset to the tile.
-template <size_t NV>
-inline void SpmmTTileF64(const size_t* col_idx, const double* values,
-                         size_t k0, size_t k1, const double* x_row, size_t n,
-                         double* out) {
-  __m256d d[NV];
-  LoadTile<NV>(x_row, d);
-  for (size_t k = k0; k < k1; ++k) {
-    const __m256d vv = _mm256_set1_pd(values[k]);
-    double* out_row = out + col_idx[k] * n;
-#pragma GCC unroll 8
-    for (size_t v = 0; v < NV; ++v) {
-      double* p = out_row + v * kF64Lanes;
-      _mm256_storeu_pd(
-          p, _mm256_add_pd(_mm256_loadu_pd(p), _mm256_mul_pd(vv, d[v])));
-    }
-  }
-}
-
-void SpmmTF64Avx2(const size_t* row_ptr, const size_t* col_idx,
-                  const double* values, const double* x, size_t n, size_t lo,
-                  size_t hi, double* out) {
-  const size_t n4 = n - n % kF64Lanes;
-  for (size_t r = lo; r < hi; ++r) {
-    const double* d_row = x + r * n;
-    ForEachColumnTile(n4, [&](auto nv, size_t j0) {
-      SpmmTTileF64<nv.value>(col_idx, values, row_ptr[r], row_ptr[r + 1],
-                             d_row + j0, n, out + j0);
-    });
-    if (n4 == n) continue;
-    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const double v = values[k];
-      double* out_row = out + col_idx[k] * n;
       for (size_t j = n4; j < n; ++j) out_row[j] += v * d_row[j];
     }
   }
@@ -766,7 +726,7 @@ const KernelTable kAvx2Table = {
     KnnScanAvx2,
     Mt64BlockAvx2,
     {MatmulF64Avx2, MatmulTnF64Avx2, MatmulNtF64Avx2, SpmmF64Avx2,
-     SpmmTF64Avx2, BiasActF64Avx2, ActGradF64Avx2},
+     BiasActF64Avx2, ActGradF64Avx2},
 };
 
 }  // namespace

@@ -141,16 +141,15 @@ Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
   BiasAct(&out, b.defined() ? &b.value() : nullptr, act, leaky_alpha);
   std::vector<Tensor> parents{x};
   if (b.defined()) parents.push_back(b);
-  // The tape owns a copy of the operator, as in ops::SpMM.
+  // The tape owns the transposed operator, as in ops::SpMM.
   return Tensor::FromOpWithOutput(
       std::move(out), std::move(parents),
-      [sp_copy = sp, x, b, act, leaky_alpha](const Matrix& g,
-                                             const Matrix& out) {
+      [sp_t = sp.Transpose(), x, b, act, leaky_alpha](const Matrix& g,
+                                                      const Matrix& out) {
         Matrix storage;
         const Matrix& ga = MaskedGrad(g, out, act, leaky_alpha, &storage);
         if (b.defined() && b.requires_grad()) b.AccumulateGrad(ga.ColSum());
-        if (x.requires_grad())
-          x.AccumulateGrad(sp_copy.TransposeMultiply(ga));
+        if (x.requires_grad()) x.AccumulateGrad(sp_t.Multiply(ga));
       });
 }
 

@@ -413,13 +413,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 Tensor SpMM(const SparseMatrix& sp, const Tensor& x) {
   TapeOpScope op_scope("SpMM");
   GNN4TDL_CHECK_EQ(sp.cols(), x.rows());
-  // Copy the sparse operator into the closure so the tape owns it; CSR copies
-  // are cheap relative to training and this removes lifetime hazards.
-  SparseMatrix sp_copy = sp;
+  // The tape owns the transposed operator: the backward S^T * G is a row
+  // gather over S^T, write-disjoint and bit-exact at every thread count.
   return Tensor::FromOp(sp.Multiply(x.value()), {x},
-                        [sp_copy, x](const Matrix& g) {
+                        [sp_t = sp.Transpose(), x](const Matrix& g) {
                           if (x.requires_grad())
-                            x.AccumulateGrad(sp_copy.TransposeMultiply(g));
+                            x.AccumulateGrad(sp_t.Multiply(g));
                         });
 }
 
@@ -437,8 +436,8 @@ Tensor WeightedSpMM(const Tensor& weights, const Tensor& x,
   GNN4TDL_CHECK_EQ(dst.size(), num_edges);
   GNN4TDL_CHECK_EQ(x.rows(), pattern.cols());
 
-  // Stamp the current edge weights into the fixed sparsity pattern; the copy
-  // is then owned by the tape closure (the backward pass needs A^T).
+  // Stamp the current edge weights into the fixed sparsity pattern; the tape
+  // closure owns its transpose (the backward pass needs A^T).
   SparseMatrix a = pattern;
   std::vector<double>& values = a.mutable_values();
   const Matrix& w = weights.value();
@@ -448,8 +447,8 @@ Tensor WeightedSpMM(const Tensor& weights, const Tensor& x,
   std::vector<size_t> dst_copy = dst;
   return Tensor::FromOp(
       a.Multiply(x.value()), {weights, x},
-      [a, weights, x, src_copy, dst_copy](const Matrix& g) {
-        if (x.requires_grad()) x.AccumulateGrad(a.TransposeMultiply(g));
+      [a_t = a.Transpose(), weights, x, src_copy, dst_copy](const Matrix& g) {
+        if (x.requires_grad()) x.AccumulateGrad(a_t.Multiply(g));
         if (!weights.requires_grad()) return;
         const Matrix& xv = x.value();
         const size_t cols = xv.cols();

@@ -107,8 +107,8 @@ struct MultiTenantEngineOptions {
 /// an exception — and is counted in the tenant's `rejected`.
 ///
 /// Threading: one batching worker for the whole process, so batch forwards
-/// never contend with each other for the shared kernel ThreadPool and scoring
-/// stays deterministic for a fixed thread count (see common/parallel.h). The
+/// never contend with each other for the shared kernel ThreadPool; scoring is
+/// bit-identical at every thread count (see common/parallel.h). The
 /// registry must outlive the engine and must not gain tenants after the
 /// engine is constructed (the tenant list is snapshotted here).
 ///

@@ -257,8 +257,9 @@ Matrix Matrix::Transpose() const {
 }
 
 double Matrix::Sum() const {
-  // Tree-reduced: deterministic for a fixed thread count; equals the serial
-  // left-to-right sum whenever one chunk suffices (threads=1 or small data).
+  // Tree-reduced over a partition set by the size alone: the same bits at
+  // every thread count; equals the serial left-to-right sum whenever one
+  // chunk suffices (fewer than two grains of data).
   const double* d = data_.data();
   return ParallelReduceSum(0, data_.size(), kElemGrain,
                            [d](size_t lo, size_t hi) {

@@ -26,9 +26,9 @@ namespace gnn4tdl {
 /// matmul-family, and Map kernels run on the shared ThreadPool (sized by
 /// GNN4TDL_THREADS), partitioned over write-disjoint output blocks, so they
 /// are bit-exact with serial execution at every thread count. The scalar
-/// reductions Sum()/Mean()/Norm() are pairwise tree reductions: deterministic
-/// for a fixed thread count, within ~1e-15 relative across thread counts, and
-/// exactly the serial sum at threads=1. The Rng-drawing factories and
+/// reductions Sum()/Mean()/Norm() are pairwise tree reductions over chunks
+/// set by the size alone: bit-identical at every thread count, and exactly
+/// the serial sum below two grains of data. The Rng-drawing factories and
 /// ToString() are always serial. Map()'s callable must be pure — it is
 /// invoked concurrently from pool threads.
 class Matrix {

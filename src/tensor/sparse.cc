@@ -23,9 +23,6 @@ size_t SpmmRowGrain(size_t nnz, size_t rows, size_t dense_cols) {
   return std::max<size_t>(1, kFlopGrain / avg_row_cost);
 }
 
-// Elements per chunk of the spmm_t partials fold (one add per partial).
-constexpr size_t kFoldGrain = 16384;
-
 }  // namespace
 
 SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
@@ -100,60 +97,29 @@ Matrix SparseMatrix::Multiply(const Matrix& dense) const {
   return out;
 }
 
-Matrix SparseMatrix::TransposeMultiply(const Matrix& dense) const {
-  GNN4TDL_CHECK_EQ(rows_, dense.rows());
-  const size_t n = dense.cols();
-  obs::KernelScope kernel(
-      "spmm_t", 2.0 * static_cast<double>(nnz()) * n,
-      8.0 * (static_cast<double>(nnz()) * (n + 2) +
-             static_cast<double>(cols_) * n));
-  // The transpose product scatters into out.row(col_idx), so input rows
-  // cannot be split across threads without racing. Instead each chunk of
-  // input rows accumulates into its own zeroed partial output, and the
-  // partials are folded by a fixed pairwise tree: deterministic for a fixed
-  // thread count (chunk boundaries depend only on the pool size), and
-  // identical to the serial kernel whenever one chunk suffices. Partials are
-  // capped at one per pool lane to bound memory at threads * sizeof(out).
-  const auto& f64 = kernels::Dispatch().f64;
-  const auto scatter = [&](size_t lo, size_t hi, Matrix* into) {
-    f64.spmm_t(row_ptr_.data(), col_idx_.data(), values_.data(), dense.data(),
-               n, lo, hi, into->data());
-  };
-  std::vector<Range> ranges =
-      PartitionRange(0, rows_, SpmmRowGrain(nnz(), rows_, n),
-                     ThreadPool::Global().num_threads());
-  if (ranges.size() <= 1) {
-    Matrix out(cols_, n);
-    scatter(0, rows_, &out);
-    return out;
-  }
-  std::vector<Matrix> partials(ranges.size());
-  ThreadPool::Global().Run(ranges.size(), [&](size_t c) {
-    Matrix part(cols_, n);
-    scatter(ranges[c].begin, ranges[c].end, &part);
-    partials[c] = std::move(part);
-  });
-  // The fold runs TreeCombine's pairwise tree on every element, split over
-  // element ranges so it runs across the pool rather than on the caller.
-  // Chunks only read `parts` (the combine writes through the pointers, to
-  // their own elements).
-  std::vector<double*> parts(partials.size());
-  for (size_t c = 0; c < parts.size(); ++c) parts[c] = partials[c].data();
-  ParallelFor(0, partials[0].size(), kFoldGrain, [&](size_t lo, size_t hi) {
-    TreeCombine(parts, [lo, hi](double* into, const double* from) {
-      for (size_t i = lo; i < hi; ++i) into[i] += from[i];
-    });
-  });
-  return std::move(partials[0]);
-}
-
 SparseMatrix SparseMatrix::Transpose() const {
-  std::vector<Triplet> triplets;
-  triplets.reserve(nnz());
-  for (size_t r = 0; r < rows_; ++r)
-    for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      triplets.push_back({col_idx_[k], r, values_[k]});
-  return FromTriplets(cols_, rows_, std::move(triplets));
+  // Counting sort by column: count each column's entries, prefix-sum into
+  // the transpose's row_ptr, then place the entries with rows ascending (CSR
+  // order inside a row). Row c of the transpose lists its source rows in
+  // ascending order, so Transpose().Multiply(x) adds each output element's
+  // terms in the order of a serial scatter over the rows of this matrix.
+  SparseMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.row_ptr_.assign(cols_ + 1, 0);
+  for (size_t c : col_idx_) ++t.row_ptr_[c + 1];
+  for (size_t c = 0; c < cols_; ++c) t.row_ptr_[c + 1] += t.row_ptr_[c];
+  t.col_idx_.resize(nnz());
+  t.values_.resize(nnz());
+  std::vector<size_t> next(t.row_ptr_.begin(), t.row_ptr_.end() - 1);
+  for (size_t r = 0; r < rows_; ++r) {
+    for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      const size_t at = next[col_idx_[k]]++;
+      t.col_idx_[at] = r;
+      t.values_[at] = values_[k];
+    }
+  }
+  return t;
 }
 
 Matrix SparseMatrix::ToDense() const {
@@ -173,15 +139,16 @@ constexpr size_t kSegmentGrain = 8192;
 
 // Folds per-edge contributions into per-group accumulators. The scatter is
 // racy across threads, so each chunk fills its own group array (initialized
-// to `init`) and the arrays are tree-combined with `fold`. One partial per
-// pool lane bounds memory at threads * num_groups doubles.
+// to `init`) and the arrays are tree-combined with `fold`. The chunks depend
+// only on num_edges (at most kReduceMaxChunks, so memory stays bounded at
+// kReduceMaxChunks * num_groups doubles): the same bits at every thread
+// count.
 template <typename PerEdge, typename Fold>
 std::vector<double> SegmentAccumulate(size_t num_edges, size_t num_groups,
                                       double init, const PerEdge& per_edge,
                                       const Fold& fold) {
   std::vector<Range> ranges =
-      PartitionRange(0, num_edges, kSegmentGrain,
-                     ThreadPool::Global().num_threads());
+      PartitionRange(0, num_edges, kSegmentGrain, kReduceMaxChunks);
   if (ranges.size() <= 1) {
     std::vector<double> acc(num_groups, init);
     for (size_t e = 0; e < num_edges; ++e) per_edge(e, acc);
@@ -226,7 +193,7 @@ Matrix SegmentSoftmax(const Matrix& logits, const std::vector<size_t>& seg,
     for (size_t e = lo; e < hi; ++e)
       out(e, 0) = std::exp(logits(e, 0) - group_max[seg[e]]);
   });
-  // ... and per-group sums (tree-reduced, deterministic per thread count).
+  // ... and per-group sums (tree-reduced, the same at every thread count).
   std::vector<double> group_sum = SegmentAccumulate(
       e_count, num_groups, 0.0,
       [&](size_t e, std::vector<double>& acc) { acc[seg[e]] += out(e, 0); },

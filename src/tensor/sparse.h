@@ -47,10 +47,11 @@ class SparseMatrix {
   /// Sparse-dense product: (this) * dense, dense has cols() rows.
   Matrix Multiply(const Matrix& dense) const;
 
-  /// Transposed product: (this)^T * dense, dense has rows() rows.
-  Matrix TransposeMultiply(const Matrix& dense) const;
-
-  /// Transposed copy (CSR of the transpose).
+  /// Transposed copy (CSR of the transpose), built in O(nnz) by counting
+  /// sort. Every stored entry is kept (duplicates are not summed), and each
+  /// row of the transpose lists its source rows in ascending order, so the
+  /// transposed product Transpose().Multiply(dense) adds the terms of each
+  /// output element in source-row order.
   SparseMatrix Transpose() const;
 
   /// Dense copy (tests / small matrices only).
@@ -77,8 +78,9 @@ class SparseMatrix {
 /// destination group in `seg`, returns max-shifted softmax weights normalized
 /// within each group — the attention kernel of GAT-style layers and learned
 /// graph construction. Parallelized with per-chunk partial group max/sum
-/// arrays folded by a fixed pairwise tree: deterministic for a fixed thread
-/// count, bit-exact with the serial kernel when one chunk suffices.
+/// arrays folded by a fixed pairwise tree. The chunks depend only on the
+/// edge count, so the result is bit-identical at every thread count, and
+/// bit-exact with the serial kernel when one chunk suffices.
 Matrix SegmentSoftmax(const Matrix& logits, const std::vector<size_t>& seg,
                       size_t num_groups);
 

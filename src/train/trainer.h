@@ -76,9 +76,9 @@ struct TrainResult {
 /// Backward tape walk, and optimizer Step all run on the calling thread — but
 /// the tensor kernels inside the loss closure and the backward functions use
 /// the shared ThreadPool::Global() (sized by GNN4TDL_THREADS). Because every
-/// parallel kernel is deterministic for a fixed thread count (see
-/// common/parallel.h), two Fit runs with the same seed and the same thread
-/// count produce bit-identical loss curves and parameters.
+/// parallel kernel is bit-identical at every thread count (see
+/// common/parallel.h), two Fit runs with the same seed produce bit-identical
+/// loss curves and parameters, whatever the thread counts.
 class Trainer {
  public:
   Trainer(std::vector<Tensor> params, const TrainOptions& options);

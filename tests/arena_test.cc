@@ -181,8 +181,8 @@ std::vector<std::vector<double>> UnfilledOutputs(uint64_t seed) {
     out.emplace_back(m.data(), m.data() + m.size());
   };
   Rng rng(seed);
-  // Large enough that the kernels split over several chunks (and spmm_t
-  // over several partials) when the pool has more than one thread.
+  // Large enough that the kernels split over several chunks when the pool
+  // has more than one thread.
   const size_t n = 600, k = 40, m = 48;
   const Matrix a = RandomMatrix(n, k, rng);
   const Matrix b = RandomMatrix(k, m, rng);
@@ -195,7 +195,7 @@ std::vector<std::vector<double>> UnfilledOutputs(uint64_t seed) {
   keep(a.TransposeMatmul(c));
   keep(c.MatmulTranspose(d));
   keep(sp.Multiply(c));
-  keep(sp.TransposeMultiply(c));
+  keep(sp.Transpose().Multiply(c));
   keep(c + d);
   keep(c - d);
   keep(c.CwiseMul(d));

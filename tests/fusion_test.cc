@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -226,6 +227,7 @@ struct FitConfig {
   GnnBackbone backbone;
   bool pair_norm;
   bool jumping_knowledge;
+  size_t num_rows = 150;
 };
 
 struct FitResult {
@@ -234,7 +236,7 @@ struct FitResult {
 };
 
 FitResult FitOnce(const FitConfig& config) {
-  TabularDataset data = MakeClusters({.num_rows = 150,
+  TabularDataset data = MakeClusters({.num_rows = config.num_rows,
                                       .num_classes = 3,
                                       .dim_informative = 5,
                                       .dim_noise = 3,
@@ -286,6 +288,38 @@ TEST(FusionTest, WholeFitBitExactFusedVsUnfused) {
     EXPECT_EQ(fused_fit.params, plain_fit.params);
     ExpectBitIdentical(fused_fit.logits, plain_fit.logits);
   }
+}
+
+// A whole training run at pool sizes 1 to 4 must leave bit-identical trained
+// parameters and logits: every kernel of the forward and the backward
+// partitions its work by input size only. 2000 rows put each layer's sparse
+// backward over several row chunks; the transformer attends densely over all
+// row pairs, so it runs on fewer rows.
+TEST(FusionTest, WholeFitBitExactAcrossThreadCounts) {
+  const FitConfig configs[] = {
+      {"gcn", GnnBackbone::kGcn, false, false, 2000},
+      {"gcn_jk", GnnBackbone::kGcn, false, true, 2000},
+      {"gcn_pairnorm", GnnBackbone::kGcn, true, false, 2000},
+      {"sage", GnnBackbone::kSage, false, false, 2000},
+      {"gin", GnnBackbone::kGin, false, false, 2000},
+      {"gat", GnnBackbone::kGat, false, false, 2000},
+      {"ggnn", GnnBackbone::kGgnn, false, false, 2000},
+      {"appnp", GnnBackbone::kAppnp, false, false, 2000},
+      {"graph_transformer", GnnBackbone::kTransformer, false, false, 400},
+  };
+  for (const FitConfig& config : configs) {
+    SCOPED_TRACE(config.name);
+    ThreadPool::Global().SetNumThreads(1);
+    const FitResult serial = FitOnce(config);
+    for (size_t threads = 2; threads <= 4; ++threads) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool::Global().SetNumThreads(threads);
+      const FitResult pooled = FitOnce(config);
+      EXPECT_EQ(serial.params, pooled.params);
+      ExpectBitIdentical(serial.logits, pooled.logits);
+    }
+  }
+  ThreadPool::Global().SetNumThreads(ThreadCountFromEnv());
 }
 
 }  // namespace

@@ -534,7 +534,7 @@ TEST_F(SimdParityTest, F64KernelsBitIdentical) {
         v.matmul_nt(a.data(), c.data(), k, n, 0, m, out_v.data());
         ExpectSameBitsOrBothNaN(out_s, out_v, "matmul_nt" + shape);
 
-        // (m x k) CSR times x (k x n), and its transpose times y (m x n).
+        // (m x k) CSR times x (k x n).
         const TestCsr csr = SpecialCsr(m, k, rng);
         out_s.assign(m * n, 0.0);
         out_v.assign(m * n, 0.0);
@@ -543,15 +543,6 @@ TEST_F(SimdParityTest, F64KernelsBitIdentical) {
         v.spmm(csr.row_ptr.data(), csr.col_idx.data(), csr.values.data(),
                b.data(), n, 0, m, out_v.data());
         ExpectSameBitsOrBothNaN(out_s, out_v, "spmm" + shape);
-
-        const std::vector<double> y = SpecialValues(m * n, rng);
-        out_s.assign(k * n, 0.0);
-        out_v.assign(k * n, 0.0);
-        s.spmm_t(csr.row_ptr.data(), csr.col_idx.data(), csr.values.data(),
-                 y.data(), n, 0, m, out_s.data());
-        v.spmm_t(csr.row_ptr.data(), csr.col_idx.data(), csr.values.data(),
-                 y.data(), n, 0, m, out_v.data());
-        ExpectSameBitsOrBothNaN(out_s, out_v, "spmm_t" + shape);
       }
 
       // The epilogue: every activation, with and without a bias row.

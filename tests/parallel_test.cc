@@ -152,7 +152,7 @@ TEST(ParallelReduceTest, SumMatchesSerialExactly) {
   for (double x : v) serial_sum += x;
   EXPECT_NEAR(parallel_sum, serial_sum, 1e-12);
 
-  // Fixed thread count => bit-identical across repeated runs.
+  // The partition is fixed, so repeated runs are bit-identical.
   double again = ParallelReduceSum(0, n, 64, [&](size_t lo, size_t hi) {
     double s = 0.0;
     for (size_t i = lo; i < hi; ++i) s += v[i];
@@ -277,35 +277,44 @@ TEST(KernelDeterminismTest, SpmmBitExactAcrossThreadCounts) {
     ASSERT_EQ(serial.data()[i], parallel.data()[i]);
 }
 
-TEST(KernelDeterminismTest, TreeReducedKernelsWithin1e12OfSerial) {
+TEST(KernelDeterminismTest, TreeReducedKernelsBitExactAcrossThreadCounts) {
   PoolSizeGuard guard;
-  SparseMatrix adj = RandomCsr(400, 300, 6, 5);
-  Matrix h = RandomDense(400, 16, 6);
-  Matrix logits = RandomDense(500, 1, 7);
-  std::vector<size_t> seg(500);
-  Rng seg_rng(8);
-  for (size_t& s : seg) s = static_cast<size_t>(seg_rng.Int(0, 49));
+  // Sized past two grains so every reduction splits into several chunks:
+  // h.Sum() over 48000 elements, the segment passes over 20000 edges.
+  SparseMatrix adj = RandomCsr(3000, 2000, 6, 5);
+  Matrix h = RandomDense(3000, 16, 6);
+  Matrix logits = RandomDense(20000, 1, 7);
+  Matrix upstream = RandomDense(20000, 1, 8);
+  std::vector<size_t> seg(20000);
+  Rng seg_rng(9);
+  for (size_t& s : seg) s = static_cast<size_t>(seg_rng.Int(0, 499));
 
+  struct Results {
+    Matrix transposed;
+    double sum;
+    Matrix softmax;
+    Matrix softmax_grad;
+  };
+  const auto run = [&] {
+    Results r;
+    r.transposed = adj.Transpose().Multiply(h);
+    r.sum = h.Sum();
+    r.softmax = SegmentSoftmax(logits, seg, 500);
+    r.softmax_grad = SegmentSoftmaxBackward(r.softmax, upstream, seg, 500);
+    return r;
+  };
   ThreadPool::Global().SetNumThreads(1);
-  Matrix spmm_t_serial = adj.TransposeMultiply(h);
-  double sum_serial = h.Sum();
-  Matrix softmax_serial = SegmentSoftmax(logits, seg, 50);
-
+  const Results serial = run();
   ThreadPool::Global().SetNumThreads(4);
-  Matrix spmm_t_parallel = adj.TransposeMultiply(h);
-  double sum_parallel = h.Sum();
-  Matrix softmax_parallel = SegmentSoftmax(logits, seg, 50);
+  const Results parallel = run();
 
-  for (size_t i = 0; i < spmm_t_serial.size(); ++i)
-    ASSERT_NEAR(spmm_t_serial.data()[i], spmm_t_parallel.data()[i], 1e-12);
-  EXPECT_NEAR(sum_serial, sum_parallel, 1e-12);
-  for (size_t i = 0; i < softmax_serial.size(); ++i)
-    ASSERT_NEAR(softmax_serial.data()[i], softmax_parallel.data()[i], 1e-12);
-
-  // And for a fixed thread count the tree-reduced kernels are bit-stable.
-  Matrix spmm_t_again = adj.TransposeMultiply(h);
-  for (size_t i = 0; i < spmm_t_parallel.size(); ++i)
-    ASSERT_EQ(spmm_t_parallel.data()[i], spmm_t_again.data()[i]);
+  for (size_t i = 0; i < serial.transposed.size(); ++i)
+    ASSERT_EQ(serial.transposed.data()[i], parallel.transposed.data()[i]);
+  EXPECT_EQ(serial.sum, parallel.sum);
+  for (size_t i = 0; i < serial.softmax.size(); ++i)
+    ASSERT_EQ(serial.softmax.data()[i], parallel.softmax.data()[i]);
+  for (size_t i = 0; i < serial.softmax_grad.size(); ++i)
+    ASSERT_EQ(serial.softmax_grad.data()[i], parallel.softmax_grad.data()[i]);
 }
 
 TEST(KernelDeterminismTest, EdgeSoftmaxGradientMatchesSerial) {

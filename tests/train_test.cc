@@ -57,9 +57,9 @@ TEST(TrainerTest, GradClipKeepsUpdatesBounded) {
 TEST(TrainerTest, FixedSeedAndThreadCountGiveBitIdenticalRuns) {
   // The determinism contract of common/parallel.h, end to end: a GCN
   // training run whose forward and backward pass through every parallel
-  // kernel family (matmul, SpMM, SpMM-transpose, tree-reduced CE loss) must
-  // produce bit-identical losses when repeated with the same seed and the
-  // same fixed thread count.
+  // kernel family (matmul, SpMM forward and over the transpose, tree-reduced
+  // CE loss) must produce bit-identical losses when repeated with the same
+  // seed and the same fixed thread count.
   ThreadPool::Global().SetNumThreads(4);
   auto run = [] {
     Rng rng(123);

@@ -44,12 +44,12 @@
 #                     DropoutTest: masks equal per-element
 #                     std::bernoulli_distribution), the fusion suite and the
 #                     gradcheck suite. Last, gnn4tdl_cli freeze with a fixed
-#                     seed runs at each tier for the default GCN and for
-#                     SAGE, all at THREADS=4, and each backbone's two
-#                     artifacts must be byte-identical: whole training runs
-#                     checked across tiers. The thread count is held fixed
-#                     because artifacts differ across thread counts by
-#                     design (spmm_t reduces per lane)
+#                     seed runs every backbone (gcn, sage, gat, gin, ggnn,
+#                     appnp, graph_transformer) at every pairing of
+#                     SIMD=scalar|avx2 and THREADS=1..4, and each artifact
+#                     must be byte-identical to that backbone's first one:
+#                     whole training runs checked across tiers and thread
+#                     counts
 #   stage 7  fusion   fused-execution + arena memory contract: the fusion
 #                     bit-exactness suite (fused single-node ops vs their
 #                     unfused compositions, values and gradients compared by
@@ -230,15 +230,23 @@ tier_matrix() {
 }
 
 cross_tier_freeze() {
-  local backbone simd
-  for backbone in gcn sage; do
+  local backbone simd threads first out
+  for backbone in gcn sage gat gin ggnn appnp graph_transformer; do
+    first=""
     for simd in scalar avx2; do
-      GNN4TDL_SIMD="$simd" GNN4TDL_THREADS=4 ./build/tools/gnn4tdl_cli \
-        freeze --backbone "$backbone" --seed 7 \
-        --out "build/cross_tier_${backbone}_${simd}.gnn4tdl" || return 1
+      for threads in 1 2 3 4; do
+        out="build/cross_tier_${backbone}_${simd}_t${threads}.gnn4tdl"
+        GNN4TDL_SIMD="$simd" GNN4TDL_THREADS="$threads" \
+          ./build/tools/gnn4tdl_cli freeze --backbone "$backbone" --seed 7 \
+          --out "$out" >/dev/null || return 1
+        if [ -z "$first" ]; then
+          first="$out"
+        else
+          cmp "$first" "$out" || return 1
+        fi
+      done
     done
-    cmp "build/cross_tier_${backbone}_scalar.gnn4tdl" \
-      "build/cross_tier_${backbone}_avx2.gnn4tdl" || return 1
+    echo "-- freeze ${backbone}: 8 artifacts byte-identical"
   done
 }
 

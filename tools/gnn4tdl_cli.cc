@@ -153,7 +153,9 @@ void PrintUsage() {
       "                        trace id in the recorder and print its digest\n"
       "  --mode NAME           loadgen: open | closed arrival loop\n"
       "  --rps F               loadgen: offered requests/s (default 200)\n"
-      "  --duration-s F        loadgen: open-loop duration (default 1)\n"
+      "  --duration-s F        loadgen: open-loop duration (default 1);\n"
+      "                        closed loop: --rps x --duration-s requests\n"
+      "                        split evenly over --workers\n"
       "  --workers N           loadgen: closed-loop clients (default 4,\n"
       "                        at most 256)\n"
       "  --think-ms F          loadgen: closed-loop think time (default 0)\n"
@@ -709,10 +711,20 @@ int RunLoadgen(const CliArgs& args) {
                              static_cast<double>(std::max<size_t>(
                                  1, args.workers))));
   load.seed = args.seed;
-  std::printf("loadgen: %s loop, %.0f rps offered for %.1fs across "
-              "2 tenants (seed %llu)\n",
-              args.mode.c_str(), args.rps, args.duration_s,
-              static_cast<unsigned long long>(args.seed));
+  if (load.mode == LoadOptions::Mode::kClosedLoop) {
+    // The closed loop is unpaced: each client sends its next request as soon
+    // as the previous reply (and the think time) is over.
+    std::printf("loadgen: closed loop, %zu workers x %zu requests each, "
+                "unpaced (think time %.1f ms) across 2 tenants (seed %llu)\n",
+                load.closed_workers, load.requests_per_worker,
+                load.think_time_ms,
+                static_cast<unsigned long long>(args.seed));
+  } else {
+    std::printf("loadgen: open loop, %.0f rps offered for %.1fs across "
+                "2 tenants (seed %llu)\n",
+                args.rps, args.duration_s,
+                static_cast<unsigned long long>(args.seed));
+  }
 
   LoadGenerator generator(&engine, std::move(traffic), load);
   StatusOr<LoadReport> report = generator.Run();
