@@ -7,81 +7,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ctime>
-#include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "obs/kernel_hooks.h"
-
 namespace gnn4tdl::bench {
-
-/// Stopwatch reporting wall-clock time alongside CPU time, so parallel
-/// speedups are honest: a kernel that really scales shows wall time dropping
-/// while process CPU time stays flat; one that merely spins shows CPU time
-/// growing with the thread count.
-class Timer {
- public:
-  Timer() { Reset(); }
-
-  void Reset() {
-    wall_start_ = NowMs(CLOCK_MONOTONIC);
-    process_cpu_start_ = NowMs(CLOCK_PROCESS_CPUTIME_ID);
-    thread_cpu_start_ = NowMs(CLOCK_THREAD_CPUTIME_ID);
-  }
-
-  /// Elapsed wall-clock milliseconds since construction/Reset().
-  double WallMs() const { return NowMs(CLOCK_MONOTONIC) - wall_start_; }
-
-  /// CPU milliseconds consumed by the whole process (all threads summed).
-  double ProcessCpuMs() const {
-    return NowMs(CLOCK_PROCESS_CPUTIME_ID) - process_cpu_start_;
-  }
-
-  /// CPU milliseconds consumed by the calling thread alone.
-  double ThreadCpuMs() const {
-    return NowMs(CLOCK_THREAD_CPUTIME_ID) - thread_cpu_start_;
-  }
-
- private:
-  static double NowMs(clockid_t id) {
-    timespec ts{};
-    clock_gettime(id, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e3 +
-           static_cast<double>(ts.tv_nsec) * 1e-6;
-  }
-
-  double wall_start_ = 0.0;
-  double process_cpu_start_ = 0.0;
-  double thread_cpu_start_ = 0.0;
-};
-
-/// Opens a BENCH_*.json object and writes the shared header fields. Every
-/// bench JSON records the machine's core count so speedup numbers can be read
-/// in context (a 1-core box cannot show parallel speedup no matter how good
-/// the kernels are). Callers append their own fields and the closing brace.
-inline void WriteJsonHeader(std::ostream& out, const std::string& bench_name) {
-  out << "{\n  \"bench\": \"" << bench_name << "\",\n"
-      << "  \"num_cores\": " << std::thread::hardware_concurrency() << ",\n";
-}
-
-/// Writes the current obs::KernelCounters snapshot as a `"kernel_counters"`
-/// JSON field (per-kernel calls and exact FLOP/byte totals), for bench binaries
-/// that ran with counters enabled. Emits a trailing comma, so call it
-/// between header fields.
-inline void WriteKernelCountersJson(std::ostream& out) {
-  out << "  \"kernel_counters\": {";
-  bool first = true;
-  for (const auto& [name, stats] : obs::KernelCounters::Snapshot()) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n    \"" << name << "\": {\"calls\": " << stats.calls
-        << ", \"flops\": " << stats.flops << ", \"bytes\": " << stats.bytes
-        << "}";
-  }
-  out << "\n  },\n";
-}
 
 /// Fixed-width text table writer.
 class TablePrinter {

@@ -11,9 +11,8 @@
 namespace gnn4tdl::kernels {
 
 /// Dense row-major matrix of floats: the storage layer of the single-precision
-/// inference kernel tier (src/kernels). Serving is memory-bandwidth-bound
-/// (BENCH_serving.json shows ~4.7 bytes moved per FLOP on the double path), so
-/// halving the element width is a direct throughput lever. FMatrix is
+/// inference kernel tier (src/kernels). Serving is memory-bandwidth-bound,
+/// so halving the element width is a direct throughput lever. FMatrix is
 /// deliberately *not* a second autograd container: it has no tape, no
 /// gradients, and no arithmetic operators — all compute on FMatrix goes
 /// through the dispatched kernels in kernels/kernels.h. Training stays on the

@@ -316,21 +316,19 @@ Status CheckAccounting(const MultiTenantEngine& engine,
          << " + compute " << agg.compute_ms_sum << " > total "
          << agg.latency_ms_sum << "; ";
   }
-  if (engine.recorder().enabled()) {
-    std::vector<obs::RequestDigest> digests = engine.recorder().RingSnapshot();
-    std::vector<obs::RequestDigest> retained =
-        engine.recorder().RetainedSnapshot();
-    digests.insert(digests.end(), retained.begin(), retained.end());
-    for (const obs::RequestDigest& d : digests) {
-      if (d.trace_id == 0) {
-        diff << "recorder digest for tenant " << d.tenant
-             << " has trace_id 0; ";
-      }
-      if (d.queue_wait_ms + d.compute_ms > d.total_ms + kSplitEpsMs) {
-        diff << "trace " << d.trace_id << ": wait " << d.queue_wait_ms
-             << " + compute " << d.compute_ms << " > total " << d.total_ms
-             << "; ";
-      }
+  std::vector<obs::RequestDigest> digests = engine.recorder().RingSnapshot();
+  std::vector<obs::RequestDigest> retained =
+      engine.recorder().RetainedSnapshot();
+  digests.insert(digests.end(), retained.begin(), retained.end());
+  for (const obs::RequestDigest& d : digests) {
+    if (d.trace_id == 0) {
+      diff << "recorder digest for tenant " << d.tenant
+           << " has trace_id 0; ";
+    }
+    if (d.queue_wait_ms + d.compute_ms > d.total_ms + kSplitEpsMs) {
+      diff << "trace " << d.trace_id << ": wait " << d.queue_wait_ms
+           << " + compute " << d.compute_ms << " > total " << d.total_ms
+           << "; ";
     }
   }
   if (!diff.str().empty()) {

@@ -108,9 +108,9 @@ struct LoadReport {
 
 /// Drives a MultiTenantEngine with synthetic traffic and reports per-tenant
 /// throughput, latency, rejection, and SLO attainment. The generator is the
-/// standing harness ISSUE/ROADMAP call for: every serving change can be
-/// load-tested the same way (bench_load sweeps it; `gnn4tdl loadgen` and the
-/// check.sh `load` stage smoke it).
+/// standing harness for serving changes: every one can be load-tested the
+/// same way (`gnn4tdl loadgen` drives it, and the check.sh `load` stage
+/// smokes it open-loop and at closed-loop saturation).
 ///
 /// Threads: closed-loop workers and the open-loop submitter run on their own
 /// std::threads (src/load/ is allowlisted, like src/serve/) — they model
@@ -147,9 +147,9 @@ class LoadGenerator {
 /// aggregate over the histogram sums — and requires every recorded digest to
 /// carry a nonzero trace id.
 /// Requires a fresh engine that served only this run. OK when consistent;
-/// Internal with a diff message otherwise. The check.sh `load` stage and
-/// bench_load gate on this, so serving accounting cannot silently drift from
-/// what clients observe.
+/// Internal with a diff message otherwise. `gnn4tdl loadgen` (and with it the
+/// check.sh `load` stage) and perfbench serve_open gate on this, so serving
+/// accounting cannot silently drift from what clients observe.
 [[nodiscard]] Status CheckAccounting(const MultiTenantEngine& engine,
                                      const LoadReport& report);
 

@@ -6,8 +6,8 @@
 // predicts it: for every node in the requires-grad subgraph it reports the
 // step at which the node's buffers die, plus the simulated peak resident
 // bytes of the planned schedule against the allocate-and-hold baseline. The
-// trainer exports the two peaks as gauges and bench_fusion reports them next
-// to the measured RSS delta.
+// trainer exports the two peaks as the tape.naive_peak_bytes and
+// tape.planned_peak_bytes gauges.
 
 #include <cstddef>
 #include <cstdint>

@@ -7,8 +7,7 @@ namespace gnn4tdl::obs {
 /// Which observability machinery is switched on. All hook points in the
 /// library (kernel scopes, trainer emission, serving metrics) gate on one
 /// relaxed atomic load of this bitmask, so a binary that never enables
-/// anything pays a single predictable branch per hook — measured <2% on the
-/// bench_scaling kernel sweep.
+/// anything pays a single predictable branch per hook.
 enum ObsFlag : uint32_t {
   kObsTracing = 1u << 0,         // TraceSpan records spans
   kObsMetrics = 1u << 1,         // trainer/serve emit to MetricsRegistry::Global()

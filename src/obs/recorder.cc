@@ -33,7 +33,6 @@ void RemapSpanIds(std::vector<SpanRecord>* spans) {
 }  // namespace
 
 void FlightRecorder::Record(RequestDigest digest) {
-  if (!options_.enabled) return;
   if (digest.slo_breach) {
     RequestDigest retained_copy = digest;
     RemapSpanIds(&retained_copy.spans);

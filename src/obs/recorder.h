@@ -37,7 +37,6 @@ struct RequestDigest {
 };
 
 struct FlightRecorderOptions {
-  bool enabled = true;
   /// Total digest slots across all stripes (split evenly; at least one slot
   /// per stripe). Size this at or above the request volume between scrapes
   /// so exported exemplar trace ids still resolve in the ring.
@@ -61,10 +60,7 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  bool enabled() const { return options_.enabled; }
-  const FlightRecorderOptions& options() const { return options_; }
-
-  /// Publish one completed request. No-op when disabled. Thread-safe.
+  /// Publish one completed request. Thread-safe.
   void Record(RequestDigest digest);
 
   /// Ring contents, oldest-first within each stripe, stripes in order.

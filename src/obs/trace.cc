@@ -215,16 +215,13 @@ TraceAmbientParent::~TraceAmbientParent() {
   Tracer::State().ambient_parent = previous_;
 }
 
-SpanCapture::SpanCapture(std::vector<SpanRecord>* out) {
-  if (out == nullptr) return;
-  installed_ = true;
-  previous_ = t_span_sink;
+SpanCapture::SpanCapture(std::vector<SpanRecord>* out)
+    : previous_(t_span_sink) {
   t_span_sink = out;
   g_capture_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 SpanCapture::~SpanCapture() {
-  if (!installed_) return;
   t_span_sink = previous_;
   g_capture_count.fetch_sub(1, std::memory_order_relaxed);
 }

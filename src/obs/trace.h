@@ -147,9 +147,8 @@ class TraceSpan {
 /// thread is also appended to `*out` (with `tid` left 0 — the capture is
 /// single-threaded by construction). Used by the serving engine's batching
 /// worker to capture the span subtree of one batch for the flight recorder
-/// without enabling global tracing. Pass nullptr to make it a no-op. Nests:
-/// the previous sink is restored on destruction (inner sink wins while
-/// alive).
+/// without enabling global tracing. `out` must not be null. Nests: the
+/// previous sink is restored on destruction (inner sink wins while alive).
 class SpanCapture {
  public:
   explicit SpanCapture(std::vector<SpanRecord>* out);
@@ -159,7 +158,6 @@ class SpanCapture {
 
  private:
   std::vector<SpanRecord>* previous_ = nullptr;
-  bool installed_ = false;
 };
 
 /// Per-thread monotonic allocated-bytes counter backing SpanRecord::

@@ -235,11 +235,10 @@ void MultiTenantEngine::WorkerLoop() {
     const int64_t batch_start_ns = clock_->NowNanos();
     // Capture the batch's span subtree for the flight recorder (spans opened
     // on this worker thread: serve/batch, serve/attach, kernel scopes opened
-    // before the pool fan-out). With the recorder off no sink is installed
-    // and the spans stay the usual tracing-gated no-ops.
+    // before the pool fan-out).
     std::vector<obs::SpanRecord> batch_spans;
     StatusOr<Matrix> logits = [&] {
-      obs::SpanCapture capture(recorder_.enabled() ? &batch_spans : nullptr);
+      obs::SpanCapture capture(&batch_spans);
       obs::TraceSpan span("serve/batch");
       span.AddItems(static_cast<double>(batch.size()));
       for (const Request& req : batch) span.AddRequestId(req.ctx.trace_id);
@@ -277,25 +276,23 @@ void MultiTenantEngine::WorkerLoop() {
       ts->latency_ms_hist.Record(ms, req.ctx.trace_id);
       ts->queue_wait_ms_hist.Record(wait_ms, req.ctx.trace_id);
       ts->compute_ms_hist.Record(compute_ms, req.ctx.trace_id);
-      if (recorder_.enabled()) {
-        obs::RequestDigest digest;
-        digest.tenant = ts->tenant->name;
-        digest.trace_id = req.ctx.trace_id;
-        digest.enqueued_ns = req.ctx.enqueued_ns;
-        digest.queue_wait_ms = wait_ms;
-        digest.compute_ms = compute_ms;
-        digest.total_ms = ms;
-        digest.batch_size = batch.size();
-        digest.flops = batch_flops;
-        digest.bytes = batch_bytes;
-        digest.alloc_bytes = batch_alloc;
-        digest.slo_ms = slo_ms;
-        digest.slo_breach = ms > slo_ms;
-        // Tail sampling: only breaches carry the span subtree into the
-        // retained store; ring entries stay span-free.
-        if (digest.slo_breach) digest.spans = batch_spans;
-        recorder_.Record(std::move(digest));
-      }
+      obs::RequestDigest digest;
+      digest.tenant = ts->tenant->name;
+      digest.trace_id = req.ctx.trace_id;
+      digest.enqueued_ns = req.ctx.enqueued_ns;
+      digest.queue_wait_ms = wait_ms;
+      digest.compute_ms = compute_ms;
+      digest.total_ms = ms;
+      digest.batch_size = batch.size();
+      digest.flops = batch_flops;
+      digest.bytes = batch_bytes;
+      digest.alloc_bytes = batch_alloc;
+      digest.slo_ms = slo_ms;
+      digest.slo_breach = ms > slo_ms;
+      // Tail sampling: only breaches carry the span subtree into the
+      // retained store; ring entries stay span-free.
+      if (digest.slo_breach) digest.spans = batch_spans;
+      recorder_.Record(std::move(digest));
     }
     {
       MutexLock lock(&mu_);

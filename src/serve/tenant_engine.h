@@ -82,9 +82,8 @@ struct MultiTenantEngineOptions {
   /// Time source for latency stamping; null means obs::RealClock(). Tests
   /// inject an obs::FakeClock for deterministic latency assertions.
   const obs::Clock* clock = nullptr;
-  /// Flight-recorder policy (on by default — the ring is bounded and the
-  /// per-request cost is one striped mutex push). Set recorder.enabled =
-  /// false to drop all per-request digest work.
+  /// Flight-recorder sizing. The recorder is always on: the ring is bounded
+  /// and the per-request cost is one striped mutex push.
   obs::FlightRecorderOptions recorder;
 };
 

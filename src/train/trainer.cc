@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <limits>
 
-#include <memory>
-
 #include "common/arena.h"
 #include "common/check.h"
 #include "nn/tape_plan.h"
@@ -105,15 +103,11 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
   int epochs_since_best = 0;
 
   // One arena for the whole run: epoch 0 sizes the pool, later epochs hit
-  // the freelist. Declared before the scope so the scope unwinds first;
-  // escaped buffers (updated parameters, snapshots) keep the state alive
-  // past both.
-  std::unique_ptr<Arena> arena;
-  std::unique_ptr<ArenaScope> arena_scope;
-  if (options_.use_arena) {
-    arena = std::make_unique<Arena>();
-    arena_scope = std::make_unique<ArenaScope>(arena.get());
-  }
+  // the freelist with zero new allocations. Declared before the scope so the
+  // scope unwinds first; escaped buffers (updated parameters, snapshots) keep
+  // the state alive past both.
+  Arena arena;
+  ArenaScope arena_scope(&arena);
 
   for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
     obs::TraceSpan epoch_span("train/epoch");
@@ -137,7 +131,7 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
       obs::TraceSpan span("train/backward");
       if (options_.verify_tape_every > 0 &&
           epoch % options_.verify_tape_every == 0) {
-        TapeVerifier verifier({.check_finite = options_.verify_finite});
+        TapeVerifier verifier({.check_finite = true});
         result.tape_status = verifier.Verify(loss);
         if (!result.tape_status.ok()) {
           // A malformed tape (or poisoned values) makes every further step
@@ -160,7 +154,9 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
         registry.GetGauge("tape.planned_peak_bytes")
             .Set(static_cast<double>(plan.planned_peak_bytes));
       }
-      loss.Backward({.release_values = options_.release_tape_values});
+      // Free each intermediate at its last use, bounding peak tape memory to
+      // the planned peak (docs/MEMORY.md).
+      loss.Backward({.release_values = true});
     }
     {
       obs::TraceSpan span("train/optimizer");
@@ -169,7 +165,7 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
       }
       if (obs::MetricsEnabled()) {
         EmitEpochMetrics(params_, loss);
-        if (arena != nullptr) EmitArenaMetrics(*arena);
+        EmitArenaMetrics(arena);
       }
       optimizer_.Step();
     }

@@ -33,23 +33,11 @@ struct TrainOptions {
   /// Global gradient-norm clip (0 = off).
   double grad_clip = 0.0;
   bool verbose = false;
-  /// Run TapeVerifier over the loss tape before Backward() every N epochs
-  /// (0 = never). A failed verification aborts the run; see
-  /// TrainResult::tape_status.
+  /// Run TapeVerifier, NaN/Inf poisoning scan included, over the loss tape
+  /// before Backward() every N epochs (0 = never). A failed verification
+  /// aborts the run, and the report names the op that first produced a
+  /// non-finite value; see TrainResult::tape_status.
   int verify_tape_every = 0;
-  /// Include the NaN/Inf poisoning scan in those verification passes, so the
-  /// eventual report names the op that first produced a non-finite value.
-  bool verify_finite = true;
-  /// Serve every Matrix allocated while building and differentiating the tape
-  /// from a slab arena owned by this Fit call (common/arena.h): epoch 0 is
-  /// the dry run that sizes the pool; steady-state epochs recycle the same
-  /// slabs with zero new allocations. Bit-exact either way.
-  bool use_arena = true;
-  /// Free each intermediate's value at its last use inside Backward()
-  /// (nn/tensor.h, BackwardOptions::release_values), bounding peak tape
-  /// memory to the planned peak instead of holding every intermediate until
-  /// the epoch ends. See docs/MEMORY.md. Bit-exact either way.
-  bool release_tape_values = true;
 };
 
 /// Outcome of a training run.

@@ -309,8 +309,8 @@ TEST(TapePlanTest, ExternallyHeldIntermediateIsPinnedInPlan) {
 
 // A deeper chain shows the point of the exercise: the planned peak stays
 // near a couple of layers' footprint while the naive peak grows with depth.
-// This is the in-process regression guard for the planner (bench_fusion
-// measures the same effect as process RSS).
+// This is the in-process regression guard for the planner (perfbench
+// train_fit reports the whole-fit tape.planned_peak_bytes).
 TEST(TapePlanTest, DeepChainPeakRegression) {
   Rng rng(44);
   Tensor x = Tensor::Leaf(RandomMatrix(64, 64, rng), true);

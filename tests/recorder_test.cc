@@ -72,18 +72,6 @@ TEST(FlightRecorderTest, RingWrapsOldestFirstPerStripe) {
   EXPECT_FALSE(recorder.FindTrace(2).has_value());  // evicted by the wrap
 }
 
-TEST(FlightRecorderTest, DisabledRecorderDropsEverything) {
-  FlightRecorderOptions options;
-  options.enabled = false;
-  FlightRecorder recorder(options);
-  recorder.Record(MakeDigest(1));
-  recorder.Record(MakeDigest(2, /*breach=*/true));
-  EXPECT_EQ(recorder.stats().recorded, 0u);
-  EXPECT_TRUE(recorder.RingSnapshot().empty());
-  EXPECT_TRUE(recorder.RetainedSnapshot().empty());
-  EXPECT_FALSE(recorder.FindTrace(1).has_value());
-}
-
 TEST(FlightRecorderTest, RetentionKeepsBreachSubtreesBoundedFifo) {
   FlightRecorderOptions options;
   options.retained_capacity = 2;

@@ -21,9 +21,9 @@ namespace {
 using kernels::Precision;
 
 // Logit agreement bound between the f64 and f32 serving paths: two or three
-// f32 matmul/SpMM reductions of width <= 16 accumulate well under this. The
-// ROADMAP acceptance (AUROC delta <= 1e-3) is checked downstream in
-// bench_serving; this is the per-logit building block.
+// f32 matmul/SpMM reductions of width <= 16 accumulate well under this.
+// perfbench's f32_within_1e-3 check applies the same bound to the f32
+// logits of a served sample.
 constexpr double kLogitTol = 1e-3;
 
 InstanceGraphGnnOptions Options(GnnBackbone backbone) {

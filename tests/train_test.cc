@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "data/split.h"
+#include "data/synthetic.h"
 #include "gnn/gcn.h"
 #include "gradcheck_util.h"
 #include "graph/graph.h"
+#include "models/knn_gnn.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "train/aux_tasks.h"
 
 namespace gnn4tdl {
@@ -92,6 +96,55 @@ TEST(TrainerTest, FixedSeedAndThreadCountGiveBitIdenticalRuns) {
   double second = run();
   EXPECT_EQ(first, second);
   ThreadPool::Global().SetNumThreads(ThreadCountFromEnv());
+}
+
+// Fit's arena pool is sized by epoch 0: every later epoch must be served
+// from the freelist. So a 2-epoch and an 8-epoch fit miss the pool equally
+// often and reach the same high water; an epoch that allocates afresh makes
+// the longer fit miss more.
+TEST(TrainerTest, ArenaStopsAllocatingAfterFirstEpoch) {
+  struct ArenaGauges {
+    double misses;
+    double hits;
+    double high_water;
+  };
+  const auto fit = [](GnnBackbone backbone, int epochs) {
+    TabularDataset data = MakeClusters({.num_rows = 300,
+                                        .num_classes = 3,
+                                        .dim_informative = 5,
+                                        .dim_noise = 3,
+                                        .seed = 11});
+    Rng rng(19);
+    Split split = StratifiedSplit(data.class_labels(), 0.6, 0.2, rng);
+    InstanceGraphGnnOptions options;
+    options.backbone = backbone;
+    options.hidden_dim = 12;
+    options.knn.k = 5;
+    options.train.max_epochs = epochs;
+    options.train.patience = 0;
+    options.seed = 5;
+    InstanceGraphGnn model(options);
+    EXPECT_TRUE(model.Fit(data, split).ok());
+    auto& registry = obs::MetricsRegistry::Global();
+    const double hits = registry.GetGauge("arena.pool_hits").Value();
+    return ArenaGauges{registry.GetGauge("arena.alloc_calls").Value() - hits,
+                       hits,
+                       registry.GetGauge("arena.high_water_bytes").Value()};
+  };
+  obs::EnableMetrics();
+  for (GnnBackbone backbone :
+       {GnnBackbone::kGcn, GnnBackbone::kSage, GnnBackbone::kGat,
+        GnnBackbone::kGin, GnnBackbone::kGgnn, GnnBackbone::kAppnp}) {
+    SCOPED_TRACE(GnnBackboneName(backbone));
+    const ArenaGauges short_fit = fit(backbone, 2);
+    const ArenaGauges long_fit = fit(backbone, 8);
+    // One arena spans the fit, so the extra epochs are all pool hits.
+    EXPECT_GT(short_fit.misses, 0.0);
+    EXPECT_GT(long_fit.hits, short_fit.hits);
+    EXPECT_EQ(short_fit.misses, long_fit.misses);
+    EXPECT_EQ(short_fit.high_water, long_fit.high_water);
+  }
+  obs::DisableMetrics();
 }
 
 TEST(AuxTaskTest, ReconstructionLossDecreasesUnderTraining) {

@@ -6,7 +6,9 @@
 #   stage 1  lint     build gnn4tdl_lint (default preset) and scan the tree
 #                     with every pass: the style pass (idiom rules) and the
 #                     lock-discipline pass (annotation coverage, guard
-#                     validity, double-acquire, REQUIRES visibility)
+#                     validity, double-acquire, REQUIRES visibility); then
+#                     fail on any doc or source line that names a bench
+#                     binary or BENCH_*.json file that no longer exists
 #   stage 2  asan     full test suite under Address+UB sanitizers
 #   stage 3  tsan     full test suite under ThreadSanitizer
 #   stage 4  threads  tsan suite again at GNN4TDL_THREADS=4, so the parallel
@@ -159,7 +161,42 @@ run_stage() {
 lint_stage() {
   cmake --preset default &&
     cmake --build --preset default -j "$(nproc)" --target gnn4tdl_lint &&
-    ./build/tools/lint/gnn4tdl_lint --root .
+    ./build/tools/lint/gnn4tdl_lint --root . &&
+    stale_bench_refs
+}
+
+# Fails when the docs or the code name a bench_<name> binary that has no
+# bench/bench_<name>.cc, or a BENCH_<name>.json that does not exist.
+# CHANGES.md and ROADMAP.md are history and perfbench/ is the benchmark's
+# own tree, so none of them is scanned. bench_util (the shared header) and
+# bench_stage (this script's stage function) are not binaries.
+stale_bench_refs() {
+  local paths=(README.md DESIGN.md EXPERIMENTS.md docs .claude/skills src
+               tests tools)
+  local hit where name stale=0
+  while IFS= read -r hit; do
+    where=${hit%:*}
+    name=bench_${hit##*bench_}
+    case "$name" in
+      bench_util | bench_stage) continue ;;
+    esac
+    if [[ ! -f "bench/${name}.cc" ]]; then
+      echo "stale reference: ${where}: ${name} (no bench/${name}.cc)"
+      stale=1
+    fi
+  done < <(grep -rnoIE '(^|[^.A-Za-z0-9_])bench_[A-Za-z0-9_]+' "${paths[@]}")
+  while IFS= read -r hit; do
+    where=${hit%:*}
+    name=${hit##*:}
+    if [[ ! -f "$name" ]]; then
+      echo "stale reference: ${where}: ${name} (no such file)"
+      stale=1
+    fi
+  done < <(grep -rnoIE 'BENCH_[A-Za-z0-9_]+\.json' "${paths[@]}")
+  if [[ "$stale" != 0 ]]; then
+    return 1
+  fi
+  echo "stale bench references: none"
 }
 
 asan_stage() {
