@@ -1,8 +1,10 @@
 #include "data/transforms.h"
 
+#include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
+#include <limits>
+
+#include "common/text_io.h"
 
 namespace gnn4tdl {
 
@@ -138,16 +140,14 @@ StatusOr<Matrix> Featurizer::Transform(const TabularDataset& data) const {
   return x;
 }
 
-Status Featurizer::Save(std::ostream& out) const {
+Status Featurizer::Save(TextWriter& out) const {
   if (!fitted_) {
     return Status::FailedPrecondition("Featurizer::Save before Fit");
   }
-  if (!out) return Status::IoError("featurizer output stream is not writable");
-  std::streamsize old_precision = out.precision(17);
   out << kFeaturizerMagic << '\n';
-  out << options_.standardize << ' ' << options_.one_hot << ' '
-      << options_.missing_fill << ' ' << options_.add_missing_indicators
-      << '\n';
+  out << (options_.standardize ? 1 : 0) << ' ' << (options_.one_hot ? 1 : 0)
+      << ' ' << options_.missing_fill << ' '
+      << (options_.add_missing_indicators ? 1 : 0) << '\n';
   out << num_source_cols_ << ' ' << output_dim_ << '\n';
   for (size_t c = 0; c < num_source_cols_; ++c) {
     out << numeric_stats_[c].mean << ' ' << numeric_stats_[c].stddev << ' '
@@ -156,43 +156,62 @@ Status Featurizer::Save(std::ostream& out) const {
   for (size_t j = 0; j < output_to_source_.size(); ++j) {
     out << output_to_source_[j] << (j + 1 < output_to_source_.size() ? ' ' : '\n');
   }
-  out.precision(old_precision);
-  if (!out) return Status::IoError("write failure on featurizer stream");
   return Status::OK();
 }
 
-StatusOr<Featurizer> Featurizer::Load(std::istream& in) {
-  std::string magic;
-  if (!(in >> magic) || magic != kFeaturizerMagic) {
+StatusOr<Featurizer> Featurizer::Load(BoundedReader& in) {
+  if (in.Token() != kFeaturizerMagic) {
     return Status::InvalidArgument("stream is not a gnn4tdl featurizer block");
   }
   FeaturizerOptions options;
-  if (!(in >> options.standardize >> options.one_hot >> options.missing_fill >>
-        options.add_missing_indicators)) {
-    return Status::IoError("truncated featurizer block");
-  }
+  size_t standardize = 0, one_hot = 0, indicators = 0;
+  GNN4TDL_RETURN_IF_ERROR(in.Size("featurizer standardize", 0, 1, &standardize));
+  GNN4TDL_RETURN_IF_ERROR(in.Size("featurizer one_hot", 0, 1, &one_hot));
+  GNN4TDL_RETURN_IF_ERROR(in.Double("featurizer missing_fill", &options.missing_fill));
+  GNN4TDL_RETURN_IF_ERROR(
+      in.Size("featurizer missing indicators", 0, 1, &indicators));
+  options.standardize = standardize != 0;
+  options.one_hot = one_hot != 0;
+  options.add_missing_indicators = indicators != 0;
+
   Featurizer f(options);
-  if (!(in >> f.num_source_cols_ >> f.output_dim_)) {
-    return Status::IoError("truncated featurizer block");
-  }
-  // Both counts are unchecked input: the vectors grow with what the stream
-  // really holds instead of being resized to the counts, so an inflated
-  // count ends as a truncated block rather than an allocation it sized.
+  constexpr size_t kNoCap = std::numeric_limits<size_t>::max();
+  // A source column takes a "mean stddev cardinality missing" line of at
+  // least 8 bytes, an output column at least 2 bytes of the source map.
+  GNN4TDL_RETURN_IF_ERROR(
+      in.Size("featurizer source columns", 8, kNoCap, &f.num_source_cols_));
+  GNN4TDL_RETURN_IF_ERROR(
+      in.Size("featurizer output columns", 2, kNoCap, &f.output_dim_));
+  f.numeric_stats_.resize(f.num_source_cols_);
+  f.cardinalities_.resize(f.num_source_cols_);
+  f.has_missing_.resize(f.num_source_cols_);
+  // Transform lays each column's block at the running sum of the widths, so
+  // they must add up to the output columns.
+  size_t widths = 0;
   for (size_t c = 0; c < f.num_source_cols_; ++c) {
-    NumericStats stats;
-    size_t cardinality = 0;
-    int missing = 0;
-    if (!(in >> stats.mean >> stats.stddev >> cardinality >> missing)) {
-      return Status::IoError("truncated featurizer block");
-    }
-    f.numeric_stats_.push_back(stats);
-    f.cardinalities_.push_back(cardinality);
-    f.has_missing_.push_back(missing != 0);
+    size_t missing = 0;
+    GNN4TDL_RETURN_IF_ERROR(
+        in.Double("featurizer mean", &f.numeric_stats_[c].mean));
+    GNN4TDL_RETURN_IF_ERROR(
+        in.Double("featurizer stddev", &f.numeric_stats_[c].stddev));
+    // Only one-hot blocks are as wide as the cardinality.
+    GNN4TDL_RETURN_IF_ERROR(
+        in.Size("featurizer cardinality", 0,
+                options.one_hot ? f.output_dim_ : kNoCap, &f.cardinalities_[c]));
+    GNN4TDL_RETURN_IF_ERROR(in.Size("featurizer missing flag", 0, 1, &missing));
+    f.has_missing_[c] = missing != 0;
+    widths += options.one_hot ? std::max<size_t>(f.cardinalities_[c], 1) : 1;
+    if (options.add_missing_indicators && f.has_missing_[c]) ++widths;
   }
-  for (size_t j = 0; j < f.output_dim_; ++j) {
-    size_t source = 0;
-    if (!(in >> source)) return Status::IoError("truncated featurizer block");
-    f.output_to_source_.push_back(source);
+  if (widths != f.output_dim_) {
+    return in.Error("featurizer output columns", std::to_string(f.output_dim_),
+                    "differ from the " + std::to_string(widths) +
+                        " the columns emit");
+  }
+  f.output_to_source_.resize(f.output_dim_);
+  for (size_t& source : f.output_to_source_) {
+    GNN4TDL_RETURN_IF_ERROR(in.Size("featurizer source column", 0,
+                                    f.num_source_cols_ - 1, &source));
   }
   f.fitted_ = true;
   return f;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "common/status.h"
@@ -8,6 +7,9 @@
 #include "tensor/matrix.h"
 
 namespace gnn4tdl {
+
+class BoundedReader;
+class TextWriter;
 
 /// Options controlling how a TabularDataset is turned into a dense feature
 /// matrix for model input.
@@ -59,10 +61,12 @@ class Featurizer {
   /// Serializes the fitted transform (options + per-column statistics) as a
   /// self-delimiting text block, so a serving process can reproduce
   /// Transform() exactly without the training data.
-  Status Save(std::ostream& out) const;
+  Status Save(TextWriter& out) const;
 
-  /// Restores a featurizer saved by Save(). The result is fitted.
-  static StatusOr<Featurizer> Load(std::istream& in);
+  /// Restores a featurizer saved by Save(). The result is fitted. Counts are
+  /// held to what the rest of the input can back and the column widths must
+  /// add up to the output dimension; every violation is IoError.
+  static StatusOr<Featurizer> Load(BoundedReader& in);
 
  private:
   struct NumericStats {

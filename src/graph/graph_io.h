@@ -1,6 +1,5 @@
 #pragma once
 
-#include <iosfwd>
 #include <limits>
 #include <string>
 
@@ -8,6 +7,9 @@
 #include "graph/graph.h"
 
 namespace gnn4tdl {
+
+class BoundedReader;
+class TextWriter;
 
 /// Writes a graph as a TSV edge list — header line "# gnn4tdl-edgelist
 /// <num_nodes>", then one "src\tdst\tweight" line per stored (directed)
@@ -20,22 +22,20 @@ namespace gnn4tdl {
 /// graphs).
 [[nodiscard]] StatusOr<Graph> ReadEdgeList(const std::string& path);
 
-/// Stream variant for embedding a graph inside a larger artifact (e.g. a
-/// serve/FrozenModel file). With `with_edge_count` the header carries the
-/// edge count ("# gnn4tdl-edgelist <num_nodes> <num_edges>") so the reader
-/// stops after exactly that many edges and leaves the stream positioned after
-/// the block; without it the block is only safe at end-of-stream.
-[[nodiscard]] Status WriteEdgeList(const Graph& g, std::ostream& out,
+/// Appends the edge list to a larger artifact (e.g. a serve/FrozenModel
+/// file). With `with_edge_count` the header carries the edge count
+/// ("# gnn4tdl-edgelist <num_nodes> <num_edges>") so the reader stops after
+/// exactly that many edges; without it the block is only safe at the end.
+[[nodiscard]] Status WriteEdgeList(const Graph& g, TextWriter& out,
                                    bool with_edge_count = false);
 
-/// Reads an edge list from a stream. If the header carries an edge count,
-/// exactly that many edge lines are consumed; otherwise reads to end of
-/// stream. Standalone files written without the count still parse. A header
-/// node count above `max_nodes` is IoError, raised before anything is
-/// allocated from it (callers that know what the rest of the stream must
-/// hold per node pass that bound).
+/// Reads an edge list. If the header carries an edge count, exactly that many
+/// edges are consumed and `in` is left after the block; otherwise it reads
+/// to the end, skipping lines that start with '#'. A header node count above
+/// `max_nodes` is IoError, raised before anything is allocated from it
+/// (callers that know what the rest of the input must hold per node pass
+/// that bound). An endpoint outside the node count is OutOfRange.
 [[nodiscard]] StatusOr<Graph> ReadEdgeList(
-    std::istream& in,
-    size_t max_nodes = std::numeric_limits<size_t>::max());
+    BoundedReader& in, size_t max_nodes = std::numeric_limits<size_t>::max());
 
 }  // namespace gnn4tdl

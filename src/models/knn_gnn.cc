@@ -6,6 +6,7 @@
 #include <numeric>
 #include <type_traits>
 
+#include "common/text_io.h"
 #include "data/metrics.h"
 #include "gnn/appnp.h"
 #include "gnn/graph_transformer.h"
@@ -1201,7 +1202,7 @@ size_t InstanceGraphGnn::output_dim() const {
   return head_ != nullptr ? head_->out_dim() : 0;
 }
 
-Status InstanceGraphGnn::SaveTrainedParameters(std::ostream& out) const {
+Status InstanceGraphGnn::SaveTrainedParameters(TextWriter& out) const {
   if (!fitted_) {
     return Status::FailedPrecondition("SaveTrainedParameters before Fit");
   }
@@ -1209,13 +1210,25 @@ Status InstanceGraphGnn::SaveTrainedParameters(std::ostream& out) const {
   return SaveParameters(bundle, out);
 }
 
-Status InstanceGraphGnn::LoadTrainedParameters(std::istream& in) {
+Status InstanceGraphGnn::SaveTrainedParameters(std::ostream& out) const {
+  TextWriter text;
+  GNN4TDL_RETURN_IF_ERROR(SaveTrainedParameters(text));
+  return text.WriteTo(out, "parameter stream");
+}
+
+Status InstanceGraphGnn::LoadTrainedParameters(BoundedReader& in) {
   if (encoder_ == nullptr || head_ == nullptr) {
     return Status::FailedPrecondition(
         "LoadTrainedParameters before Fit or RestoreForInference");
   }
   TrainedBundle bundle(encoder_.get(), head_.get());
   return LoadParameters(bundle, in);
+}
+
+Status InstanceGraphGnn::LoadTrainedParameters(std::istream& in) {
+  const std::string text = ReadAll(in);
+  BoundedReader reader(text, "parameter block");
+  return LoadTrainedParameters(reader);
 }
 
 StatusOr<InstanceGraphGnn::F32Weights> InstanceGraphGnn::CastWeightsToF32()

@@ -169,10 +169,12 @@ class InstanceGraphGnn : public TabularModel {
   size_t output_dim() const;
 
   /// Writes the trained encoder+head parameters as an nn/serialize block.
+  Status SaveTrainedParameters(TextWriter& out) const;
   Status SaveTrainedParameters(std::ostream& out) const;
 
   /// Loads parameters written by SaveTrainedParameters into the assembled
   /// encoder+head (call after Fit or RestoreForInference).
+  Status LoadTrainedParameters(BoundedReader& in);
   Status LoadTrainedParameters(std::istream& in);
 
   /// Every trained encoder and head parameter cast to f32, keyed by its

@@ -1,9 +1,8 @@
 #include "nn/serialize.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+
+#include "common/text_io.h"
 
 namespace gnn4tdl {
 
@@ -11,12 +10,9 @@ namespace {
 constexpr char kMagic[] = "gnn4tdl-params-v1";
 }  // namespace
 
-Status SaveParameters(const Module& module, std::ostream& out) {
-  if (!out) return Status::IoError("parameter output stream is not writable");
-
+Status SaveParameters(const Module& module, TextWriter& out) {
   std::vector<Tensor> params = module.Parameters();
   out << kMagic << '\n' << params.size() << '\n';
-  std::streamsize old_precision = out.precision(17);
   for (const Tensor& p : params) {
     out << p.rows() << ' ' << p.cols() << '\n';
     const Matrix& m = p.value();
@@ -28,18 +24,21 @@ Status SaveParameters(const Module& module, std::ostream& out) {
       out << '\n';
     }
   }
-  out.precision(old_precision);
-  if (!out) return Status::IoError("write failure on parameter stream");
   return Status::OK();
 }
 
-Status LoadParameters(const Module& module, std::istream& in) {
-  std::string magic;
-  if (!(in >> magic) || magic != kMagic) {
+Status SaveParameters(const Module& module, std::ostream& out) {
+  TextWriter text;
+  GNN4TDL_RETURN_IF_ERROR(SaveParameters(module, text));
+  return text.WriteTo(out, "parameter stream");
+}
+
+Status LoadParameters(const Module& module, BoundedReader& in) {
+  if (in.Token() != kMagic) {
     return Status::InvalidArgument("stream is not a gnn4tdl parameter block");
   }
   size_t count = 0;
-  if (!(in >> count)) return Status::IoError("truncated parameter block");
+  GNN4TDL_RETURN_IF_ERROR(in.Integer("parameter count", &count));
 
   std::vector<Tensor> params = module.Parameters();
   if (count != params.size()) {
@@ -49,19 +48,26 @@ Status LoadParameters(const Module& module, std::istream& in) {
   }
   for (Tensor& p : params) {
     size_t rows = 0, cols = 0;
-    if (!(in >> rows >> cols)) return Status::IoError("truncated parameter block");
+    GNN4TDL_RETURN_IF_ERROR(in.Integer("parameter rows", &rows));
+    GNN4TDL_RETURN_IF_ERROR(in.Integer("parameter columns", &cols));
     if (rows != p.rows() || cols != p.cols()) {
       return Status::InvalidArgument(
           "parameter shape mismatch: file has " + std::to_string(rows) + "x" +
           std::to_string(cols) + ", module has " + std::to_string(p.rows()) +
           "x" + std::to_string(p.cols()));
     }
-    Matrix& m = p.mutable_value();
-    for (size_t r = 0; r < rows; ++r)
-      for (size_t c = 0; c < cols; ++c)
-        if (!(in >> m(r, c))) return Status::IoError("truncated parameter block");
+    double* values = p.mutable_value().data();
+    for (size_t i = 0; i < rows * cols; ++i) {
+      GNN4TDL_RETURN_IF_ERROR(in.Double("parameter weight", &values[i]));
+    }
   }
   return Status::OK();
+}
+
+Status LoadParameters(const Module& module, std::istream& in) {
+  const std::string text = ReadAll(in);
+  BoundedReader reader(text, "parameter block");
+  return LoadParameters(module, reader);
 }
 
 Status SaveParameters(const Module& module, const std::string& path) {

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
+#include "common/text_io.h"
 #include "graph/graph_io.h"
 
 namespace gnn4tdl {
@@ -20,20 +20,6 @@ namespace {
 // accepted and serve as double.
 constexpr char kFrozenMagicV1[] = "gnn4tdl-frozen-model-v1";
 constexpr char kFrozenMagic[] = "gnn4tdl-frozen-model-v2";
-
-/// Bytes from the read position to the end of `in`; the size_t maximum when
-/// the stream cannot seek.
-size_t BytesLeft(std::istream& in) {
-  constexpr size_t kUnknown = std::numeric_limits<size_t>::max();
-  const std::streampos here = in.tellg();
-  if (here == std::streampos(-1)) return kUnknown;
-  in.seekg(0, std::ios::end);
-  const std::streampos end = in.tellg();
-  in.clear();
-  in.seekg(here);
-  return end == std::streampos(-1) ? kUnknown
-                                   : static_cast<size_t>(end - here);
-}
 
 /// Rejects model-size header fields that a parameter block of `bytes_left`
 /// bytes cannot back, before anything is allocated from them. Every weight
@@ -100,29 +86,6 @@ Status CheckModelSizes(const InstanceGraphGnnOptions& o, size_t in_dim,
   return Status::OK();
 }
 
-Status ExpectField(std::istream& in, const std::string& want) {
-  std::string got;
-  if (!(in >> got)) {
-    return Status::IoError("frozen model: truncated before field '" + want +
-                           "'");
-  }
-  if (got != want) {
-    return Status::IoError("frozen model: expected field '" + want +
-                           "', got '" + got + "'");
-  }
-  return Status::OK();
-}
-
-template <typename T>
-Status ReadField(std::istream& in, const std::string& name, T& out) {
-  GNN4TDL_RETURN_IF_ERROR(ExpectField(in, name));
-  if (!(in >> out)) {
-    return Status::IoError("frozen model: unreadable value for field '" +
-                           name + "'");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status CheckFiniteFeatures(const double* features, size_t count) {
@@ -149,44 +112,40 @@ Status FrozenModel::Save(const InstanceGraphGnn& model, std::ostream& out,
   if (!out) return Status::IoError("frozen model stream is not writable");
 
   const InstanceGraphGnnOptions& o = model.options();
+  TextWriter text;
+  text << kFrozenMagic << '\n';
+  text << "task " << static_cast<int>(model.task()) << '\n';
+  text << "num_outputs " << model.output_dim() << '\n';
+  text << "precision " << kernels::PrecisionName(precision) << '\n';
+  text << "backbone " << GnnBackboneName(o.backbone) << '\n';
+  text << "hidden_dim " << o.hidden_dim << '\n';
+  text << "num_layers " << o.num_layers << '\n';
+  text << "gat_heads " << o.gat_heads << '\n';
+  text << "appnp_steps " << o.appnp_steps << '\n';
+  text << "appnp_alpha " << o.appnp_alpha << '\n';
+  text << "use_pair_norm " << (o.use_pair_norm ? 1 : 0) << '\n';
+  text << "use_jumping_knowledge " << (o.use_jumping_knowledge ? 1 : 0)
+       << '\n';
+  text << "knn_k " << o.knn.k << '\n';
+  text << "knn_metric " << SimilarityMetricName(o.knn.metric) << '\n';
+  text << "knn_gamma " << o.knn.gamma << '\n';
+  text << "seed " << o.seed << '\n';
 
-  std::streamsize old_precision = out.precision(17);
-  out << kFrozenMagic << '\n';
-  out << "task " << static_cast<int>(model.task()) << '\n';
-  out << "num_outputs " << model.output_dim() << '\n';
-  out << "precision " << kernels::PrecisionName(precision) << '\n';
-  out << "backbone " << GnnBackboneName(o.backbone) << '\n';
-  out << "hidden_dim " << o.hidden_dim << '\n';
-  out << "num_layers " << o.num_layers << '\n';
-  out << "gat_heads " << o.gat_heads << '\n';
-  out << "appnp_steps " << o.appnp_steps << '\n';
-  out << "appnp_alpha " << o.appnp_alpha << '\n';
-  out << "use_pair_norm " << (o.use_pair_norm ? 1 : 0) << '\n';
-  out << "use_jumping_knowledge " << (o.use_jumping_knowledge ? 1 : 0) << '\n';
-  out << "knn_k " << o.knn.k << '\n';
-  out << "knn_metric " << SimilarityMetricName(o.knn.metric) << '\n';
-  out << "knn_gamma " << o.knn.gamma << '\n';
-  out << "seed " << o.seed << '\n';
-  out.precision(old_precision);
-
-  GNN4TDL_RETURN_IF_ERROR(model.featurizer().Save(out));
+  GNN4TDL_RETURN_IF_ERROR(model.featurizer().Save(text));
   GNN4TDL_RETURN_IF_ERROR(
-      WriteEdgeList(model.graph(), out, /*with_edge_count=*/true));
+      WriteEdgeList(model.graph(), text, /*with_edge_count=*/true));
 
   const Matrix& x = model.feature_cache();
-  old_precision = out.precision(17);
-  out << "features " << x.rows() << ' ' << x.cols() << '\n';
+  text << "features " << x.rows() << ' ' << x.cols() << '\n';
   for (size_t i = 0; i < x.rows(); ++i) {
     const double* row = x.row_data(i);
     for (size_t j = 0; j < x.cols(); ++j) {
-      out << row[j] << (j + 1 < x.cols() ? ' ' : '\n');
+      text << row[j] << (j + 1 < x.cols() ? ' ' : '\n');
     }
   }
-  out.precision(old_precision);
 
-  GNN4TDL_RETURN_IF_ERROR(model.SaveTrainedParameters(out));
-  if (!out) return Status::IoError("write failure on frozen model stream");
-  return Status::OK();
+  GNN4TDL_RETURN_IF_ERROR(model.SaveTrainedParameters(text));
+  return text.WriteTo(out, "frozen model stream");
 }
 
 Status FrozenModel::Save(const InstanceGraphGnn& model, const std::string& path,
@@ -198,31 +157,46 @@ Status FrozenModel::Save(const InstanceGraphGnn& model, const std::string& path,
   return Status::OK();
 }
 
-StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
+StatusOr<FrozenModel> FrozenModel::Load(BoundedReader& in,
                                         FrozenModelOptions options) {
-  std::string magic;
-  if (!(in >> magic) || (magic != kFrozenMagic && magic != kFrozenMagicV1)) {
+  const std::string_view magic = in.Token();
+  if (magic != kFrozenMagic && magic != kFrozenMagicV1) {
     return Status::InvalidArgument(
         "stream is not a gnn4tdl frozen model (bad magic)");
   }
   const bool v1 = magic == kFrozenMagicV1;
 
+  // Each header line is "<name> <value>".
+  auto number = [&in](std::string_view name, auto* out) -> Status {
+    GNN4TDL_RETURN_IF_ERROR(in.Expect(name));
+    if constexpr (std::is_same_v<decltype(out), double*>) {
+      return in.Double(name, out);
+    } else {
+      return in.Integer(name, out);
+    }
+  };
+  auto word = [&in](std::string_view name, std::string* out) -> Status {
+    GNN4TDL_RETURN_IF_ERROR(in.Expect(name));
+    *out = std::string(in.Token());
+    return Status::OK();
+  };
+
   int task_int = 0;
   size_t num_outputs = 0;
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "task", task_int));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "num_outputs", num_outputs));
+  GNN4TDL_RETURN_IF_ERROR(number("task", &task_int));
+  GNN4TDL_RETURN_IF_ERROR(number("num_outputs", &num_outputs));
 
   kernels::Precision artifact_precision = kernels::Precision::kF64;
   if (!v1) {
     std::string precision_name;
-    GNN4TDL_RETURN_IF_ERROR(ReadField(in, "precision", precision_name));
+    GNN4TDL_RETURN_IF_ERROR(word("precision", &precision_name));
     StatusOr<kernels::Precision> parsed =
         kernels::PrecisionFromName(precision_name);
     // IoError, not the parser's InvalidArgument: a bad precision value is a
     // corrupt artifact, not a "this isn't a frozen model at all" condition
     // (the path-based Load overload folds InvalidArgument into the latter).
     if (!parsed.ok()) {
-      return Status::IoError("frozen model: " + parsed.status().message());
+      return in.Error("precision", precision_name, parsed.status().message());
     }
     artifact_precision = *parsed;
   }
@@ -230,18 +204,18 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
   InstanceGraphGnnOptions o;
   std::string backbone_name, metric_name;
   int pair_norm = 0, jk = 0;
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "backbone", backbone_name));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "hidden_dim", o.hidden_dim));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "num_layers", o.num_layers));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "gat_heads", o.gat_heads));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "appnp_steps", o.appnp_steps));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "appnp_alpha", o.appnp_alpha));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "use_pair_norm", pair_norm));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "use_jumping_knowledge", jk));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "knn_k", o.knn.k));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "knn_metric", metric_name));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "knn_gamma", o.knn.gamma));
-  GNN4TDL_RETURN_IF_ERROR(ReadField(in, "seed", o.seed));
+  GNN4TDL_RETURN_IF_ERROR(word("backbone", &backbone_name));
+  GNN4TDL_RETURN_IF_ERROR(number("hidden_dim", &o.hidden_dim));
+  GNN4TDL_RETURN_IF_ERROR(number("num_layers", &o.num_layers));
+  GNN4TDL_RETURN_IF_ERROR(number("gat_heads", &o.gat_heads));
+  GNN4TDL_RETURN_IF_ERROR(number("appnp_steps", &o.appnp_steps));
+  GNN4TDL_RETURN_IF_ERROR(number("appnp_alpha", &o.appnp_alpha));
+  GNN4TDL_RETURN_IF_ERROR(number("use_pair_norm", &pair_norm));
+  GNN4TDL_RETURN_IF_ERROR(number("use_jumping_knowledge", &jk));
+  GNN4TDL_RETURN_IF_ERROR(number("knn_k", &o.knn.k));
+  GNN4TDL_RETURN_IF_ERROR(word("knn_metric", &metric_name));
+  GNN4TDL_RETURN_IF_ERROR(number("knn_gamma", &o.knn.gamma));
+  GNN4TDL_RETURN_IF_ERROR(number("seed", &o.seed));
 
   StatusOr<GnnBackbone> backbone = GnnBackboneFromName(backbone_name);
   if (!backbone.ok()) return backbone.status();
@@ -267,19 +241,19 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
   StatusOr<Featurizer> featurizer = Featurizer::Load(in);
   if (!featurizer.ok()) return featurizer.status();
 
-  in >> std::ws;  // ReadEdgeList is line-oriented; start it on the magic line
-  // Every node needs a feature row later in the stream, so the node count
+  // Every node needs a feature row later in the artifact, so the node count
   // cannot exceed the bytes left.
-  StatusOr<Graph> graph = ReadEdgeList(in, BytesLeft(in));
+  StatusOr<Graph> graph = ReadEdgeList(in, in.remaining());
   if (!graph.ok()) return graph.status();
 
+  // The header sizes the allocation below: each of the n rows holds d
+  // cells of at least 2 bytes, and both must agree with what the artifact
+  // already committed to.
+  constexpr size_t kNoCap = std::numeric_limits<size_t>::max();
   size_t n = 0, d = 0;
-  GNN4TDL_RETURN_IF_ERROR(ExpectField(in, "features"));
-  if (!(in >> n >> d)) {
-    return Status::IoError("frozen model: unreadable feature matrix header");
-  }
-  // The header sizes the allocation below, so it must agree with what the
-  // artifact already committed to before anything is allocated from it.
+  GNN4TDL_RETURN_IF_ERROR(in.Expect("features"));
+  GNN4TDL_RETURN_IF_ERROR(in.Size("feature rows", 2, kNoCap, &n));
+  GNN4TDL_RETURN_IF_ERROR(in.Size("feature columns", 2 * n, kNoCap, &d));
   if (n != graph->num_nodes() || d != featurizer->OutputDim()) {
     return Status::IoError(
         "frozen model: feature matrix header says " + std::to_string(n) +
@@ -289,17 +263,12 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
         std::to_string(featurizer->OutputDim()) + " columns");
   }
   Matrix x_cache(n, d);
-  for (size_t i = 0; i < n; ++i) {
-    double* row = x_cache.row_data(i);
-    for (size_t j = 0; j < d; ++j) {
-      if (!(in >> row[j])) {
-        return Status::IoError("frozen model: truncated feature matrix at row " +
-                               std::to_string(i));
-      }
-    }
+  double* cells = x_cache.data();
+  for (size_t i = 0; i < n * d; ++i) {
+    GNN4TDL_RETURN_IF_ERROR(in.Double("feature", &cells[i]));
   }
 
-  GNN4TDL_RETURN_IF_ERROR(CheckModelSizes(o, d, num_outputs, BytesLeft(in)));
+  GNN4TDL_RETURN_IF_ERROR(CheckModelSizes(o, d, num_outputs, in.remaining()));
 
   FrozenModel frozen;
   frozen.model_ = std::make_unique<InstanceGraphGnn>(o);
@@ -331,6 +300,13 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
         kernels::FMatrix::FromDouble(frozen.model_->feature_cache());
   }
   return frozen;
+}
+
+StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
+                                        FrozenModelOptions options) {
+  const std::string text = ReadAll(in);
+  BoundedReader reader(text, "frozen model");
+  return Load(reader, options);
 }
 
 StatusOr<FrozenModel> FrozenModel::Load(const std::string& path,

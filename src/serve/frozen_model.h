@@ -17,6 +17,8 @@
 
 namespace gnn4tdl {
 
+class BoundedReader;
+
 /// Options for loading a frozen artifact.
 struct FrozenModelOptions {
   /// Overrides the artifact's recorded serving precision (lets one artifact
@@ -50,7 +52,8 @@ class FrozenModel {
   FrozenModel(FrozenModel&&) = default;
   FrozenModel& operator=(FrozenModel&&) = default;
 
-  /// Writes a fitted model as a frozen artifact. Identity node-init models
+  /// Writes a fitted model as a frozen artifact, in one write to `out`.
+  /// Identity node-init models
   /// are rejected (they are transductive-only, mirroring PredictInductive).
   /// `precision` records how the artifact should be served (parameters are
   /// always stored in full precision; kF32 means "cast down at load").
@@ -61,7 +64,13 @@ class FrozenModel {
       const InstanceGraphGnn& model, const std::string& path,
       kernels::Precision precision = kernels::Precision::kF64);
 
-  /// Reconstructs a frozen artifact written by Save().
+  /// Reconstructs a frozen artifact written by Save(), parsing it in place:
+  /// every count is held to the bytes left before it sizes an allocation,
+  /// and every malformed, truncated or non-finite value is IoError naming
+  /// the field, the value and the line. A wrong magic is InvalidArgument.
+  [[nodiscard]] static StatusOr<FrozenModel> Load(BoundedReader& in,
+                                                  FrozenModelOptions options = {});
+  /// Reads the rest of the stream once, then parses it as above.
   [[nodiscard]] static StatusOr<FrozenModel> Load(std::istream& in,
                                                   FrozenModelOptions options = {});
   [[nodiscard]] static StatusOr<FrozenModel> Load(const std::string& path,

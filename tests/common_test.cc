@@ -7,6 +7,8 @@
 #include <limits>
 #include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -14,6 +16,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/text_io.h"
 #include "kernels/kernels.h"
 #include "nn/ops.h"
 #include "tensor/matrix.h"
@@ -298,6 +301,134 @@ TEST(CheckDeathTest, MatrixBoundsChecked) {
   Matrix m(2, 2);
   EXPECT_DEATH(m(2, 0), "GNN4TDL_CHECK failed");
   EXPECT_DEATH(m(0, 5), "GNN4TDL_CHECK failed");
+}
+
+// --- BoundedReader / TextWriter ---------------------------------------------
+
+TEST(TextIoTest, WriterDoublesMatchOstreamAtPrecision17AndReadBackExactly) {
+  std::vector<double> values = {0.0,     -0.0,    0.1,     1.0 / 3.0,
+                                1e-300,  5e-324,  1e16,    1e17,
+                                1e-5,    1e-4,    12345.0, -2.5e-310,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest()};
+  std::mt19937_64 bits(11);
+  while (values.size() < 20000) {
+    const uint64_t word = bits();
+    double v;
+    std::memcpy(&v, &word, sizeof(v));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  TextWriter writer;
+  std::ostringstream stream;
+  stream.precision(17);
+  for (double v : values) {
+    writer << v << '\n';
+    stream << v << '\n';
+  }
+  ASSERT_EQ(writer.str(), stream.str());
+
+  BoundedReader reader(writer.str(), "doubles");
+  for (double want : values) {
+    double got = 0.0;
+    ASSERT_TRUE(reader.Double("value", &got).ok());
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(got)), 0) << want;
+  }
+  EXPECT_TRUE(reader.Token().empty());
+}
+
+TEST(TextIoTest, WriterIntegersAndWords) {
+  TextWriter writer;
+  writer << "n " << size_t{18446744073709551615u} << ' ' << -7 << '\n';
+  EXPECT_EQ(writer.str(), "n 18446744073709551615 -7\n");
+}
+
+TEST(TextIoTest, DoubleRejectsNonFiniteAndPartialTokensNamingTheLine) {
+  for (const char* bad : {"nan", "inf", "-inf", "infinity", "1.5x", "0x10"}) {
+    const std::string text = std::string("1\n\n") + bad + " 2\n";
+    BoundedReader reader(text, "test block");
+    double v = 0.0;
+    ASSERT_TRUE(reader.Double("first", &v).ok());
+    const Status s = reader.Double("weight", &v);
+    ASSERT_EQ(s.code(), StatusCode::kIoError) << bad;
+    EXPECT_EQ(s.message(), std::string("test block line 3: weight '") + bad +
+                               "' is not a finite number");
+    EXPECT_EQ(v, 1.0);
+  }
+  BoundedReader empty("  \n", "test block");
+  double v = 0.0;
+  const Status s = empty.Double("weight", &v);
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_EQ(s.message(), "test block line 2: truncated before weight");
+}
+
+TEST(TextIoTest, SizeHoldsCountsToCapAndBytesLeft) {
+  // 10 bytes follow the count: room for 5 items of 2 bytes, not 6.
+  const std::string tail = " 1 2 3 4 5";
+  for (const auto& [count, ok] :
+       {std::pair<const char*, bool>{"5", true}, {"6", false}}) {
+    const std::string text = std::string(count) + tail;
+    BoundedReader reader(text, "block");
+    size_t n = 0;
+    const Status s = reader.Size("items", 2, 100, &n);
+    EXPECT_EQ(s.ok(), ok) << count;
+    if (!ok) {
+      EXPECT_EQ(s.message(),
+                "block line 1: items '6' exceeds the limit 5 that the 10 "
+                "bytes left hold at 2 bytes each");
+    }
+  }
+  BoundedReader capped("101", "block");
+  size_t n = 0;
+  EXPECT_EQ(capped.Size("items", 0, 100, &n).message(),
+            "block line 1: items '101' exceeds the limit 100");
+  for (const char* bad : {"-1", "1e3", "18446744073709551616"}) {
+    BoundedReader reader(bad, "block");
+    EXPECT_EQ(reader.Size("items", 0, SIZE_MAX, &n).code(),
+              StatusCode::kIoError)
+        << bad;
+  }
+}
+
+TEST(TextIoTest, ExpectLineEndsAndComments) {
+  BoundedReader reader("magic 3\n# note\n4 5\n", "block");
+  EXPECT_TRUE(reader.Expect("magic").ok());
+  size_t n = 0;
+  ASSERT_TRUE(reader.Integer("n", &n).ok());
+  EXPECT_TRUE(reader.AtLineEnd());
+  EXPECT_EQ(reader.Peek(), '#');
+  reader.SkipLine();
+  ASSERT_TRUE(reader.Integer("n", &n).ok());
+  EXPECT_EQ(n, 4u);
+  EXPECT_EQ(reader.line(), 3u);
+  EXPECT_FALSE(reader.AtLineEnd());
+  EXPECT_EQ(reader.Expect("6").message(),
+            "block line 3: field '5' is not the expected '6'");
+  EXPECT_EQ(reader.Expect("7").message(),
+            "block line 4: truncated before '7'");
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST(TextIoTest, ReadAllTakesTheRestOfTheStream) {
+  std::string big(70000, 'x');
+  std::istringstream in("head " + big);
+  std::string head;
+  in >> head;
+  EXPECT_EQ(ReadAll(in), " " + big);
+  EXPECT_TRUE(in.eof());
+}
+
+TEST(TextIoTest, ParseWholeNumberNeedsTheWholeToken) {
+  int i = 0;
+  EXPECT_TRUE(ParseWholeNumber("-12", &i));
+  EXPECT_EQ(i, -12);
+  EXPECT_FALSE(ParseWholeNumber("12 ", &i));
+  EXPECT_FALSE(ParseWholeNumber("", &i));
+  EXPECT_FALSE(ParseWholeNumber("99999999999", &i));
+  double d = 0.0;
+  EXPECT_TRUE(ParseWholeNumber("2.5e-3", &d));
+  EXPECT_EQ(d, 2.5e-3);
+  EXPECT_FALSE(ParseWholeNumber("nan", &d));
+  EXPECT_FALSE(ParseWholeNumber("1e999", &d));
 }
 
 }  // namespace

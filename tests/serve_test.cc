@@ -676,6 +676,101 @@ TEST_F(ServeModelTest, LoadRejectsInflatedFeaturizerHeader) {
   ExpectLoadIoError(ReplaceLine(text, at, huge + " " + output_cols));
 }
 
+// The 1-based line of `text` that holds byte `at`.
+size_t LineOf(const std::string& text, size_t at) {
+  return 1 + static_cast<size_t>(
+                 std::count(text.begin(), text.begin() + at, '\n'));
+}
+
+// Replaces the first token of the line that starts at `at`.
+std::string ReplaceFirstToken(const std::string& text, size_t at,
+                              const std::string& token) {
+  std::string out = text;
+  out.replace(at, text.find_first_of(" \t\n", at) - at, token);
+  return out;
+}
+
+TEST_F(ServeModelTest, LoadRejectsNonFiniteValues) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  const std::string text = artifact.str();
+
+  // Start of the line `skip` lines after the line holding `marker`.
+  auto line_after = [&text](const std::string& marker, int skip) {
+    size_t at = text.find(marker);
+    EXPECT_NE(at, std::string::npos) << marker;
+    for (int i = 0; i < skip; ++i) at = text.find('\n', at) + 1;
+    return at;
+  };
+  // The featurizer's first "mean stddev cardinality missing" line, the
+  // first edge's weight, the first feature cell and the first weight.
+  const size_t edge = line_after("# gnn4tdl-edgelist", 1);
+  const size_t edge_weight = text.find('\t', text.find('\t', edge) + 1) + 1;
+  const std::pair<const char*, size_t> places[] = {
+      {"featurizer mean", line_after("gnn4tdl-featurizer-v1", 3)},
+      {"edge weight", edge_weight},
+      {"feature cell", line_after("\nfeatures ", 2)},
+      {"parameter weight", line_after("gnn4tdl-params-v1", 3)}};
+  for (const auto& [place, at] : places) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      SCOPED_TRACE(std::string(place) + " " + value);
+      std::istringstream in(ReplaceFirstToken(text, at, value));
+      StatusOr<FrozenModel> frozen = FrozenModel::Load(in);
+      ASSERT_FALSE(frozen.ok());
+      EXPECT_EQ(frozen.status().code(), StatusCode::kIoError);
+      const std::string message = frozen.status().message();
+      EXPECT_NE(message.find("line " + std::to_string(LineOf(text, at)) + ":"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::string("'") + value + "'"),
+                std::string::npos)
+          << message;
+    }
+  }
+}
+
+TEST_F(ServeModelTest, SaveLoadSaveIsByteIdenticalAndCutsAreTypedErrors) {
+  TabularDataset data = TrainData();
+  for (GnnBackbone backbone :
+       {GnnBackbone::kGcn, GnnBackbone::kSage, GnnBackbone::kGat,
+        GnnBackbone::kGin, GnnBackbone::kGgnn, GnnBackbone::kAppnp,
+        GnnBackbone::kTransformer}) {
+    SCOPED_TRACE(GnnBackboneName(backbone));
+    InstanceGraphGnn model(Options(backbone));
+    ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+    std::stringstream first;
+    ASSERT_TRUE(FrozenModel::Save(model, first).ok());
+    const std::string text = first.str();
+    std::istringstream in(text);
+    StatusOr<FrozenModel> frozen = FrozenModel::Load(in);
+    ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+    std::stringstream second;
+    ASSERT_TRUE(FrozenModel::Save(frozen->model(), second).ok());
+    ASSERT_EQ(second.str(), text);
+
+    // Cut at the start of each section (header, featurizer, edge list,
+    // features, parameters) and one byte into it.
+    for (const char* section :
+         {"gnn4tdl-frozen-model-v2", "gnn4tdl-featurizer-v1",
+          "# gnn4tdl-edgelist", "features ", "gnn4tdl-params-v1"}) {
+      const size_t start = text.find(section);
+      ASSERT_NE(start, std::string::npos) << section;
+      for (size_t cut : {start, start + 1}) {
+        SCOPED_TRACE(std::string(section) + " cut at " + std::to_string(cut));
+        std::istringstream truncated(text.substr(0, cut));
+        StatusOr<FrozenModel> loaded = FrozenModel::Load(truncated);
+        ASSERT_FALSE(loaded.ok());
+        EXPECT_TRUE(loaded.status().code() == StatusCode::kIoError ||
+                    loaded.status().code() == StatusCode::kInvalidArgument)
+            << loaded.status().ToString();
+      }
+    }
+  }
+}
+
 TEST_F(ServeModelTest, ArtifactFileRoundTrip) {
   TabularDataset data = TrainData();
   InstanceGraphGnn model(Options(GnnBackbone::kGcn));

@@ -60,7 +60,11 @@
 #                     caught by the verifier, peak regression bounds), both
 #                     under Address+UB sanitizers and at GNN4TDL_THREADS=1
 #                     and =4 — the fused kernels' row-block parallel paths
-#                     must be bit-exact at every thread count
+#                     must be bit-exact at every thread count.
+#                     FusionTest.WholeFitBitExactAcrossThreadCounts sets
+#                     the pool to 1..4 itself, so it runs only in the
+#                     THREADS=1 pass (a second asan run of it costs ~128 s
+#                     and checks nothing new)
 #   stage 8  load     multi-tenant serving smoke: two short seeded
 #                     gnn4tdl_cli loadgen runs over two tenants, one open
 #                     loop at 200 rps and one closed-loop saturation case
@@ -292,7 +296,8 @@ fusion_stage() {
     cmake --build --preset asan -j "$(nproc)" \
       --target gnn4tdl_fusion_test --target gnn4tdl_arena_test &&
     GNN4TDL_THREADS=1 ./build-asan/tests/gnn4tdl_fusion_test &&
-    GNN4TDL_THREADS=4 ./build-asan/tests/gnn4tdl_fusion_test &&
+    GNN4TDL_THREADS=4 ./build-asan/tests/gnn4tdl_fusion_test \
+      --gtest_filter='-FusionTest.WholeFitBitExactAcrossThreadCounts' &&
     GNN4TDL_THREADS=1 ./build-asan/tests/gnn4tdl_arena_test &&
     GNN4TDL_THREADS=4 ./build-asan/tests/gnn4tdl_arena_test
 }

@@ -27,11 +27,8 @@
 // error (exit 2) naming the flag, raised before anything runs.
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <limits>
@@ -43,6 +40,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/text_io.h"
 #include "core/pipeline.h"
 #include "kernels/kernels.h"
 #include "load/loadgen.h"
@@ -180,13 +178,9 @@ constexpr double kAnyRate = std::numeric_limits<double>::max();
 template <typename T>
 bool ParseNumber(const std::string& flag, const char* text, T lo, T hi,
                  T* out) {
-  const char* end = text + std::strlen(text);
   T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  bool ok = ec == std::errc() && ptr == end && ptr != text;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  ok = ok && value >= lo && value <= hi;
-  if (!ok) {
+  if (!ParseWholeNumber(std::string_view(text), &value) || value < lo ||
+      value > hi) {
     std::ostringstream range;
     range << (std::is_floating_point_v<T> ? "a finite number" : "an integer");
     if (hi == std::numeric_limits<T>::max()) {
