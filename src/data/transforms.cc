@@ -62,10 +62,7 @@ Status Featurizer::Fit(const TabularDataset& data,
   output_dim_ = 0;
   output_to_source_.clear();
   for (size_t c = 0; c < num_source_cols_; ++c) {
-    const Column& col = data.column(c);
-    size_t width = 1;
-    if (col.type == ColumnType::kCategorical && options_.one_hot)
-      width = std::max<size_t>(cardinalities_[c], 1);
+    const size_t width = FittedWidth(c);
     for (size_t k = 0; k < width; ++k) output_to_source_.push_back(c);
     output_dim_ += width;
   }
@@ -91,6 +88,16 @@ StatusOr<Matrix> Featurizer::Transform(const TabularDataset& data) const {
                                    " columns, got " +
                                    std::to_string(data.NumCols()));
   }
+  // A numeric column is one cell wide; a column that was a wider one-hot
+  // block at Fit would shift every block after it.
+  for (size_t c = 0; c < num_source_cols_; ++c) {
+    const Column& col = data.column(c);
+    if (col.type == ColumnType::kNumerical && FittedWidth(c) != 1) {
+      return Status::InvalidArgument(
+          "column '" + col.name + "' is numeric, but was fitted as a " +
+          std::to_string(FittedWidth(c)) + "-category one-hot block");
+    }
+  }
   const size_t n = data.NumRows();
   Matrix x(n, output_dim_);
 
@@ -111,7 +118,7 @@ StatusOr<Matrix> Featurizer::Transform(const TabularDataset& data) const {
       }
       ++out_col;
     } else if (options_.one_hot) {
-      size_t width = std::max<size_t>(cardinalities_[c], 1);
+      const size_t width = FittedWidth(c);
       for (size_t r = 0; r < n; ++r) {
         int code = col.codes[r];
         if (code >= 0 && static_cast<size_t>(code) < width)
@@ -200,7 +207,7 @@ StatusOr<Featurizer> Featurizer::Load(BoundedReader& in) {
                 options.one_hot ? f.output_dim_ : kNoCap, &f.cardinalities_[c]));
     GNN4TDL_RETURN_IF_ERROR(in.Size("featurizer missing flag", 0, 1, &missing));
     f.has_missing_[c] = missing != 0;
-    widths += options.one_hot ? std::max<size_t>(f.cardinalities_[c], 1) : 1;
+    widths += f.FittedWidth(c);
     if (options.add_missing_indicators && f.has_missing_[c]) ++widths;
   }
   if (widths != f.output_dim_) {
@@ -215,6 +222,11 @@ StatusOr<Featurizer> Featurizer::Load(BoundedReader& in) {
   }
   f.fitted_ = true;
   return f;
+}
+
+size_t Featurizer::FittedWidth(size_t c) const {
+  // A numeric column's cardinality is 0.
+  return options_.one_hot ? std::max<size_t>(cardinalities_[c], 1) : 1;
 }
 
 StatusOr<Matrix> Featurizer::FitTransform(const TabularDataset& data) {

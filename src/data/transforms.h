@@ -69,6 +69,9 @@ class Featurizer {
   static StatusOr<Featurizer> Load(BoundedReader& in);
 
  private:
+  /// Output columns source column `c` fills: its one-hot block, or one.
+  size_t FittedWidth(size_t c) const;
+
   struct NumericStats {
     double mean = 0.0;
     double stddev = 1.0;

@@ -29,8 +29,8 @@ class GinLayer : public Module {
   size_t out_dim() const { return mlp_.out_dim(); }
   const Mlp& mlp() const { return mlp_; }
 
-  /// Current value of the learnable eps.
-  double epsilon() const { return eps_.value()(0, 0); }
+  /// The learnable eps (1 x 1).
+  const Tensor& eps() const { return eps_; }
 
  private:
   Mlp mlp_;

@@ -33,8 +33,8 @@ class GraphTransformerLayer : public Module {
   /// Graph::GcnNormalized().ToDense() computed once per graph.
   Tensor Forward(const Tensor& h, const Matrix& adj_dense) const;
 
-  /// Current structural-bias strength.
-  double StructureBias() const { return beta_.value()(0, 0); }
+  /// The learnable structural-bias strength beta (1 x 1).
+  const Tensor& structure_bias() const { return beta_; }
 
   size_t dim() const { return dim_; }
   size_t attn_dim() const { return attn_dim_; }

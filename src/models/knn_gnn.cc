@@ -8,7 +8,6 @@
 
 #include "common/text_io.h"
 #include "data/metrics.h"
-#include "gnn/appnp.h"
 #include "gnn/graph_transformer.h"
 #include "graph/sampling.h"
 #include "kernels/kernels.h"
@@ -314,78 +313,151 @@ namespace {
 using kernels::FCsr;
 using kernels::FMatrix;
 
+/// The operators both double backends read.
+struct F64Operators {
+  template <typename Step>
+  const SparseMatrix& Op(const Step& step) const { return step.sparse; }
+  template <typename Ops>
+  const Matrix& Dense(const Ops& ops) const { return ops.dense; }
+};
+
+/// The taped forward of Fit, Predict, Embeddings and PredictInductive: each
+/// step records the node the layer modules record (fused where they fuse,
+/// plain where they do not), and Dropout draws its masks from `rng` only
+/// when `training`.
+struct TapeOps : F64Operators {
+  using Mat = Tensor;
+
+  TapeOps(Rng& rng, bool training) : rng(rng), training(training) {}
+  const Mat& W(const Tensor& t) const { return t; }
+  Mat Gather(const Mat& x, const std::vector<size_t>& rows) const {
+    return ops::GatherRows(x, rows);
+  }
+  Mat Act(const Mat& x, Activation act) const { return Activate(x, act); }
+  Mat Dropout(const Mat& x, double rate) const {
+    return ops::Dropout(x, rate, rng, training);
+  }
+  Mat Linear(const Mat& x, const gnn4tdl::Linear& layer, Activation act) const {
+    return layer.Forward(x, act);
+  }
+  Mat MatMul(const Mat& a, const Mat& b) const { return ops::MatMul(a, b); }
+  Mat Spmm(const SparseMatrix& s, const Mat& x) const {
+    return ops::SpMM(s, x);
+  }
+  Mat SpmmAct(const SparseMatrix& s, const Mat& x, Activation act) const {
+    return fused::SpmmBiasAct(s, x, Tensor(), act);
+  }
+  Mat Add(const Mat& a, const Mat& b) const { return ops::Add(a, b); }
+  Mat AddAct(const Mat& a, const Mat& b, Activation act) const {
+    return fused::AddAct(a, b, act);
+  }
+  Mat Scale(const Mat& x, double s) const { return ops::Scale(x, s); }
+  Mat ScaleAdd(const Mat& a, double sa, const Mat& b) const {
+    return ops::Add(ops::Scale(a, sa), b);
+  }
+  Mat OnePlusScale(const Mat& x, const Tensor& s) const {
+    Tensor ones_col = Tensor::Constant(Matrix::Ones(x.rows(), 1));
+    return ops::Add(x, ops::MulColBroadcast(x, ops::MatMul(ones_col, s)));
+  }
+  Mat AttentionScores(const Mat& q, const Mat& k, double scale,
+                      const Matrix& adj, const Tensor& beta) const {
+    Tensor scores = ops::Scale(ops::MatMul(q, ops::Transpose(k)), scale);
+    // beta broadcast to n x n, elementwise with the adjacency.
+    Tensor ones_col = Tensor::Constant(Matrix::Ones(adj.rows(), 1));
+    Tensor ones_row = Tensor::Constant(Matrix::Ones(1, adj.cols()));
+    Tensor beta_full = ops::MatMul(ops::MatMul(ones_col, beta), ones_row);
+    return ops::Add(scores, ops::CwiseMul(beta_full, Tensor::Constant(adj)));
+  }
+  Mat Mul(const Mat& a, const Mat& b) const { return ops::CwiseMul(a, b); }
+  Mat GateMix(const Mat& z, const Mat& h, const Mat& cand) const {
+    Tensor one = Tensor::Constant(Matrix::Ones(h.rows(), h.cols()));
+    return ops::Add(ops::CwiseMul(ops::Sub(one, z), h), ops::CwiseMul(z, cand));
+  }
+  Mat ConcatCols(const Mat& a, const Mat& b) const {
+    return ops::ConcatCols(a, b);
+  }
+  Mat LayerNorm(const Mat& x, const Tensor& gamma, const Tensor& beta) const {
+    return ops::LayerNormRows(x, gamma, beta);
+  }
+  Mat SoftmaxRows(const Mat& x) const { return ops::SoftmaxRows(x); }
+  Mat PairNorm(const Mat& x) const { return ops::PairNormRows(x); }
+  Mat EdgeAttention(const Mat& s_src, const Mat& s_dst, const Mat& hw,
+                    const GatLayer::EdgeIndex& edges) const {
+    Tensor logits = ops::LeakyRelu(ops::Add(ops::GatherRows(s_src, edges.src),
+                                            ops::GatherRows(s_dst, edges.dst)));
+    Tensor alpha = ops::EdgeSoftmax(logits, edges.dst, edges.num_nodes);
+    return ops::WeightedSpMM(alpha, hw, edges.pattern, edges.slot, edges.src,
+                             edges.dst);
+  }
+
+  Rng& rng;
+  bool training;
+};
+
 /// Eval-mode numerics in double: the value functions the tape ops call, with
 /// no tape, so ScoreOnGraph reproduces the tape forward of PredictInductive
 /// bit for bit.
-struct F64Eval {
+struct F64Eval : F64Operators {
   using Mat = Matrix;
 
-  const Matrix& W(const Tensor& t) const { return t.value(); }
-  template <typename Step>
-  const SparseMatrix& Op(const Step& step) const {
-    return step.sparse;
-  }
-  template <typename Ops>
-  const Matrix& Dense(const Ops& ops) const {
-    return ops.dense;
-  }
-  Matrix Gather(const Matrix& x, const std::vector<size_t>& rows) const {
+  const Mat& W(const Tensor& t) const { return t.value(); }
+  Mat Gather(const Mat& x, const std::vector<size_t>& rows) const {
     return x.GatherRows(rows);
   }
-  Matrix Act(Matrix x, Activation act) const {
+  Mat Act(Mat x, Activation act) const {
     fused::BiasAct(&x, nullptr, act);
     return x;
   }
-  Matrix Linear(const Matrix& x, const gnn4tdl::Linear& layer,
-                Activation act) const {
-    Matrix out = x.Matmul(layer.weight().value());
+  Mat Dropout(Mat x, double /*rate*/) const { return x; }
+  Mat Linear(const Mat& x, const gnn4tdl::Linear& layer, Activation act) const {
+    Mat out = x.Matmul(layer.weight().value());
     fused::BiasAct(&out,
                    layer.bias().defined() ? &layer.bias().value() : nullptr,
                    act);
     return out;
   }
-  Matrix MatMul(const Matrix& a, const Matrix& b) const { return a.Matmul(b); }
-  Matrix MatMulNt(const Matrix& a, const Matrix& b) const {
-    return a.Matmul(b.Transpose());
-  }
-  Matrix Spmm(const SparseMatrix& s, const Matrix& x,
-              Activation act = Activation::kNone) const {
+  Mat MatMul(const Mat& a, const Mat& b) const { return a.Matmul(b); }
+  Mat Spmm(const SparseMatrix& s, const Mat& x) const { return s.Multiply(x); }
+  Mat SpmmAct(const SparseMatrix& s, const Mat& x, Activation act) const {
     return Act(s.Multiply(x), act);
   }
-  Matrix AddAct(const Matrix& a, const Matrix& b, Activation act) const {
+  Mat Add(const Mat& a, const Mat& b) const { return a + b; }
+  Mat AddAct(const Mat& a, const Mat& b, Activation act) const {
     return Act(a + b, act);
   }
-  /// sa * a + sb * b, each product rounded before the sum.
-  Matrix ScaleAdd(const Matrix& a, double sa, const Matrix& b,
-                  double sb) const {
-    return a * sa + b * sb;
+  Mat Scale(const Mat& x, double s) const { return x * s; }
+  /// sa * a + b, the product rounded before the sum.
+  Mat ScaleAdd(const Mat& a, double sa, const Mat& b) const {
+    return a * sa + b;
   }
-  Matrix Mul(const Matrix& a, const Matrix& b) const { return a.CwiseMul(b); }
+  /// (1 + s) x as s * x + x, with s a trained 1 x 1 parameter.
+  Mat OnePlusScale(const Mat& x, const Tensor& s) const {
+    return x * s.value()(0, 0) + x;
+  }
+  /// scale * q k^T + beta * adj, each product rounded before the sum.
+  Mat AttentionScores(const Mat& q, const Mat& k, double scale,
+                      const Mat& adj, const Tensor& beta) const {
+    return q.Matmul(k.Transpose()) * scale + adj * beta.value()(0, 0);
+  }
+  Mat Mul(const Mat& a, const Mat& b) const { return a.CwiseMul(b); }
   /// (1 - z) ⊙ h + z ⊙ cand: the GGNN state update.
-  Matrix GateMix(const Matrix& z, const Matrix& h, const Matrix& cand) const {
-    return (Matrix::Ones(z.rows(), z.cols()) - z).CwiseMul(h) +
-           z.CwiseMul(cand);
+  Mat GateMix(const Mat& z, const Mat& h, const Mat& cand) const {
+    return (Mat::Ones(z.rows(), z.cols()) - z).CwiseMul(h) + z.CwiseMul(cand);
   }
-  Matrix ConcatCols(const Matrix& a, const Matrix& b) const {
-    return a.ConcatCols(b);
-  }
-  Matrix LayerNorm(const Matrix& x, const Tensor& gamma,
-                   const Tensor& beta) const {
+  Mat ConcatCols(const Mat& a, const Mat& b) const { return a.ConcatCols(b); }
+  Mat LayerNorm(const Mat& x, const Tensor& gamma, const Tensor& beta) const {
     return ops::LayerNormRowsValue(x, gamma.value(), beta.value());
   }
-  Matrix SoftmaxRows(const Matrix& x) const {
-    return ops::SoftmaxRowsValue(x);
-  }
-  Matrix PairNorm(const Matrix& x) const { return ops::PairNormRowsValue(x); }
+  Mat SoftmaxRows(const Mat& x) const { return ops::SoftmaxRowsValue(x); }
+  Mat PairNorm(const Mat& x) const { return ops::PairNormRowsValue(x); }
   /// One GAT head's aggregation: LeakyRelu edge logits from the projected
   /// source and destination scores, softmax over each node's in-edges, then
   /// the attention-weighted sum of `hw` rows.
-  Matrix EdgeAttention(const Matrix& s_src, const Matrix& s_dst,
-                       const Matrix& hw,
-                       const GatLayer::EdgeIndex& edges) const {
-    Matrix logits = s_src.GatherRows(edges.src) + s_dst.GatherRows(edges.dst);
+  Mat EdgeAttention(const Mat& s_src, const Mat& s_dst, const Mat& hw,
+                    const GatLayer::EdgeIndex& edges) const {
+    Mat logits = s_src.GatherRows(edges.src) + s_dst.GatherRows(edges.dst);
     fused::BiasAct(&logits, nullptr, Activation::kLeakyRelu);
-    const Matrix alpha = SegmentSoftmax(logits, edges.dst, edges.num_nodes);
+    const Mat alpha = SegmentSoftmax(logits, edges.dst, edges.num_nodes);
     SparseMatrix weighted = edges.pattern;
     std::vector<double>& values = weighted.mutable_values();
     for (size_t e = 0; e < edges.slot.size(); ++e) {
@@ -404,39 +476,35 @@ struct F32Eval {
 
   /// Runs a kernel that writes its result through a trailing out-pointer.
   template <typename Kernel, typename... Args>
-  static FMatrix Run(Kernel kernel, const Args&... args) {
-    FMatrix out;
+  static Mat Run(Kernel kernel, const Args&... args) {
+    Mat out;
     kernel(args..., &out);
     return out;
   }
 
-  const FMatrix& W(const Tensor& t) const {
+  const Mat& W(const Tensor& t) const {
     auto it = weights.find(t.id());
     GNN4TDL_CHECK_MSG(it != weights.end(), "parameter has no f32 cast");
     return it->second;
   }
   template <typename Step>
-  const FCsr& Op(const Step& step) const {
-    return step.sparse_f32;
-  }
+  const FCsr& Op(const Step& step) const { return step.sparse_f32; }
   template <typename Ops>
-  const FMatrix& Dense(const Ops& ops) const {
-    return ops.dense_f32;
-  }
-  FMatrix Gather(const FMatrix& x, const std::vector<size_t>& rows) const {
-    FMatrix out(rows.size(), x.cols());
+  const Mat& Dense(const Ops& ops) const { return ops.dense_f32; }
+  Mat Gather(const Mat& x, const std::vector<size_t>& rows) const {
+    Mat out(rows.size(), x.cols());
     for (size_t i = 0; i < rows.size(); ++i) out.SetRow(i, x, rows[i]);
     return out;
   }
-  FMatrix Act(FMatrix x, Activation act) const {
+  Mat Act(Mat x, Activation act) const {
     if (act != Activation::kNone) {
       kernels::BiasAct(&x, nullptr, ToKernelActivation(act));
     }
     return x;
   }
-  FMatrix Linear(const FMatrix& x, const gnn4tdl::Linear& layer,
-                 Activation act) const {
-    FMatrix out = MatMul(x, W(layer.weight()));
+  Mat Dropout(Mat x, double /*rate*/) const { return x; }
+  Mat Linear(const Mat& x, const gnn4tdl::Linear& layer, Activation act) const {
+    Mat out = MatMul(x, W(layer.weight()));
     const float* bias =
         layer.bias().defined() ? W(layer.bias()).data() : nullptr;
     if (bias != nullptr || act != Activation::kNone) {
@@ -444,37 +512,50 @@ struct F32Eval {
     }
     return out;
   }
-  FMatrix MatMul(const FMatrix& a, const FMatrix& b) const {
+  Mat MatMul(const Mat& a, const Mat& b) const {
     return Run(kernels::Matmul, a, b);
   }
-  FMatrix MatMulNt(const FMatrix& a, const FMatrix& b) const {
-    return Run(kernels::MatmulNt, a, b);
+  Mat Spmm(const FCsr& s, const Mat& x) const {
+    return SpmmAct(s, x, Activation::kNone);
   }
-  FMatrix Spmm(const FCsr& s, const FMatrix& x,
-               Activation act = Activation::kNone) const {
-    FMatrix out;
+  Mat SpmmAct(const FCsr& s, const Mat& x, Activation act) const {
+    Mat out;
     kernels::SpmmBiasAct(s, x, nullptr, ToKernelActivation(act), &out);
     return out;
   }
-  FMatrix AddAct(const FMatrix& a, const FMatrix& b, Activation act) const {
-    return Act(ScaleAdd(a, 1.0, b, 1.0), act);
+  Mat Add(const Mat& a, const Mat& b) const {
+    return Run(kernels::ScaleAdd, a, 1.0f, b, 1.0f);
   }
-  FMatrix ScaleAdd(const FMatrix& a, double sa, const FMatrix& b,
-                   double sb) const {
-    return Run(kernels::ScaleAdd, a, static_cast<float>(sa), b,
-               static_cast<float>(sb));
+  Mat AddAct(const Mat& a, const Mat& b, Activation act) const {
+    return Act(Add(a, b), act);
   }
-  FMatrix Mul(const FMatrix& a, const FMatrix& b) const {
-    return FMatrix::FromDouble(f64.Mul(a.ToDouble(), b.ToDouble()));
+  /// Each product rounded once, as kernels::ScaleAdd rounds sb * b.
+  Mat Scale(Mat x, double s) const {
+    const float f = static_cast<float>(s);
+    for (size_t i = 0; i < x.size(); ++i) x.data()[i] *= f;
+    return x;
   }
-  FMatrix GateMix(const FMatrix& z, const FMatrix& h,
-                  const FMatrix& cand) const {
-    return FMatrix::FromDouble(
+  Mat ScaleAdd(const Mat& a, double sa, const Mat& b) const {
+    return Run(kernels::ScaleAdd, a, static_cast<float>(sa), b, 1.0f);
+  }
+  Mat OnePlusScale(const Mat& x, const Tensor& s) const {
+    return Run(kernels::ScaleAdd, x, W(s)(0, 0), x, 1.0f);
+  }
+  Mat AttentionScores(const Mat& q, const Mat& k, double scale,
+                      const Mat& adj, const Tensor& beta) const {
+    return Run(kernels::ScaleAdd, Run(kernels::MatmulNt, q, k),
+               static_cast<float>(scale), adj, W(beta)(0, 0));
+  }
+  Mat Mul(const Mat& a, const Mat& b) const {
+    return Mat::FromDouble(f64.Mul(a.ToDouble(), b.ToDouble()));
+  }
+  Mat GateMix(const Mat& z, const Mat& h, const Mat& cand) const {
+    return Mat::FromDouble(
         f64.GateMix(z.ToDouble(), h.ToDouble(), cand.ToDouble()));
   }
-  FMatrix ConcatCols(const FMatrix& a, const FMatrix& b) const {
+  Mat ConcatCols(const Mat& a, const Mat& b) const {
     GNN4TDL_CHECK_EQ(a.rows(), b.rows());
-    FMatrix out(a.rows(), a.cols() + b.cols());
+    Mat out(a.rows(), a.cols() + b.cols());
     for (size_t r = 0; r < a.rows(); ++r) {
       std::copy(a.row_data(r), a.row_data(r) + a.cols(), out.row_data(r));
       std::copy(b.row_data(r), b.row_data(r) + b.cols(),
@@ -482,19 +563,17 @@ struct F32Eval {
     }
     return out;
   }
-  FMatrix LayerNorm(const FMatrix& x, const Tensor& gamma,
-                    const Tensor& beta) const {
-    return FMatrix::FromDouble(f64.LayerNorm(x.ToDouble(), gamma, beta));
+  Mat LayerNorm(const Mat& x, const Tensor& gamma, const Tensor& beta) const {
+    return Mat::FromDouble(f64.LayerNorm(x.ToDouble(), gamma, beta));
   }
-  FMatrix SoftmaxRows(const FMatrix& x) const {
-    return FMatrix::FromDouble(f64.SoftmaxRows(x.ToDouble()));
+  Mat SoftmaxRows(const Mat& x) const {
+    return Mat::FromDouble(f64.SoftmaxRows(x.ToDouble()));
   }
-  FMatrix PairNorm(const FMatrix& x) const {
-    return FMatrix::FromDouble(f64.PairNorm(x.ToDouble()));
+  Mat PairNorm(const Mat& x) const {
+    return Mat::FromDouble(f64.PairNorm(x.ToDouble()));
   }
-  FMatrix EdgeAttention(const FMatrix& s_src, const FMatrix& s_dst,
-                        const FMatrix& hw,
-                        const GatLayer::EdgeIndex& edges) const {
+  Mat EdgeAttention(const Mat& s_src, const Mat& s_dst, const Mat& hw,
+                    const GatLayer::EdgeIndex& edges) const {
     std::vector<float> logits(edges.src.size());
     for (size_t e = 0; e < logits.size(); ++e) {
       logits[e] = kernels::detail::ApplyBiasAct(
@@ -504,7 +583,7 @@ struct F32Eval {
     std::vector<float> alpha;
     kernels::SegmentSoftmax(logits, edges.dst, edges.num_nodes, &alpha);
     FCsr weighted = FCsr::FromDouble(edges.pattern);
-    FMatrix out;
+    Mat out;
     kernels::WeightedSpmm(alpha, edges.slot, &weighted, hw, &out);
     return out;
   }
@@ -570,84 +649,83 @@ Mat ExactRowsOnly(Mat logits, const std::vector<size_t>& exact,
   return out;
 }
 
-/// Mlp::Forward's eval steps; `last` is the output activation.
+/// Mlp::Forward's steps, dropout at the Mlp's own rate; `last` is the output
+/// activation.
 template <typename B>
 typename B::Mat MlpEval(const B& b, const Mlp& mlp, typename B::Mat h,
                         Activation last = Activation::kNone) {
   const size_t n = mlp.layers().size();
-  for (size_t i = 0; i < n; ++i) {
-    h = b.Linear(h, *mlp.layers()[i], i + 1 < n ? mlp.activation() : last);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    h = b.Dropout(b.Linear(h, *mlp.layers()[i], mlp.activation()),
+                  mlp.dropout());
   }
-  return h;
+  return b.Linear(h, *mlp.layers()[n - 1], last);
 }
 
 template <typename B, typename Step>
 typename B::Mat GatEval(const B& b, const GatLayer& layer,
                         const typename B::Mat& h, const Step& step) {
-  typename B::Mat out;
+  using Mat = typename B::Mat;
+  Mat out;
   for (size_t head = 0; head < layer.num_heads(); ++head) {
-    const typename B::Mat hw =
-        b.Linear(h, layer.head_proj(head), Activation::kNone);
-    typename B::Mat kept;
-    typename B::Mat agg = b.EdgeAttention(
-        b.MatMul(hw, b.W(layer.attn_src(head))),
-        b.MatMul(KeptRows(b, hw, step.keep, &kept),
-                 b.W(layer.attn_dst(head))),
-        hw, step.edge_index);
+    const Mat hw = b.Linear(h, layer.head_proj(head), Activation::kNone);
+    const Mat s_src = b.MatMul(hw, b.W(layer.attn_src(head)));
+    Mat kept;
+    const Mat s_dst = b.MatMul(KeptRows(b, hw, step.keep, &kept),
+                               b.W(layer.attn_dst(head)));
+    Mat agg = b.EdgeAttention(s_src, s_dst, hw, step.edge_index);
     out = head == 0 ? std::move(agg) : b.ConcatCols(out, agg);
   }
   return out;
 }
 
+/// GgnnLayer::Forward's steps, in its order: `h` feeds five nodes, and the
+/// order they are recorded in is the order its gradient terms are summed.
 template <typename B, typename Step>
 typename B::Mat GgnnEval(const B& b, const GgnnLayer& layer,
                          const typename B::Mat& h, const Step& step) {
-  const typename B::Mat m = b.Spmm(b.Op(step), h);
-  typename B::Mat kept;
-  const typename B::Mat& state = KeptRows(b, h, step.keep, &kept);
+  using Mat = typename B::Mat;
+  const Mat m = b.Spmm(b.Op(step), h);
+  Mat kept;
+  const Mat& state = KeptRows(b, h, step.keep, &kept);
   const auto gate = [&](const gnn4tdl::Linear& from_m,
-                        const gnn4tdl::Linear& from_h,
-                        const typename B::Mat& from, Activation act) {
-    return b.AddAct(b.Linear(m, from_m, Activation::kNone),
-                    b.Linear(from, from_h, Activation::kNone), act);
+                        const gnn4tdl::Linear& from_h, const Mat& from,
+                        Activation act) {
+    const Mat x = b.Linear(m, from_m, Activation::kNone);
+    return b.Act(b.Add(x, b.Linear(from, from_h, Activation::kNone)), act);
   };
-  const typename B::Mat z =
+  const Mat z =
       gate(layer.update_x(), layer.update_h(), state, Activation::kSigmoid);
-  const typename B::Mat r =
+  const Mat r =
       gate(layer.reset_x(), layer.reset_h(), state, Activation::kSigmoid);
-  const typename B::Mat cand = gate(layer.cand_x(), layer.cand_h(),
-                                    b.Mul(r, state), Activation::kTanh);
+  const Mat cand = gate(layer.cand_x(), layer.cand_h(), b.Mul(r, state),
+                        Activation::kTanh);
   return b.GateMix(z, state, cand);
 }
 
-template <typename B>
+template <typename B, typename Ops>
 typename B::Mat TransformerEval(const B& b, const GraphTransformerLayer& layer,
-                                const typename B::Mat& h,
-                                const typename B::Mat& adj_dense) {
-  const typename B::Mat normed =
-      b.LayerNorm(h, layer.ln1_gamma(), layer.ln1_beta());
-  const typename B::Mat q = b.Linear(normed, layer.query(), Activation::kNone);
-  const typename B::Mat k = b.Linear(normed, layer.key(), Activation::kNone);
-  const typename B::Mat v = b.Linear(normed, layer.value(), Activation::kNone);
+                                const typename B::Mat& h, const Ops& ops) {
+  using Mat = typename B::Mat;
+  const Mat normed = b.LayerNorm(h, layer.ln1_gamma(), layer.ln1_beta());
+  const Mat q = b.Linear(normed, layer.query(), Activation::kNone);
+  const Mat k = b.Linear(normed, layer.key(), Activation::kNone);
+  const Mat v = b.Linear(normed, layer.value(), Activation::kNone);
   // softmax(Q K^T / sqrt(dk) + beta * A_hat)
-  const typename B::Mat attn = b.SoftmaxRows(b.ScaleAdd(
-      b.MatMulNt(q, k),
-      1.0 / std::sqrt(static_cast<double>(layer.attn_dim())), adj_dense,
-      layer.StructureBias()));
-  const typename B::Mat residual = b.AddAct(
-      h, b.Linear(b.MatMul(attn, v), layer.out(), Activation::kNone),
-      Activation::kNone);
-  return b.AddAct(residual,
-                  MlpEval(b, layer.ffn(),
-                          b.LayerNorm(residual, layer.ln2_gamma(),
-                                      layer.ln2_beta())),
-                  Activation::kNone);
+  const Mat attn = b.SoftmaxRows(b.AttentionScores(
+      q, k, 1.0 / std::sqrt(static_cast<double>(layer.attn_dim())),
+      b.Dense(ops), layer.structure_bias()));
+  const Mat residual =
+      b.Add(h, b.Linear(b.MatMul(attn, v), layer.out(), Activation::kNone));
+  return b.Add(residual, MlpEval(b, layer.ffn(),
+                                 b.LayerNorm(residual, layer.ln2_gamma(),
+                                             layer.ln2_beta())));
 }
 
 }  // namespace
 
 /// Backbone stack: owns the layers (parameters only; operators are passed to
-/// Forward so the weights are graph-independent).
+/// Eval so the weights are graph-independent).
 struct InstanceGraphGnn::Encoder : public Module {
   Encoder(const InstanceGraphGnnOptions& options, size_t in_dim, Rng& rng)
       : options_(options) {
@@ -703,96 +781,12 @@ struct InstanceGraphGnn::Encoder : public Module {
     }
   }
 
-  Tensor Forward(const Tensor& x, const Operators& graph_ops, Rng& rng,
-                 bool training) const {
-    const InstanceGraphGnnOptions& o = options_;
-    const SparseMatrix& norm_adj_ = graph_ops.step(0).sparse;
-    const GatLayer::EdgeIndex& edge_index_ = graph_ops.step(0).edge_index;
-    const Matrix& adj_dense_ = graph_ops.dense;
-    Tensor h = x;
-    switch (o.backbone) {
-      case GnnBackbone::kGcn: {
-        std::vector<Tensor> layer_outputs;
-        for (size_t l = 0; l < gcn_.size(); ++l) {
-          // The ReLU after each layer fuses into its aggregation node
-          // (nn/fused.h; bit-exact either way) except where PairNorm sits
-          // between them and, under jumping knowledge, after the last layer,
-          // whose ReLU follows the concat.
-          const bool last = l + 1 == gcn_.size();
-          const bool fuse_relu =
-              last ? !o.use_jumping_knowledge : !o.use_pair_norm;
-          h = gcn_[l]->Forward(h, norm_adj_,
-                               fuse_relu ? Activation::kRelu
-                                         : Activation::kNone);
-          if (l + 1 < gcn_.size()) {
-            if (o.use_pair_norm) {
-              h = ops::PairNormRows(h);
-              h = ops::Relu(h);
-            }
-            h = ops::Dropout(h, o.dropout, rng, training);
-          }
-          if (o.use_jumping_knowledge) layer_outputs.push_back(h);
-        }
-        if (o.use_jumping_knowledge) {
-          Tensor jk = layer_outputs[0];
-          for (size_t l = 1; l < layer_outputs.size(); ++l)
-            jk = ops::ConcatCols(jk, layer_outputs[l]);
-          return ops::Relu(jk);
-        }
-        return h;
-      }
-      case GnnBackbone::kSage:
-        for (size_t l = 0; l < sage_.size(); ++l) {
-          h = sage_[l]->Forward(h, norm_adj_, Activation::kRelu);
-          if (l + 1 < sage_.size()) {
-            h = ops::Dropout(h, o.dropout, rng, training);
-          }
-        }
-        return h;
-      case GnnBackbone::kGat:
-        for (size_t l = 0; l < gat_.size(); ++l) {
-          h = gat_[l]->Forward(h, edge_index_);
-          if (l + 1 < gat_.size()) {
-            h = ops::Relu(h);
-            h = ops::Dropout(h, o.dropout, rng, training);
-          }
-        }
-        return ops::Relu(h);
-      case GnnBackbone::kGin:
-        for (size_t l = 0; l < gin_.size(); ++l) {
-          const bool interior = l + 1 < gin_.size();
-          h = gin_[l]->Forward(h, norm_adj_,
-                               interior ? Activation::kNone
-                                        : Activation::kRelu);
-          if (interior) h = ops::Dropout(h, o.dropout, rng, training);
-        }
-        return h;
-      case GnnBackbone::kGgnn: {
-        h = input_proj_->Forward(h, Activation::kRelu);
-        for (size_t step = 0; step < o.num_layers; ++step)
-          h = ggnn_->Forward(h, norm_adj_);
-        return h;
-      }
-      case GnnBackbone::kAppnp: {
-        Tensor h0 =
-            appnp_mlp_->Forward(h, rng, training, Activation::kRelu);
-        return AppnpPropagate(h0, norm_adj_, o.appnp_steps, o.appnp_alpha);
-      }
-      case GnnBackbone::kTransformer: {
-        h = input_proj_->Forward(h, Activation::kRelu);
-        for (const auto& layer : transformer_)
-          h = layer->Forward(h, adj_dense_);
-        return h;
-      }
-    }
-    GNN4TDL_CHECK_MSG(false, "unknown backbone");
-    return h;
-  }
-
-  /// Forward's eval-mode steps (dropout off), written once over the numeric
-  /// backend `B`: F64Eval for ScoreOnGraph, F32Eval for ScoreOnGraphF32.
-  /// Step l runs only on the rows it computes exactly (Operators: V_l), so
-  /// the result has one row per node of ops.exact.
+  /// The backbone's forward, written once over the backend `B`: TapeOps
+  /// records the autograd tape (Fit, Predict, Embeddings, PredictInductive),
+  /// F64Eval and F32Eval compute values with no tape (validation,
+  /// ScoreOnGraph, ScoreOnGraphF32). Step l runs only on the rows it
+  /// computes exactly (Operators: V_l), so the result has one row per node
+  /// of ops.exact.
   template <typename B>
   typename B::Mat Eval(const B& b, typename B::Mat h,
                        const Operators& ops) const {
@@ -802,15 +796,21 @@ struct InstanceGraphGnn::Encoder : public Module {
       case GnnBackbone::kGcn: {
         std::vector<Mat> layer_outputs;
         for (size_t l = 0; l < gcn_.size(); ++l) {
+          // The ReLU after each layer fuses into its aggregation node
+          // except where PairNorm sits between them and, under jumping
+          // knowledge, after the last layer, whose ReLU follows the concat.
           const Operators::Step& step = ops.step(l);
           const bool interior = l + 1 < gcn_.size();
           const bool fuse_relu =
               interior ? !o.use_pair_norm : !o.use_jumping_knowledge;
-          h = b.Spmm(b.Op(step),
-                     b.Linear(h, gcn_[l]->linear(), Activation::kNone),
-                     fuse_relu ? Activation::kRelu : Activation::kNone);
-          if (interior && o.use_pair_norm) {
-            h = b.Act(b.PairNorm(h), Activation::kRelu);
+          h = b.SpmmAct(b.Op(step),
+                        b.Linear(h, gcn_[l]->linear(), Activation::kNone),
+                        fuse_relu ? Activation::kRelu : Activation::kNone);
+          if (interior) {
+            if (o.use_pair_norm) {
+              h = b.Act(b.PairNorm(h), Activation::kRelu);
+            }
+            h = b.Dropout(std::move(h), o.dropout);
           }
           if (o.use_jumping_knowledge) {
             for (Mat& out : layer_outputs) KeepRows(b, step.keep, &out);
@@ -827,33 +827,37 @@ struct InstanceGraphGnn::Encoder : public Module {
         for (size_t l = 0; l < sage_.size(); ++l) {
           const SageLayer& layer = *sage_[l];
           const Operators::Step& step = ops.step(l);
+          const Mat nbr = b.Spmm(b.Op(step), h);
           Mat kept;
-          h = b.AddAct(
-              b.Linear(KeptRows(b, h, step.keep, &kept), layer.self(),
-                       Activation::kNone),
-              b.Linear(b.Spmm(b.Op(step), h), layer.neighbor(),
-                       Activation::kNone),
-              Activation::kRelu);
+          const Mat self = b.Linear(KeptRows(b, h, step.keep, &kept),
+                                    layer.self(), Activation::kNone);
+          h = b.AddAct(self,
+                       b.Linear(nbr, layer.neighbor(), Activation::kNone),
+                       Activation::kRelu);
+          if (l + 1 < sage_.size()) h = b.Dropout(std::move(h), o.dropout);
         }
         return h;
       case GnnBackbone::kGat:
         for (size_t l = 0; l < gat_.size(); ++l) {
           h = GatEval(b, *gat_[l], h, ops.step(l));
-          if (l + 1 < gat_.size()) h = b.Act(std::move(h), Activation::kRelu);
+          if (l + 1 < gat_.size()) {
+            h = b.Dropout(b.Act(std::move(h), Activation::kRelu), o.dropout);
+          }
         }
         return b.Act(std::move(h), Activation::kRelu);
       case GnnBackbone::kGin:
         for (size_t l = 0; l < gin_.size(); ++l) {
-          // mlp((1 + eps) h + sum_nbr(h)), the scaled term as h + eps h.
+          // mlp((1 + eps) h + sum_nbr(h)). `h` feeds three nodes, recorded
+          // in GinLayer::Forward's order.
           const Operators::Step& step = ops.step(l);
-          const Mat agg = b.Spmm(b.Op(step), h);
+          const bool interior = l + 1 < gin_.size();
           Mat kept;
-          const Mat& self = KeptRows(b, h, step.keep, &kept);
-          h = MlpEval(b, gin_[l]->mlp(),
-                      b.AddAct(b.ScaleAdd(self, gin_[l]->epsilon(), self, 1.0),
-                               agg, Activation::kNone),
-                      l + 1 < gin_.size() ? Activation::kNone
-                                          : Activation::kRelu);
+          const Mat scaled = b.OnePlusScale(KeptRows(b, h, step.keep, &kept),
+                                            gin_[l]->eps());
+          const Mat agg = b.Spmm(b.Op(step), h);
+          h = MlpEval(b, gin_[l]->mlp(), b.Add(scaled, agg),
+                      interior ? Activation::kNone : Activation::kRelu);
+          if (interior) h = b.Dropout(std::move(h), o.dropout);
         }
         return h;
       case GnnBackbone::kGgnn:
@@ -862,21 +866,23 @@ struct InstanceGraphGnn::Encoder : public Module {
           h = GgnnEval(b, *ggnn_, h, ops.step(step));
         return h;
       case GnnBackbone::kAppnp: {
-        // AppnpPropagate: H <- (1 - alpha) A H + alpha H0.
+        // H <- (1 - alpha) A H + alpha H0, the teleport alpha H0 computed
+        // once.
         Mat h0 = MlpEval(b, *appnp_mlp_, std::move(h), Activation::kRelu);
-        h = h0;
+        Mat teleport = b.Scale(h0, o.appnp_alpha);
+        h = std::move(h0);
         for (size_t l = 0; l < o.appnp_steps; ++l) {
           const Operators::Step& step = ops.step(l);
-          KeepRows(b, step.keep, &h0);
-          h = b.ScaleAdd(b.Spmm(b.Op(step), h), 1.0 - o.appnp_alpha, h0,
-                         o.appnp_alpha);
+          KeepRows(b, step.keep, &teleport);
+          h = b.ScaleAdd(b.Spmm(b.Op(step), h), 1.0 - o.appnp_alpha,
+                         teleport);
         }
         return h;
       }
       case GnnBackbone::kTransformer:
         h = b.Linear(h, *input_proj_, Activation::kRelu);
         for (const auto& layer : transformer_)
-          h = TransformerEval(b, *layer, h, b.Dense(ops));
+          h = TransformerEval(b, *layer, h, ops);
         return h;
     }
     GNN4TDL_CHECK_MSG(false, "unknown backbone");
@@ -912,7 +918,7 @@ std::string InstanceGraphGnn::Name() const {
 }
 
 Tensor InstanceGraphGnn::Encode(const Tensor& x, bool training) const {
-  return encoder_->Forward(x, *operators_, rng_, training);
+  return encoder_->Eval(TapeOps{rng_, training}, x, *operators_);
 }
 
 Tensor InstanceGraphGnn::SelfSupervisedLoss(const Matrix& x_features) const {
@@ -926,17 +932,31 @@ Tensor InstanceGraphGnn::SelfSupervisedLoss(const Matrix& x_features) const {
   Tensor emb = Encode(Tensor::Constant(corrupted), /*training=*/true);
   Tensor loss = recon_->Loss(emb, x_features, &mask);
   if (options_.contrastive_weight > 0.0) {
-    Matrix view1 =
-        MaskCorrupt(x_features, options_.contrastive_corrupt_rate, rng_);
-    Matrix view2 =
-        MaskCorrupt(x_features, options_.contrastive_corrupt_rate, rng_);
-    Tensor z1 = Encode(Tensor::Constant(view1), true);
-    Tensor z2 = Encode(Tensor::Constant(view2), true);
-    loss = ops::Add(loss, ops::Scale(NtXentLoss(z1, z2,
-                                                options_.contrastive_temperature),
+    loss = ops::Add(loss, ops::Scale(ContrastiveLoss(x_features),
                                      options_.contrastive_weight));
   }
   return loss;
+}
+
+Tensor InstanceGraphGnn::ContrastiveLoss(const Matrix& x_features) const {
+  const double rate = options_.contrastive_corrupt_rate;
+  Matrix view1 = MaskCorrupt(x_features, rate, rng_);
+  Matrix view2 = MaskCorrupt(x_features, rate, rng_);
+  Tensor z1 = Encode(Tensor::Constant(view1), /*training=*/true);
+  Tensor z2 = Encode(Tensor::Constant(view2), /*training=*/true);
+  return NtXentLoss(z1, z2, options_.contrastive_temperature);
+}
+
+size_t InstanceGraphGnn::BuildModel(size_t out_dim) {
+  encoder_ = std::make_unique<Encoder>(options_, x_cache_.cols(), rng_);
+  operators_ =
+      std::make_unique<Operators>(Operators::Build(options_, graph_));
+  const bool jk = options_.use_jumping_knowledge &&
+                  options_.backbone == GnnBackbone::kGcn;
+  const size_t emb_dim =
+      jk ? options_.hidden_dim * options_.num_layers : options_.hidden_dim;
+  head_ = std::make_unique<Linear>(emb_dim, out_dim, rng_);
+  return emb_dim;
 }
 
 Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
@@ -998,14 +1018,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
   const bool regression = task_ == TaskType::kRegression;
   const size_t out_dim =
       regression ? 1 : static_cast<size_t>(data.num_classes());
-  encoder_ = std::make_unique<Encoder>(options_, x_cache_.cols(), rng_);
-  operators_ = std::make_unique<Operators>(
-      Operators::Build(options_, graph_));
-  const bool jk = options_.use_jumping_knowledge &&
-                  options_.backbone == GnnBackbone::kGcn;
-  const size_t emb_dim =
-      jk ? options_.hidden_dim * options_.num_layers : options_.hidden_dim;
-  head_ = std::make_unique<Linear>(emb_dim, out_dim, rng_);
+  const size_t emb_dim = BuildModel(out_dim);
   const bool needs_recon =
       options_.reconstruction_weight > 0.0 || options_.dae_weight > 0.0 ||
       options_.strategy != TrainStrategy::kEndToEnd;
@@ -1033,38 +1046,29 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     Tensor loss = regression
                       ? ops::MseLoss(out, labels_reg, train_mask)
                       : ops::SoftmaxCrossEntropy(out, labels_cls, train_mask);
-    // End-to-end auxiliary terms (Table 7).
-    if (options_.reconstruction_weight > 0.0) {
-      loss = ops::Add(loss, ops::Scale(recon_->Loss(emb, x_cache_),
-                                       options_.reconstruction_weight));
+    // End-to-end auxiliary terms (Table 7), each weighted into the loss.
+    const auto add = [&loss](const Tensor& term, double weight) {
+      loss = ops::Add(loss, ops::Scale(term, weight));
+    };
+    const InstanceGraphGnnOptions& o = options_;
+    if (o.reconstruction_weight > 0.0) {
+      add(recon_->Loss(emb, x_cache_), o.reconstruction_weight);
     }
-    if (options_.dae_weight > 0.0) {
+    if (o.dae_weight > 0.0) {
       Matrix mask;
-      Matrix corrupted =
-          MaskCorrupt(x_cache_, options_.dae_corrupt_rate, rng_, &mask);
+      Matrix corrupted = MaskCorrupt(x_cache_, o.dae_corrupt_rate, rng_, &mask);
       Tensor emb_cor = Encode(Tensor::Constant(corrupted), true);
-      loss = ops::Add(loss, ops::Scale(recon_->Loss(emb_cor, x_cache_, &mask),
-                                       options_.dae_weight));
+      add(recon_->Loss(emb_cor, x_cache_, &mask), o.dae_weight);
     }
-    if (options_.contrastive_weight > 0.0) {
-      Matrix v1 = MaskCorrupt(x_cache_, options_.contrastive_corrupt_rate, rng_);
-      Matrix v2 = MaskCorrupt(x_cache_, options_.contrastive_corrupt_rate, rng_);
-      Tensor z1 = Encode(Tensor::Constant(v1), true);
-      Tensor z2 = Encode(Tensor::Constant(v2), true);
-      loss = ops::Add(
-          loss, ops::Scale(NtXentLoss(z1, z2, options_.contrastive_temperature),
-                           options_.contrastive_weight));
+    if (o.contrastive_weight > 0.0) {
+      add(ContrastiveLoss(x_cache_), o.contrastive_weight);
     }
-    if (options_.smoothness_weight > 0.0) {
-      loss = ops::Add(loss, ops::Scale(SmoothnessPenalty(emb, graph_),
-                                       options_.smoothness_weight));
+    if (o.smoothness_weight > 0.0) {
+      add(SmoothnessPenalty(emb, graph_), o.smoothness_weight);
     }
-    if (options_.edge_completion_weight > 0.0) {
-      loss = ops::Add(
-          loss, ops::Scale(EdgeCompletionLoss(
-                               emb, graph_,
-                               options_.edge_completion_negatives, rng_),
-                           options_.edge_completion_weight));
+    if (o.edge_completion_weight > 0.0) {
+      add(EdgeCompletionLoss(emb, graph_, o.edge_completion_negatives, rng_),
+          o.edge_completion_weight);
     }
     return loss;
   };
@@ -1167,8 +1171,8 @@ StatusOr<Matrix> InstanceGraphGnn::PredictInductive(
   Operators extended_ops = Operators::Build(options_, extended);
 
   Matrix x_all = x_cache_.ConcatRows(x_new);
-  Tensor emb = encoder_->Forward(Tensor::Constant(x_all), extended_ops, rng_,
-                                 /*training=*/false);
+  Tensor emb = encoder_->Eval(TapeOps{rng_, /*training=*/false},
+                              Tensor::Constant(x_all), extended_ops);
   Tensor logits = head_->Forward(emb);
   Matrix out(n_new, logits.cols());
   for (size_t i = 0; i < n_new; ++i)
@@ -1264,14 +1268,7 @@ Status InstanceGraphGnn::RestoreForInference(TaskType task, size_t num_outputs,
   graph_set_ = true;
   x_cache_ = std::move(x_cache);
 
-  encoder_ = std::make_unique<Encoder>(options_, x_cache_.cols(), rng_);
-  operators_ =
-      std::make_unique<Operators>(Operators::Build(options_, graph_));
-  const bool jk = options_.use_jumping_knowledge &&
-                  options_.backbone == GnnBackbone::kGcn;
-  const size_t emb_dim =
-      jk ? options_.hidden_dim * options_.num_layers : options_.hidden_dim;
-  head_ = std::make_unique<Linear>(emb_dim, num_outputs, rng_);
+  BuildModel(num_outputs);
   recon_.reset();
   fitted_ = true;
   return Status::OK();

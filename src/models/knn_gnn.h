@@ -227,6 +227,11 @@ class InstanceGraphGnn : public TabularModel {
 
   Tensor Encode(const Tensor& x, bool training) const;
   Tensor SelfSupervisedLoss(const Matrix& x_features) const;
+  /// NT-Xent between the encodings of two masked views of `x_features`.
+  Tensor ContrastiveLoss(const Matrix& x_features) const;
+  /// Builds the encoder, graph_'s operators and the head; returns the
+  /// embedding width.
+  size_t BuildModel(size_t out_dim);
 
   InstanceGraphGnnOptions options_;
   mutable Rng rng_;

@@ -104,6 +104,8 @@ class Mlp : public Module {
   const std::vector<std::unique_ptr<Linear>>& layers() const { return layers_; }
   /// The activation between layers (none after the last).
   Activation activation() const { return act_; }
+  /// The dropout rate between layers, applied only when training.
+  double dropout() const { return dropout_; }
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;

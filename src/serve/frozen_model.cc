@@ -20,6 +20,9 @@ namespace {
 // accepted and serve as double.
 constexpr char kFrozenMagicV1[] = "gnn4tdl-frozen-model-v1";
 constexpr char kFrozenMagic[] = "gnn4tdl-frozen-model-v2";
+/// The one error that says a stream is not a frozen model at all.
+constexpr char kNotFrozenModel[] =
+    "stream is not a gnn4tdl frozen model (bad magic)";
 
 /// Rejects model-size header fields that a parameter block of `bytes_left`
 /// bytes cannot back, before anything is allocated from them. Every weight
@@ -161,8 +164,7 @@ StatusOr<FrozenModel> FrozenModel::Load(BoundedReader& in,
                                         FrozenModelOptions options) {
   const std::string_view magic = in.Token();
   if (magic != kFrozenMagic && magic != kFrozenMagicV1) {
-    return Status::InvalidArgument(
-        "stream is not a gnn4tdl frozen model (bad magic)");
+    return Status::InvalidArgument(kNotFrozenModel);
   }
   const bool v1 = magic == kFrozenMagicV1;
 
@@ -193,8 +195,7 @@ StatusOr<FrozenModel> FrozenModel::Load(BoundedReader& in,
     StatusOr<kernels::Precision> parsed =
         kernels::PrecisionFromName(precision_name);
     // IoError, not the parser's InvalidArgument: a bad precision value is a
-    // corrupt artifact, not a "this isn't a frozen model at all" condition
-    // (the path-based Load overload folds InvalidArgument into the latter).
+    // corrupt artifact.
     if (!parsed.ok()) {
       return in.Error("precision", precision_name, parsed.status().message());
     }
@@ -314,8 +315,9 @@ StatusOr<FrozenModel> FrozenModel::Load(const std::string& path,
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open '" + path + "'");
   StatusOr<FrozenModel> frozen = Load(in, options);
-  if (!frozen.ok() &&
-      frozen.status().code() == StatusCode::kInvalidArgument) {
+  // Only a bad magic means the file is something else; every other error
+  // names what is wrong inside the artifact.
+  if (!frozen.ok() && frozen.status().message() == kNotFrozenModel) {
     return Status::InvalidArgument("'" + path +
                                    "' is not a gnn4tdl frozen model");
   }

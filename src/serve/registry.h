@@ -48,11 +48,10 @@ struct Tenant {
 /// batch-heavy one (per-tenant precision comes from the v2 artifact or a
 /// load-time override — see FrozenModelOptions).
 ///
-/// Models may be registered owned (the registry keeps them alive) or borrowed
-/// (caller guarantees lifetime — how ServingEngine wraps its single model).
-/// Registration is mutex-guarded, but the intended protocol is: register all
-/// tenants, then construct the MultiTenantEngine — the engine snapshots the
-/// tenant list at construction and never sees later additions.
+/// The registry owns every model it serves. Registration is mutex-guarded,
+/// but the intended protocol is: register all tenants, then construct the
+/// MultiTenantEngine — the engine snapshots the tenant list at construction
+/// and never sees later additions.
 class ModelRegistry {
  public:
   ModelRegistry() = default;
@@ -60,13 +59,8 @@ class ModelRegistry {
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
   /// Registers a tenant owning its model. Duplicate names and empty names are
-  /// rejected; a zero weight is bumped to 1, zero max_batch/queue_capacity
-  /// behave like ServingOptions (bumped to 1).
+  /// rejected; a zero weight, max_batch or queue_capacity is bumped to 1.
   [[nodiscard]] Status AddTenant(const std::string& name, FrozenModel model,
-                                 TenantOptions options = {});
-  /// Registers a tenant borrowing `model`, which must outlive the registry.
-  [[nodiscard]] Status AddTenant(const std::string& name,
-                                 const FrozenModel* model,
                                  TenantOptions options = {});
 
   /// Null when no tenant has that name.
@@ -76,9 +70,6 @@ class ModelRegistry {
   size_t size() const;
 
  private:
-  Status AddTenantLocked(const std::string& name, const FrozenModel* model,
-                         TenantOptions options) GNN4TDL_REQUIRES(mu_);
-
   mutable Mutex mu_;
   /// unique_ptr for pointer stability across vector growth.
   std::vector<std::unique_ptr<Tenant>> tenants_ GNN4TDL_GUARDED_BY(mu_);

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +90,26 @@ TEST(FeaturizerTest, MissingIndicatorsAppended) {
   EXPECT_EQ((*x)(0, 1), 0.0);
   // Missing numeric imputed with fill value 0 (the standardized mean).
   EXPECT_EQ((*x)(1, 0), 0.0);
+}
+
+// A column fitted as a 3-wide one-hot block that arrives numeric is an
+// error naming the column, not a process abort or a misaligned row.
+TEST(FeaturizerTest, NumericColumnFittedAsCategoricalIsRejected) {
+  TabularDataset fit(4);
+  ASSERT_TRUE(fit.AddCategoricalColumn("color", {0, 1, 2, 1},
+                                       {"red", "green", "blue"}).ok());
+  ASSERT_TRUE(fit.AddNumericColumn("x", {1, 2, 3, 4}).ok());
+  Featurizer featurizer;
+  ASSERT_TRUE(featurizer.Fit(fit).ok());
+
+  TabularDataset request(2);
+  ASSERT_TRUE(request.AddNumericColumn("color", {3.0, 1.0}).ok());
+  ASSERT_TRUE(request.AddNumericColumn("x", {1, 2}).ok());
+  StatusOr<Matrix> x = featurizer.Transform(request);
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(x.status().message().find("'color'"), std::string::npos)
+      << x.status().ToString();
 }
 
 TEST(FeaturizerTest, TransformBeforeFitFails) {

@@ -28,8 +28,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "poll_until.h"
-#include "serve/engine.h"
 #include "serve/frozen_model.h"
+#include "serve/registry.h"
+#include "serve/tenant_engine.h"
 #include "tensor/matrix.h"
 
 namespace gnn4tdl {
@@ -395,22 +396,25 @@ TEST(ServingEngineObsTest, FakeClockMakesLatencyDeterministic) {
   StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
   ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
 
+  Matrix x = frozen->Featurize(data).value();
   FakeClock clock;
   testing::GateClock gate(&clock);
-  ServingOptions serve_opts;
-  serve_opts.max_batch = 3;  // room for both rows queued behind the held one
-  serve_opts.clock = &gate;
-  ServingEngine engine(&*frozen, serve_opts);
+  ModelRegistry registry;
+  TenantOptions tenant;
+  tenant.max_batch = 3;  // room for both rows queued behind the held one
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*frozen), tenant).ok());
+  MultiTenantEngineOptions engine_options;
+  engine_options.clock = &gate;
+  MultiTenantEngine engine(&registry, engine_options);
 
-  Matrix x = frozen->Featurize(data).value();
   auto row = [&](size_t i) {
     return std::vector<double>(x.row_data(i), x.row_data(i) + x.cols());
   };
-  StatusOr<std::future<std::vector<double>>> f0 = engine.Submit(row(0));
+  StatusOr<std::future<std::vector<double>>> f0 = engine.Submit("t", row(0));
   ASSERT_TRUE(f0.ok());
   ASSERT_TRUE(testing::PollUntil([&] { return gate.parked() == 1; }));
-  StatusOr<std::future<std::vector<double>>> f1 = engine.Submit(row(1));
-  StatusOr<std::future<std::vector<double>>> f2 = engine.Submit(row(2));
+  StatusOr<std::future<std::vector<double>>> f1 = engine.Submit("t", row(1));
+  StatusOr<std::future<std::vector<double>>> f2 = engine.Submit("t", row(2));
   ASSERT_TRUE(f1.ok());
   ASSERT_TRUE(f2.ok());
   // Fake time is frozen, and the worker reads it only once released.

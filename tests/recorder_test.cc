@@ -260,7 +260,8 @@ struct FakeRunResult {
 constexpr uint64_t kHeldTraceId = 100;
 
 FakeRunResult RunFakeClockBreachScenario(
-    std::vector<double> (*row)(size_t), StatusOr<FrozenModel> model) {
+    std::vector<double> (*row)(size_t), StatusOr<FrozenModel> model,
+    StatusOr<FrozenModel> hold_model) {
   obs::FakeClock clock;
   obs::Tracer::Global().set_clock(&clock);
   testing::GateClock gate(&clock);
@@ -272,7 +273,7 @@ FakeRunResult RunFakeClockBreachScenario(
   EXPECT_TRUE(registry.AddTenant("t", std::move(*model), tenant).ok());
   TenantOptions hold;
   hold.slo_ms = 1000.0;
-  EXPECT_TRUE(registry.AddTenant("hold", registry.Find("t")->model, hold).ok());
+  EXPECT_TRUE(registry.AddTenant("hold", std::move(*hold_model), hold).ok());
 
   MultiTenantEngineOptions engine_options;
   engine_options.clock = &gate;
@@ -337,8 +338,10 @@ void ExpectDigestStreamsEqual(const std::vector<RequestDigest>& a,
 
 TEST_F(RecorderEngineTest, SloBreachRetainsSubtreeDeterministically) {
   StatusOr<FrozenModel> first = Load();
-  ASSERT_TRUE(first.ok());
-  FakeRunResult run = RunFakeClockBreachScenario(&Row, std::move(first));
+  StatusOr<FrozenModel> first_hold = Load();
+  ASSERT_TRUE(first.ok() && first_hold.ok());
+  FakeRunResult run = RunFakeClockBreachScenario(&Row, std::move(first),
+                                                 std::move(first_hold));
 
   ASSERT_EQ(run.ring.size(), 4u);
   size_t breached = 0;
@@ -380,8 +383,10 @@ TEST_F(RecorderEngineTest, SloBreachRetainsSubtreeDeterministically) {
 
   // Same seed + same FakeClock script => identical digests, span for span.
   StatusOr<FrozenModel> second = Load();
-  ASSERT_TRUE(second.ok());
-  FakeRunResult rerun = RunFakeClockBreachScenario(&Row, std::move(second));
+  StatusOr<FrozenModel> second_hold = Load();
+  ASSERT_TRUE(second.ok() && second_hold.ok());
+  FakeRunResult rerun = RunFakeClockBreachScenario(&Row, std::move(second),
+                                                   std::move(second_hold));
   ExpectDigestStreamsEqual(run.ring, rerun.ring);
   ExpectDigestStreamsEqual(run.retained, rerun.retained);
 }

@@ -1,8 +1,8 @@
-// Concurrency stress tests for the ServingEngine: many producer threads
-// racing the batching worker, stats polled mid-flight, and shutdown under
-// load. The load-bearing claims: every submission resolves exactly once
-// (a value or a rejection, never neither), accepted requests are never
-// dropped by Stop(), and the counters stay consistent with what callers
+// Concurrency stress tests for a MultiTenantEngine serving one tenant: many
+// producer threads racing the batching worker, stats polled mid-flight, and
+// shutdown under load. The load-bearing claims: every submission resolves
+// exactly once (a value or a rejection, never neither), accepted requests are
+// never dropped by Stop(), and the counters stay consistent with what callers
 // observed. Run these under the tsan preset to get the real guarantee.
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,8 +24,9 @@
 #include "models/knn_gnn.h"
 #include "obs/clock.h"
 #include "poll_until.h"
-#include "serve/engine.h"
 #include "serve/frozen_model.h"
+#include "serve/registry.h"
+#include "serve/tenant_engine.h"
 
 namespace gnn4tdl {
 namespace {
@@ -55,6 +57,7 @@ class ServeStressTest : public ::testing::Test {
 
     std::stringstream artifact;
     ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+    artifact_ = artifact.str();
     StatusOr<FrozenModel> loaded = FrozenModel::Load(artifact);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     frozen_.emplace(std::move(*loaded));
@@ -74,6 +77,14 @@ class ServeStressTest : public ::testing::Test {
     frozen_.reset();
   }
 
+  // Registers a fresh load of the suite's model as tenant kTenant.
+  static void RegisterModel(ModelRegistry& registry, TenantOptions options) {
+    std::istringstream in(artifact_);
+    StatusOr<FrozenModel> model = FrozenModel::Load(in);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    ASSERT_TRUE(registry.AddTenant(kTenant, std::move(*model), options).ok());
+  }
+
   static std::vector<double> Row(size_t i) {
     size_t r = i % features_->rows();
     return std::vector<double>(features_->row_data(r),
@@ -82,10 +93,11 @@ class ServeStressTest : public ::testing::Test {
 
   // Submits one row; accepted futures are collected, typed submission
   // failures (queue full, engine stopped) land in the rejected tally.
-  static void SubmitRow(ServingEngine& engine, size_t i,
+  static void SubmitRow(MultiTenantEngine& engine, size_t i,
                         std::vector<std::future<std::vector<double>>>* futures,
                         std::atomic<size_t>& rejected) {
-    StatusOr<std::future<std::vector<double>>> f = engine.Submit(Row(i));
+    StatusOr<std::future<std::vector<double>>> f =
+        engine.Submit(kTenant, Row(i));
     if (f.ok()) {
       futures->push_back(std::move(*f));
     } else {
@@ -109,6 +121,8 @@ class ServeStressTest : public ::testing::Test {
     }
   }
 
+  static constexpr const char* kTenant = "t";
+  inline static std::string artifact_;
   inline static std::optional<FrozenModel> frozen_;
   inline static std::optional<Matrix> features_;
 };
@@ -117,9 +131,11 @@ TEST_F(ServeStressTest, ManyProducersEveryRequestResolvesExactlyOnce) {
   constexpr size_t kProducers = 8;
   constexpr size_t kPerProducer = 24;
 
-  ServingOptions opts;
+  ModelRegistry registry;
+  TenantOptions opts;
   opts.max_batch = 16;
-  ServingEngine engine(&*frozen_, opts);
+  RegisterModel(registry, opts);
+  MultiTenantEngine engine(&registry);
 
   std::atomic<size_t> ok{0};
   std::atomic<size_t> rejected{0};
@@ -170,9 +186,11 @@ TEST_F(ServeStressTest, ShutdownUnderLoadLosesNoAcceptedRequest) {
   constexpr size_t kProducers = 6;
   constexpr size_t kPerProducer = 32;
 
-  ServingOptions opts;
+  ModelRegistry registry;
+  TenantOptions opts;
   opts.max_batch = 8;
-  ServingEngine engine(&*frozen_, opts);
+  RegisterModel(registry, opts);
+  MultiTenantEngine engine(&registry);
 
   std::atomic<size_t> ok{0};
   std::atomic<size_t> rejected{0};
@@ -211,11 +229,14 @@ TEST_F(ServeStressTest, QueueFullRejectionsAreCountedConsistently) {
   constexpr size_t kHeld = 4;
 
   testing::GateClock gate(obs::RealClock());
-  ServingOptions opts;
+  ModelRegistry registry;
+  TenantOptions opts;
   opts.max_batch = 2;
   opts.queue_capacity = 2;  // force overflow under concurrent submission
-  opts.clock = &gate;
-  ServingEngine engine(&*frozen_, opts);
+  RegisterModel(registry, opts);
+  MultiTenantEngineOptions engine_options;
+  engine_options.clock = &gate;
+  MultiTenantEngine engine(&registry, engine_options);
 
   std::atomic<size_t> ok{0};
   std::atomic<size_t> rejected{0};

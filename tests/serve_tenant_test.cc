@@ -103,9 +103,6 @@ TEST_F(ServeTenantTest, RegistryValidatesNames) {
 
   EXPECT_NE(registry.Find("alpha"), nullptr);
   EXPECT_EQ(registry.Find("beta"), nullptr);
-
-  Status null_model = registry.AddTenant("beta", nullptr);
-  EXPECT_EQ(null_model.code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ServeTenantTest, RegistryClampsDegenerateOptions) {

@@ -1,8 +1,8 @@
 // Tests for src/serve: KnnIndex, InductiveAttacher, FrozenModel artifacts,
-// and the micro-batching ServingEngine. The load-bearing claims: frozen
-// subgraph scoring is bit-exact with full-graph PredictInductive for every
-// served configuration, and the artifact round-trips through a file into a
-// fresh process.
+// and micro-batched serving through ModelRegistry + MultiTenantEngine. The
+// load-bearing claims: frozen subgraph scoring is bit-exact with full-graph
+// PredictInductive for every served configuration, and the artifact
+// round-trips through a file into a fresh process.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <map>
@@ -25,7 +26,6 @@
 #include "data/synthetic.h"
 #include "models/knn_gnn.h"
 #include "serve/attacher.h"
-#include "serve/engine.h"
 #include "serve/frozen_model.h"
 #include "serve/knn_index.h"
 #include "serve/registry.h"
@@ -816,6 +816,41 @@ TEST_F(ServeModelTest, LoadRejectsGarbage) {
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
 }
 
+// Only a bad magic makes a file "not a gnn4tdl frozen model": a header that
+// disagrees with the parameter block it heads reports the mismatch.
+TEST_F(ServeModelTest, LoadFromPathReportsShapeMismatchInsideArtifact) {
+  TabularDataset data = MakeClusters({.num_rows = 120,
+                                      .num_classes = 2,
+                                      .dim_informative = 6,
+                                      .dim_noise = 2,
+                                      .seed = 7});
+  InstanceGraphGnnOptions options = Options(GnnBackbone::kGcn);
+  options.train.max_epochs = 3;
+  InstanceGraphGnn model(options);
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  std::string text = artifact.str();
+  const size_t at = text.find("\nnum_outputs 2\n");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 15, "\nnum_outputs 3\n");
+  const std::string path = TempPath("shape_mismatch.gnn4tdl");
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(path);
+  ASSERT_FALSE(frozen.ok());
+  EXPECT_EQ(frozen.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(frozen.status().message().find("parameter shape mismatch"),
+            std::string::npos)
+      << frozen.status().ToString();
+  EXPECT_EQ(frozen.status().message().find("is not a gnn4tdl frozen model"),
+            std::string::npos)
+      << frozen.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST_F(ServeModelTest, EngineSingleRequestBatchesAreBitDeterministic) {
   TabularDataset data = TrainData();
   InstanceGraphGnn model(Options(GnnBackbone::kGcn));
@@ -829,18 +864,21 @@ TEST_F(ServeModelTest, EngineSingleRequestBatchesAreBitDeterministic) {
   StatusOr<Matrix> x = frozen->Featurize(fresh);
   ASSERT_TRUE(x.ok());
 
-  ServingOptions opts;
-  opts.max_batch = 1;  // every request scores alone -> equals ScoreFeatures
-  ServingEngine engine(&*frozen, opts);
+  ModelRegistry registry;
+  TenantOptions tenant;
+  tenant.max_batch = 1;  // every request scores alone -> equals ScoreFeatures
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*frozen), tenant).ok());
+  const FrozenModel& served_model = *registry.Find("t")->model;
+  MultiTenantEngine engine(&registry);
   for (size_t i = 0; i < x->rows(); ++i) {
     StatusOr<std::future<std::vector<double>>> f = engine.Submit(
-        std::vector<double>(x->row_data(i), x->row_data(i) + x->cols()));
+        "t", std::vector<double>(x->row_data(i), x->row_data(i) + x->cols()));
     ASSERT_TRUE(f.ok());
     std::vector<double> served = f->get();
 
     Matrix row(1, x->cols());
     std::copy(x->row_data(i), x->row_data(i) + x->cols(), row.row_data(0));
-    StatusOr<Matrix> direct = frozen->ScoreFeatures(row);
+    StatusOr<Matrix> direct = served_model.ScoreFeatures(row);
     ASSERT_TRUE(direct.ok());
     ASSERT_EQ(served.size(), direct->cols());
     for (size_t c = 0; c < served.size(); ++c)
@@ -868,13 +906,15 @@ TEST_F(ServeModelTest, EngineMicroBatchingAgreesWithDirectScoring) {
   StatusOr<Matrix> direct = frozen->ScoreFeatures(*x);
   ASSERT_TRUE(direct.ok());
 
-  ServingOptions opts;
-  opts.max_batch = 8;
-  ServingEngine engine(&*frozen, opts);
+  ModelRegistry registry;
+  TenantOptions tenant;
+  tenant.max_batch = 8;
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*frozen), tenant).ok());
+  MultiTenantEngine engine(&registry);
   std::vector<std::future<std::vector<double>>> futures;
   for (size_t i = 0; i < x->rows(); ++i) {
     StatusOr<std::future<std::vector<double>>> f = engine.Submit(
-        std::vector<double>(x->row_data(i), x->row_data(i) + x->cols()));
+        "t", std::vector<double>(x->row_data(i), x->row_data(i) + x->cols()));
     ASSERT_TRUE(f.ok());
     futures.push_back(std::move(*f));
   }
@@ -889,7 +929,7 @@ TEST_F(ServeModelTest, EngineMicroBatchingAgreesWithDirectScoring) {
   engine.Stop();
   ServeStats stats = engine.Stats();
   EXPECT_EQ(stats.requests, 64u);
-  EXPECT_GE(stats.batches, 64u / opts.max_batch);
+  EXPECT_GE(stats.batches, 64u / tenant.max_batch);
   EXPECT_GT(stats.throughput_rps, 0.0);
   // Batch composition perturbs shared-anchor degrees slightly; predictions
   // must still agree with the one-shot batch scoring almost always.
@@ -905,9 +945,12 @@ TEST_F(ServeModelTest, EngineRejectsWrongDimension) {
   StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
   ASSERT_TRUE(frozen.ok());
 
-  ServingEngine engine(&*frozen, {});
+  const size_t feature_dim = frozen->feature_dim();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*frozen)).ok());
+  MultiTenantEngine engine(&registry);
   StatusOr<std::future<std::vector<double>>> f =
-      engine.Submit(std::vector<double>(frozen->feature_dim() + 1, 0.0));
+      engine.Submit("t", std::vector<double>(feature_dim + 1, 0.0));
   ASSERT_FALSE(f.ok());
   EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument);
   engine.Stop();
@@ -929,7 +972,7 @@ TEST_F(ServeModelTest, EngineRejectsNonFiniteFeatures) {
   ASSERT_TRUE(x.ok());
 
   ModelRegistry registry;
-  ASSERT_TRUE(registry.AddTenant("t", &*frozen).ok());
+  ASSERT_TRUE(registry.AddTenant("t", std::move(*frozen)).ok());
   MultiTenantEngine engine(&registry);
   for (double bad : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {

@@ -51,7 +51,11 @@
 #                     SIMD=scalar|avx2 and THREADS=1..4, and each artifact
 #                     must be byte-identical to that backbone's first one:
 #                     whole training runs checked across tiers and thread
-#                     counts
+#                     counts. The first one's SHA-256 must also equal the
+#                     digest committed in tools/freeze_digests.txt, so
+#                     trained bits cannot drift from one commit to the next
+#                     unnoticed; a change that alters them on purpose
+#                     regenerates that file and says why in CHANGES.md
 #   stage 7  fusion   fused-execution + arena memory contract: the fusion
 #                     bit-exactness suite (fused single-node ops vs their
 #                     unfused compositions, values and gradients compared by
@@ -271,7 +275,7 @@ tier_matrix() {
 }
 
 cross_tier_freeze() {
-  local backbone simd threads first out
+  local backbone simd threads first out want got
   for backbone in gcn sage gat gin ggnn appnp graph_transformer; do
     first=""
     for simd in scalar avx2; do
@@ -282,12 +286,20 @@ cross_tier_freeze() {
           --out "$out" >/dev/null || return 1
         if [ -z "$first" ]; then
           first="$out"
+          want="$(awk -v b="$backbone" '$1 == b { print $2 }' \
+            tools/freeze_digests.txt)"
+          got="$(sha256sum "$first" | cut -d' ' -f1)"
+          if [ "$got" != "$want" ]; then
+            echo "freeze ${backbone}: SHA-256 ${got}," \
+              "tools/freeze_digests.txt has ${want:-no entry}"
+            return 1
+          fi
         else
           cmp "$first" "$out" || return 1
         fi
       done
     done
-    echo "-- freeze ${backbone}: 8 artifacts byte-identical"
+    echo "-- freeze ${backbone}: 8 artifacts byte-identical, digest as committed"
   done
 }
 

@@ -51,8 +51,9 @@
 #include "models/knn_gnn.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/engine.h"
 #include "serve/frozen_model.h"
+#include "serve/registry.h"
+#include "serve/tenant_engine.h"
 
 namespace gnn4tdl {
 namespace {
@@ -561,19 +562,28 @@ int RunServe(const CliArgs& args) {
     return 1;
   }
 
-  ServingOptions serve_opts;
-  serve_opts.max_batch = args.batch;
-  serve_opts.queue_capacity = args.queue_capacity;
-  ServingEngine engine(&*frozen, serve_opts);
   std::printf("serving %zu rows (max_batch=%zu, precision %s)...\n",
-              x->rows(), serve_opts.max_batch,
+              x->rows(), args.batch,
               kernels::PrecisionName(frozen->precision()));
+  constexpr const char* kTenant = "default";
+  ModelRegistry registry;
+  TenantOptions tenant;
+  tenant.max_batch = args.batch;
+  tenant.queue_capacity = args.queue_capacity;
+  Status added = registry.AddTenant(kTenant, std::move(*frozen), tenant);
+  if (!added.ok()) {
+    std::fprintf(stderr, "failed to register the model: %s\n",
+                 added.ToString().c_str());
+    return 1;
+  }
+  MultiTenantEngine engine(&registry);
 
   std::vector<std::future<std::vector<double>>> futures;
   futures.reserve(x->rows());
   size_t rejected = 0;
   for (size_t i = 0; i < x->rows(); ++i) {
     StatusOr<std::future<std::vector<double>>> f = engine.Submit(
+        kTenant,
         std::vector<double>(x->row_data(i), x->row_data(i) + x->cols()));
     if (f.ok()) {
       futures.push_back(std::move(*f));
