@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/text_io.h"
 
 namespace gnn4tdl {
 
@@ -59,10 +60,8 @@ size_t ThreadCountFromEnv() {
   size_t n = 0;
   if (env == nullptr || *env == '\0') {
     n = std::thread::hardware_concurrency();
-  } else {
-    char* end = nullptr;
-    unsigned long parsed = std::strtoul(env, &end, 10);
-    n = (end != nullptr && *end == '\0') ? static_cast<size_t>(parsed) : 1;
+  } else if (!ParseWholeNumber(std::string_view(env), &n)) {
+    n = 1;
   }
   return std::min<size_t>(std::max<size_t>(n, 1), 256);
 }

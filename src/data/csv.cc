@@ -1,183 +1,178 @@
 #include "data/csv.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
+#include <string_view>
+#include <system_error>
+#include <vector>
+
+#include "common/text_io.h"
 
 namespace gnn4tdl {
 
 namespace {
 
-std::vector<std::string> SplitLine(const std::string& line, char delim) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::istringstream ss(line);
-  while (std::getline(ss, cell, delim)) cells.push_back(cell);
-  // Trailing delimiter yields one more empty cell.
-  if (!line.empty() && line.back() == delim) cells.push_back("");
-  return cells;
+constexpr char kDelimiter = ',';
+
+bool IsMissing(std::string_view cell) {
+  return cell.empty() || cell == "NA" || cell == "NaN" || cell == "nan" ||
+         cell == "?";
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return false;
-  *out = v;
+/// The cell without surrounding spaces and tabs or one leading '+', which
+/// std::from_chars does not accept.
+std::string_view NumberSpelling(std::string_view cell) {
+  const size_t first = cell.find_first_not_of(" \t");
+  if (first == std::string_view::npos) return {};
+  cell = cell.substr(first, cell.find_last_not_of(" \t") - first + 1);
+  if (cell.size() > 1 && cell[0] == '+' && cell[1] != '-') {
+    cell.remove_prefix(1);
+  }
+  return cell;
+}
+
+/// Reads a cell of a would-be numerical column; false when it is text. A
+/// missing marker or a NaN spelling reads as NaN, an infinity or a value
+/// outside double range as infinity, which the caller rejects.
+bool ParseCell(std::string_view cell, double* value) {
+  const std::string_view s = NumberSpelling(cell);
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *value);
+  if (IsMissing(cell)) {
+    *value = std::numeric_limits<double>::quiet_NaN();
+  } else if (s.empty() || ptr != s.data() + s.size()) {
+    return false;
+  } else if (ec != std::errc()) {
+    *value = std::numeric_limits<double>::infinity();
+  }
   return true;
+}
+
+/// Appends the cells of one line.
+void SplitCells(std::string_view line, std::vector<std::string_view>* cells) {
+  for (size_t start = 0;;) {
+    const size_t comma = line.find(kDelimiter, start);
+    cells->push_back(line.substr(start, comma - start));
+    if (comma == std::string_view::npos) return;
+    start = comma + 1;
+  }
 }
 
 }  // namespace
 
 StatusOr<TabularDataset> ReadCsv(const std::string& path,
                                  const CsvReadOptions& options) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open '" + path + "'");
+  const std::string text = ReadAll(in);
+  if (text.empty()) return Status::IoError("empty file: " + path);
 
-  std::string line;
-  if (!std::getline(in, line)) return Status::IoError("empty file: " + path);
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::vector<std::string> header = SplitLine(line, options.delimiter);
-  const size_t num_cols = header.size();
-  if (num_cols == 0) return Status::IoError("no columns in header");
-
-  std::vector<std::vector<std::string>> cells(num_cols);
-  size_t num_rows = 0;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::vector<std::string> row = SplitLine(line, options.delimiter);
-    if (row.size() != num_cols) {
-      return Status::IoError("row " + std::to_string(num_rows + 2) + " has " +
-                             std::to_string(row.size()) + " cells, expected " +
-                             std::to_string(num_cols));
-    }
-    for (size_t c = 0; c < num_cols; ++c) cells[c].push_back(std::move(row[c]));
-    ++num_rows;
-  }
-
-  auto is_missing = [&](const std::string& s) {
-    return std::find(options.missing_markers.begin(),
-                     options.missing_markers.end(),
-                     s) != options.missing_markers.end();
+  // Views into `text`: the header, the cells row-major, each row's file line.
+  std::vector<std::string_view> header, cells;
+  std::vector<size_t> lines;
+  auto row = [&](size_t line) {
+    return "'" + path + "' row " + std::to_string(line);
   };
-  auto forced_categorical = [&](const std::string& name) {
-    return std::find(options.categorical_columns.begin(),
-                     options.categorical_columns.end(),
-                     name) != options.categorical_columns.end();
+  for (size_t pos = 0, line_no = 1; pos < text.size(); ++line_no) {
+    const size_t end = std::min(text.find('\n', pos), text.size());
+    std::string_view line(text.data() + pos, end - pos);
+    pos = end + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line_no == 1) {
+      if (line.empty()) return Status::IoError("no header in '" + path + "'");
+      SplitCells(line, &header);
+    } else if (!line.empty()) {
+      const size_t before = cells.size();
+      SplitCells(line, &cells);
+      if (cells.size() - before != header.size()) {
+        return Status::IoError(row(line_no) + " has " +
+                               std::to_string(cells.size() - before) +
+                               " cells, expected " +
+                               std::to_string(header.size()));
+      }
+      lines.push_back(line_no);
+    }
+  }
+  const size_t num_rows = lines.size();
+  auto cell = [&](size_t r, size_t c) { return cells[r * header.size() + c]; };
+  auto error = [&](size_t r, size_t c, const std::string& problem) {
+    return Status::IoError(row(lines[r]) + ", column '" +
+                           std::string(header[c]) + "': '" +
+                           std::string(cell(r, c)) + "' " + problem);
+  };
+  // Codes column `c` in order of first appearance; a missing cell is -1
+  // unless `code_missing` (labels code every cell).
+  auto code_column = [&](size_t c, bool code_missing,
+                         std::vector<std::string>* categories) {
+    std::map<std::string_view, int> index;
+    std::vector<int> codes(num_rows, -1);
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (!code_missing && IsMissing(cell(r, c))) continue;
+      const auto [it, inserted] =
+          index.emplace(cell(r, c), static_cast<int>(categories->size()));
+      if (inserted) categories->emplace_back(cell(r, c));
+      codes[r] = it->second;
+    }
+    return codes;
   };
 
   TabularDataset data(num_rows);
-  std::vector<int> class_labels;
-  std::vector<double> reg_labels;
-  int max_label = -1;
-  bool has_label = false;
-
-  for (size_t c = 0; c < num_cols; ++c) {
-    const bool is_label = !options.label_column.empty() &&
-                          header[c] == options.label_column;
-    // Infer type: numerical iff all non-missing cells parse as doubles.
-    bool numeric = !forced_categorical(header[c]);
-    if (numeric) {
-      for (const std::string& s : cells[c]) {
-        double v;
-        if (!is_missing(s) && !ParseDouble(s, &v)) {
-          numeric = false;
-          break;
-        }
-      }
+  for (size_t c = 0; c < header.size(); ++c) {
+    const std::string name(header[c]);
+    // Numerical iff no cell is text.
+    std::vector<double> values(num_rows);
+    bool numeric = true;
+    for (size_t r = 0; r < num_rows && numeric; ++r) {
+      numeric = ParseCell(cell(r, c), &values[r]);
     }
 
-    if (is_label) {
-      has_label = true;
-      if (options.regression_label) {
-        reg_labels.resize(num_rows);
-        for (size_t r = 0; r < num_rows; ++r) {
-          double v;
-          if (!ParseDouble(cells[c][r], &v)) {
-            return Status::IoError("non-numeric regression label at row " +
-                                   std::to_string(r + 2));
-          }
-          reg_labels[r] = v;
-        }
-      } else {
-        class_labels.resize(num_rows);
-        std::map<std::string, int> label_codes;
-        for (size_t r = 0; r < num_rows; ++r) {
-          const std::string& s = cells[c][r];
-          double v;
-          int y;
-          if (numeric && ParseDouble(s, &v)) {
-            // A numeric class label indexes a class, so it must be a finite
-            // integer below the row count: anything else would truncate,
-            // overflow the cast, or size the class count from the file.
-            if (!(v >= 0.0 && v < static_cast<double>(num_rows)) ||
-                v != std::floor(v)) {
-              return Status::IoError(
-                  "class label '" + s + "' at row " + std::to_string(r + 2) +
-                  " is not an integer in [0, " + std::to_string(num_rows) +
-                  ")");
-            }
-            y = static_cast<int>(v);
-          } else {
-            auto [it, inserted] =
-                label_codes.emplace(s, static_cast<int>(label_codes.size()));
-            (void)inserted;
-            y = it->second;
-          }
-          class_labels[r] = y;
-          max_label = std::max(max_label, y);
-        }
+    if (options.label_column.empty() || name != options.label_column) {
+      if (!numeric) {
+        std::vector<std::string> categories;
+        std::vector<int> codes = code_column(c, false, &categories);
+        GNN4TDL_RETURN_IF_ERROR(data.AddCategoricalColumn(
+            name, std::move(codes), std::move(categories)));
+        continue;
       }
-      continue;
-    }
-
-    if (numeric) {
-      std::vector<double> values(num_rows);
       for (size_t r = 0; r < num_rows; ++r) {
-        if (is_missing(cells[c][r])) {
-          values[r] = std::numeric_limits<double>::quiet_NaN();
-        } else {
-          ParseDouble(cells[c][r], &values[r]);
-        }
+        if (std::isinf(values[r])) return error(r, c, "is not a finite number");
       }
-      GNN4TDL_RETURN_IF_ERROR(data.AddNumericColumn(header[c], std::move(values)));
-    } else {
-      std::map<std::string, int> codes_map;
-      std::vector<int> codes(num_rows);
-      std::vector<std::string> categories;
+      GNN4TDL_RETURN_IF_ERROR(data.AddNumericColumn(name, std::move(values)));
+    } else if (options.regression_label) {
       for (size_t r = 0; r < num_rows; ++r) {
-        const std::string& s = cells[c][r];
-        if (is_missing(s)) {
-          codes[r] = -1;
-          continue;
+        if (!ParseWholeNumber(NumberSpelling(cell(r, c)), &values[r])) {
+          return error(r, c, "is not a finite regression label");
         }
-        auto it = codes_map.find(s);
-        if (it == codes_map.end()) {
-          it = codes_map.emplace(s, static_cast<int>(categories.size())).first;
-          categories.push_back(s);
-        }
-        codes[r] = it->second;
       }
-      GNN4TDL_RETURN_IF_ERROR(data.AddCategoricalColumn(
-          header[c], std::move(codes), std::move(categories)));
-    }
-  }
-
-  if (has_label) {
-    if (options.regression_label) {
-      GNN4TDL_RETURN_IF_ERROR(data.SetRegressionLabels(std::move(reg_labels)));
+      GNN4TDL_RETURN_IF_ERROR(data.SetRegressionLabels(std::move(values)));
     } else {
-      int num_classes = max_label + 1;
+      std::vector<std::string> classes;
+      std::vector<int> labels(num_rows);
+      if (!numeric) labels = code_column(c, true, &classes);
+      // A numeric class label indexes a class, so it must be an integer
+      // below the row count: anything else would truncate, overflow the
+      // cast, or size the class count from the file.
+      int num_classes = static_cast<int>(classes.size());
+      for (size_t r = 0; r < num_rows && numeric; ++r) {
+        const double v = values[r];
+        if (!(v >= 0.0 && v < static_cast<double>(num_rows)) ||
+            v != std::floor(v)) {
+          return error(r, c, "is not a class label in [0, " +
+                                 std::to_string(num_rows) + ")");
+        }
+        labels[r] = static_cast<int>(v);
+        num_classes = std::max(num_classes, labels[r] + 1);
+      }
       GNN4TDL_RETURN_IF_ERROR(data.SetClassLabels(
-          std::move(class_labels), num_classes,
+          std::move(labels), num_classes,
           num_classes == 2 ? TaskType::kBinaryClassification
                            : TaskType::kMultiClassification));
     }
-  } else if (!options.label_column.empty()) {
+  }
+  if (!options.label_column.empty() && data.task() == TaskType::kNone) {
     return Status::NotFound("label column '" + options.label_column +
                             "' not in header");
   }
@@ -185,20 +180,27 @@ StatusOr<TabularDataset> ReadCsv(const std::string& path,
 }
 
 Status WriteCsv(const TabularDataset& data, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open '" + path + "' for writing");
-
+  // A name or category holding the delimiter or a line break would read
+  // back split differently.
+  auto check = [](std::string_view what, const std::string& text) {
+    if (text.find_first_of(",\r\n") == std::string::npos) return Status::OK();
+    return Status::InvalidArgument(std::string(what) + " '" + text +
+                                   "' holds ',', '\\r' or '\\n'");
+  };
   const bool has_class = !data.class_labels().empty();
   const bool has_reg = !data.regression_labels().empty();
+  const char* label_sep = data.NumCols() > 0 ? "," : "";
 
+  TextWriter out;
   for (size_t c = 0; c < data.NumCols(); ++c) {
-    if (c > 0) out << ',';
-    out << data.column(c).name;
+    const Column& col = data.column(c);
+    GNN4TDL_RETURN_IF_ERROR(check("column name", col.name));
+    for (const std::string& category : col.categories) {
+      GNN4TDL_RETURN_IF_ERROR(check("category", category));
+    }
+    out << (c > 0 ? "," : "") << col.name;
   }
-  if (has_class || has_reg) {
-    if (data.NumCols() > 0) out << ',';
-    out << "label";
-  }
+  if (has_class || has_reg) out << label_sep << "label";
   out << '\n';
 
   for (size_t r = 0; r < data.NumRows(); ++r) {
@@ -212,17 +214,14 @@ Status WriteCsv(const TabularDataset& data, const std::string& path) {
         out << col.categories[static_cast<size_t>(col.codes[r])];
       }
     }
-    if (has_class) {
-      if (data.NumCols() > 0) out << ',';
-      out << data.class_labels()[r];
-    } else if (has_reg) {
-      if (data.NumCols() > 0) out << ',';
-      out << data.regression_labels()[r];
-    }
+    if (has_class) out << label_sep << data.class_labels()[r];
+    else if (has_reg) out << label_sep << data.regression_labels()[r];
     out << '\n';
   }
-  if (!out) return Status::IoError("write failure on '" + path + "'");
-  return Status::OK();
+
+  std::ofstream file(path, std::ios::binary);
+  if (!file) return Status::IoError("cannot open '" + path + "' for writing");
+  return out.WriteTo(file, "'" + path + "'");
 }
 
 }  // namespace gnn4tdl

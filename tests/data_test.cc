@@ -1,7 +1,12 @@
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +16,8 @@
 #include "data/synthetic.h"
 #include "data/tabular.h"
 #include "data/transforms.h"
+#include "models/knn_gnn.h"
+#include "serve/frozen_model.h"
 
 namespace gnn4tdl {
 namespace {
@@ -385,6 +392,309 @@ TEST(CsvTest, ClassLabelMustBeAnIntegerBelowTheRowCount) {
         << result.status().ToString();
     std::remove(path.c_str());
   }
+}
+
+// Writes `text` as a file and reads it back with `label` as the label column.
+StatusOr<TabularDataset> ReadCsvText(const std::string& text,
+                                     const std::string& label = "",
+                                     bool regression = false) {
+  const std::string path = ::testing::TempDir() + "/gnn4tdl_csv_cells.csv";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  CsvReadOptions opts;
+  opts.label_column = label;
+  opts.regression_label = regression;
+  StatusOr<TabularDataset> result = ReadCsv(path, opts);
+  std::remove(path.c_str());
+  return result;
+}
+
+// WriteCsv prints 17 significant digits, so every finite double -- in a
+// feature column and as a regression label -- reads back with the same bits.
+TEST(CsvTest, RoundTripIsBitExactForFiniteDoubles) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> special = {
+      0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, Limits::denorm_min(),
+      -Limits::denorm_min(), Limits::min() - Limits::denorm_min(),
+      Limits::min(), Limits::max(), Limits::lowest(), 0.12345678912345,
+      1234567.891};
+  constexpr size_t kRows = 1000;
+  constexpr size_t kCols = 10;
+  Rng rng(2027);
+  auto draw = [&](size_t i) {
+    if (i < special.size()) return special[i];
+    for (;;) {
+      uint64_t bits = static_cast<uint64_t>(rng.Int(0, 0xffffffff)) << 32 |
+                      static_cast<uint64_t>(rng.Int(0, 0xffffffff));
+      // Every fourth draw is subnormal: a zero exponent field.
+      if (i % 4 == 0) bits &= ~(uint64_t{0x7ff} << 52);
+      const double v = std::bit_cast<double>(bits);
+      if (std::isfinite(v)) return v;
+    }
+  };
+
+  TabularDataset data(kRows);
+  for (size_t c = 0; c < kCols; ++c) {
+    std::vector<double> values(kRows);
+    for (size_t r = 0; r < kRows; ++r) values[r] = draw(c * kRows + r);
+    ASSERT_TRUE(data.AddNumericColumn("x" + std::to_string(c), values).ok());
+  }
+  std::vector<double> labels(kRows);
+  for (size_t r = 0; r < kRows; ++r) labels[r] = draw(r);
+  ASSERT_TRUE(data.SetRegressionLabels(labels).ok());
+
+  const std::string path = ::testing::TempDir() + "/gnn4tdl_csv_bits.csv";
+  ASSERT_TRUE(WriteCsv(data, path).ok());
+  CsvReadOptions opts;
+  opts.label_column = "label";
+  opts.regression_label = true;
+  StatusOr<TabularDataset> loaded = ReadCsv(path, opts);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->NumCols(), kCols);
+
+  auto same_bits = [](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+        ADD_FAILURE() << "row " << i << ": wrote " << a[i] << ", read "
+                      << b[i];
+        return false;
+      }
+    }
+    return a.size() == b.size();
+  };
+  for (size_t c = 0; c < kCols; ++c) {
+    ASSERT_EQ(loaded->column(c).type, ColumnType::kNumerical);
+    EXPECT_TRUE(same_bits(data.column(c).numeric, loaded->column(c).numeric))
+        << "column " << c;
+  }
+  EXPECT_TRUE(same_bits(labels, loaded->regression_labels()));
+}
+
+TEST(CsvTest, CellSpellings) {
+  // Blanks around a number, one leading '+', and a bare leading or trailing
+  // point still read as numbers.
+  StatusOr<TabularDataset> numbers =
+      ReadCsvText("x\n 2.5\n2.5 \n+2.5\n\t.5\n5.\n-0\n");
+  ASSERT_TRUE(numbers.ok()) << numbers.status().ToString();
+  ASSERT_EQ(numbers->column(0).type, ColumnType::kNumerical);
+  EXPECT_EQ(numbers->column(0).numeric,
+            (std::vector<double>{2.5, 2.5, 2.5, 0.5, 5.0, -0.0}));
+
+  // The five markers and any NaN spelling are missing numbers.
+  StatusOr<TabularDataset> missing =
+      ReadCsvText("x,y\n1,1\nNAN,2\n-nan,3\nNA,4\n?,5\n,6\nnan,7\n");
+  ASSERT_TRUE(missing.ok()) << missing.status().ToString();
+  ASSERT_EQ(missing->column(0).type, ColumnType::kNumerical);
+  EXPECT_EQ(missing->column(0).numeric[0], 1.0);
+  for (size_t r = 1; r < 7; ++r) EXPECT_TRUE(missing->column(0).IsMissing(r));
+
+  // Hex and words are text, so the column is categorical; there "inf" is
+  // just a category and a marker is still missing.
+  for (const char* text : {"0x10", "red", "+", "1e", "--1", "+-1"}) {
+    StatusOr<TabularDataset> data =
+        ReadCsvText(std::string("x\n1\n") + text + "\ninf\nNA\n");
+    ASSERT_TRUE(data.ok()) << text << ": " << data.status().ToString();
+    const Column& col = data->column(0);
+    ASSERT_EQ(col.type, ColumnType::kCategorical) << text;
+    EXPECT_EQ(col.categories,
+              (std::vector<std::string>{"1", text, "inf"}));
+    EXPECT_EQ(col.codes, (std::vector<int>{0, 1, 2, -1}));
+  }
+
+  // An infinite or out-of-range number in a numerical column is an error
+  // naming the file, its row, the column and the value.
+  for (const char* text : {"inf", "-Infinity", "1e999", "1e-999", "+INF"}) {
+    StatusOr<TabularDataset> data =
+        ReadCsvText(std::string("x,y\n1,a\n\n2,b\n") + text + ",c\n");
+    ASSERT_FALSE(data.ok()) << text;
+    EXPECT_EQ(data.status().code(), StatusCode::kIoError);
+    const std::string& message = data.status().message();
+    for (const std::string& part :
+         {std::string("gnn4tdl_csv_cells.csv"), std::string("row 5"),
+          std::string("column 'x'"), "'" + std::string(text) + "'"}) {
+      EXPECT_NE(message.find(part), std::string::npos)
+          << part << " not in: " << message;
+    }
+  }
+}
+
+TEST(CsvTest, CrlfAndBlankLinesKeepFileRowNumbers) {
+  StatusOr<TabularDataset> data =
+      ReadCsvText("x,c,label\r\n1.5,a,0\r\n\r\n\n2.5,b ,1\r\n\r\n",
+                  "label");
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_EQ(data->NumRows(), 2u);
+  EXPECT_EQ(data->column(0).numeric, (std::vector<double>{1.5, 2.5}));
+  EXPECT_EQ(data->column(1).categories, (std::vector<std::string>{"a", "b "}));
+  EXPECT_EQ(data->class_labels(), (std::vector<int>{0, 1}));
+
+  // Errors name the file line, blank lines included.
+  StatusOr<TabularDataset> short_row = ReadCsvText("x,y\n1,2\n\n\n3\n");
+  ASSERT_FALSE(short_row.ok());
+  EXPECT_NE(short_row.status().message().find("row 5 has 1 cells, expected 2"),
+            std::string::npos)
+      << short_row.status().ToString();
+  StatusOr<TabularDataset> label =
+      ReadCsvText("x,label\r\n\r\n1,0\r\n2,NA\r\n", "label");
+  ASSERT_FALSE(label.ok());
+  EXPECT_NE(label.status().message().find("row 4"), std::string::npos)
+      << label.status().ToString();
+  StatusOr<TabularDataset> target =
+      ReadCsvText("x,y\n1,0.5\n\n2,nan\n", "y", /*regression=*/true);
+  ASSERT_FALSE(target.ok());
+  EXPECT_NE(target.status().message().find("row 4"), std::string::npos)
+      << target.status().ToString();
+}
+
+TEST(CsvTest, WriteRejectsDelimitersAndLineBreaksInNamesAndCategories) {
+  const std::string path = ::testing::TempDir() + "/gnn4tdl_csv_reject.csv";
+  {
+    TabularDataset data(1);
+    ASSERT_TRUE(data.AddNumericColumn("a,b", {1.0}).ok());
+    EXPECT_EQ(WriteCsv(data, path).code(), StatusCode::kInvalidArgument);
+  }
+  for (const char* category : {"x,y", "x\ny", "x\r"}) {
+    TabularDataset data(1);
+    ASSERT_TRUE(data.AddCategoricalColumn("c", {0}, {category}).ok());
+    Status written = WriteCsv(data, path);
+    EXPECT_EQ(written.code(), StatusCode::kInvalidArgument) << category;
+    EXPECT_NE(written.message().find(category), std::string::npos);
+  }
+  std::remove(path.c_str());
+}
+
+// Seeded mutants of a small labelled CSV -- bit flips, truncation, inserted
+// and deleted delimiters, CRs, blank lines, a repeated header, odd cells and
+// huge labels -- must each read to a dataset or a typed error, and a dataset
+// must score through a frozen GCN to logits or a typed error. (A column that
+// is numerical at fit and categorical here still scores without an error;
+// that is not asserted.)
+TEST(CsvTest, MutatedFilesReadAndScoreToTypedErrors) {
+  Rng rng(11);
+  std::string original = "a,b,c,label\n";
+  const char* colors[] = {"red", "green", "blue"};
+  for (int r = 0; r < 12; ++r) {
+    const int y = r % 2;
+    original += std::to_string(rng.Normal(y, 1.0)) + "," +
+                std::to_string(rng.Normal(-y, 1.0)) + "," +
+                colors[static_cast<size_t>(rng.Int(0, 2))] + "," +
+                std::to_string(y) + "\n";
+  }
+  CsvReadOptions opts;
+  opts.label_column = "label";
+
+  StatusOr<TabularDataset> train = ReadCsvText(original, "label");
+  ASSERT_TRUE(train.ok()) << train.status().ToString();
+  InstanceGraphGnnOptions options;
+  options.backbone = GnnBackbone::kGcn;
+  options.hidden_dim = 8;
+  options.knn.k = 3;
+  options.train.max_epochs = 3;
+  options.seed = 5;
+  InstanceGraphGnn model(options);
+  Rng split_rng(3);
+  ASSERT_TRUE(
+      model.Fit(*train, StratifiedSplit(train->class_labels(), 0.6, 0.2,
+                                        split_rng))
+          .ok());
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
+  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+
+  auto typed = [](const Status& s) {
+    return s.ok() || s.code() == StatusCode::kIoError ||
+           s.code() == StatusCode::kNotFound ||
+           s.code() == StatusCode::kInvalidArgument;
+  };
+  const std::vector<std::string> odd_cells = {
+      "inf", "1e999", "99999999999999999999", "1e308", "-1", "nan", "",
+      "NA",  "2147483648", "red", "0x1p3", "+", " 7 "};
+  const size_t header_end = original.find('\n') + 1;
+  auto at = [&](const std::string& s) {
+    return static_cast<size_t>(rng.Int(0, static_cast<int64_t>(s.size())));
+  };
+  auto line_start = [&](const std::string& s) {
+    const size_t nl = s.rfind('\n', at(s));
+    return nl == std::string::npos ? 0 : nl + 1;
+  };
+  size_t read_ok = 0;
+  size_t scored = 0;
+  const std::string path = ::testing::TempDir() + "/gnn4tdl_csv_mutant.csv";
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = original;
+    for (int m = static_cast<int>(rng.Int(1, 3)); m > 0 && !text.empty(); --m) {
+      switch (rng.Int(0, 8)) {
+        case 0: {  // bit flip
+          char& byte = text[at(text) % text.size()];
+          byte = static_cast<char>(byte ^ (1 << rng.Int(0, 7)));
+          break;
+        }
+        case 1:  // truncation
+          text.resize(at(text));
+          break;
+        case 2:  // inserted delimiter
+          text.insert(at(text), 1, ',');
+          break;
+        case 3: {  // deleted delimiter
+          const size_t comma = text.find(',', at(text));
+          if (comma != std::string::npos) text.erase(comma, 1);
+          break;
+        }
+        case 4:  // CR
+          text.insert(at(text), 1, '\r');
+          break;
+        case 5:  // blank lines
+          text.insert(line_start(text), rng.Bernoulli(0.5) ? "\n" : "\r\n\n");
+          break;
+        case 6:  // repeated header
+          text.insert(line_start(text), original.substr(0, header_end));
+          break;
+        case 7: {  // huge label: the last cell of a line
+          const size_t end = text.find('\n', at(text));
+          if (end == std::string::npos) break;
+          const size_t start = text.rfind(',', end);
+          if (start == std::string::npos) break;
+          text.replace(start + 1, end - start - 1,
+                       rng.Bernoulli(0.5) ? "99999999999999999999" : "1e308");
+          break;
+        }
+        default: {  // odd cell
+          const size_t start = text.find(',', at(text));
+          if (start == std::string::npos) break;
+          const size_t end = text.find_first_of(",\n", start + 1);
+          text.replace(start + 1,
+                       (end == std::string::npos ? text.size() : end) -
+                           start - 1,
+                       odd_cells[static_cast<size_t>(rng.Int(
+                           0, static_cast<int64_t>(odd_cells.size()) - 1))]);
+          break;
+        }
+      }
+    }
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    StatusOr<TabularDataset> data = ReadCsv(path, opts);
+    ASSERT_TRUE(typed(data.status())) << data.status().ToString() << "\n"
+                                      << text;
+    if (!data.ok()) continue;
+    ++read_ok;
+    StatusOr<Matrix> logits = frozen->Score(*data);
+    ASSERT_TRUE(typed(logits.status())) << logits.status().ToString() << "\n"
+                                        << text;
+    scored += logits.ok();
+  }
+  std::remove(path.c_str());
+  // The mutants reach both the reader's errors and the scoring path.
+  EXPECT_GT(read_ok, 100u);
+  EXPECT_LT(read_ok, 1900u);
+  EXPECT_GT(scored, 100u);
 }
 
 }  // namespace

@@ -209,6 +209,15 @@ TEST(ThreadCountFromEnvTest, ParsesClampsAndFallsBack) {
   EXPECT_EQ(ThreadCountFromEnv(), 1u);  // unparsable: serial
   ASSERT_EQ(setenv("GNN4TDL_THREADS", "4x", 1), 0);
   EXPECT_EQ(ThreadCountFromEnv(), 1u);  // trailing junk: serial
+  // Only a whole number that fits size_t counts: a sign, a blank, a fraction
+  // or an overflow is junk too, so "-1" cannot wrap to the 256 cap.
+  for (const char* value : {"-1", "-4", " 4", "4 ", "4.0", "1e2", "0x10",
+                            "99999999999999999999999"}) {
+    ASSERT_EQ(setenv("GNN4TDL_THREADS", value, 1), 0);
+    EXPECT_EQ(ThreadCountFromEnv(), 1u) << "'" << value << "'";
+  }
+  ASSERT_EQ(setenv("GNN4TDL_THREADS", "003", 1), 0);
+  EXPECT_EQ(ThreadCountFromEnv(), 3u);
   ASSERT_EQ(unsetenv("GNN4TDL_THREADS"), 0);
   EXPECT_GE(ThreadCountFromEnv(), 1u);  // hardware default, clamped
 

@@ -344,6 +344,17 @@ StatusOr<TabularDataset> LoadData(const CliArgs& args) {
   return ReadCsv(args.csv, read_opts);
 }
 
+/// The train/validation/test split of --train-frac and --val-frac, drawn
+/// from --seed: stratified by class unless the task is regression.
+Split SplitFromArgs(const CliArgs& args, const TabularDataset& data) {
+  Rng rng(args.seed);
+  if (data.task() == TaskType::kRegression) {
+    return RandomSplit(data.NumRows(), args.train_frac, args.val_frac, rng);
+  }
+  return StratifiedSplit(data.class_labels(), args.train_frac, args.val_frac,
+                         rng);
+}
+
 int RunFreeze(const CliArgs& args) {
   StatusOr<TabularDataset> data = LoadData(args);
   if (!data.ok()) {
@@ -368,14 +379,7 @@ int RunFreeze(const CliArgs& args) {
   options.train.learning_rate = args.lr;
   options.seed = args.seed;
 
-  const bool classification = data->task() != TaskType::kRegression;
-  Rng rng(args.seed);
-  Split split = classification
-                    ? StratifiedSplit(data->class_labels(), args.train_frac,
-                                      args.val_frac, rng)
-                    : RandomSplit(data->NumRows(), args.train_frac,
-                                  args.val_frac, rng);
-
+  const Split split = SplitFromArgs(args, *data);
   InstanceGraphGnn model(options);
   std::printf("training %s on %zu rows...\n", GnnBackboneName(options.backbone),
               data->NumRows());
@@ -502,13 +506,7 @@ StatusOr<std::string> TrainArtifactForServe(const CliArgs& args,
   config.train.learning_rate = args.lr;
   config.seed = args.seed;
 
-  const bool classification = data.task() != TaskType::kRegression;
-  Rng rng(args.seed);
-  Split split = classification
-                    ? StratifiedSplit(data.class_labels(), args.train_frac,
-                                      args.val_frac, rng)
-                    : RandomSplit(data.NumRows(), args.train_frac,
-                                  args.val_frac, rng);
+  const Split split = SplitFromArgs(args, data);
   std::printf("no --model given: training %s for serving...\n",
               args.backbone.c_str());
   StatusOr<PipelineResult> result = RunPipeline(config, data, split);
@@ -644,9 +642,7 @@ int RunLoadgen(const CliArgs& args) {
       std::fprintf(stderr, "cannot read %s\n", args.model.c_str());
       return 1;
     }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    artifact = buffer.str();
+    artifact = ReadAll(in);
   }
 
   StatusOr<FrozenModelOptions> load_options = LoadOptionsFromArgs(args);
@@ -804,26 +800,13 @@ int RunLoadgen(const CliArgs& args) {
 
 int Run(const CliArgs& args) {
   // --- Data ------------------------------------------------------------------
-  TabularDataset data;
-  if (args.csv.empty()) {
-    std::printf("no --csv given: running the synthetic demo dataset\n");
-    data = MakeMultiRelational({.num_rows = 500,
-                                .num_relations = 2,
-                                .cardinality = 20,
-                                .numeric_signal = 0.6,
-                                .seed = args.seed});
-  } else {
-    CsvReadOptions read_opts;
-    read_opts.label_column = args.label;
-    read_opts.regression_label = args.regression;
-    StatusOr<TabularDataset> loaded = ReadCsv(args.csv, read_opts);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "failed to read %s: %s\n", args.csv.c_str(),
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    data = std::move(*loaded);
+  StatusOr<TabularDataset> loaded = LoadData(args);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "failed to load data: %s\n",
+                 loaded.status().ToString().c_str());
+    return 1;
   }
+  const TabularDataset& data = *loaded;
   std::printf("data: %zu rows x %zu columns, task=%s\n", data.NumRows(),
               data.NumCols(), TaskTypeName(data.task()));
 
@@ -880,13 +863,7 @@ int Run(const CliArgs& args) {
   }
 
   // --- Single split -------------------------------------------------------------
-  Rng rng(args.seed);
-  Split split = classification
-                    ? StratifiedSplit(data.class_labels(), args.train_frac,
-                                      args.val_frac, rng)
-                    : RandomSplit(data.NumRows(), args.train_frac,
-                                  args.val_frac, rng);
-  auto result = RunPipeline(config, data, split);
+  auto result = RunPipeline(config, data, SplitFromArgs(args, data));
   if (!result.ok()) {
     std::fprintf(stderr, "pipeline failed: %s\n",
                  result.status().ToString().c_str());

@@ -4,8 +4,9 @@
 //
 //   style   project idiom invariants (status-discard, banned-call,
 //           cout-in-src, raw-new-delete, raw-thread, raw-deque, raw-clock,
-//           raw-simd, raw-sleep, raw-stderr, missing-pragma-once,
-//           using-namespace-in-header) — see style_pass.cc.
+//           raw-simd, raw-sleep, raw-number-parse, raw-stderr,
+//           missing-pragma-once, using-namespace-in-header) — see
+//           style_pass.cc.
 //   lock    lock-discipline analysis over the annotated mutex layer
 //           (lock-raw-mutex, lock-unannotated-field, lock-unknown-mutex,
 //           lock-double-acquire, lock-requires-public) — see lock_pass.cc

@@ -21,7 +21,8 @@ class Pass {
 
 // Style/idiom invariants: status-discard, banned-call, cout-in-src,
 // raw-new-delete, raw-thread, raw-deque, raw-clock, raw-simd, raw-sleep,
-// missing-pragma-once, using-namespace-in-header.
+// raw-number-parse, raw-stderr, fused-raw-alloc, missing-pragma-once,
+// using-namespace-in-header.
 std::unique_ptr<Pass> MakeStylePass();
 
 // Lock-discipline invariants over the annotated Mutex layer

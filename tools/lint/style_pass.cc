@@ -2,8 +2,10 @@
 //
 //   status-discard            A Status/StatusOr-returning call used as a bare
 //                             expression statement. (The declared set is
-//                             harvested from the tree's headers; `(void)Call()`
-//                             is the sanctioned discard idiom and not flagged.)
+//                             harvested from the tree's headers, less any
+//                             name some scanned file declares with another
+//                             return type; `(void)Call()` is the sanctioned
+//                             discard idiom and not flagged.)
 //   banned-call               rand()/srand(): all randomness must flow through
 //                             common/rng.h so runs are reproducible.
 //   cout-in-src               std::cout inside src/ — library code reports via
@@ -29,6 +31,14 @@
 //                             and hoping is how tests get flaky on loaded
 //                             machines; poll a condition with PollUntil
 //                             (tests/poll_until.h) instead.
+//   raw-number-parse          strtod/strtof/strtold, strtol/strtoll/strtoul/
+//                             strtoull, atof/atoi/atol, sscanf or std::sto*
+//                             in src/ outside common/text_io.* and obs/ —
+//                             numbers from outside the program go through
+//                             ParseWholeNumber (common/text_io.h): the whole
+//                             token, no wrap of "-1", and doubles finite.
+//                             (obs/ links below common; its json_lite reads
+//                             only the program's own trace JSON.)
 //   raw-stderr                fprintf(stderr, ...) or std::cerr in src/
 //                             outside src/obs/ — library code reports
 //                             through Status and metrics, not the terminal.
@@ -60,6 +70,11 @@ namespace {
 const std::set<std::string> kDeclKeywords = {
     "return", "new",    "delete", "throw",  "co_return", "case",
     "else",   "sizeof", "using",  "typedef", "goto"};
+
+const std::set<std::string> kNumberParsers = {
+    "strtod", "strtof", "strtold", "strtol", "strtoll", "strtoul", "strtoull",
+    "atof",   "atoi",   "atol",    "sscanf", "stoi",    "stol",    "stoll",
+    "stoul",  "stoull", "stof",    "stod",   "stold"};
 
 const std::set<std::string> kStatementKeywords = {
     "return",  "if",     "while",  "for",   "switch", "case",  "do",
@@ -126,6 +141,9 @@ void LintFile(const SourceFile& file, const std::set<std::string>& status_fns,
   const bool simd_allowed = StartsWith(rel_path, "src/kernels/");
   const bool sleep_allowed = rel_path == "tests/poll_until.h";
   const bool stderr_allowed = StartsWith(rel_path, "src/obs/");
+  const bool number_parse_allowed =
+      StartsWith(rel_path, "src/common/text_io.") ||
+      StartsWith(rel_path, "src/obs/");
   const bool in_fused_tu = rel_path.find("fused") != std::string::npos;
 
   if (is_header) {
@@ -262,6 +280,16 @@ void LintFile(const SourceFile& file, const std::set<std::string>& status_fns,
       }
     }
 
+    if (in_src && !number_parse_allowed && kNumberParsers.count(t.text) &&
+        next(1) && next(1)->text == "(" &&
+        !(prev(1) && (prev(1)->text == "." || prev(1)->text == "->"))) {
+      out->push_back({rel_path, t.line, "raw-number-parse",
+                      t.text + "() parses a number by hand; use "
+                      "ParseWholeNumber (common/text_io.h), which takes the "
+                      "whole token and rejects wrap-around and non-finite "
+                      "values"});
+    }
+
     if (in_src && t.text == "cout" && prev(1) && prev(1)->text == "::" &&
         prev(2) && prev(2)->text == "std") {
       out->push_back({rel_path, t.line, "cout-in-src",
@@ -334,12 +362,14 @@ class StylePass : public Pass {
            std::vector<Violation>* out) override {
     // Harvest Status-returning function names from the tree's headers
     // (fixtures declare their own), minus any name that is also declared
-    // with a different return type somewhere.
+    // with a different return type in any scanned file: a file-local
+    // `static void AddTenant(...)` in a test makes its own calls plain.
     std::set<std::string> status_fns;
     std::set<std::string> ambiguous;
     for (const SourceFile& f : files) {
-      if (!f.is_header()) continue;
-      CollectFunctionNames(f.tokens, &status_fns, &ambiguous);
+      std::set<std::string> declared_status;
+      CollectFunctionNames(f.tokens, &declared_status, &ambiguous);
+      if (f.is_header()) status_fns.merge(declared_status);
     }
     for (const std::string& name : ambiguous) status_fns.erase(name);
 

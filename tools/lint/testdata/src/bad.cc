@@ -31,6 +31,9 @@ void Caller(Helper* helper) {
   acc = _mm256_add_ps(acc, acc);     // raw-simd
   (void)acc;
 
+  double parsed = std::strtod("1.5", nullptr);  // raw-number-parse
+  (void)parsed;
+
   std::fprintf(stderr, "oops\n");  // raw-stderr
   std::cerr << "oops";             // raw-stderr
   // lint:stderr(fixture: exempted write — must NOT be flagged)
