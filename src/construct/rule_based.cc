@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "data/impute.h"
 
 namespace gnn4tdl {
 
@@ -150,64 +151,12 @@ MultiplexGraph MultiplexFromCategoricals(const TabularDataset& data,
 
 Graph MissingAwareKnnGraph(const TabularDataset& data, size_t k) {
   GNN4TDL_CHECK_GT(k, 0u);
-  const size_t n = data.NumRows();
-  const size_t d = data.NumCols();
-
-  // Per-column std over the observed values (numeric columns).
-  std::vector<double> stddev(d, 1.0);
-  for (size_t c = 0; c < d; ++c) {
-    const Column& col = data.column(c);
-    if (col.type != ColumnType::kNumerical) continue;
-    double sum = 0.0, sum_sq = 0.0;
-    size_t count = 0;
-    for (double v : col.numeric) {
-      if (std::isnan(v)) continue;
-      sum += v;
-      sum_sq += v * v;
-      ++count;
-    }
-    if (count > 0) {
-      double mean = sum / static_cast<double>(count);
-      double var = sum_sq / static_cast<double>(count) - mean * mean;
-      stddev[c] = var > 1e-12 ? std::sqrt(var) : 1.0;
-    }
-  }
-
-  auto distance = [&](size_t a, size_t b) {
-    double sum = 0.0;
-    size_t overlap = 0;
-    for (size_t c = 0; c < d; ++c) {
-      const Column& col = data.column(c);
-      if (col.IsMissing(a) || col.IsMissing(b)) continue;
-      ++overlap;
-      if (col.type == ColumnType::kNumerical) {
-        double diff = (col.numeric[a] - col.numeric[b]) / stddev[c];
-        sum += diff * diff;
-      } else {
-        sum += col.codes[a] == col.codes[b] ? 0.0 : 1.0;
-      }
-    }
-    // Rows with no overlap are maximally distant.
-    if (overlap == 0) return 1e300;
-    return sum / static_cast<double>(overlap);
-  };
-
+  const CoObservedDistance distance(data);
   std::vector<Edge> edges;
-  std::vector<std::pair<double, size_t>> scored;
-  for (size_t i = 0; i < n; ++i) {
-    scored.clear();
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      scored.push_back({distance(i, j), j});
-    }
-    size_t take = std::min(k, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<ptrdiff_t>(take),
-                      scored.end());
-    for (size_t t = 0; t < take; ++t)
-      edges.push_back({i, scored[t].second, 1.0});
+  for (size_t i = 0; i < data.NumRows(); ++i) {
+    for (size_t j : distance.Nearest(i, k)) edges.push_back({i, j, 1.0});
   }
-  return Graph::FromEdges(n, edges, /*symmetrize=*/true);
+  return Graph::FromEdges(data.NumRows(), edges, /*symmetrize=*/true);
 }
 
 Graph FeatureCorrelationGraph(const Matrix& x, double threshold) {

@@ -61,6 +61,36 @@ void SplitCells(std::string_view line, std::vector<std::string_view>* cells) {
   }
 }
 
+/// InvalidArgument when ReadCsv would read categorical column `col` back as
+/// something else: a category that is a missing marker reads back as a
+/// missing cell, and a column none of whose written cells is text reads back
+/// numerical.
+Status CheckCategoriesReadBack(const Column& col) {
+  auto refuse = [&col](const std::string& problem) {
+    return Status::InvalidArgument("categorical column '" + col.name + "' " +
+                                   problem);
+  };
+  for (const std::string& category : col.categories) {
+    if (IsMissing(category)) {
+      return refuse("category '" + category + "' reads back as missing");
+    }
+  }
+  const std::string* first = nullptr;  // the first written category
+  for (size_t r = 0; r < col.codes.size(); ++r) {
+    if (col.IsMissing(r)) continue;
+    const std::string& category =
+        col.categories[static_cast<size_t>(col.codes[r])];
+    double value = 0.0;
+    if (!ParseCell(category, &value)) return Status::OK();
+    if (first == nullptr) first = &category;
+  }
+  if (first == nullptr) {
+    return refuse("has no written cell, so it reads back numerical");
+  }
+  return refuse("reads back numerical: category '" + *first +
+                "' and every other written one is a number");
+}
+
 }  // namespace
 
 StatusOr<TabularDataset> ReadCsv(const std::string& path,
@@ -197,6 +227,9 @@ Status WriteCsv(const TabularDataset& data, const std::string& path) {
     GNN4TDL_RETURN_IF_ERROR(check("column name", col.name));
     for (const std::string& category : col.categories) {
       GNN4TDL_RETURN_IF_ERROR(check("category", category));
+    }
+    if (col.type == ColumnType::kCategorical) {
+      GNN4TDL_RETURN_IF_ERROR(CheckCategoriesReadBack(col));
     }
     out << (c > 0 ? "," : "") << col.name;
   }

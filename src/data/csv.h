@@ -33,7 +33,10 @@ StatusOr<TabularDataset> ReadCsv(const std::string& path,
 
 /// Writes `data` (features + label column "label" if present) as CSV, with
 /// numbers at 17 significant digits so they read back bit-exact. A column
-/// name or category holding ',', '\r' or '\n' is InvalidArgument.
+/// that ReadCsv would read back as something else is InvalidArgument: a
+/// column name or category holding ',', '\r' or '\n', a category that is a
+/// missing marker, and a categorical column none of whose written cells is
+/// text (e.g. zip codes "10115", "20095"), which reads back numerical.
 Status WriteCsv(const TabularDataset& data, const std::string& path);
 
 }  // namespace gnn4tdl

@@ -15,7 +15,6 @@ namespace {
 struct ColumnStats {
   double mean = 0.0;
   double median = 0.0;
-  double stddev = 1.0;
   int mode = 0;
   bool has_observed = false;
 };
@@ -28,15 +27,9 @@ ColumnStats ComputeStats(const Column& col) {
       if (!std::isnan(v)) observed.push_back(v);
     if (observed.empty()) return stats;
     stats.has_observed = true;
-    double sum = 0.0, sum_sq = 0.0;
-    for (double v : observed) {
-      sum += v;
-      sum_sq += v * v;
-    }
+    double sum = 0.0;
+    for (double v : observed) sum += v;
     stats.mean = sum / static_cast<double>(observed.size());
-    double var =
-        sum_sq / static_cast<double>(observed.size()) - stats.mean * stats.mean;
-    stats.stddev = var > 1e-12 ? std::sqrt(var) : 1.0;
     std::sort(observed.begin(), observed.end());
     stats.median = observed[observed.size() / 2];
   } else {
@@ -57,6 +50,60 @@ ColumnStats ComputeStats(const Column& col) {
 }
 
 }  // namespace
+
+CoObservedDistance::CoObservedDistance(const TabularDataset& data)
+    : data_(data), stddev_(data.NumCols(), 1.0) {
+  for (size_t c = 0; c < data.NumCols(); ++c) {
+    const Column& col = data.column(c);
+    if (col.type != ColumnType::kNumerical) continue;
+    double sum = 0.0, sum_sq = 0.0;
+    size_t count = 0;
+    for (double v : col.numeric) {
+      if (std::isnan(v)) continue;
+      sum += v;
+      sum_sq += v * v;
+      ++count;
+    }
+    if (count > 0) {
+      double mean = sum / static_cast<double>(count);
+      double var = sum_sq / static_cast<double>(count) - mean * mean;
+      stddev_[c] = var > 1e-12 ? std::sqrt(var) : 1.0;
+    }
+  }
+}
+
+double CoObservedDistance::Distance(size_t a, size_t b) const {
+  double sum = 0.0;
+  size_t overlap = 0;
+  for (size_t c = 0; c < data_.NumCols(); ++c) {
+    const Column& col = data_.column(c);
+    if (col.IsMissing(a) || col.IsMissing(b)) continue;
+    ++overlap;
+    if (col.type == ColumnType::kNumerical) {
+      double diff = (col.numeric[a] - col.numeric[b]) / stddev_[c];
+      sum += diff * diff;
+    } else {
+      sum += col.codes[a] == col.codes[b] ? 0.0 : 1.0;
+    }
+  }
+  if (overlap == 0) return 1e300;
+  return sum / static_cast<double>(overlap);
+}
+
+std::vector<size_t> CoObservedDistance::Nearest(size_t row, size_t k) const {
+  std::vector<std::pair<double, size_t>> scored;
+  scored.reserve(data_.NumRows());
+  for (size_t j = 0; j < data_.NumRows(); ++j) {
+    if (j != row) scored.push_back({Distance(row, j), j});
+  }
+  const size_t take = std::min(k, scored.size());
+  std::partial_sort(scored.begin(),
+                    scored.begin() + static_cast<ptrdiff_t>(take),
+                    scored.end());
+  std::vector<size_t> nearest(take);
+  for (size_t t = 0; t < take; ++t) nearest[t] = scored[t].second;
+  return nearest;
+}
 
 Status SimpleImpute(TabularDataset& data, SimpleImputeStrategy strategy) {
   for (size_t c = 0; c < data.NumCols(); ++c) {
@@ -93,25 +140,7 @@ Status KnnImpute(TabularDataset& data, const KnnImputeOptions& options) {
     }
   }
 
-  // Distance over co-observed columns, std-scaled for numerics and 0/1
-  // mismatch for categoricals; averaged over the overlap.
-  auto distance = [&](size_t a, size_t b) {
-    double sum = 0.0;
-    size_t overlap = 0;
-    for (size_t c = 0; c < d; ++c) {
-      const Column& col = data.column(c);
-      if (col.IsMissing(a) || col.IsMissing(b)) continue;
-      ++overlap;
-      if (col.type == ColumnType::kNumerical) {
-        double diff = (col.numeric[a] - col.numeric[b]) / stats[c].stddev;
-        sum += diff * diff;
-      } else {
-        sum += col.codes[a] == col.codes[b] ? 0.0 : 1.0;
-      }
-    }
-    if (overlap == 0) return 1e300;
-    return sum / static_cast<double>(overlap);
-  };
+  const CoObservedDistance distance(data);
 
   // Collect fills first, apply after (so imputation order has no effect).
   struct NumericFill {
@@ -125,22 +154,13 @@ Status KnnImpute(TabularDataset& data, const KnnImputeOptions& options) {
   std::vector<NumericFill> numeric_fills;
   std::vector<CategoricalFill> categorical_fills;
 
-  std::vector<std::pair<double, size_t>> scored;
   for (size_t r = 0; r < n; ++r) {
     bool incomplete = false;
     for (size_t c = 0; c < d; ++c)
       if (data.column(c).IsMissing(r)) incomplete = true;
     if (!incomplete) continue;
 
-    scored.clear();
-    for (size_t j = 0; j < n; ++j) {
-      if (j == r) continue;
-      scored.push_back({distance(r, j), j});
-    }
-    size_t take = std::min(options.k, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<ptrdiff_t>(take),
-                      scored.end());
+    const std::vector<size_t> nearest = distance.Nearest(r, options.k);
 
     for (size_t c = 0; c < d; ++c) {
       const Column& col = data.column(c);
@@ -148,8 +168,7 @@ Status KnnImpute(TabularDataset& data, const KnnImputeOptions& options) {
       if (col.type == ColumnType::kNumerical) {
         double sum = 0.0;
         size_t count = 0;
-        for (size_t t = 0; t < take; ++t) {
-          size_t j = scored[t].second;
+        for (size_t j : nearest) {
           if (!col.IsMissing(j)) {
             sum += col.numeric[j];
             ++count;
@@ -160,8 +179,7 @@ Status KnnImpute(TabularDataset& data, const KnnImputeOptions& options) {
                              : stats[c].mean});
       } else {
         std::map<int, size_t> votes;
-        for (size_t t = 0; t < take; ++t) {
-          size_t j = scored[t].second;
+        for (size_t j : nearest) {
           if (!col.IsMissing(j)) ++votes[col.codes[j]];
         }
         int winner = stats[c].mode;

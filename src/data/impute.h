@@ -19,9 +19,30 @@ enum class SimpleImputeStrategy { kMean, kMedian };
 Status SimpleImpute(TabularDataset& data,
                     SimpleImputeStrategy strategy = SimpleImputeStrategy::kMean);
 
+/// Row distances over the columns both rows observe, with no imputation:
+/// numerical differences scaled by the column's standard deviation over its
+/// observed cells, categorical cells 0 on a match and 1 otherwise, squared
+/// terms averaged over the co-observed columns. Rows with no co-observed
+/// column are maximally distant. KnnImpute and the GNN4MV-style
+/// MissingAwareKnnGraph (construct/rule_based.h) both rank rows by it.
+class CoObservedDistance {
+ public:
+  /// Keeps a reference to `data`, which must outlive this object.
+  explicit CoObservedDistance(const TabularDataset& data);
+
+  /// The min(k, rows - 1) rows nearest `row`, itself excluded, nearest
+  /// first; equal distances rank by row index.
+  std::vector<size_t> Nearest(size_t row, size_t k) const;
+
+ private:
+  double Distance(size_t a, size_t b) const;
+
+  const TabularDataset& data_;
+  std::vector<double> stddev_;  // 1 for categorical and unobserved columns
+};
+
 /// kNN imputation: each incomplete row copies the mean (numeric) / majority
-/// (categorical) of its k nearest rows, with distances computed over the
-/// columns both rows observe (scaled by per-column std).
+/// (categorical) of its k nearest rows by CoObservedDistance.
 struct KnnImputeOptions {
   size_t k = 10;
 };

@@ -1,7 +1,5 @@
 #include "gnn/gat.h"
 
-#include "nn/ops.h"
-
 namespace gnn4tdl {
 
 GatLayer::GatLayer(size_t in_dim, size_t out_dim, size_t num_heads, Rng& rng)
@@ -19,61 +17,6 @@ GatLayer::GatLayer(size_t in_dim, size_t out_dim, size_t num_heads, Rng& rng)
     attn_dst_.push_back(
         RegisterParameter(Matrix::GlorotUniform(head_dim_, 1, rng)));
   }
-}
-
-GatLayer::EdgeIndex GatLayer::BuildEdgeIndex(const Graph& g) {
-  EdgeIndex idx;
-  idx.num_nodes = g.num_nodes();
-  for (const Edge& e : g.EdgeList()) {
-    idx.src.push_back(e.src);
-    idx.dst.push_back(e.dst);
-  }
-  for (size_t v = 0; v < g.num_nodes(); ++v) {
-    if (!g.HasEdge(v, v)) {
-      idx.src.push_back(v);
-      idx.dst.push_back(v);
-    }
-  }
-
-  // Counting-sort the edges into CSR rows keyed by destination, stable in
-  // edge order, recording each edge's value slot. Stability keeps the
-  // per-destination summation order of WeightedSpMM identical to a scatter
-  // over the edge list, so the refactor is bit-exact.
-  const size_t n = idx.num_nodes;
-  const size_t num_edges = idx.src.size();
-  std::vector<size_t> row_ptr(n + 1, 0);
-  for (size_t e = 0; e < num_edges; ++e) ++row_ptr[idx.dst[e] + 1];
-  for (size_t v = 0; v < n; ++v) row_ptr[v + 1] += row_ptr[v];
-  std::vector<size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
-  std::vector<size_t> col_idx(num_edges);
-  idx.slot.resize(num_edges);
-  for (size_t e = 0; e < num_edges; ++e) {
-    const size_t p = cursor[idx.dst[e]]++;
-    col_idx[p] = idx.src[e];
-    idx.slot[e] = p;
-  }
-  idx.pattern = SparseMatrix::FromCsr(n, n, std::move(row_ptr),
-                                      std::move(col_idx),
-                                      std::vector<double>(num_edges, 0.0));
-  return idx;
-}
-
-Tensor GatLayer::Forward(const Tensor& h, const EdgeIndex& edges) const {
-  GNN4TDL_CHECK_EQ(h.rows(), edges.num_nodes);
-  Tensor out;
-  for (size_t head = 0; head < num_heads_; ++head) {
-    Tensor hw = head_proj_[head]->Forward(h);  // n x head_dim
-    Tensor s_src = ops::MatMul(hw, attn_src_[head]);  // n x 1
-    Tensor s_dst = ops::MatMul(hw, attn_dst_[head]);  // n x 1
-    Tensor logits = ops::LeakyRelu(
-        ops::Add(ops::GatherRows(s_src, edges.src),
-                 ops::GatherRows(s_dst, edges.dst)));
-    Tensor alpha = ops::EdgeSoftmax(logits, edges.dst, edges.num_nodes);
-    Tensor agg = ops::WeightedSpMM(alpha, hw, edges.pattern, edges.slot,
-                                   edges.src, edges.dst);
-    out = head == 0 ? agg : ops::ConcatCols(out, agg);
-  }
-  return out;
 }
 
 }  // namespace gnn4tdl

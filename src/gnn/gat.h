@@ -3,17 +3,16 @@
 #include <memory>
 #include <vector>
 
-#include "graph/graph.h"
 #include "nn/module.h"
 #include "tensor/sparse.h"
 
 namespace gnn4tdl {
 
-/// Graph attention layer (Veličković et al.). Per head: project with W, score
-/// each edge with LeakyReLU(a_src·Wh_i + a_dst·Wh_j), softmax over each
-/// node's in-edges, aggregate. Heads are concatenated, so out_dim must be a
-/// multiple of num_heads. Self-loops are added to the edge set so every node
-/// attends at least to itself.
+/// Graph attention layer (Veličković et al.): the parameters. Per head:
+/// project with W, score each edge with LeakyReLU(a_src·Wh_u + a_dst·Wh_v),
+/// softmax over the sources node v reads, aggregate. Heads are concatenated,
+/// so out_dim must be a multiple of num_heads. Every node also attends to
+/// itself. The forward is the kGat case of InstanceGraphGnn's Encoder::Eval.
 ///
 /// Survey mapping: Table 5, row "GAT" (Section 4.3) — attention coefficients
 /// α_ij = softmax_j(LeakyReLU(aᵀ [W h_i ; W h_j])) and update
@@ -24,13 +23,13 @@ class GatLayer : public Module {
  public:
   GatLayer(size_t in_dim, size_t out_dim, size_t num_heads, Rng& rng);
 
-  /// Precomputes the edge arrays (with self-loops) for `g`; call once per
-  /// graph, then Forward() any number of times. Alongside the flat edge
-  /// arrays it carries the fixed CSR sparsity (row = dst, col = src, stored
-  /// in edge order within each row) and the edge -> CSR-slot map, so each
-  /// Forward() only stamps attention weights into the pattern and runs the
-  /// SpMM kernel — no per-call graph assembly, and the per-destination
-  /// accumulation order matches the edge order exactly.
+  /// One step's attention pattern, built by InstanceGraphGnn's Operators:
+  /// destination v's edges list the sources adjacency row v reads, then v's
+  /// self-loop when the row has none. Alongside the flat edge arrays it
+  /// carries the same sparsity as CSR (row = dst, col = src, in edge order)
+  /// and the edge -> CSR-slot map, so a forward only stamps attention weights
+  /// into the pattern and runs the SpMM kernel, accumulating each
+  /// destination in edge order.
   struct EdgeIndex {
     std::vector<size_t> src;
     std::vector<size_t> dst;
@@ -38,9 +37,6 @@ class GatLayer : public Module {
     SparseMatrix pattern;      // values are placeholders, overwritten per call
     std::vector<size_t> slot;  // slot[e] = index into pattern values for edge e
   };
-  static EdgeIndex BuildEdgeIndex(const Graph& g);
-
-  Tensor Forward(const Tensor& h, const EdgeIndex& edges) const;
 
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return head_dim_ * num_heads_; }

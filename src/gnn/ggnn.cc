@@ -1,7 +1,5 @@
 #include "gnn/ggnn.h"
 
-#include "nn/ops.h"
-
 namespace gnn4tdl {
 
 GgnnLayer::GgnnLayer(size_t dim, Rng& rng)
@@ -18,18 +16,6 @@ GgnnLayer::GgnnLayer(size_t dim, Rng& rng)
   RegisterSubmodule(&reset_h_);
   RegisterSubmodule(&cand_x_);
   RegisterSubmodule(&cand_h_);
-}
-
-Tensor GgnnLayer::Forward(const Tensor& h, const SparseMatrix& norm_adj) const {
-  GNN4TDL_CHECK_EQ(h.cols(), dim_);
-  Tensor m = ops::SpMM(norm_adj, h);
-  Tensor z = ops::Sigmoid(ops::Add(update_x_.Forward(m), update_h_.Forward(h)));
-  Tensor r = ops::Sigmoid(ops::Add(reset_x_.Forward(m), reset_h_.Forward(h)));
-  Tensor cand = ops::Tanh(
-      ops::Add(cand_x_.Forward(m), cand_h_.Forward(ops::CwiseMul(r, h))));
-  // h' = (1 - z) ⊙ h + z ⊙ cand.
-  Tensor one = Tensor::Constant(Matrix::Ones(h.rows(), h.cols()));
-  return ops::Add(ops::CwiseMul(ops::Sub(one, z), h), ops::CwiseMul(z, cand));
 }
 
 }  // namespace gnn4tdl

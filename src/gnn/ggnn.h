@@ -1,13 +1,14 @@
 #pragma once
 
 #include "nn/module.h"
-#include "tensor/sparse.h"
 
 namespace gnn4tdl {
 
-/// Gated graph layer (Li et al., GGNN): a GRU cell whose input is the
-/// aggregated neighbor message. Dimension-preserving (state stays `dim`).
-/// Fi-GNN uses this gate to regulate information flow on feature graphs.
+/// Gated graph layer (Li et al., GGNN): the parameters of a GRU cell whose
+/// input is the aggregated neighbor message. Dimension-preserving (state
+/// stays `dim`). Fi-GNN uses this gate to regulate information flow on
+/// feature graphs. The forward is the kGgnn case of InstanceGraphGnn's
+/// Encoder::Eval.
 ///
 /// Survey mapping: Table 5, row "GGNN" — the recurrent update
 /// h_v' = GRU(h_v, Σ_{u∈N(v)} Â_vu h_u), which the survey's feature-graph
@@ -16,9 +17,6 @@ namespace gnn4tdl {
 class GgnnLayer : public Module {
  public:
   GgnnLayer(size_t dim, Rng& rng);
-
-  /// One propagation step: m = Â h; h' = GRU(h, m).
-  Tensor Forward(const Tensor& h, const SparseMatrix& norm_adj) const;
 
   size_t dim() const { return dim_; }
   const Linear& update_x() const { return update_x_; }

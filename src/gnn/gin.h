@@ -1,14 +1,14 @@
 #pragma once
 
 #include "nn/module.h"
-#include "tensor/sparse.h"
 
 namespace gnn4tdl {
 
-/// Graph isomorphism layer (Xu et al.): H' = MLP((1 + eps) H + sum_nbr(H))
-/// with a learnable eps. `sum_adj` is the *unnormalized* adjacency
-/// (Graph::adjacency()): GIN's expressiveness argument relies on sum
-/// aggregation.
+/// Graph isomorphism layer (Xu et al.): the parameters of
+/// H' = MLP((1 + eps) H + sum_nbr(H)) with a learnable eps. The neighbor sum
+/// runs over the *unnormalized* adjacency: GIN's expressiveness argument
+/// relies on sum aggregation. The forward is the kGin case of
+/// InstanceGraphGnn's Encoder::Eval.
 ///
 /// Survey mapping: Table 5, row "GIN" (Section 4.3) — the
 /// Weisfeiler-Lehman-strength update h_v' = MLP((1 + ε) h_v + Σ_{u∈N(v)}
@@ -18,12 +18,6 @@ namespace gnn4tdl {
 class GinLayer : public Module {
  public:
   GinLayer(size_t in_dim, size_t out_dim, size_t hidden_dim, Rng& rng);
-
-  Tensor Forward(const Tensor& h, const SparseMatrix& sum_adj) const;
-
-  /// Forward followed by `act`, fused into the MLP's last layer node.
-  Tensor Forward(const Tensor& h, const SparseMatrix& sum_adj,
-                 Activation act) const;
 
   size_t in_dim() const { return mlp_.in_dim(); }
   size_t out_dim() const { return mlp_.out_dim(); }

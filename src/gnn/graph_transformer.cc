@@ -1,9 +1,5 @@
 #include "gnn/graph_transformer.h"
 
-#include <cmath>
-
-#include "nn/ops.h"
-
 namespace gnn4tdl {
 
 GraphTransformerLayer::GraphTransformerLayer(size_t dim, size_t attn_dim,
@@ -25,33 +21,6 @@ GraphTransformerLayer::GraphTransformerLayer(size_t dim, size_t attn_dim,
   ln1_beta_ = RegisterParameter(Matrix::Zeros(1, dim));
   ln2_gamma_ = RegisterParameter(Matrix::Ones(1, dim));
   ln2_beta_ = RegisterParameter(Matrix::Zeros(1, dim));
-}
-
-Tensor GraphTransformerLayer::Forward(const Tensor& h,
-                                      const Matrix& adj_dense) const {
-  GNN4TDL_CHECK_EQ(h.cols(), dim_);
-  GNN4TDL_CHECK_EQ(adj_dense.rows(), h.rows());
-  GNN4TDL_CHECK_EQ(adj_dense.cols(), h.rows());
-  const size_t n = h.rows();
-
-  Tensor normed = ops::LayerNormRows(h, ln1_gamma_, ln1_beta_);
-  Tensor q = query_.Forward(normed);
-  Tensor k = key_.Forward(normed);
-  Tensor v = value_.Forward(normed);
-
-  Tensor scores = ops::Scale(ops::MatMul(q, ops::Transpose(k)),
-                             1.0 / std::sqrt(static_cast<double>(attn_dim_)));
-  // Structural bias: beta broadcast to n x n, elementwise with A_hat.
-  Tensor ones_col = Tensor::Constant(Matrix::Ones(n, 1));
-  Tensor ones_row = Tensor::Constant(Matrix::Ones(1, n));
-  Tensor beta_full = ops::MatMul(ops::MatMul(ones_col, beta_), ones_row);
-  Tensor bias = ops::CwiseMul(beta_full, Tensor::Constant(adj_dense));
-  Tensor attn = ops::SoftmaxRows(ops::Add(scores, bias));
-
-  Tensor mixed = out_.Forward(ops::MatMul(attn, v));
-  Tensor residual = ops::Add(h, mixed);
-  Tensor ffn_in = ops::LayerNormRows(residual, ln2_gamma_, ln2_beta_);
-  return ops::Add(residual, ffn_.Forward(ffn_in));
 }
 
 }  // namespace gnn4tdl

@@ -1,8 +1,5 @@
 #pragma once
 
-#include <memory>
-
-#include "graph/graph.h"
 #include "nn/module.h"
 
 namespace gnn4tdl {
@@ -17,7 +14,8 @@ namespace gnn4tdl {
 /// targets (the survey positions transformers as a direction, not a scaling
 /// answer). When beta -> 0 the layer ignores the graph; large beta recovers
 /// neighborhood-dominated attention — so the model *learns* how much
-/// structure to use.
+/// structure to use. This class holds the parameters; the forward is the
+/// kTransformer case of InstanceGraphGnn's Encoder::Eval.
 ///
 /// Survey mapping: Section 6 ("future directions: graph transformers"); no
 /// Table 5 row — the survey catalogs transformers as an emerging direction
@@ -28,10 +26,6 @@ namespace gnn4tdl {
 class GraphTransformerLayer : public Module {
  public:
   GraphTransformerLayer(size_t dim, size_t attn_dim, Rng& rng);
-
-  /// `adj_dense` is the dense normalized adjacency bias (n x n), typically
-  /// Graph::GcnNormalized().ToDense() computed once per graph.
-  Tensor Forward(const Tensor& h, const Matrix& adj_dense) const;
 
   /// The learnable structural-bias strength beta (1 x 1).
   const Tensor& structure_bias() const { return beta_; }

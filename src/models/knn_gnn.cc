@@ -104,8 +104,10 @@ bool InputOnly(const Graph& graph, const std::vector<double>& degrees,
 ///
 /// Each step (layer) l runs only on the nodes it computes exactly, V_l. V_0
 /// is every node; V_l is the nodes of V_{l-1} that are not input-only and
-/// whose adjacency row reads only nodes of V_{l-1}. Without a degree
-/// override no node is input-only, so every V_l is every node.
+/// whose adjacency row reads only nodes of V_{l-1}. Every backbone, GAT
+/// included, aggregates node v over adjacency row v. The degrees are the
+/// override's when one is given, else the graph's weighted degrees; without
+/// an override no node is input-only, so every V_l is every node.
 struct InstanceGraphGnn::Operators {
   /// One propagation step, from values on V_{l-1} to values on V_l.
   struct Step {
@@ -131,51 +133,20 @@ struct InstanceGraphGnn::Operators {
 
   static Operators Build(const InstanceGraphGnnOptions& o, const Graph& graph,
                          const std::vector<double>* degree_override = nullptr) {
-    std::vector<size_t> all(graph.num_nodes());
-    std::iota(all.begin(), all.end(), size_t{0});
-    Operators out;
-    out.exact = all;
-    if (degree_override == nullptr ||
-        o.backbone == GnnBackbone::kTransformer) {
-      // One step over every node: no node is input-only, or (global
-      // attention) every node's output reads every node.
-      Step step;
-      switch (o.backbone) {
-        case GnnBackbone::kGcn:
-        case GnnBackbone::kAppnp:
-          step.sparse = graph.GcnNormalized();
-          break;
-        case GnnBackbone::kSage:
-        case GnnBackbone::kGgnn:
-          step.sparse = graph.RowNormalized();
-          break;
-        case GnnBackbone::kGin:
-          step.sparse = graph.adjacency();
-          break;
-        case GnnBackbone::kGat:
-          step.edge_index = GatLayer::BuildEdgeIndex(graph);
-          break;
-        case GnnBackbone::kTransformer:
-          out.dense = (degree_override == nullptr
-                           ? graph.GcnNormalized()
-                           : BuildStep(GnnBackbone::kGcn, graph.adjacency(),
-                                       *degree_override, all, all, all.size())
-                                 .sparse)
-                          .ToDense();
-          break;
-      }
-      step.keep = std::move(all);
-      out.steps.push_back(std::move(step));
-      return out;
+    std::vector<double> graph_degrees;
+    if (degree_override == nullptr) {
+      graph_degrees = graph.Degrees(/*weighted=*/true);
     }
-
-    const std::vector<double>& deg = *degree_override;
+    const std::vector<double>& deg =
+        degree_override != nullptr ? *degree_override : graph_degrees;
     const SparseMatrix& adj = graph.adjacency();
     constexpr size_t kNone = std::numeric_limits<size_t>::max();
-    std::vector<size_t> rows = all;  // V_{l-1}
-    std::vector<size_t> pos = all;   // position of each node in V_{l-1}
+    std::vector<size_t> rows(graph.num_nodes());  // V_{l-1}
+    std::iota(rows.begin(), rows.end(), size_t{0});
+    std::vector<size_t> pos = rows;  // position of each node in V_{l-1}
     const auto kept = [&pos](size_t u) { return pos[u] != kNone; };
     const size_t* reads = adj.col_idx().data();
+    Operators out;
     for (size_t l = 0; l < PropagationSteps(o); ++l) {
       std::vector<size_t> next;
       std::vector<size_t> keep;
@@ -198,15 +169,20 @@ struct InstanceGraphGnn::Operators {
       rows = std::move(next);
       if (!shrank) break;
     }
+    // Global attention reads every node; CheckScoreInputs has ruled out
+    // input-only nodes, so the first step covers the whole graph.
+    if (o.backbone == GnnBackbone::kTransformer && !out.steps.empty()) {
+      out.dense = out.steps[0].sparse.ToDense();
+    }
     out.exact = std::move(rows);
     return out;
   }
 
   /// One step's operator built directly in CSR: the rows `rows` of the
   /// backbone's operator under the degrees `deg`, each column u remapped to
-  /// pos[u] < cols. Entries keep the order and arithmetic of the full operator
-  /// (Graph::GcnNormalized / RowNormalized with `deg`, GatLayer's edge
-  /// index), so every per-row sum keeps its floating-point order.
+  /// pos[u] < cols. Row v holds adjacency row v's entries in order, plus the
+  /// self-loop GCN and GAT add, so a row sums in the same floating-point
+  /// order on the whole graph and on any subgraph that keeps the row.
   static Step BuildStep(GnnBackbone backbone, const SparseMatrix& adj,
                         const std::vector<double>& deg,
                         const std::vector<size_t>& rows,
@@ -215,9 +191,19 @@ struct InstanceGraphGnn::Operators {
       const double d = deg[v] + 1.0;
       return d > 0 ? std::sqrt(d) : 1.0;
     };
+    // Sized up front: the operator of a whole training graph lives as long
+    // as the model, so growth slack would stay allocated with it.
+    const bool self_loops = backbone != GnnBackbone::kSage &&
+                            backbone != GnnBackbone::kGgnn &&
+                            backbone != GnnBackbone::kGin;
+    size_t max_entries = self_loops ? rows.size() : 0;
+    for (size_t v : rows) max_entries += adj.RowNnz(v);
     std::vector<size_t> row_ptr(1, 0);
     std::vector<size_t> col_idx;
     std::vector<double> values;
+    row_ptr.reserve(rows.size() + 1);
+    col_idx.reserve(max_entries);
+    values.reserve(max_entries);
     for (size_t v : rows) {
       const size_t begin = adj.row_ptr()[v];
       const size_t end = adj.row_ptr()[v + 1];
@@ -264,8 +250,7 @@ struct InstanceGraphGnn::Operators {
           }
           break;
         case GnnBackbone::kGat: {
-          // The sources v reads, then its self-loop when the graph has none:
-          // GatLayer::BuildEdgeIndex's per-destination order.
+          // The sources v reads, then its self-loop when the graph has none.
           bool has_self = false;
           for (size_t e = begin; e < end; ++e) {
             has_self = has_self || adj.col_idx()[e] == v;
@@ -288,6 +273,7 @@ struct InstanceGraphGnn::Operators {
     GatLayer::EdgeIndex& edges = step.edge_index;
     edges.num_nodes = rows.size();
     edges.src = col_idx;
+    edges.dst.reserve(col_idx.size());
     for (size_t i = 0; i < rows.size(); ++i) {
       edges.dst.insert(edges.dst.end(), row_ptr[i + 1] - row_ptr[i], i);
     }
@@ -322,9 +308,9 @@ struct F64Operators {
 };
 
 /// The taped forward of Fit, Predict, Embeddings and PredictInductive: each
-/// step records the node the layer modules record (fused where they fuse,
-/// plain where they do not), and Dropout draws its masks from `rng` only
-/// when `training`.
+/// step records its autograd node, an aggregation or combination followed by
+/// an activation as one fused node (nn/fused), and Dropout draws its masks
+/// from `rng` only when `training`.
 struct TapeOps : F64Operators {
   using Mat = Tensor;
 
@@ -679,8 +665,12 @@ typename B::Mat GatEval(const B& b, const GatLayer& layer,
   return out;
 }
 
-/// GgnnLayer::Forward's steps, in its order: `h` feeds five nodes, and the
-/// order they are recorded in is the order its gradient terms are summed.
+/// One GGNN step, a GRU cell over the aggregated message: m = A h,
+/// z = sigmoid(m W_zx + h W_zh), r = sigmoid(m W_rx + h W_rh),
+/// cand = tanh(m W_cx + (r * h) W_ch), h' = (1 - z) * h + z * cand. `h` feeds
+/// five nodes, recorded in this order: A h, h W_zh, h W_rh, r * h and
+/// (1 - z) * h; the order they are recorded in is the order their gradient
+/// terms are summed.
 template <typename B, typename Step>
 typename B::Mat GgnnEval(const B& b, const GgnnLayer& layer,
                          const typename B::Mat& h, const Step& step) {
@@ -848,7 +838,7 @@ struct InstanceGraphGnn::Encoder : public Module {
       case GnnBackbone::kGin:
         for (size_t l = 0; l < gin_.size(); ++l) {
           // mlp((1 + eps) h + sum_nbr(h)). `h` feeds three nodes, recorded
-          // in GinLayer::Forward's order.
+          // in this order: eps * h, h + eps * h, then the neighbor sum A h.
           const Operators::Step& step = ops.step(l);
           const bool interior = l + 1 < gin_.size();
           Mat kept;
@@ -1090,8 +1080,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
 
   // --- Training strategy (Table 8) ------------------------------------------
   if (options_.strategy == TrainStrategy::kEndToEnd) {
-    std::vector<Tensor> params = encoder_->Parameters();
-    for (const Tensor& p : head_->Parameters()) params.push_back(p);
+    std::vector<Tensor> params = TrainedParameters();
     if (recon_ != nullptr)
       for (const Tensor& p : recon_->Parameters()) params.push_back(p);
     Trainer trainer(params, options_.train);
@@ -1111,8 +1100,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     if (options_.strategy == TrainStrategy::kTwoStage) {
       params = head_->Parameters();  // encoder frozen
     } else {
-      params = encoder_->Parameters();
-      for (const Tensor& p : head_->Parameters()) params.push_back(p);
+      params = TrainedParameters();
     }
     auto head_loss = [&]() -> Tensor {
       Tensor emb = Encode(x_t, options_.strategy ==
@@ -1202,6 +1190,11 @@ class TrainedBundle : public Module {
 
 }  // namespace
 
+std::vector<Tensor> InstanceGraphGnn::TrainedParameters() const {
+  TrainedBundle bundle(encoder_.get(), head_.get());
+  return bundle.Parameters();
+}
+
 size_t InstanceGraphGnn::output_dim() const {
   return head_ != nullptr ? head_->out_dim() : 0;
 }
@@ -1241,9 +1234,8 @@ StatusOr<InstanceGraphGnn::F32Weights> InstanceGraphGnn::CastWeightsToF32()
     return Status::FailedPrecondition(
         "CastWeightsToF32 before Fit or RestoreForInference");
   }
-  TrainedBundle bundle(encoder_.get(), head_.get());
   F32Weights out;
-  for (const Tensor& t : bundle.Parameters()) {
+  for (const Tensor& t : TrainedParameters()) {
     out.emplace(t.id(), FMatrix::FromDouble(t.value()));
   }
   return out;

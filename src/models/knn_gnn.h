@@ -222,10 +222,13 @@ class InstanceGraphGnn : public TabularModel {
       const std::vector<double>& degrees, const F32Weights& weights) const;
 
  private:
+  friend struct InstanceGraphGnnTestPeer;  // gradient checks of Encode
   struct Operators;
   struct Encoder;
 
   Tensor Encode(const Tensor& x, bool training) const;
+  /// The encoder's parameters, then the head's.
+  std::vector<Tensor> TrainedParameters() const;
   Tensor SelfSupervisedLoss(const Matrix& x_features) const;
   /// NT-Xent between the encodings of two masked views of `x_features`.
   Tensor ContrastiveLoss(const Matrix& x_features) const;

@@ -567,6 +567,46 @@ TEST(CsvTest, WriteRejectsDelimitersAndLineBreaksInNamesAndCategories) {
   std::remove(path.c_str());
 }
 
+TEST(CsvTest, WriteRejectsCategoriesThatReadBackAsSomethingElse) {
+  const std::string path = ::testing::TempDir() + "/gnn4tdl_csv_readback.csv";
+  // A missing marker reads back as a missing cell.
+  for (const char* marker : {"", "NA", "NaN", "nan", "?"}) {
+    TabularDataset data(2);
+    ASSERT_TRUE(data.AddCategoricalColumn("c", {0, 1}, {"red", marker}).ok());
+    Status written = WriteCsv(data, path);
+    EXPECT_EQ(written.code(), StatusCode::kInvalidArgument) << marker;
+    EXPECT_NE(written.message().find("column 'c' category '" +
+                                     std::string(marker) + "'"),
+              std::string::npos)
+        << written.ToString();
+  }
+  {
+    // Zip codes: every written cell is a number, so the column would read
+    // back numerical.
+    TabularDataset data(3);
+    ASSERT_TRUE(
+        data.AddCategoricalColumn("zip", {0, 1, -1}, {"10115", "20095"}).ok());
+    Status written = WriteCsv(data, path);
+    EXPECT_EQ(written.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(written.message().find("'zip'"), std::string::npos);
+    EXPECT_NE(written.message().find("'10115'"), std::string::npos)
+        << written.ToString();
+  }
+  {
+    // One written text cell keeps the column categorical.
+    TabularDataset data(2);
+    ASSERT_TRUE(
+        data.AddCategoricalColumn("zip", {0, 1}, {"10115", "unknown"}).ok());
+    ASSERT_TRUE(WriteCsv(data, path).ok());
+    StatusOr<TabularDataset> loaded = ReadCsv(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->column(0).type, ColumnType::kCategorical);
+    EXPECT_EQ(loaded->column(0).categories,
+              (std::vector<std::string>{"10115", "unknown"}));
+  }
+  std::remove(path.c_str());
+}
+
 // Seeded mutants of a small labelled CSV -- bit flips, truncation, inserted
 // and deleted delimiters, CRs, blank lines, a repeated header, odd cells and
 // huge labels -- must each read to a dataset or a typed error, and a dataset

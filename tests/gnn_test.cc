@@ -2,20 +2,23 @@
 // passing actually mixes neighbor information, permutation invariance of
 // readouts), and finite-difference gradient checks through each layer.
 
+#include <cmath>
+#include <memory>
+#include <numeric>
+
 #include <gtest/gtest.h>
 
 #include "construct/rule_based.h"
-#include "gnn/appnp.h"
+#include "data/split.h"
+#include "data/synthetic.h"
 #include "gnn/bipartite_conv.h"
-#include "gnn/gat.h"
 #include "gnn/gcn.h"
-#include "gnn/ggnn.h"
-#include "gnn/gin.h"
 #include "gnn/hypergraph_conv.h"
 #include "gnn/readout.h"
 #include "gnn/rgcn.h"
 #include "gnn/sage.h"
 #include "gradcheck_util.h"
+#include "models/knn_gnn.h"
 #include "nn/optimizer.h"
 #include "nn/ops.h"
 
@@ -86,94 +89,94 @@ TEST(SageLayerTest, GradCheck) {
   });
 }
 
-TEST(GatLayerTest, OutputShapeMultiHead) {
+// GAT, GIN and APPNP hold parameters only; their forward is one case of
+// InstanceGraphGnn's encoder. These behaviour checks score a briefly fitted
+// model through ScoreOnGraph on small hand-made graphs (the gradients are
+// checked per backbone in gradcheck_test.cc).
+std::unique_ptr<InstanceGraphGnn> FitSmall(
+    GnnBackbone backbone, InstanceGraphGnnOptions options = {}) {
+  TabularDataset data = MakeClusters({.num_rows = 40,
+                                      .num_classes = 2,
+                                      .dim_informative = 3,
+                                      .dim_noise = 0,
+                                      .seed = 5});
+  options.backbone = backbone;
+  options.knn.k = 4;
+  options.train.max_epochs = 5;
+  options.train.verbose = false;
+  auto model = std::make_unique<InstanceGraphGnn>(options);
   Rng rng(6);
-  Graph g = Path4();
-  GatLayer layer(3, 6, /*num_heads=*/2, rng);
-  GatLayer::EdgeIndex idx = GatLayer::BuildEdgeIndex(g);
-  Tensor h = Tensor::Constant(Matrix::Randn(4, 3, rng));
-  Tensor out = layer.Forward(h, idx);
-  EXPECT_EQ(out.rows(), 4u);
-  EXPECT_EQ(out.cols(), 6u);
+  EXPECT_TRUE(
+      model->Fit(data, StratifiedSplit(data.class_labels(), 0.5, 0.2, rng))
+          .ok());
+  return model;
+}
+
+// The first `n` featurized training rows.
+Matrix FirstRows(const InstanceGraphGnn& model, size_t n) {
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  return model.feature_cache().GatherRows(rows);
+}
+
+TEST(GatLayerTest, OutputShapeMultiHead) {
+  InstanceGraphGnnOptions options;
+  options.hidden_dim = 6;
+  options.gat_heads = 2;
+  std::unique_ptr<InstanceGraphGnn> model =
+      FitSmall(GnnBackbone::kGat, options);
+  StatusOr<Matrix> emb = model->Embeddings();
+  ASSERT_TRUE(emb.ok()) << emb.status().ToString();
+  EXPECT_EQ(emb->rows(), 40u);
+  EXPECT_EQ(emb->cols(), 6u);
 }
 
 TEST(GatLayerTest, SelfLoopsAddedForIsolatedNodes) {
-  Rng rng(7);
-  Graph empty(3);
-  GatLayer layer(2, 2, 1, rng);
-  GatLayer::EdgeIndex idx = GatLayer::BuildEdgeIndex(empty);
-  EXPECT_EQ(idx.src.size(), 3u);  // one self-loop per node
-  Tensor h = Tensor::Constant(Matrix::Randn(3, 2, rng));
-  Tensor out = layer.Forward(h, idx);
-  EXPECT_GT(out.value().MaxAbs(), 0.0);
-}
-
-TEST(GatLayerTest, GradCheck) {
-  Rng rng(8);
-  Graph g = Path4();
-  GatLayer layer(3, 4, 2, rng);
-  GatLayer::EdgeIndex idx = GatLayer::BuildEdgeIndex(g);
-  Tensor h = Tensor::Constant(Matrix::Randn(4, 3, rng));
-  testing::ExpectGradientsMatch(layer.Parameters(), [&] {
-    return ops::SumSquares(ops::Tanh(layer.Forward(h, idx)));
-  });
-}
-
-TEST(GinLayerTest, GradCheckIncludingEps) {
-  Rng rng(9);
-  Graph g = Path4();
-  SparseMatrix adj = g.adjacency();
-  GinLayer layer(3, 2, 4, rng);
-  Tensor h = Tensor::Constant(Matrix::Randn(4, 3, rng));
-  testing::ExpectGradientsMatch(layer.Parameters(), [&] {
-    return ops::SumSquares(ops::Tanh(layer.Forward(h, adj)));
-  });
+  // With no edges every node attends to its self-loop alone.
+  std::unique_ptr<InstanceGraphGnn> model = FitSmall(GnnBackbone::kGat);
+  StatusOr<Matrix> scores = model->ScoreOnGraph(FirstRows(*model, 3), Graph(3));
+  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+  for (size_t r = 0; r < scores->rows(); ++r) {
+    for (size_t c = 0; c < scores->cols(); ++c) {
+      EXPECT_TRUE(std::isfinite((*scores)(r, c))) << r << "," << c;
+    }
+    EXPECT_GT(scores->Row(r).MaxAbs(), 0.0) << r;
+  }
 }
 
 TEST(GinLayerTest, SumAggregationDistinguishesDegree) {
-  Rng rng(10);
   // Star vs path: node 0 has degree 3 vs degree 1. Sum aggregation must
-  // produce different embeddings for node 0 even with identical features.
+  // score node 0 differently even with identical features.
+  std::unique_ptr<InstanceGraphGnn> model = FitSmall(GnnBackbone::kGin);
   Graph star = Graph::FromEdges(4, {{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0}});
-  Graph path = Graph::FromEdges(4, {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}});
-  GinLayer layer(2, 2, 4, rng);
-  Tensor h = Tensor::Constant(Matrix::Ones(4, 2));
-  Tensor out_star = layer.Forward(h, star.adjacency());
-  Tensor out_path = layer.Forward(h, path.adjacency());
-  EXPECT_FALSE(
-      out_star.value().Row(0).AllClose(out_path.value().Row(0), 1e-9));
-}
-
-TEST(GgnnLayerTest, DimensionPreservingGradCheck) {
-  Rng rng(11);
-  Graph g = Path4();
-  SparseMatrix adj = g.RowNormalized();
-  GgnnLayer layer(3, rng);
-  Tensor h = Tensor::Constant(Matrix::Randn(4, 3, rng));
-  Tensor out = layer.Forward(h, adj);
-  EXPECT_EQ(out.cols(), 3u);
-  testing::ExpectGradientsMatch(layer.Parameters(), [&] {
-    return ops::SumSquares(layer.Forward(h, adj));
-  });
+  const Matrix x = Matrix::Ones(4, model->feature_cache().cols());
+  StatusOr<Matrix> hub = model->ScoreOnGraph(x, star);
+  StatusOr<Matrix> end = model->ScoreOnGraph(x, Path4());
+  ASSERT_TRUE(hub.ok() && end.ok());
+  EXPECT_FALSE(hub->Row(0).AllClose(end->Row(0), 1e-9));
 }
 
 TEST(AppnpTest, AlphaOneIsIdentity) {
-  Rng rng(12);
-  Graph g = Path4();
-  Tensor h0 = Tensor::Constant(Matrix::Randn(4, 2, rng));
-  Tensor out = AppnpPropagate(h0, g.GcnNormalized(), 5, /*alpha=*/1.0);
-  EXPECT_TRUE(out.value().AllClose(h0.value(), 1e-12));
+  // Teleport probability 1 keeps the MLP's output: the graph is ignored.
+  InstanceGraphGnnOptions options;
+  options.appnp_alpha = 1.0;
+  std::unique_ptr<InstanceGraphGnn> model =
+      FitSmall(GnnBackbone::kAppnp, options);
+  const Matrix x = FirstRows(*model, 4);
+  StatusOr<Matrix> on_path = model->ScoreOnGraph(x, Path4());
+  StatusOr<Matrix> isolated = model->ScoreOnGraph(x, Graph(4));
+  ASSERT_TRUE(on_path.ok() && isolated.ok());
+  EXPECT_TRUE(on_path->AllClose(*isolated, 0.0));
 }
 
 TEST(AppnpTest, SmoothsTowardNeighbors) {
-  Graph g = Path4();
-  Matrix x(4, 1);
-  x(0, 0) = 1.0;  // single hot node
-  Tensor h0 = Tensor::Constant(x);
-  Tensor out = AppnpPropagate(h0, g.GcnNormalized(), 10, 0.1);
-  // Mass spreads along the path: node 1 gets more than node 3.
-  EXPECT_GT(out.value()(1, 0), out.value()(3, 0));
-  EXPECT_GT(out.value()(3, 0), 0.0);
+  // At the default teleport probability node 3 mixes in node 2's output.
+  std::unique_ptr<InstanceGraphGnn> model = FitSmall(GnnBackbone::kAppnp);
+  const Matrix x = FirstRows(*model, 4);
+  StatusOr<Matrix> on_path = model->ScoreOnGraph(x, Path4());
+  StatusOr<Matrix> isolated = model->ScoreOnGraph(x, Graph(4));
+  ASSERT_TRUE(on_path.ok() && isolated.ok());
+  EXPECT_FALSE(on_path->Row(3).AllClose(isolated->Row(3), 1e-9));
 }
 
 TEST(RgcnLayerTest, RelationsContributeSeparately) {

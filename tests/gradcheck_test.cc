@@ -1,16 +1,33 @@
-// Finite-difference gradient checks for every differentiable op in nn/ops.h.
-// These are the load-bearing correctness tests for the autograd engine: if a
-// backward formula is wrong, training everywhere else silently degrades.
+// Finite-difference gradient checks for every differentiable op in nn/ops.h
+// and for the taped encoder of every served model configuration. These are
+// the load-bearing correctness tests for the autograd engine: if a backward
+// formula is wrong, training everywhere else silently degrades.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/split.h"
+#include "data/synthetic.h"
+#include "models/knn_gnn.h"
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "gradcheck_util.h"
+#include "served_configs.h"
 
 namespace gnn4tdl {
+
+/// Reaches the taped forward that InstanceGraphGnn trains through.
+struct InstanceGraphGnnTestPeer {
+  static std::vector<Tensor> Parameters(const InstanceGraphGnn& m) {
+    return m.TrainedParameters();
+  }
+  /// Eval mode: no dropout masks, so repeated calls agree.
+  static Tensor Logits(const InstanceGraphGnn& m, const Tensor& x) {
+    return m.head_->Forward(m.Encode(x, /*training=*/false));
+  }
+};
+
 namespace {
 
 using testing::ExpectGradientsMatch;
@@ -315,6 +332,42 @@ TEST(GradCheck, CompositeGnnLikeComputation) {
     return ops::SumSquares(out);
   });
 }
+
+// The taped encoder and head, the forward Fit trains through, for each
+// served configuration: every parameter of a briefly fitted small model.
+class EncoderGradCheckTest : public ::testing::TestWithParam<ServedConfig> {};
+
+TEST_P(EncoderGradCheckTest, MatchesFiniteDifferences) {
+  TabularDataset data = MakeClusters({.num_rows = 16,
+                                      .num_classes = 2,
+                                      .dim_informative = 3,
+                                      .dim_noise = 0,
+                                      .seed = 31});
+  InstanceGraphGnnOptions options;
+  ApplyServedConfig(GetParam(), &options);
+  options.hidden_dim = 4;
+  options.gat_heads = 2;
+  options.appnp_steps = 3;
+  options.knn.k = 4;
+  options.train.max_epochs = 2;
+  options.train.verbose = false;
+  InstanceGraphGnn model(options);
+  Rng rng(32);
+  ASSERT_TRUE(
+      model.Fit(data, StratifiedSplit(data.class_labels(), 0.5, 0.2, rng))
+          .ok());
+  const Tensor x = Tensor::Constant(model.feature_cache());
+  ExpectGradientsMatch(InstanceGraphGnnTestPeer::Parameters(model), [&] {
+    return ops::SumSquares(
+        ops::Tanh(InstanceGraphGnnTestPeer::Logits(model, x)));
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, EncoderGradCheckTest,
+                         ::testing::ValuesIn(AllServedConfigs()),
+                         [](const auto& info) {
+                           return ServedConfigName(info.param);
+                         });
 
 }  // namespace
 }  // namespace gnn4tdl

@@ -1,11 +1,13 @@
 #pragma once
 
 // The model configurations every serving contract is checked over: the seven
-// Table 5 backbones plus GCN with jumping knowledge, GCN with PairNorm, and
-// two frontier depths: a 1-layer GCN, whose anchors are input-only, and a
-// 3-layer SAGE, whose frontier shrinks twice before the last layer.
-// Shared by the bit-exactness suite (tests/serve_test.cc) and the f32
-// tolerance suite (tests/serve_precision_test.cc).
+// Table 5 backbones plus GCN with jumping knowledge, GCN with PairNorm, two
+// frontier depths (a 1-layer GCN, whose anchors are input-only, and a
+// 3-layer SAGE, whose frontier shrinks twice before the last layer), and a
+// GAT trained on a sampled, hence directed, graph. Shared by the
+// bit-exactness suite (tests/serve_test.cc), the f32 tolerance suite
+// (tests/serve_precision_test.cc) and the encoder gradient checks
+// (tests/gradcheck_test.cc).
 
 #include <string>
 #include <vector>
@@ -27,6 +29,7 @@ enum class ServedConfig {
   kGcnPairNorm,
   kGcnOneLayer,
   kSageThreeLayers,
+  kGatSampled,
 };
 
 inline std::vector<ServedConfig> AllServedConfigs() {
@@ -35,7 +38,7 @@ inline std::vector<ServedConfig> AllServedConfigs() {
           ServedConfig::kGgnn,        ServedConfig::kAppnp,
           ServedConfig::kTransformer, ServedConfig::kGcnJumpingKnowledge,
           ServedConfig::kGcnPairNorm, ServedConfig::kGcnOneLayer,
-          ServedConfig::kSageThreeLayers};
+          ServedConfig::kSageThreeLayers, ServedConfig::kGatSampled};
 }
 
 /// Sets the backbone, the GCN extras and the depth of `config` on `options`.
@@ -58,6 +61,10 @@ inline void ApplyServedConfig(ServedConfig config,
       options->backbone = GnnBackbone::kSage;
       options->num_layers = 3;
       return;
+    case ServedConfig::kGatSampled:
+      options->backbone = GnnBackbone::kGat;
+      options->neighbor_sample = 3;
+      return;
     default:
       options->backbone = static_cast<GnnBackbone>(config);
       return;
@@ -75,6 +82,8 @@ inline std::string ServedConfigName(ServedConfig config) {
       return "gcn_1layer";
     case ServedConfig::kSageThreeLayers:
       return "sage_3layer";
+    case ServedConfig::kGatSampled:
+      return "gat_sampled";
     default:
       return GnnBackboneName(static_cast<GnnBackbone>(config));
   }
