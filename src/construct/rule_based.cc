@@ -4,9 +4,11 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "data/impute.h"
+#include "obs/trace.h"
 
 namespace gnn4tdl {
 
@@ -31,47 +33,72 @@ Graph KnnGraph(const Matrix& x, const KnnGraphOptions& options) {
   GNN4TDL_CHECK_GT(options.k, 0u);
   const size_t k = std::min(options.k, n > 0 ? n - 1 : 0);
 
-  const std::vector<std::vector<KnnHit>> nbrs =
-      KnnReference(x, options.metric, options.gamma)
-          .TopK(x, k, /*exclude_self=*/true);
+  obs::TraceSpan span("construct/knn_graph");
+  std::vector<std::vector<KnnHit>> nbrs;
+  {
+    obs::TraceSpan search("construct/knn_search");
+    nbrs = KnnReference(x, options.metric, options.gamma)
+               .TopK(x, k, /*exclude_self=*/true);
+  }
 
-  // Each selected pair as (min, max), in selection order.
-  std::vector<Edge> edges;
-  edges.reserve(n * k);
+  obs::TraceSpan csr("construct/knn_csr");
+  // A kept pick i -> j: every pick for the union, a pick both rows made
+  // (taken once, from the lower row) for mutual kNN.
+  const auto kept = [&](size_t i, size_t j) {
+    if (!options.mutual) return true;
+    return j > i && std::any_of(nbrs[j].begin(), nbrs[j].end(),
+                                [i](const KnnHit& h) { return h.index == i; });
+  };
+  // Each kept pick lands in both endpoint rows. Placing the picks with i
+  // ascending puts a pair picked both ways in selection order (the lower
+  // row's pick first) within each of its two rows.
+  std::vector<size_t> row_ptr(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (const KnnHit& hit : nbrs[i]) {
+      if (!kept(i, hit.index)) continue;
+      ++row_ptr[i + 1];
+      ++row_ptr[hit.index + 1];
+    }
+  }
+  for (size_t v = 0; v < n; ++v) row_ptr[v + 1] += row_ptr[v];
+  std::vector<std::pair<size_t, double>> entries(row_ptr[n]);
+  std::vector<size_t> next(row_ptr.begin(), row_ptr.end() - 1);
   for (size_t i = 0; i < n; ++i) {
     for (const KnnHit& hit : nbrs[i]) {
       const size_t j = hit.index;
-      if (options.mutual) {
-        if (j < i) continue;  // mutual pairs added once, then symmetrized
-        if (std::none_of(nbrs[j].begin(), nbrs[j].end(),
-                         [i](const KnnHit& h) { return h.index == i; }))
-          continue;
-      }
+      if (!kept(i, j)) continue;
       const double w =
           options.weighted ? WeightFromSimilarity(hit.similarity, options.metric)
                            : 1.0;
-      edges.push_back({std::min(i, j), std::max(i, j), w});
+      entries[next[i]++] = {j, w};
+      entries[next[j]++] = {i, w};
     }
   }
-  // Symmetrize as the union of directed edges: FromTriplets would sum the two
-  // directions of a pair selected both ways, so keep each undirected pair
-  // once, in ascending (min, max) order, folding a duplicate's weight in with
-  // std::max in selection order.
-  std::stable_sort(edges.begin(), edges.end(),
-                   [](const Edge& a, const Edge& b) {
-                     return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-                   });
-  size_t kept = 0;
-  for (const Edge& e : edges) {
-    Edge* last = kept > 0 ? &edges[kept - 1] : nullptr;
-    if (last != nullptr && last->src == e.src && last->dst == e.dst) {
-      last->weight = std::max(last->weight, e.weight);
-    } else {
-      edges[kept++] = e;
+  // Sort each row by column and keep a pair picked both ways once, folding
+  // its two weights with std::max in selection order.
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(entries.size());
+  values.reserve(entries.size());
+  for (size_t v = 0; v < n; ++v) {
+    auto* const first = entries.data() + row_ptr[v];
+    auto* const last = entries.data() + row_ptr[v + 1];
+    std::stable_sort(first, last, [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    row_ptr[v] = col_idx.size();
+    for (const auto* e = first; e != last; ++e) {
+      if (e != first && e->first == e[-1].first) {
+        values.back() = std::max(values.back(), e->second);
+      } else {
+        col_idx.push_back(e->first);
+        values.push_back(e->second);
+      }
     }
   }
-  edges.resize(kept);
-  return Graph::FromEdges(n, edges, /*symmetrize=*/true);
+  row_ptr[n] = col_idx.size();
+  return Graph::FromAdjacency(SparseMatrix::FromCsr(
+      n, n, std::move(row_ptr), std::move(col_idx), std::move(values)));
 }
 
 Graph ThresholdGraph(const Matrix& x, const ThresholdGraphOptions& options) {

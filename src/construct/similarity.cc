@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 
 #include "common/check.h"
@@ -171,10 +172,21 @@ std::vector<KnnHit> SelectTopK(const double* acc, size_t n, double a_norm,
   const auto better = [](const KnnHit& a, const KnnHit& b) {
     return BetterHit(a, b);
   };
+  // Euclidean and Manhattan rank by a monotone function of the raw
+  // accumulation, so a candidate whose accumulation is >= the worst kept
+  // hit's cannot beat it (on a tie the later index loses) and is skipped
+  // before Finalize. The bound is NaN until the heap fills, and a NaN
+  // bound or accumulation rejects nothing.
+  constexpr bool kQuickReject =
+      M == SimilarityMetric::kEuclidean || M == SimilarityMetric::kManhattan;
+  double bound = std::numeric_limits<double>::quiet_NaN();
   std::vector<KnnHit> heap;
   heap.reserve(take);
   for (size_t j = 0; j < n; ++j) {
     if (j == exclude) continue;
+    if constexpr (kQuickReject) {
+      if (acc[j] >= bound) continue;
+    }
     const KnnHit hit{
         j, Finalize<M>(acc[j], a_norm, b_norm != nullptr ? b_norm[j] : 0.0,
                        gamma)};
@@ -185,6 +197,9 @@ std::vector<KnnHit> SelectTopK(const double* acc, size_t n, double a_norm,
       std::pop_heap(heap.begin(), heap.end(), better);
       heap.back() = hit;
       std::push_heap(heap.begin(), heap.end(), better);
+    }
+    if constexpr (kQuickReject) {
+      if (heap.size() == take) bound = acc[heap.front().index];
     }
   }
   std::sort_heap(heap.begin(), heap.end(), better);

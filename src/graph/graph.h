@@ -24,9 +24,10 @@ class Graph {
       : num_nodes_(num_nodes),
         adj_(SparseMatrix::FromTriplets(num_nodes, num_nodes, {})) {}
 
-  /// Builds from an edge list. If `symmetrize`, each edge is mirrored
-  /// (weights of coincident edges are averaged via duplicate-summing then
-  /// halving mirrored pairs is avoided by inserting both directions once).
+  /// Builds from an edge list. If `symmetrize`, each non-loop edge is also
+  /// inserted reversed. The weights of coincident entries are summed, so an
+  /// edge listed in both directions and symmetrized holds the sum of the two
+  /// weights in both entries.
   static Graph FromEdges(size_t num_nodes, const std::vector<Edge>& edges,
                          bool symmetrize = true);
 

@@ -99,6 +99,9 @@ void Trainer::RestoreParams() {
 TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
                          const std::function<double()>& val_metric_fn) {
   TrainResult result;
+  // Early stopping is the validation metric's only reader: without it the
+  // closure never runs, and best_val_metric stays 0.
+  const bool early_stopping = val_metric_fn && options_.patience > 0;
   double best_metric = -std::numeric_limits<double>::infinity();
   int epochs_since_best = 0;
 
@@ -171,7 +174,7 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
     }
     ++result.epochs_run;
 
-    if (val_metric_fn) {
+    if (early_stopping) {
       double metric;
       {
         obs::TraceSpan span("train/validate");
@@ -180,7 +183,7 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
       if (metric > best_metric) {
         best_metric = metric;
         epochs_since_best = 0;
-        if (options_.patience > 0) SnapshotParams();
+        SnapshotParams();
       } else {
         ++epochs_since_best;
       }
@@ -189,9 +192,7 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
         std::fprintf(stderr, "epoch %4d  loss %.5f  val %.4f\n", epoch,
                      result.final_train_loss, metric);
       }
-      if (options_.patience > 0 && epochs_since_best >= options_.patience) {
-        break;
-      }
+      if (epochs_since_best >= options_.patience) break;
     } else if (options_.verbose && epoch % 20 == 0) {
       // lint:stderr(opt-in verbose epoch log, not a library diagnostic)
       std::fprintf(stderr, "epoch %4d  loss %.5f\n", epoch,
@@ -199,10 +200,8 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
     }
   }
 
-  if (val_metric_fn && options_.patience > 0 && !best_values_.empty()) {
-    RestoreParams();
-  }
-  result.best_val_metric = val_metric_fn ? best_metric : 0.0;
+  if (early_stopping && !best_values_.empty()) RestoreParams();
+  result.best_val_metric = early_stopping ? best_metric : 0.0;
   return result;
 }
 

@@ -28,7 +28,9 @@ struct TrainOptions {
   LrSchedule lr_schedule = LrSchedule::kConstant;
   double weight_decay = 0.0;
   /// Early stopping: stop after this many epochs without val improvement and
-  /// restore the best parameters (0 = train to max_epochs).
+  /// restore the best parameters (0 = train to max_epochs). Early stopping is
+  /// the only reader of the validation closure, so with 0 Fit never calls it
+  /// and verbose epoch logs print no `val`.
   int patience = 30;
   /// Global gradient-norm clip (0 = off).
   double grad_clip = 0.0;
@@ -43,6 +45,8 @@ struct TrainOptions {
 /// Outcome of a training run.
 struct TrainResult {
   int epochs_run = 0;
+  /// Best validation metric seen; 0 unless early stopping ran the validation
+  /// closure (a val_metric_fn and patience > 0).
   double best_val_metric = 0.0;
   double final_train_loss = 0.0;
   /// OK unless a TapeVerifier pass (TrainOptions::verify_tape_every) failed,
@@ -54,7 +58,9 @@ struct TrainResult {
 /// Full-batch gradient trainer (the dominant regime in GNN4TDL: the whole
 /// instance graph is one batch). The model supplies a loss closure that
 /// rebuilds the forward graph each epoch; an optional validation closure
-/// (higher = better) drives early stopping with best-parameter restore.
+/// (higher = better) drives early stopping with best-parameter restore. The
+/// closure runs once per epoch only when early stopping is on (patience > 0);
+/// otherwise it is never called, and verbose logs print `val` only then.
 ///
 /// All six training strategies of Table 8 reduce to sequences of Fit calls
 /// over different parameter sets and closures; see train/strategies in the
@@ -72,7 +78,7 @@ class Trainer {
   Trainer(std::vector<Tensor> params, const TrainOptions& options);
 
   /// Runs the loop: ZeroGrad -> loss_fn() -> Backward -> Step, with early
-  /// stopping on `val_metric_fn` when provided.
+  /// stopping on `val_metric_fn` when provided and patience > 0.
   TrainResult Fit(const std::function<Tensor()>& loss_fn,
                   const std::function<double()>& val_metric_fn = nullptr);
 

@@ -34,6 +34,15 @@ TEST(GraphTest, DirectedWhenNotSymmetrized) {
   EXPECT_FALSE(g.IsSymmetric());
 }
 
+TEST(GraphTest, FromEdgesSumsCoincidentWeights) {
+  // Symmetrizing an edge listed in both directions puts both weights in
+  // each entry.
+  Graph g = Graph::FromEdges(2, {{0, 1, 0.25}, {1, 0, 0.5}});
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(g.adjacency().At(0, 1), 0.75);
+  EXPECT_EQ(g.adjacency().At(1, 0), 0.75);
+}
+
 TEST(GraphTest, NeighborsAndDegrees) {
   Graph g = Path3();
   EXPECT_EQ(g.Neighbors(1), (std::vector<size_t>{0, 2}));

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "construct/rule_based.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "gate_clock.h"
@@ -125,9 +126,10 @@ TEST_F(TracingTest, SpansOpenedInsideParallelForParentUnderTheCallersSpan) {
 }
 
 // Trainer::Fit's phase spans are the training ledger: forward, backward,
-// optimizer and validate nest directly under each train/epoch span and
-// together cover at least 95% of it.
-TEST_F(TracingTest, TrainPhaseSpansNestUnderEpochAndCoverIt) {
+// optimizer and (with early stopping on) validate nest directly under each
+// train/epoch span and together cover at least 95% of it. With early stopping
+// off the validation closure never runs, so there is no train/validate span.
+void ExpectTrainPhasesCoverEpochs(int patience) {
   TabularDataset data = MakeClusters({.num_rows = 200,
                                       .num_classes = 3,
                                       .dim_informative = 6,
@@ -141,6 +143,7 @@ TEST_F(TracingTest, TrainPhaseSpansNestUnderEpochAndCoverIt) {
   options.num_layers = 2;
   options.knn.k = 6;
   options.train.max_epochs = 6;
+  options.train.patience = patience;
   options.train.verbose = false;
   InstanceGraphGnn model(options);
   Tracer& tracer = Tracer::Global();
@@ -165,7 +168,10 @@ TEST_F(TracingTest, TrainPhaseSpansNestUnderEpochAndCoverIt) {
     covered[s.parent] += s.dur_ns;
     ++count[s.name];
   }
-  for (const std::string& phase : phases) EXPECT_EQ(count[phase], 6u) << phase;
+  for (const std::string& phase : phases) {
+    const size_t want = phase == "train/validate" && patience == 0 ? 0u : 6u;
+    EXPECT_EQ(count[phase], want) << phase;
+  }
   int64_t total = 0, total_covered = 0;
   for (const auto& [id, dur] : epoch_dur) {
     total += dur;
@@ -173,6 +179,36 @@ TEST_F(TracingTest, TrainPhaseSpansNestUnderEpochAndCoverIt) {
   }
   EXPECT_GE(static_cast<double>(total_covered),
             0.95 * static_cast<double>(total));
+}
+
+TEST_F(TracingTest, TrainPhaseSpansNestUnderEpochAndCoverIt) {
+  ExpectTrainPhasesCoverEpochs(/*patience=*/30);
+}
+
+TEST_F(TracingTest, TrainPhaseSpansCoverEpochWithoutValidation) {
+  ExpectTrainPhasesCoverEpochs(/*patience=*/0);
+}
+
+// KnnGraph's construction row: the search and the CSR build nest under one
+// construct/knn_graph span.
+TEST_F(TracingTest, KnnGraphSpansNestSearchAndCsrBuild) {
+  Rng rng(3);
+  const Matrix x = Matrix::Randn(40, 4, rng);
+  Tracer& tracer = Tracer::Global();
+  tracer.Start();
+  const Graph g = KnnGraph(x, {.k = 3});
+  tracer.Stop();
+  EXPECT_GT(g.num_edges(), 0u);
+
+  const std::vector<SpanRecord> spans = tracer.Collect();
+  const SpanRecord* graph = FindSpan(spans, "construct/knn_graph");
+  const SpanRecord* search = FindSpan(spans, "construct/knn_search");
+  const SpanRecord* csr = FindSpan(spans, "construct/knn_csr");
+  ASSERT_NE(graph, nullptr);
+  ASSERT_NE(search, nullptr);
+  ASSERT_NE(csr, nullptr);
+  EXPECT_EQ(search->parent, graph->id);
+  EXPECT_EQ(csr->parent, graph->id);
 }
 
 TEST_F(TracingTest, StoppedTracerRecordsNothing) {

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <regex>
@@ -114,6 +116,16 @@ Matrix TieHeavyReference(size_t distinct, size_t grid, size_t d,
   return out;
 }
 
+/// 81 random rows with NaN and +-Inf coordinates in its first (NaN), a
+/// middle (+Inf) and its last (-Inf) rows.
+Matrix NonFiniteReference(size_t d) {
+  Matrix x = RandomFeatures(81, d, 31);
+  x(0, 2) = std::numeric_limits<double>::quiet_NaN();
+  x(41, 0) = std::numeric_limits<double>::infinity();
+  x(80, d - 1) = -std::numeric_limits<double>::infinity();
+  return x;
+}
+
 TEST(KnnIndexTest, ExactModeMatchesBruteForce) {
   const size_t d = 6;
   // Reference sizes on both sides of the 4-row lane blocks (1, 2, 3, 5, 81
@@ -126,11 +138,7 @@ TEST(KnnIndexTest, ExactModeMatchesBruteForce) {
         {"random" + std::to_string(n), RandomFeatures(n, d, 5 + n)});
   }
   references.push_back({"ties", tie_reference});
-  Matrix non_finite = RandomFeatures(81, d, 31);
-  non_finite(0, 2) = std::numeric_limits<double>::quiet_NaN();
-  non_finite(41, 0) = std::numeric_limits<double>::infinity();
-  non_finite(80, 5) = -std::numeric_limits<double>::infinity();
-  references.push_back({"non_finite", non_finite});
+  references.push_back({"non_finite", NonFiniteReference(d)});
 
   // Random queries, copies of duplicated rows, and grid rows.
   Matrix queries = RandomFeatures(6, d, 9);
@@ -257,33 +265,73 @@ Graph OracleKnnGraph(const Matrix& x, const KnnGraphOptions& options) {
   return Graph::FromEdges(n, edges, /*symmetrize=*/true);
 }
 
+/// `x` with a NaN in row 1, column 2 whose payload differs from the
+/// quiet_NaN() in row 0.
+Matrix TwoNanPayloads(Matrix x) {
+  x(1, 2) = std::bit_cast<double>(uint64_t{0x7ff8000000000123});
+  return x;
+}
+
 TEST(KnnGraphTest, MatchesBruteForceOracleBitForBit) {
-  // 61 rows (a partial last lane block), with duplicated rows for ties.
-  const Matrix x =
-      RandomFeatures(25, 5, 41).ConcatRows(TieHeavyReference(8, 12, 5, 43));
-  for (SimilarityMetric metric : kAllMetrics) {
-    for (bool mutual : {false, true}) {
-      for (bool weighted : {false, true}) {
-        KnnGraphOptions options;
-        options.k = 6;
-        options.metric = metric;
-        options.gamma = 0.5;
-        options.mutual = mutual;
-        options.weighted = weighted;
-        const std::vector<Edge> got = KnnGraph(x, options).EdgeList();
-        const std::vector<Edge> want = OracleKnnGraph(x, options).EdgeList();
-        const std::string where = std::string(SimilarityMetricName(metric)) +
-                                  (mutual ? " mutual" : " union") +
-                                  (weighted ? " weighted" : " unweighted");
-        ASSERT_EQ(got.size(), want.size()) << where;
-        ASSERT_GT(got.size(), 0u) << where;
-        for (size_t e = 0; e < got.size(); ++e) {
-          EXPECT_EQ(got[e].src, want[e].src) << where << " edge " << e;
-          EXPECT_EQ(got[e].dst, want[e].dst) << where << " edge " << e;
-          EXPECT_EQ(std::memcmp(&got[e].weight, &want[e].weight,
-                                sizeof(double)),
-                    0)
-              << where << " edge " << e;
+  struct Table {
+    std::string name;
+    Matrix x;
+    std::vector<size_t> ks;
+    std::vector<SimilarityMetric> metrics = {std::begin(kAllMetrics),
+                                             std::end(kAllMetrics)};
+  };
+  const Table tables[] = {
+      // 61 rows (a partial last lane block), with duplicated rows for ties.
+      {"ties",
+       RandomFeatures(25, 5, 41).ConcatRows(TieHeavyReference(8, 12, 5, 43)),
+       {6}},
+      // NaN and +-Inf cells; at k = 41 the all-NaN rows pick each other.
+      {"non_finite", NonFiniteReference(5), {6, 41}},
+      // NaN weights pin the order of the std::max fold. A pair scores the
+      // same bits both ways unless two NaNs meet, so row 1 gets a NaN with
+      // another payload in row 0's NaN column: rows 0 and 1 pick each other,
+      // and a - b makes each direction carry its query's payload into the
+      // fold. Only the difference-based metrics: a product's NaN operand
+      // order is the compiler's choice.
+      {"nan_payloads",
+       TwoNanPayloads(NonFiniteReference(5)),
+       {6},
+       {SimilarityMetric::kEuclidean, SimilarityMetric::kManhattan,
+        SimilarityMetric::kRbf}},
+      // k >= n - 1: every row picks every other, so every pair is picked
+      // both ways.
+      {"complete", RandomFeatures(7, 5, 47), {6, 9}},
+  };
+  for (const Table& table : tables) {
+    for (size_t k : table.ks) {
+      for (SimilarityMetric metric : table.metrics) {
+        for (bool mutual : {false, true}) {
+          for (bool weighted : {false, true}) {
+            KnnGraphOptions options;
+            options.k = k;
+            options.metric = metric;
+            options.gamma = 0.5;
+            options.mutual = mutual;
+            options.weighted = weighted;
+            const std::vector<Edge> got = KnnGraph(table.x, options).EdgeList();
+            const std::vector<Edge> want =
+                OracleKnnGraph(table.x, options).EdgeList();
+            const std::string where =
+                table.name + " k " + std::to_string(k) + " " +
+                SimilarityMetricName(metric) +
+                (mutual ? " mutual" : " union") +
+                (weighted ? " weighted" : " unweighted");
+            ASSERT_EQ(got.size(), want.size()) << where;
+            ASSERT_GT(got.size(), 0u) << where;
+            for (size_t e = 0; e < got.size(); ++e) {
+              EXPECT_EQ(got[e].src, want[e].src) << where << " edge " << e;
+              EXPECT_EQ(got[e].dst, want[e].dst) << where << " edge " << e;
+              EXPECT_EQ(std::memcmp(&got[e].weight, &want[e].weight,
+                                    sizeof(double)),
+                        0)
+                  << where << " edge " << e;
+            }
+          }
         }
       }
     }

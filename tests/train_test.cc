@@ -46,6 +46,31 @@ TEST(TrainerTest, EarlyStoppingHaltsAndRestoresBest) {
   EXPECT_LT(x.value()(0, 0), 50.0);
 }
 
+TEST(TrainerTest, ValidationRunsOnlyWhenEarlyStoppingReadsIt) {
+  const auto fit = [](int patience, int* val_calls) {
+    Tensor x = Tensor::Leaf(Matrix::Full(1, 1, 3.0), true);
+    Trainer trainer({x}, {.max_epochs = 10,
+                          .learning_rate = 0.1,
+                          .patience = patience});
+    return trainer.Fit([&] { return ops::SumSquares(x); },
+                       [val_calls]() -> double {
+                         ++*val_calls;
+                         return static_cast<double>(*val_calls);
+                       });
+  };
+  int calls = 0;
+  TrainResult off = fit(/*patience=*/0, &calls);
+  EXPECT_EQ(off.epochs_run, 10);
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(off.best_val_metric, 0.0);
+
+  calls = 0;
+  TrainResult on = fit(/*patience=*/3, &calls);
+  EXPECT_EQ(on.epochs_run, 10);  // the metric improves every epoch
+  EXPECT_EQ(calls, 10);
+  EXPECT_EQ(on.best_val_metric, 10.0);
+}
+
 TEST(TrainerTest, GradClipKeepsUpdatesBounded) {
   Tensor x = Tensor::Leaf(Matrix::Full(1, 1, 1e6), true);
   Trainer trainer({x}, {.max_epochs = 1,

@@ -232,8 +232,9 @@ trace_stage() {
     ./build/tools/gnn4tdl_cli serve --backbone gat --epochs 8 \
       --trace-out build/trace.json --metrics-out build/metrics.txt &&
     ./build/tools/gnn4tdl_trace_check build/trace.json build/metrics.txt \
-      --require-span "pipeline/fit,train/epoch,train/forward,train/backward,\
-train/optimizer,train/validate,serve/batch,matmul,spmm,edge_softmax" \
+      --require-span "pipeline/fit,construct/knn_graph,train/epoch,\
+train/forward,train/backward,train/optimizer,train/validate,serve/batch,matmul,\
+spmm,edge_softmax" \
       --require-metric "gnn4tdl_serve_latency_ms,gnn4tdl_serve_batch_rows,gnn4tdl_train_loss,gnn4tdl_serve_requests_total"
 }
 
