@@ -2,9 +2,9 @@
 
 #include <cmath>
 
-#include "data/metrics.h"
 #include "nn/fused.h"
 #include "nn/ops.h"
+#include "train/objective.h"
 
 namespace gnn4tdl {
 
@@ -65,23 +65,17 @@ Tensor GrapeModel::EdgePredictions(const Tensor& h_left, const Tensor& h_right,
 }
 
 Status GrapeModel::Fit(const TabularDataset& data, const Split& split) {
-  task_ = data.task();
-  if (task_ == TaskType::kNone) {
-    return Status::FailedPrecondition("dataset has no labels");
-  }
+  fitted_ = false;  // a failed (re)fit leaves no model behind
+  StatusOr<SupervisedObjective> objective =
+      SupervisedObjective::Make(data, split);
+  if (!objective.ok()) return objective.status();
   graph_ = BipartiteFromTable(data, options_.bipartite);
   if (graph_.num_edges() == 0) {
     return Status::InvalidArgument("bipartite graph has no observed cells");
   }
 
-  const bool regression = task_ == TaskType::kRegression;
-  const size_t out_dim =
-      regression ? 1 : static_cast<size_t>(data.num_classes());
-  net_ = std::make_unique<Net>(options_, graph_.num_right(), out_dim, rng_);
-
-  std::vector<double> train_mask = Split::MaskFor(split.train, data.NumRows());
-  Matrix labels_reg;
-  if (regression) labels_reg = data.RegressionLabelMatrix();
+  net_ = std::make_unique<Net>(options_, graph_.num_right(),
+                               objective->output_dim(), rng_);
 
   // Observed edge values as imputation targets.
   Matrix edge_targets(graph_.num_edges(), 1);
@@ -91,11 +85,7 @@ Status GrapeModel::Fit(const TabularDataset& data, const Split& split) {
   Trainer trainer(net_->Parameters(), options_.train);
   auto loss_fn = [&]() -> Tensor {
     auto [h_left, h_right] = Encode(true);
-    Tensor out = net_->label_head_->Forward(h_left);
-    Tensor loss = regression
-                      ? ops::MseLoss(out, labels_reg, train_mask)
-                      : ops::SoftmaxCrossEntropy(out, data.class_labels(),
-                                                 train_mask);
+    Tensor loss = objective->Loss(net_->label_head_->Forward(h_left));
     if (options_.impute_weight > 0.0) {
       Tensor pred = EdgePredictions(h_left, h_right, graph_.edge_left(),
                                     graph_.edge_right());
@@ -105,29 +95,19 @@ Status GrapeModel::Fit(const TabularDataset& data, const Split& split) {
     return loss;
   };
 
-  std::function<double()> val_fn = nullptr;
-  if (!split.val.empty()) {
-    val_fn = [&, this]() -> double {
-      auto [h_left, h_right] = Encode(false);
-      (void)h_right;
-      Tensor out = net_->label_head_->Forward(h_left);
-      if (regression) {
-        return -Rmse(out.value(), data.regression_labels(), split.val);
-      }
-      return Accuracy(out.value(), data.class_labels(), split.val);
-    };
-  }
-  trainer.Fit(loss_fn, val_fn);
+  const auto val_fn = objective->Validation([this] {
+    auto [h_left, h_right] = Encode(false);
+    (void)h_right;
+    return net_->label_head_->Forward(h_left).value();
+  });
+  GNN4TDL_RETURN_IF_ERROR(trainer.Fit(loss_fn, val_fn).tape_status);
   fitted_ = true;
   return Status::OK();
 }
 
 StatusOr<Matrix> GrapeModel::Predict(const TabularDataset& data) {
-  if (!fitted_) return Status::FailedPrecondition("Predict before Fit");
-  if (data.NumRows() != graph_.num_left()) {
-    return Status::InvalidArgument(
-        "transductive model: Predict() requires the dataset used in Fit()");
-  }
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckTransductivePredict(fitted_, graph_.num_left(), data));
   auto [h_left, h_right] = Encode(false);
   (void)h_right;
   return net_->label_head_->Forward(h_left).value();

@@ -59,7 +59,6 @@ class GrapeModel : public TabularModel {
   mutable Rng rng_;
   BipartiteGraph graph_;
   std::unique_ptr<Net> net_;
-  TaskType task_ = TaskType::kNone;
   bool fitted_ = false;
 };
 

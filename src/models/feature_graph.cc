@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "data/metrics.h"
 #include "nn/ops.h"
+#include "train/objective.h"
 
 namespace gnn4tdl {
 
@@ -145,10 +145,9 @@ Tensor FeatureGraphModel::Forward(const TabularDataset& data,
 }
 
 Status FeatureGraphModel::Fit(const TabularDataset& data, const Split& split) {
-  task_ = data.task();
-  if (task_ == TaskType::kNone) {
-    return Status::FailedPrecondition("dataset has no labels");
-  }
+  StatusOr<SupervisedObjective> objective =
+      SupervisedObjective::Make(data, split);
+  if (!objective.ok()) return objective.status();
   if (data.NumCols() == 0) {
     return Status::InvalidArgument("dataset has no feature columns");
   }
@@ -176,36 +175,15 @@ Status FeatureGraphModel::Fit(const TabularDataset& data, const Split& split) {
     }
   }
 
-  const bool regression = task_ == TaskType::kRegression;
-  const size_t out_dim =
-      regression ? 1 : static_cast<size_t>(data.num_classes());
-  net_ = std::make_unique<Net>(data, options_, out_dim, rng_);
-
-  std::vector<double> train_mask = Split::MaskFor(split.train, data.NumRows());
-  Matrix labels_reg;
-  if (regression) {
-    labels_reg = data.RegressionLabelMatrix();
-  }
+  net_ = std::make_unique<Net>(data, options_, objective->output_dim(), rng_);
 
   Trainer trainer(net_->Parameters(), options_.train);
-  auto loss_fn = [&]() -> Tensor {
-    Tensor out = Forward(data, /*training=*/true);
-    return regression ? ops::MseLoss(out, labels_reg, train_mask)
-                      : ops::SoftmaxCrossEntropy(out, data.class_labels(),
-                                                 train_mask);
-  };
-  std::function<double()> val_fn = nullptr;
-  if (!split.val.empty()) {
-    val_fn = [&, this]() -> double {
-      Tensor out = Forward(data, false);
-      if (regression) {
-        return -Rmse(out.value(), data.regression_labels(), split.val);
-      }
-      return Accuracy(out.value(), data.class_labels(), split.val);
-    };
-  }
-  trainer.Fit(loss_fn, val_fn);
-  return Status::OK();
+  auto loss_fn = [&] { return objective->Loss(Forward(data, true)); };
+  const auto val_fn = objective->Validation(
+      [&, this] { return Forward(data, false).value(); });
+  Status trained = trainer.Fit(loss_fn, val_fn).tape_status;
+  if (!trained.ok()) net_.reset();  // net_ doubles as the fitted flag
+  return trained;
 }
 
 StatusOr<Matrix> FeatureGraphModel::Predict(const TabularDataset& data) {

@@ -70,7 +70,6 @@ class FeatureGraphModel : public TabularModel {
   FeatureGraphOptions options_;
   mutable Rng rng_;
   std::unique_ptr<Net> net_;
-  TaskType task_ = TaskType::kNone;
   // Frozen schema info from Fit.
   std::vector<double> numeric_mean_;
   std::vector<double> numeric_std_;

@@ -45,6 +45,7 @@ Tensor GaeOutlierDetector::ReconstructionErrors() const {
 
 Status GaeOutlierDetector::Fit(const TabularDataset& data, const Split& split) {
   (void)split;  // unsupervised
+  fitted_ = false;  // a failed (re)fit leaves no model behind
   GNN4TDL_RETURN_IF_ERROR(featurizer_.Fit(data));
   StatusOr<Matrix> x = featurizer_.Transform(data);
   if (!x.ok()) return x.status();
@@ -55,19 +56,16 @@ Status GaeOutlierDetector::Fit(const TabularDataset& data, const Split& split) {
   net_ = std::make_unique<Net>(options_, x_cache_.cols(), rng_);
 
   Trainer trainer(net_->Parameters(), options_.train);
-  trainer.Fit([&]() -> Tensor {
-    return ops::MeanAll(ReconstructionErrors());
-  });
+  GNN4TDL_RETURN_IF_ERROR(
+      trainer.Fit([&] { return ops::MeanAll(ReconstructionErrors()); })
+          .tape_status);
   fitted_ = true;
   return Status::OK();
 }
 
 StatusOr<Matrix> GaeOutlierDetector::Predict(const TabularDataset& data) {
-  if (!fitted_) return Status::FailedPrecondition("Predict before Fit");
-  if (data.NumRows() != x_cache_.rows()) {
-    return Status::InvalidArgument(
-        "transductive model: Predict() requires the dataset used in Fit()");
-  }
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckTransductivePredict(fitted_, x_cache_.rows(), data));
   return ReconstructionErrors().value();
 }
 

@@ -1,8 +1,8 @@
 #include "models/hetero_rgcn.h"
 
-#include "data/metrics.h"
 #include "nn/module.h"
 #include "nn/ops.h"
+#include "train/objective.h"
 
 namespace gnn4tdl {
 
@@ -54,10 +54,10 @@ Tensor HeteroRgcnModel::Forward(bool training) const {
 }
 
 Status HeteroRgcnModel::Fit(const TabularDataset& data, const Split& split) {
-  task_ = data.task();
-  if (task_ == TaskType::kNone) {
-    return Status::FailedPrecondition("dataset has no labels");
-  }
+  fitted_ = false;  // a failed (re)fit leaves no model behind
+  StatusOr<SupervisedObjective> objective =
+      SupervisedObjective::Make(data, split);
+  if (!objective.ok()) return objective.status();
   hetero_ = HeteroFromTable(data);
   if (hetero_.num_relations() == 0) {
     return Status::InvalidArgument(
@@ -88,45 +88,22 @@ Status HeteroRgcnModel::Fit(const TabularDataset& data, const Split& split) {
   if (!x.ok()) return x.status();
   instance_features_ = *x;
 
-  const bool regression = task_ == TaskType::kRegression;
-  const size_t out_dim =
-      regression ? 1 : static_cast<size_t>(data.num_classes());
   net_ = std::make_unique<Net>(options_, instance_features_.cols(),
                                num_value_nodes, hetero_.num_relations(),
-                               out_dim, rng_);
-
-  std::vector<double> train_mask = Split::MaskFor(split.train, data.NumRows());
-  Matrix labels_reg;
-  if (regression) labels_reg = data.RegressionLabelMatrix();
+                               objective->output_dim(), rng_);
 
   Trainer trainer(net_->Parameters(), options_.train);
-  auto loss_fn = [&]() -> Tensor {
-    Tensor out = Forward(true);
-    return regression ? ops::MseLoss(out, labels_reg, train_mask)
-                      : ops::SoftmaxCrossEntropy(out, data.class_labels(),
-                                                 train_mask);
-  };
-  std::function<double()> val_fn = nullptr;
-  if (!split.val.empty()) {
-    val_fn = [&, this]() -> double {
-      Tensor out = Forward(false);
-      if (regression) {
-        return -Rmse(out.value(), data.regression_labels(), split.val);
-      }
-      return Accuracy(out.value(), data.class_labels(), split.val);
-    };
-  }
-  trainer.Fit(loss_fn, val_fn);
+  auto loss_fn = [&] { return objective->Loss(Forward(true)); };
+  const auto val_fn =
+      objective->Validation([this] { return Forward(false).value(); });
+  GNN4TDL_RETURN_IF_ERROR(trainer.Fit(loss_fn, val_fn).tape_status);
   fitted_ = true;
   return Status::OK();
 }
 
 StatusOr<Matrix> HeteroRgcnModel::Predict(const TabularDataset& data) {
-  if (!fitted_) return Status::FailedPrecondition("Predict before Fit");
-  if (data.NumRows() != num_instances_) {
-    return Status::InvalidArgument(
-        "transductive model: Predict() requires the dataset used in Fit()");
-  }
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckTransductivePredict(fitted_, num_instances_, data));
   return Forward(false).value();
 }
 

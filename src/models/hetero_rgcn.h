@@ -54,7 +54,6 @@ class HeteroRgcnModel : public TabularModel {
   Matrix instance_features_;
   size_t num_instances_ = 0;
   std::unique_ptr<Net> net_;
-  TaskType task_ = TaskType::kNone;
   bool fitted_ = false;
 };
 

@@ -1,8 +1,8 @@
 #include "models/hypergraph_model.h"
 
-#include "data/metrics.h"
 #include "nn/module.h"
 #include "nn/ops.h"
+#include "train/objective.h"
 
 namespace gnn4tdl {
 
@@ -50,10 +50,10 @@ Tensor HypergraphModel::Forward(bool training) const {
 }
 
 Status HypergraphModel::Fit(const TabularDataset& data, const Split& split) {
-  task_ = data.task();
-  if (task_ == TaskType::kNone) {
-    return Status::FailedPrecondition("dataset has no labels");
-  }
+  fitted_ = false;  // a failed (re)fit leaves no model behind
+  StatusOr<SupervisedObjective> objective =
+      SupervisedObjective::Make(data, split);
+  if (!objective.ok()) return objective.status();
   if (data.NumCols() == 0) {
     return Status::InvalidArgument("dataset has no feature columns");
   }
@@ -61,44 +61,21 @@ Status HypergraphModel::Fit(const TabularDataset& data, const Split& split) {
       data, HypergraphOptions{.numeric_bins = options_.numeric_bins});
   operators_ = HypergraphConvLayer::BuildOperators(hypergraph_);
 
-  const bool regression = task_ == TaskType::kRegression;
-  const size_t out_dim =
-      regression ? 1 : static_cast<size_t>(data.num_classes());
-  net_ = std::make_unique<Net>(options_, hypergraph_.num_nodes(), out_dim,
-                               rng_);
-
-  std::vector<double> train_mask = Split::MaskFor(split.train, data.NumRows());
-  Matrix labels_reg;
-  if (regression) labels_reg = data.RegressionLabelMatrix();
+  net_ = std::make_unique<Net>(options_, hypergraph_.num_nodes(),
+                               objective->output_dim(), rng_);
 
   Trainer trainer(net_->Parameters(), options_.train);
-  auto loss_fn = [&]() -> Tensor {
-    Tensor out = Forward(true);
-    return regression ? ops::MseLoss(out, labels_reg, train_mask)
-                      : ops::SoftmaxCrossEntropy(out, data.class_labels(),
-                                                 train_mask);
-  };
-  std::function<double()> val_fn = nullptr;
-  if (!split.val.empty()) {
-    val_fn = [&, this]() -> double {
-      Tensor out = Forward(false);
-      if (regression) {
-        return -Rmse(out.value(), data.regression_labels(), split.val);
-      }
-      return Accuracy(out.value(), data.class_labels(), split.val);
-    };
-  }
-  trainer.Fit(loss_fn, val_fn);
+  auto loss_fn = [&] { return objective->Loss(Forward(true)); };
+  const auto val_fn =
+      objective->Validation([this] { return Forward(false).value(); });
+  GNN4TDL_RETURN_IF_ERROR(trainer.Fit(loss_fn, val_fn).tape_status);
   fitted_ = true;
   return Status::OK();
 }
 
 StatusOr<Matrix> HypergraphModel::Predict(const TabularDataset& data) {
-  if (!fitted_) return Status::FailedPrecondition("Predict before Fit");
-  if (data.NumRows() != hypergraph_.num_hyperedges()) {
-    return Status::InvalidArgument(
-        "transductive model: Predict() requires the dataset used in Fit()");
-  }
+  GNN4TDL_RETURN_IF_ERROR(CheckTransductivePredict(
+      fitted_, hypergraph_.num_hyperedges(), data));
   return Forward(false).value();
 }
 

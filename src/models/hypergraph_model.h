@@ -49,7 +49,6 @@ class HypergraphModel : public TabularModel {
   Hypergraph hypergraph_;
   HypergraphConvLayer::Operators operators_;
   std::unique_ptr<Net> net_;
-  TaskType task_ = TaskType::kNone;
   bool fitted_ = false;
 };
 

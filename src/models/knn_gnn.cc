@@ -7,13 +7,13 @@
 #include <type_traits>
 
 #include "common/text_io.h"
-#include "data/metrics.h"
 #include "gnn/graph_transformer.h"
 #include "graph/sampling.h"
 #include "kernels/kernels.h"
 #include "nn/fused.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
+#include "train/objective.h"
 
 namespace gnn4tdl {
 
@@ -950,10 +950,11 @@ size_t InstanceGraphGnn::BuildModel(size_t out_dim) {
 }
 
 Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
+  fitted_ = false;  // a failed (re)fit leaves no model behind
   task_ = data.task();
-  if (task_ == TaskType::kNone) {
-    return Status::FailedPrecondition("dataset has no labels");
-  }
+  StatusOr<SupervisedObjective> objective =
+      SupervisedObjective::Make(data, split);
+  if (!objective.ok()) return objective.status();
   GNN4TDL_RETURN_IF_ERROR(featurizer_.Fit(data, split.train));
   StatusOr<Matrix> x = featurizer_.Transform(data);
   if (!x.ok()) return x.status();
@@ -1005,10 +1006,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
   }
 
   // --- Model assembly -------------------------------------------------------
-  const bool regression = task_ == TaskType::kRegression;
-  const size_t out_dim =
-      regression ? 1 : static_cast<size_t>(data.num_classes());
-  const size_t emb_dim = BuildModel(out_dim);
+  const size_t emb_dim = BuildModel(objective->output_dim());
   const bool needs_recon =
       options_.reconstruction_weight > 0.0 || options_.dae_weight > 0.0 ||
       options_.strategy != TrainStrategy::kEndToEnd;
@@ -1017,25 +1015,10 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
         emb_dim, x_cache_.cols(), options_.hidden_dim, rng_);
   }
 
-  // --- Label plumbing --------------------------------------------------------
-  std::vector<double> train_mask = Split::MaskFor(split.train, data.NumRows());
-  std::vector<int> labels_cls;
-  Matrix labels_reg;
-  if (regression) {
-    labels_reg = Matrix(data.NumRows(), 1);
-    for (size_t i = 0; i < data.NumRows(); ++i)
-      labels_reg(i, 0) = data.regression_labels()[i];
-  } else {
-    labels_cls = data.class_labels();
-  }
-
   Tensor x_t = Tensor::Constant(x_cache_);
   auto main_loss = [&]() -> Tensor {
     Tensor emb = Encode(x_t, /*training=*/true);
-    Tensor out = head_->Forward(emb);
-    Tensor loss = regression
-                      ? ops::MseLoss(out, labels_reg, train_mask)
-                      : ops::SoftmaxCrossEntropy(out, labels_cls, train_mask);
+    Tensor loss = objective->Loss(head_->Forward(emb));
     // End-to-end auxiliary terms (Table 7), each weighted into the loss.
     const auto add = [&loss](const Tensor& term, double weight) {
       loss = ops::Add(loss, ops::Scale(term, weight));
@@ -1063,20 +1046,13 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     return loss;
   };
 
-  std::function<double()> val_fn = nullptr;
-  if (!split.val.empty()) {
-    // The eval forward with no tape (ScoreOnGraph's path, which the served
-    // bit-exactness contract holds equal to the taped forward).
-    val_fn = [&, this]() -> double {
-      const F64Eval b;
-      const Matrix out = b.Linear(encoder_->Eval(b, x_cache_, *operators_),
-                                  *head_, Activation::kNone);
-      if (regression) {
-        return -Rmse(out, data.regression_labels(), split.val);
-      }
-      return Accuracy(out, labels_cls, split.val);
-    };
-  }
+  // Validates on the eval forward with no tape (ScoreOnGraph's path, which
+  // the served bit-exactness contract holds equal to the taped forward).
+  const auto val_fn = objective->Validation([this] {
+    const F64Eval b;
+    return b.Linear(encoder_->Eval(b, x_cache_, *operators_), *head_,
+                    Activation::kNone);
+  });
 
   // --- Training strategy (Table 8) ------------------------------------------
   if (options_.strategy == TrainStrategy::kEndToEnd) {
@@ -1084,7 +1060,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     if (recon_ != nullptr)
       for (const Tensor& p : recon_->Parameters()) params.push_back(p);
     Trainer trainer(params, options_.train);
-    trainer.Fit(main_loss, val_fn);
+    GNN4TDL_RETURN_IF_ERROR(trainer.Fit(main_loss, val_fn).tape_status);
   } else {
     // Phase 1: self-supervised encoder training.
     std::vector<Tensor> pre_params = encoder_->Parameters();
@@ -1093,7 +1069,9 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     pre_opts.max_epochs = options_.pretrain_epochs;
     pre_opts.patience = 0;
     Trainer pre_trainer(pre_params, pre_opts);
-    pre_trainer.Fit([&]() { return SelfSupervisedLoss(x_cache_); });
+    GNN4TDL_RETURN_IF_ERROR(
+        pre_trainer.Fit([&]() { return SelfSupervisedLoss(x_cache_); })
+            .tape_status);
 
     // Phase 2.
     std::vector<Tensor> params;
@@ -1105,13 +1083,10 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     auto head_loss = [&]() -> Tensor {
       Tensor emb = Encode(x_t, options_.strategy ==
                                    TrainStrategy::kPretrainFinetune);
-      Tensor out = head_->Forward(emb);
-      return regression
-                 ? ops::MseLoss(out, labels_reg, train_mask)
-                 : ops::SoftmaxCrossEntropy(out, labels_cls, train_mask);
+      return objective->Loss(head_->Forward(emb));
     };
     Trainer trainer(params, options_.train);
-    trainer.Fit(head_loss, val_fn);
+    GNN4TDL_RETURN_IF_ERROR(trainer.Fit(head_loss, val_fn).tape_status);
   }
 
   fitted_ = true;
@@ -1119,11 +1094,8 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
 }
 
 StatusOr<Matrix> InstanceGraphGnn::Predict(const TabularDataset& data) {
-  if (!fitted_) return Status::FailedPrecondition("Predict before Fit");
-  if (data.NumRows() != graph_.num_nodes()) {
-    return Status::InvalidArgument(
-        "transductive model: Predict() requires the dataset used in Fit()");
-  }
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckTransductivePredict(fitted_, graph_.num_nodes(), data));
   Tensor out = head_->Forward(Encode(Tensor::Constant(x_cache_), false));
   return out.value();
 }

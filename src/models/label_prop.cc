@@ -41,11 +41,8 @@ Status LabelPropagation::Fit(const TabularDataset& data, const Split& split) {
 }
 
 StatusOr<Matrix> LabelPropagation::Predict(const TabularDataset& data) {
-  if (!fitted_) return Status::FailedPrecondition("Predict before Fit");
-  if (data.NumRows() != scores_.rows()) {
-    return Status::InvalidArgument(
-        "transductive model: Predict() requires the dataset used in Fit()");
-  }
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckTransductivePredict(fitted_, scores_.rows(), data));
   return scores_;
 }
 

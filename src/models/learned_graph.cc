@@ -1,7 +1,7 @@
 #include "models/learned_graph.h"
 
-#include "data/metrics.h"
 #include "nn/ops.h"
+#include "train/objective.h"
 
 namespace gnn4tdl {
 
@@ -92,10 +92,10 @@ Tensor LearnedGraphGnn::Encode(const Tensor& x, const Tensor& weights,
 }
 
 Status LearnedGraphGnn::Fit(const TabularDataset& data, const Split& split) {
-  task_ = data.task();
-  if (task_ == TaskType::kNone) {
-    return Status::FailedPrecondition("dataset has no labels");
-  }
+  fitted_ = false;  // a failed (re)fit leaves no model behind
+  StatusOr<SupervisedObjective> objective =
+      SupervisedObjective::Make(data, split);
+  if (!objective.ok()) return objective.status();
   GNN4TDL_RETURN_IF_ERROR(featurizer_.Fit(data, split.train));
   StatusOr<Matrix> x = featurizer_.Transform(data);
   if (!x.ok()) return x.status();
@@ -105,19 +105,13 @@ Status LearnedGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     return Status::InvalidArgument("empty candidate edge set");
   }
 
-  const bool regression = task_ == TaskType::kRegression;
-  const size_t out_dim =
-      regression ? 1 : static_cast<size_t>(data.num_classes());
   net_ = std::make_unique<Net>(options_, x_cache_.cols(),
-                               candidates_.src.size(), out_dim, rng_);
+                               candidates_.src.size(),
+                               objective->output_dim(), rng_);
   if (options_.dae_weight > 0.0) {
     net_->recon_ = std::make_unique<FeatureReconstructionTask>(
         options_.hidden_dim, x_cache_.cols(), options_.hidden_dim, rng_);
   }
-
-  std::vector<double> train_mask = Split::MaskFor(split.train, data.NumRows());
-  Matrix labels_reg;
-  if (regression) labels_reg = data.RegressionLabelMatrix();
 
   Tensor x_t = Tensor::Constant(x_cache_);
   std::vector<Tensor> params = net_->Parameters();
@@ -128,11 +122,7 @@ Status LearnedGraphGnn::Fit(const TabularDataset& data, const Split& split) {
   auto loss_fn = [&]() -> Tensor {
     Tensor weights = EdgeWeights(x_t);
     Tensor emb = Encode(x_t, weights, true);
-    Tensor out = net_->head_->Forward(emb);
-    Tensor loss = regression
-                      ? ops::MseLoss(out, labels_reg, train_mask)
-                      : ops::SoftmaxCrossEntropy(out, data.class_labels(),
-                                                 train_mask);
+    Tensor loss = objective->Loss(net_->head_->Forward(emb));
     if (options_.smoothness_weight > 0.0) {
       // Dirichlet energy over the learned edges.
       Tensor diff = ops::Sub(ops::GatherRows(emb, candidates_.src),
@@ -164,28 +154,18 @@ Status LearnedGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     return loss;
   };
 
-  std::function<double()> val_fn = nullptr;
-  if (!split.val.empty()) {
-    val_fn = [&, this]() -> double {
-      Tensor weights = EdgeWeights(x_t);
-      Tensor out = net_->head_->Forward(Encode(x_t, weights, false));
-      if (regression) {
-        return -Rmse(out.value(), data.regression_labels(), split.val);
-      }
-      return Accuracy(out.value(), data.class_labels(), split.val);
-    };
-  }
-  trainer.Fit(loss_fn, val_fn);
+  const auto val_fn = objective->Validation([&, this] {
+    Tensor weights = EdgeWeights(x_t);
+    return net_->head_->Forward(Encode(x_t, weights, false)).value();
+  });
+  GNN4TDL_RETURN_IF_ERROR(trainer.Fit(loss_fn, val_fn).tape_status);
   fitted_ = true;
   return Status::OK();
 }
 
 StatusOr<Matrix> LearnedGraphGnn::Predict(const TabularDataset& data) {
-  if (!fitted_) return Status::FailedPrecondition("Predict before Fit");
-  if (data.NumRows() != x_cache_.rows()) {
-    return Status::InvalidArgument(
-        "transductive model: Predict() requires the dataset used in Fit()");
-  }
+  GNN4TDL_RETURN_IF_ERROR(
+      CheckTransductivePredict(fitted_, x_cache_.rows(), data));
   Tensor x_t = Tensor::Constant(x_cache_);
   Tensor weights = EdgeWeights(x_t);
   return net_->head_->Forward(Encode(x_t, weights, false)).value();

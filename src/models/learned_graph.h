@@ -81,7 +81,6 @@ class LearnedGraphGnn : public TabularModel {
   CandidateEdges candidates_;
   Matrix x_cache_;
   std::unique_ptr<Net> net_;
-  TaskType task_ = TaskType::kNone;
   bool fitted_ = false;
 };
 

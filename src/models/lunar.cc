@@ -135,10 +135,11 @@ Status LunarDetector::Fit(const TabularDataset& data, const Split& split) {
 
   Tensor dv_t = Tensor::Constant(all_dv);
   Trainer trainer(score_net_->Parameters(), options_.train);
-  trainer.Fit([&]() -> Tensor {
+  Status trained = trainer.Fit([&] {
     return ops::BceWithLogits(score_net_->Forward(dv_t), targets);
-  });
-  return Status::OK();
+  }).tape_status;
+  if (!trained.ok()) score_net_.reset();  // score_net_ doubles as the flag
+  return trained;
 }
 
 StatusOr<Matrix> LunarDetector::Predict(const TabularDataset& data) {

@@ -90,8 +90,9 @@ Status MlpModel::Fit(const TabularDataset& data, const Split& split) {
       return Accuracy(out.value(), y_val);
     };
   }
-  trainer.Fit(loss_fn, val_fn);
-  return Status::OK();
+  Status trained = trainer.Fit(loss_fn, val_fn).tape_status;
+  if (!trained.ok()) net_.reset();  // net_ doubles as the fitted flag
+  return trained;
 }
 
 StatusOr<Matrix> MlpModel::Predict(const TabularDataset& data) {

@@ -46,6 +46,16 @@ EvalResult EvaluatePredictions(const Matrix& predictions,
   return result;
 }
 
+Status CheckTransductivePredict(bool fitted, size_t fitted_rows,
+                                const TabularDataset& data) {
+  if (!fitted) return Status::FailedPrecondition("Predict before Fit");
+  if (data.NumRows() != fitted_rows) {
+    return Status::InvalidArgument(
+        "transductive model: Predict() requires the dataset used in Fit()");
+  }
+  return Status::OK();
+}
+
 StatusOr<EvalResult> FitAndEvaluate(TabularModel& model,
                                     const TabularDataset& data,
                                     const Split& split,

@@ -40,6 +40,12 @@ class TabularModel {
   virtual std::string Name() const = 0;
 };
 
+/// The Predict() precondition of a transductive model: FailedPrecondition
+/// ("Predict before Fit") unless `fitted`, and InvalidArgument unless `data`
+/// has the `fitted_rows` rows of the dataset passed to Fit().
+Status CheckTransductivePredict(bool fitted, size_t fitted_rows,
+                                const TabularDataset& data);
+
 /// Metrics of one model on one row subset. Which fields are meaningful
 /// depends on the task.
 struct EvalResult {

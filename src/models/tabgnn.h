@@ -58,7 +58,6 @@ class TabGnnModel : public TabularModel {
   std::vector<SparseMatrix> relation_ops_;
   Matrix x_cache_;
   std::unique_ptr<Net> net_;
-  TaskType task_ = TaskType::kNone;
   bool fitted_ = false;
 };
 

@@ -62,9 +62,9 @@ struct TrainResult {
 /// closure runs once per epoch only when early stopping is on (patience > 0);
 /// otherwise it is never called, and verbose logs print `val` only then.
 ///
-/// All six training strategies of Table 8 reduce to sequences of Fit calls
-/// over different parameter sets and closures; see train/strategies in the
-/// model implementations.
+/// The three training strategies of Table 8 (TrainStrategy: end-to-end,
+/// two-stage, pretrain-finetune) are sequences of Fit calls over different
+/// parameter sets and closures, run by InstanceGraphGnn::Fit.
 ///
 /// Threading & determinism: Fit itself is single-threaded — the epoch loop,
 /// Backward tape walk, and optimizer Step all run on the calling thread — but
@@ -78,9 +78,11 @@ class Trainer {
   Trainer(std::vector<Tensor> params, const TrainOptions& options);
 
   /// Runs the loop: ZeroGrad -> loss_fn() -> Backward -> Step, with early
-  /// stopping on `val_metric_fn` when provided and patience > 0.
-  TrainResult Fit(const std::function<Tensor()>& loss_fn,
-                  const std::function<double()>& val_metric_fn = nullptr);
+  /// stopping on `val_metric_fn` when provided and patience > 0. Callers must
+  /// read TrainResult::tape_status: a failed tape check stops training early.
+  [[nodiscard]] TrainResult Fit(
+      const std::function<Tensor()>& loss_fn,
+      const std::function<double()>& val_metric_fn = nullptr);
 
  private:
   void SnapshotParams();

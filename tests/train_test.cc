@@ -10,7 +10,9 @@
 #include "gnn/gcn.h"
 #include "gradcheck_util.h"
 #include "graph/graph.h"
+#include "models/feature_graph.h"
 #include "models/knn_gnn.h"
+#include "models/mlp.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
@@ -77,7 +79,9 @@ TEST(TrainerTest, GradClipKeepsUpdatesBounded) {
                         .learning_rate = 1.0,
                         .patience = 0,
                         .grad_clip = 1.0});
-  trainer.Fit([&] { return ops::SumSquares(x); });
+  TrainResult result = trainer.Fit([&] { return ops::SumSquares(x); });
+  EXPECT_EQ(result.epochs_run, 1);
+  EXPECT_TRUE(result.tape_status.ok()) << result.tape_status.ToString();
   // Without clipping the Adam update is bounded anyway, but the gradient
   // seen by the optimizer must have norm <= 1; Adam step is then <= lr.
   EXPECT_GT(x.value()(0, 0), 1e6 - 2.0);
@@ -172,6 +176,76 @@ TEST(TrainerTest, ArenaStopsAllocatingAfterFirstEpoch) {
   obs::DisableMetrics();
 }
 
+// A learning rate of 1e300 drives the weights non-finite after one step, so
+// the tape check of the second epoch fails. Fit must return that diagnosis
+// and leave the model unfitted rather than report success.
+TrainOptions ExplodingTrain() {
+  TrainOptions t;
+  t.max_epochs = 5;
+  t.learning_rate = 1e300;
+  t.patience = 0;
+  t.verify_tape_every = 1;
+  return t;
+}
+
+void ExpectFitFailsOnTapeCheck(TabularModel& model) {
+  TabularDataset data = MakeClusters({.num_rows = 60, .seed = 3});
+  Rng rng(4);
+  Split split = RandomSplit(data.NumRows(), 0.5, 0.25, rng);
+  Status fitted = model.Fit(data, split);
+  EXPECT_EQ(fitted.code(), StatusCode::kFailedPrecondition)
+      << fitted.ToString();
+  EXPECT_NE(fitted.message().find("non-finite"), std::string::npos)
+      << fitted.ToString();
+  EXPECT_NE(fitted.message().find("op="), std::string::npos)
+      << fitted.ToString();
+  StatusOr<Matrix> out = model.Predict(data);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().message(), "Predict before Fit");
+}
+
+TEST(FitTapeCheckTest, InstanceGraphGnnReturnsTapeFailure) {
+  InstanceGraphGnnOptions options;
+  options.hidden_dim = 8;
+  options.train = ExplodingTrain();
+  InstanceGraphGnn model(options);
+  ExpectFitFailsOnTapeCheck(model);
+}
+
+TEST(FitTapeCheckTest, FeatureGraphModelReturnsTapeFailure) {
+  FeatureGraphModel model({.train = ExplodingTrain()});
+  ExpectFitFailsOnTapeCheck(model);
+}
+
+TEST(FitTapeCheckTest, MlpModelReturnsTapeFailure) {
+  MlpModel model({.train = ExplodingTrain()});
+  ExpectFitFailsOnTapeCheck(model);
+}
+
+TEST(FailedFitTest, RefitThatFailsLeavesNoModelBehind) {
+  // The refit fails after the featurizer and feature cache were replaced, so
+  // the first fit's graph no longer matches them; Predict must refuse rather
+  // than run the stale model on the new features.
+  InstanceGraphGnnOptions options;
+  options.graph_source = GraphSource::kMultiplexFlatten;
+  options.hidden_dim = 8;
+  options.train = {.max_epochs = 3, .patience = 0};
+  InstanceGraphGnn model(options);
+  TabularDataset relational = MakeMultiRelational({.num_rows = 80});
+  Rng rng(1);
+  ASSERT_TRUE(model
+                  .Fit(relational,
+                       RandomSplit(relational.NumRows(), 0.5, 0.25, rng))
+                  .ok());
+  TabularDataset numeric = MakeClusters({.num_rows = 50});
+  EXPECT_EQ(model.Fit(numeric, RandomSplit(numeric.NumRows(), 0.5, 0.25, rng))
+                .code(),
+            StatusCode::kInvalidArgument);
+  StatusOr<Matrix> out = model.Predict(relational);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().message(), "Predict before Fit");
+}
+
 TEST(AuxTaskTest, ReconstructionLossDecreasesUnderTraining) {
   Rng rng(1);
   Matrix x_target = Matrix::Randn(20, 5, rng);
@@ -181,7 +255,9 @@ TEST(AuxTaskTest, ReconstructionLossDecreasesUnderTraining) {
   Trainer trainer(task.Parameters(), {.max_epochs = 200,
                                       .learning_rate = 0.05,
                                       .patience = 0});
-  trainer.Fit([&] { return task.Loss(emb, x_target); });
+  TrainResult result = trainer.Fit([&] { return task.Loss(emb, x_target); });
+  EXPECT_EQ(result.epochs_run, 200);
+  EXPECT_TRUE(result.tape_status.ok()) << result.tape_status.ToString();
   double final = task.Loss(emb, x_target).value()(0, 0);
   EXPECT_LT(final, initial * 0.5);
 }

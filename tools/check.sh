@@ -44,8 +44,15 @@
 #                     stream-identity suites (RngTest: the engine is
 #                     std::mt19937_64 and bulk draws equal single ones;
 #                     DropoutTest: masks equal per-element
-#                     std::bernoulli_distribution), the fusion suite and the
-#                     gradcheck suite. Last, gnn4tdl_cli freeze with a fixed
+#                     std::bernoulli_distribution), the fusion suite, the
+#                     gradcheck suite and the trained-bit digests of the
+#                     seven supervised transductive models (TrainedBitsTest:
+#                     FNV-1a of Predict, recorded constants). Before the
+#                     tests, nm checks that every kernel the dispatch tables
+#                     name starts on a 64-byte boundary in gnn4tdl_cli (the
+#                     kernel TUs build with -falign-functions=64, so edits
+#                     elsewhere cannot shift their loops). Last, gnn4tdl_cli
+#                     freeze with a fixed
 #                     seed runs every backbone (gcn, sage, gat, gin, ggnn,
 #                     appnp, graph_transformer) at every pairing of
 #                     SIMD=scalar|avx2 and THREADS=1..4, and each artifact
@@ -244,13 +251,58 @@ simd_stage() {
       --target gnn4tdl_kernels_test --target gnn4tdl_serve_precision_test \
       --target gnn4tdl_serve_test --target gnn4tdl_parallel_test \
       --target gnn4tdl_fusion_test --target gnn4tdl_gradcheck_test \
-      --target gnn4tdl_common_test --target gnn4tdl_cli &&
+      --target gnn4tdl_common_test --target gnn4tdl_trained_bits_test \
+      --target gnn4tdl_cli &&
+    kernel_alignment build/tools/gnn4tdl_cli &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_kernels_test &&
     GNN4TDL_SIMD=scalar ./build/tests/gnn4tdl_serve_precision_test &&
     GNN4TDL_SIMD=avx2 ./build/tests/gnn4tdl_serve_precision_test &&
     tier_matrix &&
     cross_tier_freeze
+}
+
+# Fails when a dispatched kernel entry in binary $1 does not start on a
+# 64-byte boundary. The entries are the functions the kScalarTable and
+# kAvx2Table initializers name, less qualified ones (Mt19937_64::TwistAndTemper
+# lives in common/rng.cc, which is not aligned).
+kernel_alignment() {
+  local names
+  names=$(sed -n '/^const KernelTable k[A-Za-z0-9]*Table = {/,/^};/p' \
+      src/kernels/kernels.cc src/kernels/kernels_avx2.cc |
+    grep -v '::' | grep -oE '\b[A-Z][A-Za-z0-9_]+\b' | grep -vx KernelTable |
+    sort -u)
+  nm -C --defined-only "$1" | awk -v names="$names" -v bin="$1" '
+    BEGIN {
+      n = split(names, list, "\n")
+      for (i = 1; i <= n; ++i) want[list[i]] = 1
+      prefix = "^gnn4tdl::kernels::(\\(anonymous namespace\\)::)?"
+    }
+    # Function symbols only; a "[clone .cold]" part is not an entry.
+    $2 ~ /^[tT]$/ && !/\[clone / {
+      sym = $0
+      sub(/^[^ ]+ [^ ]+ /, "", sym)
+      if (sub(prefix, "", sym) == 0) next
+      sub(/\(.*/, "", sym)
+      if (!(sym in want)) next
+      seen[sym] = 1
+      hex = "0123456789abcdef"; a = tolower($1); l = length(a)
+      hi = index(hex, substr(a, l - 1, 1)) - 1
+      off = (hi * 16 + index(hex, substr(a, l, 1)) - 1) % 64
+      if (off != 0) {
+        printf "kernel %s at 0x%s: offset %d mod 64\n", sym, $1, off
+        bad = 1
+      }
+    }
+    END {
+      for (k in want) {
+        if (k in seen) continue
+        printf "kernel %s: no symbol in %s\n", k, bin
+        bad = 1
+      }
+      if (!bad) printf "-- kernel alignment: %d entries 64-byte aligned\n", n
+      exit bad
+    }'
 }
 
 tier_matrix() {
@@ -269,7 +321,8 @@ tier_matrix() {
           ./build/tests/gnn4tdl_common_test \
             --gtest_filter='RngTest.*:DropoutTest.*' &&
           ./build/tests/gnn4tdl_fusion_test &&
-          ./build/tests/gnn4tdl_gradcheck_test
+          ./build/tests/gnn4tdl_gradcheck_test &&
+          ./build/tests/gnn4tdl_trained_bits_test
       ) || return 1
     done
   done
