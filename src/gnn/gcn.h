@@ -22,8 +22,8 @@ class GcnLayer : public Module {
   Tensor Forward(const Tensor& h, const SparseMatrix& norm_adj) const;
 
   /// act(Â (H W + b)) with the aggregation and activation fused into one
-  /// tape node (nn/fused.h) when fusion is enabled; bit-identical to
-  /// Forward() followed by the activation either way.
+  /// tape node (nn/fused.h); bit-identical to Forward() followed by the
+  /// activation.
   Tensor Forward(const Tensor& h, const SparseMatrix& norm_adj,
                  Activation act) const;
 

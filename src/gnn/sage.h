@@ -22,8 +22,8 @@ class SageLayer : public Module {
   Tensor Forward(const Tensor& h, const SparseMatrix& mean_adj) const;
 
   /// act(self + neighbor) with the combine and activation fused into one
-  /// tape node (nn/fused.h) when fusion is enabled; bit-identical to
-  /// Forward() followed by the activation either way.
+  /// tape node (nn/fused.h); bit-identical to Forward() followed by the
+  /// activation.
   Tensor Forward(const Tensor& h, const SparseMatrix& mean_adj,
                  Activation act) const;
 

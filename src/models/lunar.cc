@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "construct/similarity.h"
 #include "nn/ops.h"
 
 namespace gnn4tdl {
@@ -21,28 +22,18 @@ Matrix LunarDetector::DistanceVectors(const Matrix& queries,
   const size_t n_ref = reference.rows();
 
   // Pass 1: local kNN radius of every reference row (k-th NN distance within
-  // the reference set). This is the neighborhood-scale context channel; with
-  // it the score network can learn density-relative (LOF-like) abnormality,
-  // which a raw distance vector alone cannot express.
+  // the reference set, the row itself excluded). This is the
+  // neighborhood-scale context channel; with it the score network can learn
+  // density-relative (LOF-like) abnormality, which a raw distance vector
+  // alone cannot express. The Euclidean similarity is the negated distance.
   if (ref_radius_.size() != n_ref) {
-    ref_radius_.assign(n_ref, 1e-6);
-    std::vector<double> dists;
+    const std::vector<std::vector<KnnHit>> hits =
+        KnnReference(reference, SimilarityMetric::kEuclidean)
+            .TopK(reference, k, /*exclude_self=*/true);
+    ref_radius_.resize(n_ref);
     for (size_t i = 0; i < n_ref; ++i) {
-      dists.clear();
-      for (size_t j = 0; j < n_ref; ++j) {
-        if (j == i) continue;
-        double d2 = 0.0;
-        for (size_t c = 0; c < reference.cols(); ++c) {
-          double diff = reference(i, c) - reference(j, c);
-          d2 += diff * diff;
-        }
-        dists.push_back(std::sqrt(d2));
-      }
-      size_t take = std::min(k, dists.size());
-      std::partial_sort(dists.begin(),
-                        dists.begin() + static_cast<ptrdiff_t>(take),
-                        dists.end());
-      ref_radius_[i] = std::max(take > 0 ? dists[take - 1] : 0.0, 1e-6);
+      const double kth = hits[i].empty() ? 0.0 : -hits[i].back().similarity;
+      ref_radius_[i] = std::max(kth, 1e-6);
     }
   }
 

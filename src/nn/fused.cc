@@ -1,8 +1,7 @@
 #include "nn/fused.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -10,43 +9,30 @@
 #include "kernels/kernels.h"
 #include "nn/ops.h"
 #include "obs/kernel_hooks.h"
-#include "obs/metrics.h"
 
 // Bit-exactness note (the contract docs/MEMORY.md documents): every fused
 // node below computes the same per-element arithmetic, in the same rounding
-// order, as the nn/ops composition it replaces — forward AND backward. The
-// activation backward reads the fused node's output instead of the vanished
-// pre-activation: legal because relu/leaky-relu preserve the sign of their
-// input (alpha > 0), and sigmoid/tanh backward are defined on the output in
-// ops.cc already. Allocation in this TU goes through Matrix (the arena API);
-// the gnn4tdl_lint fused-raw-alloc rule bans raw buffers here.
+// order, as the nn/ops composition it stands for — forward AND backward.
+// The activation backward reads the node's output instead of the vanished
+// pre-activation: relu/leaky-relu preserve the sign of their input
+// (alpha > 0), and the sigmoid/tanh derivatives are functions of the output.
+// Allocation in this TU goes through Matrix (the arena API); the
+// gnn4tdl_lint fused-raw-alloc rule bans raw buffers here.
 
 namespace gnn4tdl::fused {
 
 namespace {
 
-std::atomic<bool> g_fusion_enabled{true};
-
-void CountFusion(const char* pattern, bool hit) {
-  if (!obs::MetricsEnabled()) return;
-  obs::MetricsRegistry::Global()
-      .GetCounter(std::string(hit ? "fusion.hits." : "fusion.bails.") +
-                  pattern)
-      .Increment();
-}
-
-// Same row-block grain as the nn/ops activation kernels.
+// Same row-block grain as the nn/ops row-wise kernels.
 size_t RowGrain(size_t cost_per_row) {
   constexpr size_t kFlopGrain = 65536;
   return std::max<size_t>(1, kFlopGrain / std::max<size_t>(cost_per_row, 1));
 }
 
-// The activation backward: g scaled by act'(pre-activation), read from the
-// forward output `out`. Bit-identical to the unfused activation backward:
-// relu/leaky preserve the pre-activation's sign (out <= 0 iff pre <= 0,
-// since alpha > 0), and sigmoid/tanh derivatives are functions of the output
-// in ops.cc too. kNone routes g itself; otherwise the masked gradient is
-// written to *storage in one pass and returned.
+// The activation backward: g scaled by act' read from the forward output
+// `out` (kernels::F64Kernels::act_grad). A relu gradient is 0 wherever the
+// output is 0, a NaN input included. kNone routes g itself; otherwise the
+// masked gradient is written to *storage in one pass and returned.
 const Matrix& MaskedGrad(const Matrix& g, const Matrix& out, Activation act,
                          double alpha, Matrix* storage) {
   if (act == Activation::kNone) return g;
@@ -59,11 +45,92 @@ const Matrix& MaskedGrad(const Matrix& g, const Matrix& out, Activation act,
   return *storage;
 }
 
-// The unfused activation with an explicit leaky slope (Activate() always
-// uses the ops.h default, which fused callers may override).
-Tensor ActivateUnfused(const Tensor& t, Activation act, double alpha) {
-  if (act == Activation::kLeakyRelu) return ops::LeakyRelu(t, alpha);
-  return Activate(t, act);
+// The one node behind every projection, aggregation, combine and activation
+// on the tape: out = act(pre [+ b]), `pre` being the value of the linear
+// part over `parents`. The backward masks g by act' (MaskedGrad), gives the
+// bias its column sums, and hands the masked gradient to `linear_backward`,
+// which owes the other parents their share. `op` names the node.
+template <typename LinearBackward>
+Tensor EpilogueNode(const char* op, Matrix pre, std::vector<Tensor> parents,
+                    const Tensor& b, Activation act, double alpha,
+                    LinearBackward linear_backward) {
+  if (b.defined()) {
+    GNN4TDL_CHECK_EQ(b.rows(), 1u);
+    GNN4TDL_CHECK_EQ(b.cols(), pre.cols());
+    parents.push_back(b);
+  }
+  BiasAct(&pre, b.defined() ? &b.value() : nullptr, act, alpha);
+  TapeOpScope op_scope(op);
+  return Tensor::FromOpWithOutput(
+      std::move(pre), std::move(parents),
+      [b, act, alpha, linear_backward = std::move(linear_backward)](
+          const Matrix& g, const Matrix& out) {
+        Matrix storage;
+        const Matrix& ga = MaskedGrad(g, out, act, alpha, &storage);
+        if (b.defined() && b.requires_grad()) b.AccumulateGrad(ga.ColSum());
+        linear_backward(ga);
+      });
+}
+
+Tensor LinearNode(const char* op, const Tensor& x, const Tensor& w,
+                  const Tensor& b, Activation act, double alpha) {
+  GNN4TDL_CHECK_EQ(x.cols(), w.rows());
+  return EpilogueNode(op, x.value().Matmul(w.value()), {x, w}, b, act, alpha,
+                      [x, w](const Matrix& ga) {
+                        if (x.requires_grad())
+                          x.AccumulateGrad(ga.MatmulTranspose(w.value()));
+                        if (w.requires_grad())
+                          w.AccumulateGrad(x.value().TransposeMatmul(ga));
+                      });
+}
+
+Tensor SpmmNode(const char* op, const SparseMatrix& sp, const Tensor& x,
+                const Tensor& b, Activation act, double alpha) {
+  GNN4TDL_CHECK_EQ(sp.cols(), x.rows());
+  // The tape owns the transposed operator: the backward S^T * G is a row
+  // gather over S^T, write-disjoint and bit-exact at every thread count.
+  return EpilogueNode(op, sp.Multiply(x.value()), {x}, b, act, alpha,
+                      [sp_t = sp.Transpose(), x](const Matrix& ga) {
+                        if (x.requires_grad())
+                          x.AccumulateGrad(sp_t.Multiply(ga));
+                      });
+}
+
+Tensor AddNode(const char* op, const Tensor& a, const Tensor& b,
+               Activation act, double alpha) {
+  GNN4TDL_CHECK_EQ(a.rows(), b.rows());
+  GNN4TDL_CHECK_EQ(a.cols(), b.cols());
+  return EpilogueNode(op, a.value() + b.value(), {a, b}, Tensor(), act, alpha,
+                      [a, b](const Matrix& ga) {
+                        if (a.requires_grad()) a.AccumulateGrad(ga);
+                        if (b.requires_grad()) b.AccumulateGrad(ga);
+                      });
+}
+
+// act(a), named after the activation; `a` itself for kNone.
+Tensor ActNode(const Tensor& a, Activation act, double alpha) {
+  const char* op = nullptr;
+  switch (act) {
+    case Activation::kNone:
+      return a;
+    case Activation::kRelu:
+      op = "Relu";
+      break;
+    case Activation::kLeakyRelu:
+      op = "LeakyRelu";
+      break;
+    case Activation::kSigmoid:
+      op = "Sigmoid";
+      break;
+    case Activation::kTanh:
+      op = "Tanh";
+      break;
+  }
+  GNN4TDL_CHECK_MSG(op != nullptr, "unknown activation");
+  return EpilogueNode(op, a.value(), {a}, Tensor(), act, alpha,
+                      [a](const Matrix& ga) {
+                        if (a.requires_grad()) a.AccumulateGrad(ga);
+                      });
 }
 
 }  // namespace
@@ -82,97 +149,19 @@ void BiasAct(Matrix* m, const Matrix* bias, Activation act, double alpha) {
   });
 }
 
-void SetFusionEnabled(bool enabled) {
-  g_fusion_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool FusionEnabled() {
-  return g_fusion_enabled.load(std::memory_order_relaxed);
-}
-
 Tensor LinearBiasAct(const Tensor& x, const Tensor& w, const Tensor& b,
                      Activation act, double leaky_alpha) {
-  GNN4TDL_CHECK_EQ(x.cols(), w.rows());
-  if (b.defined()) {
-    GNN4TDL_CHECK_EQ(b.rows(), 1u);
-    GNN4TDL_CHECK_EQ(b.cols(), w.cols());
-  }
-  if (!FusionEnabled()) {
-    CountFusion("linear_bias_act", /*hit=*/false);
-    Tensor out = ops::MatMul(x, w);
-    if (b.defined()) out = ops::AddRowBroadcast(out, b);
-    return ActivateUnfused(out, act, leaky_alpha);
-  }
-  CountFusion("linear_bias_act", /*hit=*/true);
-  TapeOpScope op_scope("LinearBiasAct");
-  Matrix out = x.value().Matmul(w.value());
-  BiasAct(&out, b.defined() ? &b.value() : nullptr, act, leaky_alpha);
-  std::vector<Tensor> parents{x, w};
-  if (b.defined()) parents.push_back(b);
-  // The activation backward reads the node's own output.
-  return Tensor::FromOpWithOutput(
-      std::move(out), std::move(parents),
-      [x, w, b, act, leaky_alpha](const Matrix& g, const Matrix& out) {
-        Matrix storage;
-        const Matrix& ga = MaskedGrad(g, out, act, leaky_alpha, &storage);
-        if (b.defined() && b.requires_grad()) b.AccumulateGrad(ga.ColSum());
-        if (x.requires_grad()) x.AccumulateGrad(ga.MatmulTranspose(w.value()));
-        if (w.requires_grad())
-          w.AccumulateGrad(x.value().TransposeMatmul(ga));
-      });
+  return LinearNode("LinearBiasAct", x, w, b, act, leaky_alpha);
 }
 
 Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
                    Activation act, double leaky_alpha) {
-  GNN4TDL_CHECK_EQ(sp.cols(), x.rows());
-  if (b.defined()) {
-    GNN4TDL_CHECK_EQ(b.rows(), 1u);
-    GNN4TDL_CHECK_EQ(b.cols(), x.cols());
-  }
-  if (!FusionEnabled()) {
-    CountFusion("spmm_bias_act", /*hit=*/false);
-    Tensor out = ops::SpMM(sp, x);
-    if (b.defined()) out = ops::AddRowBroadcast(out, b);
-    return ActivateUnfused(out, act, leaky_alpha);
-  }
-  CountFusion("spmm_bias_act", /*hit=*/true);
-  TapeOpScope op_scope("SpmmBiasAct");
-  Matrix out = sp.Multiply(x.value());
-  BiasAct(&out, b.defined() ? &b.value() : nullptr, act, leaky_alpha);
-  std::vector<Tensor> parents{x};
-  if (b.defined()) parents.push_back(b);
-  // The tape owns the transposed operator, as in ops::SpMM.
-  return Tensor::FromOpWithOutput(
-      std::move(out), std::move(parents),
-      [sp_t = sp.Transpose(), x, b, act, leaky_alpha](const Matrix& g,
-                                                      const Matrix& out) {
-        Matrix storage;
-        const Matrix& ga = MaskedGrad(g, out, act, leaky_alpha, &storage);
-        if (b.defined() && b.requires_grad()) b.AccumulateGrad(ga.ColSum());
-        if (x.requires_grad()) x.AccumulateGrad(sp_t.Multiply(ga));
-      });
+  return SpmmNode("SpmmBiasAct", sp, x, b, act, leaky_alpha);
 }
 
 Tensor AddAct(const Tensor& a, const Tensor& b, Activation act,
               double leaky_alpha) {
-  GNN4TDL_CHECK_EQ(a.rows(), b.rows());
-  GNN4TDL_CHECK_EQ(a.cols(), b.cols());
-  if (!FusionEnabled()) {
-    CountFusion("add_act", /*hit=*/false);
-    return ActivateUnfused(ops::Add(a, b), act, leaky_alpha);
-  }
-  CountFusion("add_act", /*hit=*/true);
-  TapeOpScope op_scope("AddAct");
-  Matrix out = a.value() + b.value();
-  BiasAct(&out, nullptr, act, leaky_alpha);
-  return Tensor::FromOpWithOutput(
-      std::move(out), {a, b},
-      [a, b, act, leaky_alpha](const Matrix& g, const Matrix& out) {
-        Matrix storage;
-        const Matrix& ga = MaskedGrad(g, out, act, leaky_alpha, &storage);
-        if (a.requires_grad()) a.AccumulateGrad(ga);
-        if (b.requires_grad()) b.AccumulateGrad(ga);
-      });
+  return AddNode("AddAct", a, b, act, leaky_alpha);
 }
 
 Tensor GatherConcat(const Tensor& a, const std::vector<size_t>& idx_a,
@@ -181,12 +170,6 @@ Tensor GatherConcat(const Tensor& a, const std::vector<size_t>& idx_a,
   const size_t rows = idx_a.size();
   const size_t da = a.cols();
   const size_t db = b.cols();
-  if (!FusionEnabled()) {
-    CountFusion("gather_concat", /*hit=*/false);
-    return ops::ConcatCols(ops::GatherRows(a, idx_a),
-                           ops::GatherRows(b, idx_b));
-  }
-  CountFusion("gather_concat", /*hit=*/true);
   TapeOpScope op_scope("GatherConcat");
   Matrix out(rows, da + db);
   for (size_t i = 0; i < rows; ++i) {
@@ -236,14 +219,6 @@ Tensor NormalizeAggregate(const Tensor& h, const Tensor& edge_weights,
   GNN4TDL_CHECK_EQ(dst.size(), num_edges);
   GNN4TDL_CHECK_EQ(edge_weights.rows(), num_edges);
   GNN4TDL_CHECK_EQ(edge_weights.cols(), 1u);
-  if (!FusionEnabled()) {
-    CountFusion("normalize_aggregate", /*hit=*/false);
-    Tensor logw = ops::Log(ops::AddScalar(edge_weights, eps));
-    Tensor alpha = ops::EdgeSoftmax(logw, dst, num_nodes);
-    Tensor msg = ops::MulColBroadcast(ops::GatherRows(h, src), alpha);
-    return ops::ScatterAddRows(msg, dst, num_nodes);
-  }
-  CountFusion("normalize_aggregate", /*hit=*/true);
   TapeOpScope op_scope("NormalizeAggregate");
   const size_t cols = h.cols();
   obs::KernelScope kernel(
@@ -308,3 +283,46 @@ Tensor NormalizeAggregate(const Tensor& h, const Tensor& edge_weights,
 }
 
 }  // namespace gnn4tdl::fused
+
+// The plain ops are the epilogue node's no-bias, no-activation cases, and
+// the activations are the node over their input: declared in nn/ops.h and
+// nn/module.h, defined here beside the one body each runs.
+namespace gnn4tdl {
+
+namespace ops {
+
+Tensor Add(const Tensor& a, const Tensor& b) {
+  return fused::AddNode("Add", a, b, Activation::kNone, 0.0);
+}
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
+  return fused::LinearNode("MatMul", a, b, Tensor(), Activation::kNone, 0.0);
+}
+
+Tensor SpMM(const SparseMatrix& sp, const Tensor& x) {
+  return fused::SpmmNode("SpMM", sp, x, Tensor(), Activation::kNone, 0.0);
+}
+
+Tensor Relu(const Tensor& a) {
+  return fused::ActNode(a, Activation::kRelu, 0.0);
+}
+
+Tensor LeakyRelu(const Tensor& a, double alpha) {
+  return fused::ActNode(a, Activation::kLeakyRelu, alpha);
+}
+
+Tensor Sigmoid(const Tensor& a) {
+  return fused::ActNode(a, Activation::kSigmoid, 0.0);
+}
+
+Tensor Tanh(const Tensor& a) {
+  return fused::ActNode(a, Activation::kTanh, 0.0);
+}
+
+}  // namespace ops
+
+Tensor Activate(const Tensor& x, Activation act) {
+  return fused::ActNode(x, act, 0.2);
+}
+
+}  // namespace gnn4tdl

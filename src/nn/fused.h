@@ -1,19 +1,19 @@
 #pragma once
 
 // Fused tape ops for the recurring message-passing patterns (docs/MEMORY.md,
-// docs/KERNELS.md §fused). Each function here collapses a short chain of
-// nn/ops nodes into ONE tape node whose forward and backward run the exact
-// same kernel sequences, in the same element order, as the unfused
-// composition — so values and gradients are bit-identical at every thread
-// count, and the intermediate tape values (pre-bias, pre-activation,
-// gathered/scaled edge messages) become transient buffers that die with the
-// node's closure instead of living until the tape does.
+// docs/KERNELS.md §fused). Each function here is ONE tape node for a short
+// chain of nn/ops nodes; its forward and backward run the same kernel
+// sequences, in the same element order, as that chain, so values and
+// gradients are bit-identical to it at every thread count
+// (tests/fusion_test.cc), and the chain's intermediates (pre-bias,
+// pre-activation, gathered/scaled edge messages) are transient buffers that
+// die with the node's closure instead of living until the tape does.
 //
-// Every entry point bails to the unfused composition when fusion is disabled
-// (SetFusionEnabled(false)) or when the pattern's preconditions don't hold;
-// hits and bails are counted per pattern as fusion.hits.<name> /
-// fusion.bails.<name> in the metrics registry. Disabling fusion is therefore
-// always safe and bit-neutral — it only changes which nodes the tape holds.
+// The projection, aggregation and combine nodes share one body with the
+// plain ops: ops::MatMul, ops::SpMM and ops::Add are LinearBiasAct,
+// SpmmBiasAct and AddAct with no bias and no activation, and ops::Relu,
+// LeakyRelu, Sigmoid, Tanh and Activate() are the same epilogue node over
+// their input. Each keeps its own tape name.
 
 #include <vector>
 
@@ -23,16 +23,11 @@
 
 namespace gnn4tdl::fused {
 
-/// Process-wide fusion switch (default on). Thread-safe; flipping it affects
-/// nodes created afterwards, never the recorded tape.
-void SetFusionEnabled(bool enabled);
-bool FusionEnabled();
-
 /// In place m(r, :) = act(m(r, :) + bias(0, :)), with no add when `bias`
-/// is null: per element AddRowBroadcast's add, then the same function
-/// ops.cc's activations apply. The value step every fused node ends with,
-/// and what eval-mode forwards without a tape call. Runs the dispatched f64
-/// epilogue kernel (kernels::F64Kernels::bias_act) over row blocks.
+/// is null: per element AddRowBroadcast's add, then the activation. The
+/// value step every epilogue node ends with, and what eval-mode forwards
+/// without a tape call. Runs the dispatched f64 epilogue kernel
+/// (kernels::F64Kernels::bias_act) over row blocks.
 void BiasAct(Matrix* m, const Matrix* bias, Activation act,
              double alpha = 0.2);
 

@@ -52,23 +52,6 @@ Tensor Linear::Forward(const Tensor& x, Activation act) const {
   return fused::LinearBiasAct(x, weight_, bias_, act);
 }
 
-Tensor Activate(const Tensor& x, Activation act) {
-  switch (act) {
-    case Activation::kRelu:
-      return ops::Relu(x);
-    case Activation::kLeakyRelu:
-      return ops::LeakyRelu(x);
-    case Activation::kSigmoid:
-      return ops::Sigmoid(x);
-    case Activation::kTanh:
-      return ops::Tanh(x);
-    case Activation::kNone:
-      return x;
-  }
-  GNN4TDL_CHECK_MSG(false, "unknown activation");
-  return x;
-}
-
 Activation ActivationFromName(const std::string& name) {
   if (name == "relu") return Activation::kRelu;
   if (name == "leaky_relu") return Activation::kLeakyRelu;

@@ -55,9 +55,8 @@ class Linear : public Module {
 
   Tensor Forward(const Tensor& x) const;
 
-  /// act(x W + b) as one fused tape node when fusion is enabled (see
-  /// nn/fused.h), the unfused composition otherwise — bit-identical either
-  /// way.
+  /// act(x W + b) as one fused tape node (nn/fused.h), bit-identical to
+  /// the MatMul, bias add and activation composition.
   Tensor Forward(const Tensor& x, Activation act) const;
 
   size_t in_dim() const { return in_dim_; }
@@ -72,7 +71,8 @@ class Linear : public Module {
   Tensor bias_;  // undefined if bias == false
 };
 
-/// Applies `act` to `x`.
+/// Applies `act` to `x` as one tape node named after the activation (the
+/// ops::Relu, LeakyRelu, Sigmoid or Tanh node); `x` itself for kNone.
 Tensor Activate(const Tensor& x, Activation act);
 
 /// Parses "relu" / "leaky_relu" / "sigmoid" / "tanh" / "none".

@@ -33,15 +33,6 @@ double Softplus(double z) {
   return z > 0 ? z + std::log1p(std::exp(-z)) : std::log1p(std::exp(z));
 }
 
-double StableSigmoid(double z) {
-  if (z >= 0) {
-    double e = std::exp(-z);
-    return 1.0 / (1.0 + e);
-  }
-  double e = std::exp(z);
-  return e / (1.0 + e);
-}
-
 // Doubles per chunk of the elementwise passes (tensor/matrix.cc's grain).
 constexpr size_t kElemGrain = 16384;
 
@@ -76,15 +67,6 @@ Matrix RowL2NormalizeValue(const Matrix& a, double eps,
 }
 
 }  // namespace
-
-Tensor Add(const Tensor& a, const Tensor& b) {
-  TapeOpScope op_scope("Add");
-  CheckSameShape(a, b);
-  return Tensor::FromOp(a.value() + b.value(), {a, b}, [a, b](const Matrix& g) {
-    if (a.requires_grad()) a.AccumulateGrad(g);
-    if (b.requires_grad()) b.AccumulateGrad(g);
-  });
-}
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   TapeOpScope op_scope("Sub");
@@ -165,22 +147,6 @@ Tensor MulColBroadcast(const Tensor& a, const Tensor& w) {
   });
 }
 
-Tensor Relu(const Tensor& a) {
-  TapeOpScope op_scope("Relu");
-  return Tensor::FromOp(a.value().Map([](double v) { return v > 0 ? v : 0.0; }),
-                        {a}, [a](const Matrix& g) {
-                          if (!a.requires_grad()) return;
-                          Matrix ga = g;
-                          ParallelFor(0, ga.rows(), RowGrain(ga.cols()),
-                                      [&](size_t lo, size_t hi) {
-                            for (size_t i = lo; i < hi; ++i)
-                              for (size_t j = 0; j < ga.cols(); ++j)
-                                if (a.value()(i, j) <= 0) ga(i, j) = 0.0;
-                          });
-                          a.AccumulateGrad(ga);
-                        });
-}
-
 Tensor Abs(const Tensor& a) {
   TapeOpScope op_scope("Abs");
   return Tensor::FromOp(a.value().Map([](double v) { return std::fabs(v); }),
@@ -194,58 +160,6 @@ Tensor Abs(const Tensor& a) {
                             }
                           a.AccumulateGrad(ga);
                         });
-}
-
-Tensor LeakyRelu(const Tensor& a, double alpha) {
-  TapeOpScope op_scope("LeakyRelu");
-  return Tensor::FromOp(
-      a.value().Map([alpha](double v) { return v > 0 ? v : alpha * v; }), {a},
-      [a, alpha](const Matrix& g) {
-        if (!a.requires_grad()) return;
-        Matrix ga = g;
-        for (size_t i = 0; i < ga.rows(); ++i)
-          for (size_t j = 0; j < ga.cols(); ++j)
-            if (a.value()(i, j) <= 0) ga(i, j) *= alpha;
-        a.AccumulateGrad(ga);
-      });
-}
-
-Tensor Sigmoid(const Tensor& a) {
-  TapeOpScope op_scope("Sigmoid");
-  return Tensor::FromOpWithOutput(
-      a.value().Map(StableSigmoid), {a},
-      [a](const Matrix& g, const Matrix& out) {
-        if (!a.requires_grad()) return;
-        Matrix ga = g;
-        ParallelFor(0, ga.rows(), RowGrain(ga.cols()),
-                    [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i)
-            for (size_t j = 0; j < ga.cols(); ++j) {
-              double s = out(i, j);
-              ga(i, j) *= s * (1.0 - s);
-            }
-        });
-        a.AccumulateGrad(ga);
-      });
-}
-
-Tensor Tanh(const Tensor& a) {
-  TapeOpScope op_scope("Tanh");
-  return Tensor::FromOpWithOutput(
-      a.value().Map([](double v) { return std::tanh(v); }), {a},
-      [a](const Matrix& g, const Matrix& out) {
-        if (!a.requires_grad()) return;
-        Matrix ga = g;
-        ParallelFor(0, ga.rows(), RowGrain(ga.cols()),
-                    [&](size_t lo, size_t hi) {
-          for (size_t i = lo; i < hi; ++i)
-            for (size_t j = 0; j < ga.cols(); ++j) {
-              double t = out(i, j);
-              ga(i, j) *= 1.0 - t * t;
-            }
-        });
-        a.AccumulateGrad(ga);
-      });
 }
 
 Tensor Exp(const Tensor& a) {
@@ -396,30 +310,6 @@ Tensor Transpose(const Tensor& a) {
   return Tensor::FromOp(a.value().Transpose(), {a}, [a](const Matrix& g) {
     if (a.requires_grad()) a.AccumulateGrad(g.Transpose());
   });
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  TapeOpScope op_scope("MatMul");
-  GNN4TDL_CHECK_EQ(a.cols(), b.rows());
-  return Tensor::FromOp(a.value().Matmul(b.value()), {a, b},
-                        [a, b](const Matrix& g) {
-                          if (a.requires_grad())
-                            a.AccumulateGrad(g.MatmulTranspose(b.value()));
-                          if (b.requires_grad())
-                            b.AccumulateGrad(a.value().TransposeMatmul(g));
-                        });
-}
-
-Tensor SpMM(const SparseMatrix& sp, const Tensor& x) {
-  TapeOpScope op_scope("SpMM");
-  GNN4TDL_CHECK_EQ(sp.cols(), x.rows());
-  // The tape owns the transposed operator: the backward S^T * G is a row
-  // gather over S^T, write-disjoint and bit-exact at every thread count.
-  return Tensor::FromOp(sp.Multiply(x.value()), {x},
-                        [sp_t = sp.Transpose(), x](const Matrix& g) {
-                          if (x.requires_grad())
-                            x.AccumulateGrad(sp_t.Multiply(g));
-                        });
 }
 
 Tensor WeightedSpMM(const Tensor& weights, const Tensor& x,
@@ -983,7 +873,8 @@ Tensor BceWithLogits(const Tensor& pred, const std::vector<double>& targets,
                               if (w[r] == 0.0) continue;
                               double z = pred.value()(r, 0);
                               gp(r, 0) = g(0, 0) * w[r] *
-                                         (StableSigmoid(z) - t_copy[r]) /
+                                         (kernels::detail::StableSigmoid(z) -
+                                          t_copy[r]) /
                                          w_sum;
                             }
                           });

@@ -14,7 +14,7 @@ namespace gnn4tdl::ops {
 // Elementwise & broadcast arithmetic
 // ---------------------------------------------------------------------------
 
-/// C = A + B (same shape).
+/// C = A + B (same shape). fused::AddAct's node with no activation.
 Tensor Add(const Tensor& a, const Tensor& b);
 
 /// C = A - B (same shape).
@@ -39,6 +39,10 @@ Tensor MulColBroadcast(const Tensor& a, const Tensor& w);
 // Activations
 // ---------------------------------------------------------------------------
 
+// Relu, LeakyRelu, Sigmoid and Tanh are one node each, fused::BiasAct's
+// epilogue over the input (nn/fused.h). Each backward reads the node's own
+// output, so a relu gradient is 0 wherever the output is 0, NaN inputs
+// included.
 Tensor Relu(const Tensor& a);
 /// Elementwise absolute value (subgradient 0 at 0).
 Tensor Abs(const Tensor& a);
@@ -80,11 +84,12 @@ Tensor Transpose(const Tensor& a);
 // Linear algebra & message passing
 // ---------------------------------------------------------------------------
 
-/// C = A * B.
+/// C = A * B. fused::LinearBiasAct's node with no bias or activation.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// C = S * X for a constant sparse operator S (e.g., a normalized adjacency).
-/// Gradient flows to X only.
+/// Gradient flows to X only. fused::SpmmBiasAct's node with no bias or
+/// activation.
 Tensor SpMM(const SparseMatrix& sp, const Tensor& x);
 
 /// out[i, :] = X[idx[i], :]. Rows may repeat (e.g., edge endpoint gather).

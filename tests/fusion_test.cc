@@ -1,15 +1,22 @@
-// Fused tape ops (nn/fused.h): the fused single-node forms must be
-// BIT-IDENTICAL to their unfused compositions — values and gradients — at
-// whatever thread count the process runs with. The check.sh `fusion` stage
-// re-runs this binary under GNN4TDL_THREADS=1 and =4 (and under asan), so the
-// equality below is exercised at multiple thread counts; within one process
-// the comparison is exact memcmp, not a tolerance.
+// Fused tape ops (nn/fused.h): each fused single node must be BIT-IDENTICAL
+// to the explicit nn/ops composition it stands for — values and gradients —
+// at whatever thread count the process runs with. The check.sh `fusion`
+// stage re-runs this binary under GNN4TDL_THREADS=1 and =4 (and under asan),
+// so the equality below is exercised at multiple thread counts; within one
+// process the comparison is exact memcmp, not a tolerance.
 //
-// The mechanism under test: SetFusionEnabled(false) makes every fused entry
-// point bail to the exact unfused op chain, so fused-vs-unfused is a
-// same-inputs same-process A/B with only the tape shape differing.
+// ops::MatMul, SpMM and Add are the fused nodes' no-bias, no-activation
+// case, and the activation ops are the same epilogue over their input, so
+// the compositions pin the bias add and the activation epilogue against
+// AddRowBroadcast and the activation nodes; the activations themselves are
+// pinned element by element against the kernels' scalar reference
+// (kernels::detail::ActF64 / ActGradF64).
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,11 +26,11 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "kernels/kernels.h"
 #include "models/knn_gnn.h"
 #include "nn/fused.h"
 #include "nn/ops.h"
 #include "nn/tape_verifier.h"
-#include "obs/metrics.h"
 #include "tensor/sparse.h"
 
 namespace gnn4tdl {
@@ -52,24 +59,17 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
       << "matrices differ in bits";
 }
 
-/// Flips fusion off for the scope, restoring on exit.
-class FusionOff {
- public:
-  FusionOff() { fused::SetFusionEnabled(false); }
-  ~FusionOff() { fused::SetFusionEnabled(true); }
-};
-
 constexpr Activation kActs[] = {Activation::kNone, Activation::kRelu,
                                 Activation::kLeakyRelu, Activation::kSigmoid,
                                 Activation::kTanh};
 
-/// Runs `build` twice — fused and unfused — through a SumSquares loss and
-/// asserts the forward value and every leaf gradient match bit for bit.
-void ExpectFusedMatchesUnfused(
-    const std::vector<Tensor>& leaves,
-    const std::function<Tensor()>& build) {
-  ASSERT_TRUE(fused::FusionEnabled());
-  Tensor fused_out = build();
+/// Runs the fused node and its explicit composition through a SumSquares
+/// loss and asserts the forward value, the loss and every leaf gradient
+/// match bit for bit.
+void ExpectFusedMatchesUnfused(const std::vector<Tensor>& leaves,
+                               const std::function<Tensor()>& fused_build,
+                               const std::function<Tensor()>& composed_build) {
+  Tensor fused_out = fused_build();
   Tensor fused_loss = ops::SumSquares(fused_out);
   for (const Tensor& leaf : leaves) leaf.ZeroGrad();
   fused_loss.Backward();
@@ -77,14 +77,13 @@ void ExpectFusedMatchesUnfused(
   std::vector<Matrix> fused_grads;
   for (const Tensor& leaf : leaves) fused_grads.push_back(leaf.grad());
 
-  FusionOff off;
-  Tensor plain_out = build();
-  Tensor plain_loss = ops::SumSquares(plain_out);
+  Tensor composed_out = composed_build();
+  Tensor composed_loss = ops::SumSquares(composed_out);
   for (const Tensor& leaf : leaves) leaf.ZeroGrad();
-  plain_loss.Backward();
+  composed_loss.Backward();
 
-  ExpectBitIdentical(fused_value, plain_out.value());
-  ExpectBitIdentical(fused_loss.value(), plain_loss.value());
+  ExpectBitIdentical(fused_value, composed_out.value());
+  ExpectBitIdentical(fused_loss.value(), composed_loss.value());
   for (size_t i = 0; i < leaves.size(); ++i)
     ExpectBitIdentical(fused_grads[i], leaves[i].grad());
 }
@@ -96,7 +95,10 @@ TEST(FusionTest, LinearBiasActBitExact) {
     Tensor w = Tensor::Leaf(RandomMatrix(7, 5, rng), true);
     Tensor b = Tensor::Leaf(RandomMatrix(1, 5, rng), true);
     ExpectFusedMatchesUnfused(
-        {x, w, b}, [&] { return fused::LinearBiasAct(x, w, b, act); });
+        {x, w, b}, [&] { return fused::LinearBiasAct(x, w, b, act); },
+        [&] {
+          return Activate(ops::AddRowBroadcast(ops::MatMul(x, w), b), act);
+        });
   }
 }
 
@@ -104,9 +106,10 @@ TEST(FusionTest, LinearActWithoutBiasBitExact) {
   Rng rng(32);
   Tensor x = Tensor::Leaf(RandomMatrix(6, 4, rng), true);
   Tensor w = Tensor::Leaf(RandomMatrix(4, 3, rng), true);
-  ExpectFusedMatchesUnfused({x, w}, [&] {
-    return fused::LinearBiasAct(x, w, Tensor(), Activation::kRelu);
-  });
+  ExpectFusedMatchesUnfused(
+      {x, w},
+      [&] { return fused::LinearBiasAct(x, w, Tensor(), Activation::kRelu); },
+      [&] { return ops::Relu(ops::MatMul(x, w)); });
 }
 
 TEST(FusionTest, SpmmBiasActBitExact) {
@@ -116,9 +119,13 @@ TEST(FusionTest, SpmmBiasActBitExact) {
     Tensor x = Tensor::Leaf(RandomMatrix(11, 6, rng), true);
     Tensor b = Tensor::Leaf(RandomMatrix(1, 6, rng), true);
     ExpectFusedMatchesUnfused(
-        {x, b}, [&] { return fused::SpmmBiasAct(sp, x, b, act); });
+        {x, b}, [&] { return fused::SpmmBiasAct(sp, x, b, act); },
+        [&] {
+          return Activate(ops::AddRowBroadcast(ops::SpMM(sp, x), b), act);
+        });
     ExpectFusedMatchesUnfused(
-        {x}, [&] { return fused::SpmmBiasAct(sp, x, Tensor(), act); });
+        {x}, [&] { return fused::SpmmBiasAct(sp, x, Tensor(), act); },
+        [&] { return Activate(ops::SpMM(sp, x), act); });
   }
 }
 
@@ -127,8 +134,9 @@ TEST(FusionTest, AddActBitExact) {
   for (Activation act : kActs) {
     Tensor a = Tensor::Leaf(RandomMatrix(8, 5, rng), true);
     Tensor b = Tensor::Leaf(RandomMatrix(8, 5, rng), true);
-    ExpectFusedMatchesUnfused({a, b},
-                              [&] { return fused::AddAct(a, b, act); });
+    ExpectFusedMatchesUnfused(
+        {a, b}, [&] { return fused::AddAct(a, b, act); },
+        [&] { return Activate(ops::Add(a, b), act); });
   }
 }
 
@@ -140,7 +148,11 @@ TEST(FusionTest, GatherConcatBitExact) {
   std::vector<size_t> idx_a = {0, 3, 3, 6, 1, 0};
   std::vector<size_t> idx_b = {4, 4, 0, 2, 1, 1};
   ExpectFusedMatchesUnfused(
-      {a, b}, [&] { return fused::GatherConcat(a, idx_a, b, idx_b); });
+      {a, b}, [&] { return fused::GatherConcat(a, idx_a, b, idx_b); },
+      [&] {
+        return ops::ConcatCols(ops::GatherRows(a, idx_a),
+                               ops::GatherRows(b, idx_b));
+      });
 }
 
 TEST(FusionTest, NormalizeAggregateBitExact) {
@@ -155,9 +167,15 @@ TEST(FusionTest, NormalizeAggregateBitExact) {
   for (size_t e = 0; e < src.size(); ++e)
     w_init(e, 0) = rng.Uniform(0.05, 1.0);  // positive learned weights
   Tensor w = Tensor::Leaf(w_init, true);
-  ExpectFusedMatchesUnfused({h, w}, [&] {
-    return fused::NormalizeAggregate(h, w, src, dst, num_nodes);
-  });
+  ExpectFusedMatchesUnfused(
+      {h, w},
+      [&] { return fused::NormalizeAggregate(h, w, src, dst, num_nodes); },
+      [&] {
+        Tensor logw = ops::Log(ops::AddScalar(w, 1e-9));
+        Tensor alpha = ops::EdgeSoftmax(logw, dst, num_nodes);
+        Tensor msg = ops::MulColBroadcast(ops::GatherRows(h, src), alpha);
+        return ops::ScatterAddRows(msg, dst, num_nodes);
+      });
 }
 
 TEST(FusionTest, FusedTapePassesVerifier) {
@@ -173,38 +191,6 @@ TEST(FusionTest, FusedTapePassesVerifier) {
   EXPECT_TRUE(verifier.Verify(loss).ok());
 }
 
-/// Turns metric emission on for one scope and restores the previous state.
-class MetricsOn {
- public:
-  MetricsOn() : was_enabled_(obs::MetricsEnabled()) { obs::EnableMetrics(); }
-  ~MetricsOn() {
-    if (!was_enabled_) obs::DisableMetrics();
-  }
-
- private:
-  bool was_enabled_;
-};
-
-TEST(FusionTest, HitAndBailCountersTrack) {
-  MetricsOn metrics;
-  Rng rng(38);
-  auto& registry = obs::MetricsRegistry::Global();
-  Tensor a = Tensor::Leaf(RandomMatrix(3, 3, rng), true);
-  Tensor b = Tensor::Leaf(RandomMatrix(3, 3, rng), true);
-  const double hits_before = registry.GetCounter("fusion.hits.add_act").Value();
-  const double bails_before =
-      registry.GetCounter("fusion.bails.add_act").Value();
-  (void)fused::AddAct(a, b, Activation::kRelu);
-  EXPECT_EQ(registry.GetCounter("fusion.hits.add_act").Value(),
-            hits_before + 1);
-  {
-    FusionOff off;
-    (void)fused::AddAct(a, b, Activation::kRelu);
-  }
-  EXPECT_EQ(registry.GetCounter("fusion.bails.add_act").Value(),
-            bails_before + 1);
-}
-
 TEST(FusionTest, FusedTapeIsSmaller) {
   Rng rng(39);
   SparseMatrix sp = RandomSparse(10, 10, 0.3, rng);
@@ -212,16 +198,102 @@ TEST(FusionTest, FusedTapeIsSmaller) {
   Tensor b = Tensor::Leaf(RandomMatrix(1, 4, rng), true);
   Tensor fused_loss =
       ops::SumSquares(fused::SpmmBiasAct(sp, x, b, Activation::kRelu));
-  size_t fused_nodes = fused_loss.TapeSize();
-  FusionOff off;
-  Tensor plain_loss =
-      ops::SumSquares(fused::SpmmBiasAct(sp, x, b, Activation::kRelu));
-  EXPECT_LT(fused_nodes, plain_loss.TapeSize());
+  Tensor composed_loss = ops::SumSquares(
+      ops::Relu(ops::AddRowBroadcast(ops::SpMM(sp, x), b)));
+  EXPECT_LT(fused_loss.TapeSize(), composed_loss.TapeSize());
 }
 
-// A whole training run, fusion on vs off: the fused nodes (the last ReLU
-// folded into the final layer's node included) must leave bit-identical
-// trained parameters and logits. Dropout and the validation pass are on.
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Each activation op, forward and backward, equals the kernels' scalar
+// reference element by element, at the edges of the double range: signed
+// zeros, infinities, subnormals, and ±800 (where a naive sigmoid's exp
+// overflows). Five columns put four in the AVX2 tier's vector lanes and one
+// in its scalar tail. The leaky slope is not the 0.2 default.
+TEST(FusionTest, ActivationsMatchKernelReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  constexpr double kHalfMin = std::numeric_limits<double>::min() / 2;
+  const std::vector<double> inputs = {0.0,   -0.0,     kInf,  -kInf, kSub,
+                                      -kSub, kHalfMin, -kHalfMin, 800.0,
+                                      -800.0, 1.5,     -2.25, 0.3,   -0.7,
+                                      37.0};
+  constexpr double kSlope = 0.37;
+  struct Case {
+    const char* name;
+    kernels::FAct act;
+    double alpha;
+    std::function<Tensor(const Tensor&)> op;
+  };
+  const Case cases[] = {
+      {"relu", kernels::FAct::kRelu, 0.0,
+       [](const Tensor& t) { return ops::Relu(t); }},
+      {"leaky_relu", kernels::FAct::kLeakyRelu, kSlope,
+       [](const Tensor& t) { return ops::LeakyRelu(t, kSlope); }},
+      {"sigmoid", kernels::FAct::kSigmoid, 0.0,
+       [](const Tensor& t) { return ops::Sigmoid(t); }},
+      {"tanh", kernels::FAct::kTanh, 0.0,
+       [](const Tensor& t) { return ops::Tanh(t); }},
+  };
+  Matrix x_init(3, 5);
+  Matrix upstream(3, 5);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    x_init.data()[i] = inputs[i];
+    upstream.data()[i] = (i % 2 == 0 ? 1.0 : -1.0) * (0.5 + 0.25 * i);
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Tensor x = Tensor::Leaf(x_init, true);
+    Tensor out = c.op(x);
+    // d(sum(out ⊙ upstream))/d(out) is `upstream` exactly.
+    ops::SumAll(ops::CwiseMul(out, Tensor::Constant(upstream))).Backward();
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      SCOPED_TRACE("input " + std::to_string(inputs[i]));
+      const double want = kernels::detail::ActF64(inputs[i], c.act, c.alpha);
+      EXPECT_EQ(Bits(out.value().data()[i]), Bits(want));
+      // A gradient lands in the leaf as 0.0 + g (Tensor::AccumulateGrad).
+      EXPECT_EQ(Bits(x.grad().data()[i]),
+                Bits(0.0 + kernels::detail::ActGradF64(upstream.data()[i],
+                                                       want, c.act, c.alpha)));
+    }
+  }
+}
+
+// The activation backward reads the node's output. Relu maps NaN to 0, so
+// its gradient there is 0, as wherever else the output is 0; LeakyRelu keeps
+// the NaN, and its gradient there passes through.
+TEST(FusionTest, ActivationGradientAtNaNInput) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Matrix x_init(1, 3);
+  x_init(0, 0) = nan;
+  x_init(0, 1) = 2.0;
+  x_init(0, 2) = -2.0;
+  Matrix upstream(1, 3);
+  upstream(0, 0) = 3.0;
+  upstream(0, 1) = 5.0;
+  upstream(0, 2) = 7.0;
+
+  Tensor x = Tensor::Leaf(x_init, true);
+  Tensor relu = ops::Relu(x);
+  ops::SumAll(ops::CwiseMul(relu, Tensor::Constant(upstream))).Backward();
+  EXPECT_EQ(relu.value()(0, 0), 0.0);
+  EXPECT_EQ(x.grad()(0, 0), 0.0);
+  EXPECT_EQ(x.grad()(0, 1), 5.0);
+  EXPECT_EQ(x.grad()(0, 2), 0.0);
+
+  x.ZeroGrad();
+  Tensor leaky = ops::LeakyRelu(x, 0.5);
+  ops::SumAll(ops::CwiseMul(leaky, Tensor::Constant(upstream))).Backward();
+  EXPECT_TRUE(std::isnan(leaky.value()(0, 0)));
+  EXPECT_EQ(x.grad()(0, 0), 3.0);
+  EXPECT_EQ(x.grad()(0, 1), 5.0);
+  EXPECT_EQ(x.grad()(0, 2), 3.5);
+}
+
 struct FitConfig {
   const char* name;
   GnnBackbone backbone;
@@ -266,28 +338,6 @@ FitResult FitOnce(const FitConfig& config) {
   EXPECT_TRUE(logits.ok());
   if (logits.ok()) result.logits = *logits;
   return result;
-}
-
-TEST(FusionTest, WholeFitBitExactFusedVsUnfused) {
-  const FitConfig configs[] = {
-      {"gcn", GnnBackbone::kGcn, false, false},
-      {"gcn_jk", GnnBackbone::kGcn, false, true},
-      {"gcn_pairnorm", GnnBackbone::kGcn, true, false},
-      {"sage", GnnBackbone::kSage, false, false},
-      {"gin", GnnBackbone::kGin, false, false},
-  };
-  for (const FitConfig& config : configs) {
-    SCOPED_TRACE(config.name);
-    ASSERT_TRUE(fused::FusionEnabled());
-    const FitResult fused_fit = FitOnce(config);
-    FitResult plain_fit;
-    {
-      FusionOff off;
-      plain_fit = FitOnce(config);
-    }
-    EXPECT_EQ(fused_fit.params, plain_fit.params);
-    ExpectBitIdentical(fused_fit.logits, plain_fit.logits);
-  }
 }
 
 // A whole training run at pool sizes 1 to 4 must leave bit-identical trained

@@ -6,6 +6,9 @@
 // and is pinned too. The constants are FNV-1a hashes of Predict's bytes; a
 // change that moves trained bits on purpose re-records them and says why.
 //
+// LunarDetector, which ranks exact kNN distances, is pinned the same way on
+// a table with duplicate rows.
+//
 // The kernel tiers and the thread pool are bit-identical by contract, so the
 // same constants hold at every GNN4TDL_SIMD and GNN4TDL_THREADS setting
 // (tools/check.sh runs this suite across that matrix).
@@ -24,6 +27,7 @@
 #include "models/hypergraph_model.h"
 #include "models/knn_gnn.h"
 #include "models/learned_graph.h"
+#include "models/lunar.h"
 #include "models/tabgnn.h"
 
 namespace gnn4tdl {
@@ -196,6 +200,46 @@ INSTANTIATE_TEST_SUITE_P(SupervisedModels, TrainedBitsTest,
                          [](const ::testing::TestParamInfo<Case>& info) {
                            return std::string(info.param.name);
                          });
+
+/// 48 rows of three numeric columns: rows 30..37 repeat rows 0..7, and rows
+/// 38..47 are ten copies of one point, so some rows' k nearest neighbors are
+/// all at distance 0.
+TabularDataset DuplicateRowTable() {
+  const size_t n = 48;
+  Rng rng(23);
+  std::vector<std::vector<double>> cols(3, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    for (std::vector<double>& col : cols) {
+      if (i < 30) {
+        col[i] = rng.Normal();
+      } else if (i < 38) {
+        col[i] = col[i - 30];
+      } else {
+        col[i] = 4.0;
+      }
+    }
+  }
+  TabularDataset data(n);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    GNN4TDL_CHECK(
+        data.AddNumericColumn("x" + std::to_string(c), cols[c]).ok());
+  }
+  return data;
+}
+
+TEST(LunarBitsTest, PredictDigestOnDuplicateRowsIsPinned) {
+  LunarOptions o;
+  o.k = 5;
+  o.hidden_dim = 8;
+  o.train.max_epochs = 20;
+  o.train.learning_rate = 0.02;
+  LunarDetector model(o);
+  TabularDataset data = DuplicateRowTable();
+  ASSERT_TRUE(model.Fit(data, Split()).ok());
+  StatusOr<Matrix> scores = model.Predict(data);
+  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+  EXPECT_EQ(Fnv1a(*scores), 0xfd88c76c9371d623ULL);
+}
 
 }  // namespace
 }  // namespace gnn4tdl

@@ -264,19 +264,21 @@ simd_stage() {
 
 # Fails when a dispatched kernel entry in binary $1 does not start on a
 # 64-byte boundary. The entries are the functions the kScalarTable and
-# kAvx2Table initializers name, less qualified ones (Mt19937_64::TwistAndTemper
-# lives in common/rng.cc, which is not aligned).
+# kAvx2Table initializers name, qualified ones included
+# (Mt19937_64::TwistAndTemper, from common/rng.cc); the SimdLevel tag is not
+# a function.
 kernel_alignment() {
   local names
   names=$(sed -n '/^const KernelTable k[A-Za-z0-9]*Table = {/,/^};/p' \
       src/kernels/kernels.cc src/kernels/kernels_avx2.cc |
-    grep -v '::' | grep -oE '\b[A-Z][A-Za-z0-9_]+\b' | grep -vx KernelTable |
-    sort -u)
+    grep -v 'SimdLevel::' |
+    grep -oE '\b[A-Z][A-Za-z0-9_]+(::[A-Z][A-Za-z0-9_]+)*\b' |
+    grep -vx KernelTable | sort -u)
   nm -C --defined-only "$1" | awk -v names="$names" -v bin="$1" '
     BEGIN {
       n = split(names, list, "\n")
       for (i = 1; i <= n; ++i) want[list[i]] = 1
-      prefix = "^gnn4tdl::kernels::(\\(anonymous namespace\\)::)?"
+      prefix = "^gnn4tdl::(kernels::)?(\\(anonymous namespace\\)::)?"
     }
     # Function symbols only; a "[clone .cold]" part is not an entry.
     $2 ~ /^[tT]$/ && !/\[clone / {

@@ -355,6 +355,47 @@ Split SplitFromArgs(const CliArgs& args, const TabularDataset& data) {
                          rng);
 }
 
+// `freeze`, and `serve`/`loadgen` without --model, train an instance-graph
+// GNN through the full pipeline and freeze it to artifact bytes: one training
+// path for every subcommand. One invocation exercises pipeline stages,
+// trainer epochs, kernels, and (when serving) batches, which is what the
+// `--trace-out` smoke in tools/check.sh relies on. Bytes (not a loaded
+// model) so loadgen can load the same artifact once per tenant and freeze
+// can write it out as is.
+StatusOr<std::string> TrainArtifact(const CliArgs& args,
+                                    const TabularDataset& data) {
+  StatusOr<kernels::Precision> precision =
+      ParsePrecisionFlag(args.precision, kernels::Precision::kF64);
+  if (!precision.ok()) return precision.status();
+  PipelineConfig config;
+  config.formulation = GraphFormulation::kInstanceGraph;
+  config.construction = ConstructionMethod::kKnn;
+  {
+    auto b = GnnBackboneFromName(args.backbone);
+    if (!b.ok()) return b.status();
+    config.backbone = *b;
+  }
+  config.knn_k = args.knn_k;
+  config.hidden_dim = args.hidden;
+  config.num_layers = args.layers;
+  config.train.max_epochs = args.epochs;
+  config.train.learning_rate = args.lr;
+  config.seed = args.seed;
+
+  const Split split = SplitFromArgs(args, data);
+  std::printf("training %s on %zu rows...\n", args.backbone.c_str(),
+              data.NumRows());
+  StatusOr<PipelineResult> result = RunPipeline(config, data, split);
+  if (!result.ok()) return result.status();
+  auto* gnn = dynamic_cast<InstanceGraphGnn*>(result->model.get());
+  if (gnn == nullptr) {
+    return Status::Internal("pipeline did not produce a freezable model");
+  }
+  std::stringstream artifact;
+  GNN4TDL_RETURN_IF_ERROR(FrozenModel::Save(*gnn, artifact, *precision));
+  return artifact.str();
+}
+
 int RunFreeze(const CliArgs& args) {
   StatusOr<TabularDataset> data = LoadData(args);
   if (!data.ok()) {
@@ -362,49 +403,22 @@ int RunFreeze(const CliArgs& args) {
                  data.status().ToString().c_str());
     return 1;
   }
-
-  InstanceGraphGnnOptions options;
-  {
-    auto b = GnnBackboneFromName(args.backbone);
-    if (!b.ok()) {
-      std::fprintf(stderr, "%s\n", b.status().ToString().c_str());
-      return 1;
-    }
-    options.backbone = *b;
-  }
-  options.knn.k = args.knn_k;
-  options.hidden_dim = args.hidden;
-  options.num_layers = args.layers;
-  options.train.max_epochs = args.epochs;
-  options.train.learning_rate = args.lr;
-  options.seed = args.seed;
-
-  const Split split = SplitFromArgs(args, *data);
-  InstanceGraphGnn model(options);
-  std::printf("training %s on %zu rows...\n", GnnBackboneName(options.backbone),
-              data->NumRows());
-  Status fit = model.Fit(*data, split);
-  if (!fit.ok()) {
-    std::fprintf(stderr, "fit failed: %s\n", fit.ToString().c_str());
+  StatusOr<std::string> artifact = TrainArtifact(args, *data);
+  if (!artifact.ok()) {
+    std::fprintf(stderr, "freeze failed: %s\n",
+                 artifact.status().ToString().c_str());
     return 1;
   }
-  StatusOr<kernels::Precision> precision =
-      ParsePrecisionFlag(args.precision, kernels::Precision::kF64);
-  if (!precision.ok()) {
-    std::fprintf(stderr, "bad --precision: %s\n",
-                 precision.status().ToString().c_str());
+  std::ofstream out(args.out, std::ios::binary);
+  out << *artifact;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "freeze failed: cannot write '%s'\n",
+                 args.out.c_str());
     return 1;
   }
-  Status save = FrozenModel::Save(model, args.out, *precision);
-  if (!save.ok()) {
-    std::fprintf(stderr, "freeze failed: %s\n", save.ToString().c_str());
-    return 1;
-  }
-  std::printf("frozen artifact written to %s (%zu train rows, graph %zu edges, "
-              "%zu outputs, serve precision %s)\n",
-              args.out.c_str(), model.feature_cache().rows(),
-              model.graph().num_edges(), model.output_dim(),
-              kernels::PrecisionName(*precision));
+  std::printf("frozen artifact written to %s (%zu bytes)\n", args.out.c_str(),
+              artifact->size());
   return 0;
 }
 
@@ -484,49 +498,10 @@ int RunScore(const CliArgs& args) {
   return 0;
 }
 
-// Without --model, `serve`/`loadgen` train an instance-graph GNN through the
-// full pipeline and freeze it to in-memory artifact bytes — one invocation
-// exercising pipeline stages, trainer epochs, kernels, and serving batches,
-// which is what the `--trace-out` smoke in tools/check.sh relies on. Bytes
-// (not a loaded model) so loadgen can load the same artifact once per tenant.
-StatusOr<std::string> TrainArtifactForServe(const CliArgs& args,
-                                            const TabularDataset& data) {
-  PipelineConfig config;
-  config.formulation = GraphFormulation::kInstanceGraph;
-  config.construction = ConstructionMethod::kKnn;
-  {
-    auto b = GnnBackboneFromName(args.backbone);
-    if (!b.ok()) return b.status();
-    config.backbone = *b;
-  }
-  config.knn_k = args.knn_k;
-  config.hidden_dim = args.hidden;
-  config.num_layers = args.layers;
-  config.train.max_epochs = args.epochs;
-  config.train.learning_rate = args.lr;
-  config.seed = args.seed;
-
-  const Split split = SplitFromArgs(args, data);
-  std::printf("no --model given: training %s for serving...\n",
-              args.backbone.c_str());
-  StatusOr<PipelineResult> result = RunPipeline(config, data, split);
-  if (!result.ok()) return result.status();
-  auto* gnn = dynamic_cast<InstanceGraphGnn*>(result->model.get());
-  if (gnn == nullptr) {
-    return Status::Internal("pipeline did not produce a freezable model");
-  }
-  StatusOr<kernels::Precision> precision =
-      ParsePrecisionFlag(args.precision, kernels::Precision::kF64);
-  if (!precision.ok()) return precision.status();
-  std::stringstream artifact;
-  GNN4TDL_RETURN_IF_ERROR(FrozenModel::Save(*gnn, artifact, *precision));
-  return artifact.str();
-}
-
 StatusOr<FrozenModel> TrainAndFreezeForServe(const CliArgs& args,
                                              const TabularDataset& data,
                                              const FrozenModelOptions& options) {
-  StatusOr<std::string> bytes = TrainArtifactForServe(args, data);
+  StatusOr<std::string> bytes = TrainArtifact(args, data);
   if (!bytes.ok()) return bytes.status();
   std::stringstream artifact(*bytes);
   return FrozenModel::Load(artifact, options);
@@ -629,7 +604,7 @@ int RunLoadgen(const CliArgs& args) {
 
   std::string artifact;
   if (args.model.empty()) {
-    StatusOr<std::string> trained = TrainArtifactForServe(args, *data);
+    StatusOr<std::string> trained = TrainArtifact(args, *data);
     if (!trained.ok()) {
       std::fprintf(stderr, "failed to prepare a frozen model: %s\n",
                    trained.status().ToString().c_str());
