@@ -73,7 +73,7 @@ void BM_Stage4_TrainEpoch(benchmark::State& state) {
   GcnLayer l2(32, 3, rng);
   std::vector<Tensor> params = l1.Parameters();
   for (const Tensor& p : l2.Parameters()) params.push_back(p);
-  Adam opt(params, {.learning_rate = 0.01});
+  Adam opt(params, 0.01);
   Tensor x_t = Tensor::Constant(x);
   for (auto _ : state) {
     opt.ZeroGrad();

@@ -198,23 +198,29 @@ StatusOr<std::unique_ptr<TabularModel>> BuildModel(
   return Status::InvalidArgument("unknown graph formulation");
 }
 
+StatusOr<std::unique_ptr<TabularModel>> FitPipeline(
+    const PipelineConfig& config, const TabularDataset& data,
+    const Split& split) {
+  StatusOr<std::unique_ptr<TabularModel>> model = [&] {
+    obs::TraceSpan span("pipeline/build_model");
+    return BuildModel(config);
+  }();
+  if (!model.ok()) return model.status();
+  obs::TraceSpan span("pipeline/fit");
+  GNN4TDL_RETURN_IF_ERROR((*model)->Fit(data, split));
+  return model;
+}
+
 StatusOr<PipelineResult> RunPipeline(const PipelineConfig& config,
                                      const TabularDataset& data,
                                      const Split& split) {
   obs::TraceSpan pipeline_span("pipeline/run");
   const obs::Clock* clock = obs::Tracer::Global().clock();
 
-  StatusOr<std::unique_ptr<TabularModel>> model = [&] {
-    obs::TraceSpan span("pipeline/build_model");
-    return BuildModel(config);
-  }();
-  if (!model.ok()) return model.status();
-
   int64_t fit_start_ns = clock->NowNanos();
-  {
-    obs::TraceSpan span("pipeline/fit");
-    GNN4TDL_RETURN_IF_ERROR((*model)->Fit(data, split));
-  }
+  StatusOr<std::unique_ptr<TabularModel>> model =
+      FitPipeline(config, data, split);
+  if (!model.ok()) return model.status();
   int64_t fit_end_ns = clock->NowNanos();
 
   StatusOr<Matrix> predictions = [&] {

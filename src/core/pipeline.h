@@ -53,10 +53,17 @@ struct PipelineConfig {
 /// construction).
 StatusOr<std::unique_ptr<TabularModel>> BuildModel(const PipelineConfig& config);
 
+/// Builds the model a config describes and fits it on (data, split): no
+/// predict, no evaluation. For callers that only want the trained model.
+StatusOr<std::unique_ptr<TabularModel>> FitPipeline(
+    const PipelineConfig& config, const TabularDataset& data,
+    const Split& split);
+
 /// Outcome of one pipeline run.
 struct PipelineResult {
   std::string model_name;
   EvalResult eval;
+  /// Wall time of FitPipeline: model build plus Fit.
   double fit_seconds = 0.0;
   /// Instance-graph statistics where applicable (0 otherwise).
   size_t graph_edges = 0;
@@ -66,7 +73,7 @@ struct PipelineResult {
   std::shared_ptr<TabularModel> model;
 };
 
-/// Builds the model, fits it on (data, split), evaluates on split.test.
+/// FitPipeline, then predicts every row and evaluates on split.test.
 StatusOr<PipelineResult> RunPipeline(const PipelineConfig& config,
                                      const TabularDataset& data,
                                      const Split& split);

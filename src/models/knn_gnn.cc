@@ -911,6 +911,19 @@ Tensor InstanceGraphGnn::Encode(const Tensor& x, bool training) const {
   return encoder_->Eval(TapeOps{rng_, training}, x, *operators_);
 }
 
+namespace {
+
+// Fixed settings of the auxiliary tasks (Table 7) and of the flattened
+// multiplex graph.
+constexpr double kDaeCorruptRate = 0.2;
+constexpr double kContrastiveCorruptRate = 0.2;
+constexpr double kContrastiveTemperature = 0.5;
+constexpr size_t kEdgeCompletionNegatives = 500;
+/// Same-value groups larger than this are subsampled to a random clique.
+constexpr size_t kMultiplexMaxGroup = 30;
+
+}  // namespace
+
 Tensor InstanceGraphGnn::SelfSupervisedLoss(const Matrix& x_features) const {
   // Default self-supervised objective for the two-phase strategies: a
   // denoising feature reconstruction (SLAPS-style), plus contrastive if
@@ -918,7 +931,7 @@ Tensor InstanceGraphGnn::SelfSupervisedLoss(const Matrix& x_features) const {
   Matrix mask;
   Matrix corrupted = MaskCorrupt(
       x_features,
-      options_.dae_weight > 0 ? options_.dae_corrupt_rate : 0.15, rng_, &mask);
+      options_.dae_weight > 0 ? kDaeCorruptRate : 0.15, rng_, &mask);
   Tensor emb = Encode(Tensor::Constant(corrupted), /*training=*/true);
   Tensor loss = recon_->Loss(emb, x_features, &mask);
   if (options_.contrastive_weight > 0.0) {
@@ -929,12 +942,11 @@ Tensor InstanceGraphGnn::SelfSupervisedLoss(const Matrix& x_features) const {
 }
 
 Tensor InstanceGraphGnn::ContrastiveLoss(const Matrix& x_features) const {
-  const double rate = options_.contrastive_corrupt_rate;
-  Matrix view1 = MaskCorrupt(x_features, rate, rng_);
-  Matrix view2 = MaskCorrupt(x_features, rate, rng_);
+  Matrix view1 = MaskCorrupt(x_features, kContrastiveCorruptRate, rng_);
+  Matrix view2 = MaskCorrupt(x_features, kContrastiveCorruptRate, rng_);
   Tensor z1 = Encode(Tensor::Constant(view1), /*training=*/true);
   Tensor z2 = Encode(Tensor::Constant(view2), /*training=*/true);
-  return NtXentLoss(z1, z2, options_.contrastive_temperature);
+  return NtXentLoss(z1, z2, kContrastiveTemperature);
 }
 
 size_t InstanceGraphGnn::BuildModel(size_t out_dim) {
@@ -976,7 +988,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
       break;
     case GraphSource::kMultiplexFlatten: {
       MultiplexGraph mg = MultiplexFromCategoricals(
-          data, {}, options_.multiplex_max_group, options_.seed);
+          data, {}, kMultiplexMaxGroup, options_.seed);
       if (mg.num_layers() == 0) {
         return Status::InvalidArgument(
             "same_feature_value graph requires categorical columns");
@@ -1029,7 +1041,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     }
     if (o.dae_weight > 0.0) {
       Matrix mask;
-      Matrix corrupted = MaskCorrupt(x_cache_, o.dae_corrupt_rate, rng_, &mask);
+      Matrix corrupted = MaskCorrupt(x_cache_, kDaeCorruptRate, rng_, &mask);
       Tensor emb_cor = Encode(Tensor::Constant(corrupted), true);
       add(recon_->Loss(emb_cor, x_cache_, &mask), o.dae_weight);
     }
@@ -1040,7 +1052,7 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
       add(SmoothnessPenalty(emb, graph_), o.smoothness_weight);
     }
     if (o.edge_completion_weight > 0.0) {
-      add(EdgeCompletionLoss(emb, graph_, o.edge_completion_negatives, rng_),
+      add(EdgeCompletionLoss(emb, graph_, kEdgeCompletionNegatives, rng_),
           o.edge_completion_weight);
     }
     return loss;

@@ -71,7 +71,6 @@ struct InstanceGraphGnnOptions {
   NodeInit node_init = NodeInit::kFeatures;
   KnnGraphOptions knn;
   ThresholdGraphOptions threshold;
-  size_t multiplex_max_group = 30;
 
   GnnBackbone backbone = GnnBackbone::kGcn;
   size_t hidden_dim = 64;
@@ -91,15 +90,11 @@ struct InstanceGraphGnnOptions {
   // Auxiliary tasks (Table 7); 0 = off.
   double reconstruction_weight = 0.0;
   double dae_weight = 0.0;
-  double dae_corrupt_rate = 0.2;
   double contrastive_weight = 0.0;
-  double contrastive_corrupt_rate = 0.2;
-  double contrastive_temperature = 0.5;
   double smoothness_weight = 0.0;
   /// Graph-completion SSL auxiliary (Section 6, SSL task c): predict held
   /// edges vs sampled non-edges from the embeddings.
   double edge_completion_weight = 0.0;
-  size_t edge_completion_negatives = 500;
 
   TrainStrategy strategy = TrainStrategy::kEndToEnd;
   /// Self-supervised epochs for the two-phase strategies.

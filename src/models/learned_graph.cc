@@ -143,8 +143,8 @@ Status LearnedGraphGnn::Fit(const TabularDataset& data, const Split& split) {
     }
     if (options_.dae_weight > 0.0) {
       Matrix mask;
-      Matrix corrupted =
-          MaskCorrupt(x_cache_, options_.dae_corrupt_rate, rng_, &mask);
+      constexpr double kDaeCorruptRate = 0.2;
+      Matrix corrupted = MaskCorrupt(x_cache_, kDaeCorruptRate, rng_, &mask);
       Tensor emb_cor =
           Encode(Tensor::Constant(corrupted), weights, true);
       loss = ops::Add(loss,

@@ -32,7 +32,6 @@ struct LearnedGraphOptions {
   double connectivity_weight = 0.0;
   /// SLAPS-style denoising-autoencoder auxiliary weight.
   double dae_weight = 0.0;
-  double dae_corrupt_rate = 0.2;
 
   FeaturizerOptions featurizer;
   TrainOptions train;

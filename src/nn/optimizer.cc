@@ -2,60 +2,10 @@
 
 #include <cmath>
 
-#include "common/check.h"
-
 namespace gnn4tdl {
 
-void Optimizer::ZeroGrad() {
-  for (const Tensor& p : params_) p.ZeroGrad();
-}
-
-void Optimizer::ClipGradNorm(double max_norm) {
-  GNN4TDL_CHECK_GT(max_norm, 0.0);
-  double total = 0.0;
-  for (const Tensor& p : params_) {
-    if (p.grad().empty()) continue;
-    double n = p.grad().Norm();
-    total += n * n;
-  }
-  total = std::sqrt(total);
-  if (total <= max_norm) return;
-  const double scale = max_norm / total;
-  for (const Tensor& p : params_) {
-    if (p.grad().empty()) continue;
-    // Rescale in place via accumulate of (scale - 1) * grad.
-    Matrix adj = p.grad() * (scale - 1.0);
-    p.AccumulateGrad(adj);
-  }
-}
-
-Sgd::Sgd(std::vector<Tensor> params, const Options& options)
-    : Optimizer(std::move(params)), options_(options) {
-  lr_ = options_.learning_rate;
-  velocity_.reserve(params_.size());
-  for (const Tensor& p : params_)
-    velocity_.emplace_back(p.rows(), p.cols());
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    const Tensor& p = params_[i];
-    if (p.grad().empty()) continue;
-    Matrix g = p.grad();
-    if (options_.weight_decay > 0.0) g.Axpy(options_.weight_decay, p.value());
-    if (options_.momentum > 0.0) {
-      velocity_[i] *= options_.momentum;
-      velocity_[i] += g;
-      p.mutable_value().Axpy(-lr_, velocity_[i]);
-    } else {
-      p.mutable_value().Axpy(-lr_, g);
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, const Options& options)
-    : Optimizer(std::move(params)), options_(options) {
-  lr_ = options_.learning_rate;
+Adam::Adam(std::vector<Tensor> params, double learning_rate)
+    : params_(std::move(params)), lr_(learning_rate) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Tensor& p : params_) {
@@ -64,10 +14,14 @@ Adam::Adam(std::vector<Tensor> params, const Options& options)
   }
 }
 
+void Adam::ZeroGrad() {
+  for (const Tensor& p : params_) p.ZeroGrad();
+}
+
 void Adam::Step() {
   ++t_;
-  const double bias1 = 1.0 - std::pow(options_.beta1, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     const Tensor& p = params_[i];
     if (p.grad().empty()) continue;
@@ -78,13 +32,11 @@ void Adam::Step() {
     for (size_t r = 0; r < g.rows(); ++r)
       for (size_t c = 0; c < g.cols(); ++c) {
         double gv = g(r, c);
-        m(r, c) = options_.beta1 * m(r, c) + (1.0 - options_.beta1) * gv;
-        v(r, c) = options_.beta2 * v(r, c) + (1.0 - options_.beta2) * gv * gv;
+        m(r, c) = kBeta1 * m(r, c) + (1.0 - kBeta1) * gv;
+        v(r, c) = kBeta2 * v(r, c) + (1.0 - kBeta2) * gv * gv;
         double m_hat = m(r, c) / bias1;
         double v_hat = v(r, c) / bias2;
-        double update = m_hat / (std::sqrt(v_hat) + options_.epsilon);
-        if (options_.weight_decay > 0.0)
-          update += options_.weight_decay * value(r, c);
+        double update = m_hat / (std::sqrt(v_hat) + kEpsilon);
         value(r, c) -= lr_ * update;
       }
   }

@@ -6,68 +6,30 @@
 
 namespace gnn4tdl {
 
-/// First-order optimizer over a fixed set of parameter tensors. Subclasses
-/// implement Step(); callers run ZeroGrad() -> forward -> Backward() -> Step().
-class Optimizer {
+/// Adam (Kingma & Ba) over a fixed set of parameter tensors, with the
+/// paper's default moments: β1 = 0.9, β2 = 0.999, ε = 1e-8. Callers run
+/// ZeroGrad() -> forward -> Backward() -> Step().
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEpsilon = 1e-8;
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(std::vector<Tensor> params, double learning_rate);
+
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update using the gradients currently accumulated on the
   /// parameters. Parameters with empty gradients are skipped.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears gradients on all parameters.
   void ZeroGrad();
 
-  /// Clips gradients to a maximum global L2 norm (no-op if already below).
-  void ClipGradNorm(double max_norm);
-
-  void set_learning_rate(double lr) { lr_ = lr; }
-  double learning_rate() const { return lr_; }
-
- protected:
+ private:
   std::vector<Tensor> params_;
-  double lr_ = 1e-2;
-};
-
-/// SGD with optional momentum and decoupled weight decay.
-class Sgd : public Optimizer {
- public:
-  struct Options {
-    double learning_rate = 1e-2;
-    double momentum = 0.0;
-    double weight_decay = 0.0;
-  };
-
-  Sgd(std::vector<Tensor> params, const Options& options);
-  void Step() override;
-
- private:
-  Options options_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with optional decoupled weight decay (AdamW when
-/// weight_decay > 0).
-class Adam : public Optimizer {
- public:
-  struct Options {
-    double learning_rate = 1e-2;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double epsilon = 1e-8;
-    double weight_decay = 0.0;
-  };
-
-  Adam(std::vector<Tensor> params, const Options& options);
-  void Step() override;
-
- private:
-  Options options_;
+  double lr_;
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
   int64_t t_ = 0;

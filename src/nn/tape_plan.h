@@ -2,10 +2,10 @@
 
 // Static free-at-last-use lifetime analysis of one backward execution, the
 // planning half of the arena execution model (docs/MEMORY.md). Backward
-// with BackwardOptions::release_values implements the schedule; BuildTapePlan
-// predicts it: for every node in the requires-grad subgraph it reports the
-// step at which the node's buffers die, plus the simulated peak resident
-// bytes of the planned schedule against the allocate-and-hold baseline. The
+// implements the schedule; BuildTapePlan predicts it: for every node in the
+// requires-grad subgraph it reports the step at which the node's buffers
+// die, plus the simulated peak resident bytes of the planned schedule
+// against the allocate-and-hold baseline. The
 // trainer exports the two peaks as the tape.naive_peak_bytes and
 // tape.planned_peak_bytes gauges.
 

@@ -207,13 +207,11 @@ void Tensor::Backward(const BackwardOptions& options) const {
   // caching an intermediate, a test asserting on it) and vetoes the release.
   std::unordered_map<Impl*, size_t> internal_refs;
   std::unordered_map<Impl*, Tensor> handle_of;  // one extra ref each, see below
-  if (options.release_values) {
-    for (Impl* node : order) {
-      for (const Tensor& p : node->parents) {
-        if (!p.impl_->requires_grad) continue;
-        ++internal_refs[p.impl_.get()];
-        handle_of.emplace(p.impl_.get(), p);
-      }
+  for (Impl* node : order) {
+    for (const Tensor& p : node->parents) {
+      if (!p.impl_->requires_grad) continue;
+      ++internal_refs[p.impl_.get()];
+      handle_of.emplace(p.impl_.get(), p);
     }
   }
 
@@ -222,7 +220,7 @@ void Tensor::Backward(const BackwardOptions& options) const {
     if (node->backward_fn && !node->grad.empty()) {
       node->backward_fn(node->grad);
     }
-    if (!options.release_values || !node->backward_fn) continue;
+    if (!node->backward_fn) continue;  // leaves keep grads for the optimizer
     // This node's contribution is fully routed: its gradient and its closure
     // (captured parent handles plus forward temporaries such as dropout
     // masks and softmax caches) are dead now.
@@ -242,14 +240,6 @@ void Tensor::Backward(const BackwardOptions& options) const {
                 std::numeric_limits<double>::quiet_NaN());
     } else {
       node->value = Matrix();
-    }
-  }
-
-  if (!options.release_values) {
-    // Free interior gradient buffers (leaves keep theirs for the optimizer);
-    // the tape itself is freed when the loss tensor goes out of scope.
-    for (Impl* node : order) {
-      if (node->backward_fn) node->grad = Matrix();
     }
   }
 }

@@ -13,17 +13,8 @@ namespace gnn4tdl {
 class TapeVerifier;
 struct TapePlan;
 
-/// Controls for Backward(). Defaults reproduce the historical behavior:
-/// every tape value stays alive until the loss tensor is destroyed.
+/// Controls for Backward().
 struct BackwardOptions {
-  /// Free-at-last-use execution (docs/MEMORY.md): after a node's backward_fn
-  /// has run, its gradient buffer, its closure (captured parent handles and
-  /// forward temporaries), and — when no handle outside the tape still
-  /// references the node — its value are released immediately instead of
-  /// surviving until the tape dies. Numerics are unchanged; the tape cannot
-  /// be walked backward a second time afterwards.
-  bool release_values = false;
-
   /// Test hook: poison released values with quiet NaNs in place instead of
   /// freeing them, so a use-after-release surfaces as the first non-finite
   /// node in a TapeVerifier check_finite sweep rather than as silent reuse.
@@ -62,7 +53,7 @@ class Tensor {
   /// FromOp for an op whose backward reads its own output (the fused
   /// activation epilogues): `backward_fn(grad_out, output)` receives this
   /// node's value, so the closure keeps no copy of it. The value is alive
-  /// whenever the backward runs (release_values frees it only afterwards).
+  /// whenever the backward runs (Backward() frees it only afterwards).
   static Tensor FromOpWithOutput(
       Matrix value, std::vector<Tensor> parents,
       std::function<void(const Matrix& grad, const Matrix& output)>
@@ -90,9 +81,17 @@ class Tensor {
   /// Runs reverse-mode autodiff from this node, which must be 1x1 (a scalar
   /// loss). Gradients accumulate into every reachable tensor with
   /// requires_grad (leaves keep them until ZeroGrad()).
+  ///
+  /// A tape walks backward once, freeing as it goes (docs/MEMORY.md): after
+  /// a node's backward_fn has run, its gradient buffer, its closure (captured
+  /// parent handles and forward temporaries) and, when no handle outside the
+  /// tape still references the node, its value are released at that last
+  /// use instead of surviving until the tape dies. Numerics do not depend on
+  /// it; a node still held by a handle keeps its value, but no gradient flows
+  /// through it again.
   void Backward() const;
 
-  /// Backward() with explicit lifetime options (see BackwardOptions).
+  /// Backward() with the test hook of BackwardOptions.
   void Backward(const BackwardOptions& options) const;
 
   /// Clears this node's accumulated gradient.

@@ -1,8 +1,6 @@
 #include "train/trainer.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "common/arena.h"
@@ -50,39 +48,10 @@ void EmitArenaMetrics(const Arena& arena) {
 
 }  // namespace
 
-double ScheduledLearningRate(LrSchedule schedule, double base_lr, int epoch,
-                             int max_epochs) {
-  GNN4TDL_CHECK_GT(max_epochs, 0);
-  const double progress =
-      std::clamp(static_cast<double>(epoch) / static_cast<double>(max_epochs),
-                 0.0, 1.0);
-  switch (schedule) {
-    case LrSchedule::kConstant:
-      return base_lr;
-    case LrSchedule::kCosine:
-      return base_lr * 0.5 * (1.0 + std::cos(3.14159265358979323846 * progress));
-    case LrSchedule::kStep: {
-      double lr = base_lr;
-      if (progress >= 0.5) lr *= 0.1;
-      if (progress >= 0.75) lr *= 0.1;
-      return lr;
-    }
-    case LrSchedule::kWarmupCosine: {
-      const double warmup = 0.1;
-      if (progress < warmup) return base_lr * (progress / warmup);
-      double t = (progress - warmup) / (1.0 - warmup);
-      return base_lr * 0.5 * (1.0 + std::cos(3.14159265358979323846 * t));
-    }
-  }
-  GNN4TDL_CHECK_MSG(false, "unknown lr schedule");
-  return base_lr;
-}
-
 Trainer::Trainer(std::vector<Tensor> params, const TrainOptions& options)
     : params_(std::move(params)),
       options_(options),
-      optimizer_(params_, {.learning_rate = options.learning_rate,
-                           .weight_decay = options.weight_decay}) {}
+      optimizer_(params_, options.learning_rate) {}
 
 void Trainer::SnapshotParams() {
   best_values_.clear();
@@ -114,11 +83,6 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
 
   for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
     obs::TraceSpan epoch_span("train/epoch");
-    if (options_.lr_schedule != LrSchedule::kConstant) {
-      optimizer_.set_learning_rate(ScheduledLearningRate(
-          options_.lr_schedule, options_.learning_rate, epoch,
-          options_.max_epochs));
-    }
     Tensor loss;
     {
       obs::TraceSpan span("train/forward");
@@ -136,20 +100,13 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
           epoch % options_.verify_tape_every == 0) {
         TapeVerifier verifier({.check_finite = true});
         result.tape_status = verifier.Verify(loss);
-        if (!result.tape_status.ok()) {
-          // A malformed tape (or poisoned values) makes every further step
-          // garbage; stop here and surface the diagnosis instead.
-          if (options_.verbose) {
-            // lint:stderr(opt-in verbose epoch log, not a library diagnostic)
-            std::fprintf(stderr, "epoch %4d  %s\n", epoch,
-                         result.tape_status.ToString().c_str());
-          }
-          break;
-        }
+        // A malformed tape (or poisoned values) makes every further step
+        // garbage; stop here and surface the diagnosis instead.
+        if (!result.tape_status.ok()) break;
       }
       if (epoch == 0 && obs::MetricsEnabled()) {
-        // Plan before Backward: release-mode external-handle detection needs
-        // the closures still intact. One-time cost, first epoch only.
+        // Plan before Backward: the planner's external-handle detection
+        // needs the closures still intact. One-time cost, first epoch only.
         TapePlan plan = BuildTapePlan(loss);
         auto& registry = obs::MetricsRegistry::Global();
         registry.GetGauge("tape.naive_peak_bytes")
@@ -157,15 +114,12 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
         registry.GetGauge("tape.planned_peak_bytes")
             .Set(static_cast<double>(plan.planned_peak_bytes));
       }
-      // Free each intermediate at its last use, bounding peak tape memory to
-      // the planned peak (docs/MEMORY.md).
-      loss.Backward({.release_values = true});
+      // Frees each intermediate at its last use, bounding peak tape memory
+      // to the planned peak (docs/MEMORY.md).
+      loss.Backward();
     }
     {
       obs::TraceSpan span("train/optimizer");
-      if (options_.grad_clip > 0.0) {
-        optimizer_.ClipGradNorm(options_.grad_clip);
-      }
       if (obs::MetricsEnabled()) {
         EmitEpochMetrics(params_, loss);
         EmitArenaMetrics(arena);
@@ -187,16 +141,7 @@ TrainResult Trainer::Fit(const std::function<Tensor()>& loss_fn,
       } else {
         ++epochs_since_best;
       }
-      if (options_.verbose && epoch % 20 == 0) {
-        // lint:stderr(opt-in verbose epoch log, not a library diagnostic)
-        std::fprintf(stderr, "epoch %4d  loss %.5f  val %.4f\n", epoch,
-                     result.final_train_loss, metric);
-      }
       if (epochs_since_best >= options_.patience) break;
-    } else if (options_.verbose && epoch % 20 == 0) {
-      // lint:stderr(opt-in verbose epoch log, not a library diagnostic)
-      std::fprintf(stderr, "epoch %4d  loss %.5f\n", epoch,
-                   result.final_train_loss);
     }
   }
 

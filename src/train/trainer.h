@@ -9,32 +9,15 @@
 
 namespace gnn4tdl {
 
-/// Learning-rate schedules applied on top of the base learning rate.
-enum class LrSchedule {
-  kConstant,      // lr(t) = base
-  kCosine,        // cosine decay from base to ~0 over max_epochs
-  kStep,          // x0.1 at 50% and 75% of max_epochs
-  kWarmupCosine,  // linear warmup over the first 10%, then cosine decay
-};
-
-/// lr at `epoch` (0-based) for the given schedule.
-double ScheduledLearningRate(LrSchedule schedule, double base_lr, int epoch,
-                             int max_epochs);
-
-/// Options for the full-batch trainer.
+/// Options for the full-batch trainer, which always runs Adam at a constant
+/// learning rate.
 struct TrainOptions {
   int max_epochs = 200;
   double learning_rate = 1e-2;
-  LrSchedule lr_schedule = LrSchedule::kConstant;
-  double weight_decay = 0.0;
   /// Early stopping: stop after this many epochs without val improvement and
   /// restore the best parameters (0 = train to max_epochs). Early stopping is
-  /// the only reader of the validation closure, so with 0 Fit never calls it
-  /// and verbose epoch logs print no `val`.
+  /// the only reader of the validation closure, so with 0 Fit never calls it.
   int patience = 30;
-  /// Global gradient-norm clip (0 = off).
-  double grad_clip = 0.0;
-  bool verbose = false;
   /// Run TapeVerifier, NaN/Inf poisoning scan included, over the loss tape
   /// before Backward() every N epochs (0 = never). A failed verification
   /// aborts the run, and the report names the op that first produced a
@@ -60,7 +43,7 @@ struct TrainResult {
 /// rebuilds the forward graph each epoch; an optional validation closure
 /// (higher = better) drives early stopping with best-parameter restore. The
 /// closure runs once per epoch only when early stopping is on (patience > 0);
-/// otherwise it is never called, and verbose logs print `val` only then.
+/// otherwise it is never called.
 ///
 /// The three training strategies of Table 8 (TrainStrategy: end-to-end,
 /// two-stage, pretrain-finetune) are sequences of Fit calls over different

@@ -1,5 +1,5 @@
 // Arena allocator (common/arena.h), free-at-last-use Backward
-// (nn/tensor.h BackwardOptions), and the TapePlan lifetime analysis
+// (nn/tensor.h Tensor::Backward), and the TapePlan lifetime analysis
 // (nn/tape_plan.h). Together these are the memory model documented in
 // docs/MEMORY.md; the assertions here pin its load-bearing guarantees:
 // slab reuse, escape safety, bit-neutrality, last-use ordering on branching
@@ -329,33 +329,38 @@ TEST(TapePlanTest, DeepChainPeakRegression) {
   EXPECT_LT(plan.planned_peak_bytes, plan.naive_peak_bytes * 3 / 5);
 }
 
-// --- Backward with release_values -------------------------------------------
+// --- Backward's free-at-last-use release -----------------------------------
 
 TEST(BackwardReleaseTest, GradientsBitExactWithRelease) {
+  // The reference run holds a handle on every intermediate, which vetoes
+  // each release; the other run holds none, so Backward frees them as it
+  // passes. The gradients and the loss must not differ by a bit.
   Rng rng_a(45), rng_b(45);
-  auto run = [](Rng& rng, bool release) -> std::vector<Matrix> {
+  auto run = [](Rng& rng, bool hold) -> std::vector<Matrix> {
     Tensor x = Tensor::Leaf(RandomMatrix(10, 8, rng), true);
     Tensor w = Tensor::Leaf(RandomMatrix(8, 8, rng), true);
-    Tensor h = ops::Tanh(ops::MatMul(x, w));
-    Tensor loss = ops::SumSquares(ops::Relu(ops::MatMul(h, w)));
-    BackwardOptions opts;
-    opts.release_values = release;
-    loss.Backward(opts);
+    std::vector<Tensor> held;
+    auto keep = [&](Tensor t) {
+      if (hold) held.push_back(t);
+      return t;
+    };
+    Tensor loss = ops::SumSquares(keep(ops::Relu(keep(ops::MatMul(
+        keep(ops::Tanh(keep(ops::MatMul(x, w)))), w)))));
+    loss.Backward();
+    for (const Tensor& t : held) EXPECT_FALSE(t.value().empty());
     return {x.grad(), w.grad(), loss.value()};
   };
-  std::vector<Matrix> plain = run(rng_a, false);
-  std::vector<Matrix> released = run(rng_b, true);
-  for (size_t i = 0; i < plain.size(); ++i)
-    ExpectBitIdentical(plain[i], released[i]);
+  std::vector<Matrix> kept = run(rng_a, true);
+  std::vector<Matrix> released = run(rng_b, false);
+  for (size_t i = 0; i < kept.size(); ++i)
+    ExpectBitIdentical(kept[i], released[i]);
 }
 
 TEST(BackwardReleaseTest, RootValueAndLeafGradsSurvive) {
   Rng rng(46);
   Tensor x = Tensor::Leaf(RandomMatrix(4, 4, rng), true);
   Tensor loss = ops::SumSquares(ops::Sigmoid(x));
-  BackwardOptions opts;
-  opts.release_values = true;
-  loss.Backward(opts);
+  loss.Backward();
   EXPECT_TRUE(std::isfinite(loss.value()(0, 0)));  // root readable
   ASSERT_FALSE(x.grad().empty());                  // leaf grad kept
   for (size_t i = 0; i < x.grad().size(); ++i)
@@ -368,10 +373,8 @@ TEST(BackwardReleaseTest, ExternalHandleVetoesRelease) {
   Tensor held = ops::Relu(x);  // external handle into the tape
   Tensor loss = ops::SumSquares(ops::Tanh(held));
   Matrix before = held.value();
-  BackwardOptions opts;
-  opts.release_values = true;
-  opts.poison_released = true;  // would NaN-fill `held` if wrongly released
-  loss.Backward(opts);
+  // Poisoning would NaN-fill `held` if it were wrongly released.
+  loss.Backward({.poison_released = true});
   ExpectBitIdentical(before, held.value());
 }
 
@@ -379,10 +382,7 @@ TEST(BackwardReleaseTest, PoisonedReleaseIsCaughtByVerifier) {
   Rng rng(48);
   Tensor x = Tensor::Leaf(RandomMatrix(6, 6, rng), true);
   Tensor loss = ops::SumSquares(ops::Relu(ops::Sigmoid(x)));
-  BackwardOptions opts;
-  opts.release_values = true;
-  opts.poison_released = true;
-  loss.Backward(opts);
+  loss.Backward({.poison_released = true});
   // The poison mode keeps released buffers allocated but NaN-fills them: any
   // later read of a "freed" value is no longer silent garbage — the
   // verifier's finite scan names it.
@@ -402,9 +402,7 @@ TEST(BackwardReleaseTest, ReleaseUnderArenaMatchesHeap) {
     }
     Tensor x = Tensor::Leaf(RandomMatrix(9, 9, rng), true);
     Tensor loss = ops::SumSquares(ops::Tanh(ops::MatMul(x, x)));
-    BackwardOptions opts;
-    opts.release_values = true;
-    loss.Backward(opts);
+    loss.Backward();
     Matrix grad = x.grad();
     scope.reset();
     arena.reset();

@@ -287,7 +287,7 @@ TEST(LearnedTest, DirectAdjacencyLearnsToKillBadEdge) {
   Rng rng(10);
   DirectAdjacency adj(2, rng);
   // Push edge 0 weight to 1 and edge 1 weight to 0.
-  Adam opt(adj.Parameters(), {.learning_rate = 0.5});
+  Adam opt(adj.Parameters(), 0.5);
   Matrix target = Matrix::FromRows({{1.0}, {0.0}});
   for (int i = 0; i < 100; ++i) {
     opt.ZeroGrad();

@@ -86,7 +86,6 @@ std::unique_ptr<InstanceGraphGnn> FitTransformer() {
   opts.hidden_dim = 4;
   opts.num_layers = 1;
   opts.train.max_epochs = 5;
-  opts.train.verbose = false;
   auto model = std::make_unique<InstanceGraphGnn>(opts);
   Rng rng(2);
   EXPECT_TRUE(

@@ -325,7 +325,6 @@ FitResult FitOnce(const FitConfig& config) {
   options.dropout = 0.3;
   options.train.max_epochs = 12;
   options.train.patience = 4;
-  options.train.verbose = false;
   options.seed = 5;
   InstanceGraphGnn model(options);
   Status fit = model.Fit(data, split);

@@ -103,7 +103,6 @@ std::unique_ptr<InstanceGraphGnn> FitSmall(
   options.backbone = backbone;
   options.knn.k = 4;
   options.train.max_epochs = 5;
-  options.train.verbose = false;
   auto model = std::make_unique<InstanceGraphGnn>(options);
   Rng rng(6);
   EXPECT_TRUE(
@@ -331,7 +330,7 @@ TEST(GnnIntegrationTest, TwoLayerGcnLearnsCommunityLabels) {
   GcnLayer l2(8, 2, rng);
   std::vector<Tensor> params = l1.Parameters();
   for (const Tensor& p : l2.Parameters()) params.push_back(p);
-  Adam opt(params, {.learning_rate = 0.05});
+  Adam opt(params, 0.05);
 
   for (int epoch = 0; epoch < 150; ++epoch) {
     opt.ZeroGrad();

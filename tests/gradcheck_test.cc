@@ -350,7 +350,6 @@ TEST_P(EncoderGradCheckTest, MatchesFiniteDifferences) {
   options.appnp_steps = 3;
   options.knn.k = 4;
   options.train.max_epochs = 2;
-  options.train.verbose = false;
   InstanceGraphGnn model(options);
   Rng rng(32);
   ASSERT_TRUE(

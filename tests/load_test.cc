@@ -31,7 +31,6 @@ class LoadTest : public ::testing::Test {
     options.num_layers = 2;
     options.knn.k = 8;
     options.train.max_epochs = 10;
-    options.train.verbose = false;
     options.seed = 3;
 
     TabularDataset data = MakeClusters({.num_rows = 160,

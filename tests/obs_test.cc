@@ -19,6 +19,7 @@
 
 #include "common/parallel.h"
 #include "construct/rule_based.h"
+#include "core/pipeline.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "gate_clock.h"
@@ -144,7 +145,6 @@ void ExpectTrainPhasesCoverEpochs(int patience) {
   options.knn.k = 6;
   options.train.max_epochs = 6;
   options.train.patience = patience;
-  options.train.verbose = false;
   InstanceGraphGnn model(options);
   Tracer& tracer = Tracer::Global();
   tracer.Start();
@@ -209,6 +209,30 @@ TEST_F(TracingTest, KnnGraphSpansNestSearchAndCsrBuild) {
   ASSERT_NE(csr, nullptr);
   EXPECT_EQ(search->parent, graph->id);
   EXPECT_EQ(csr->parent, graph->id);
+}
+
+// FitPipeline is build + fit only: the CLI's training path records the fit
+// and no transductive predict or evaluation that nothing reads.
+TEST_F(TracingTest, FitPipelineRecordsFitButNoPredictOrEvaluate) {
+  TabularDataset data = MakeClusters({.num_rows = 120, .num_classes = 2});
+  Rng rng(4);
+  Split split = StratifiedSplit(data.class_labels(), 0.6, 0.2, rng);
+  PipelineConfig config;
+  config.train.max_epochs = 3;
+  Tracer& tracer = Tracer::Global();
+  tracer.Start();
+  StatusOr<std::unique_ptr<TabularModel>> model =
+      FitPipeline(config, data, split);
+  tracer.Stop();
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  const std::vector<SpanRecord> spans = tracer.Collect();
+  EXPECT_NE(FindSpan(spans, "pipeline/build_model"), nullptr);
+  EXPECT_NE(FindSpan(spans, "pipeline/fit"), nullptr);
+  EXPECT_NE(FindSpan(spans, "train/epoch"), nullptr);
+  EXPECT_EQ(FindSpan(spans, "pipeline/predict"), nullptr);
+  EXPECT_EQ(FindSpan(spans, "pipeline/evaluate"), nullptr);
+  EXPECT_EQ(FindSpan(spans, "pipeline/run"), nullptr);
 }
 
 TEST_F(TracingTest, StoppedTracerRecordsNothing) {
@@ -423,7 +447,6 @@ TEST(ServingEngineObsTest, FakeClockMakesLatencyDeterministic) {
   options.num_layers = 2;
   options.knn.k = 4;
   options.train.max_epochs = 5;
-  options.train.verbose = false;
   options.seed = 3;
   InstanceGraphGnn model(options);
   ASSERT_TRUE(model.Fit(data, split).ok());

@@ -1,7 +1,5 @@
 #include "nn/optimizer.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "nn/module.h"
@@ -11,8 +9,7 @@ namespace gnn4tdl {
 namespace {
 
 // Minimizes f(x) = ||x - target||^2 and returns the final x.
-template <typename Opt>
-Matrix MinimizeQuadratic(Opt& opt, const Tensor& x, const Matrix& target,
+Matrix MinimizeQuadratic(Adam& opt, const Tensor& x, const Matrix& target,
                          int steps) {
   for (int i = 0; i < steps; ++i) {
     opt.ZeroGrad();
@@ -23,61 +20,18 @@ Matrix MinimizeQuadratic(Opt& opt, const Tensor& x, const Matrix& target,
   return x.value();
 }
 
-TEST(OptimizerTest, SgdConvergesOnQuadratic) {
-  Tensor x = Tensor::Leaf(Matrix::Zeros(2, 2), true);
-  Matrix target = Matrix::FromRows({{1, -2}, {3, 0.5}});
-  Sgd opt({x}, {.learning_rate = 0.1});
-  Matrix final = MinimizeQuadratic(opt, x, target, 200);
-  EXPECT_TRUE(final.AllClose(target, 1e-6));
-}
-
-TEST(OptimizerTest, SgdMomentumConverges) {
-  Tensor x = Tensor::Leaf(Matrix::Zeros(1, 3), true);
-  Matrix target = Matrix::FromRows({{2, 2, 2}});
-  Sgd opt({x}, {.learning_rate = 0.05, .momentum = 0.9});
-  Matrix final = MinimizeQuadratic(opt, x, target, 300);
-  EXPECT_TRUE(final.AllClose(target, 1e-5));
-}
-
 TEST(OptimizerTest, AdamConvergesOnQuadratic) {
   Tensor x = Tensor::Leaf(Matrix::Zeros(2, 2), true);
   Matrix target = Matrix::FromRows({{1, -2}, {3, 0.5}});
-  Adam opt({x}, {.learning_rate = 0.1});
+  Adam opt({x}, 0.1);
   Matrix final = MinimizeQuadratic(opt, x, target, 500);
   EXPECT_TRUE(final.AllClose(target, 1e-4));
-}
-
-TEST(OptimizerTest, WeightDecayShrinksTowardZero) {
-  // With pure decay (no loss gradient), the parameter should shrink.
-  Tensor x = Tensor::Leaf(Matrix::Full(1, 1, 10.0), true);
-  Sgd opt({x}, {.learning_rate = 0.1, .weight_decay = 1.0});
-  for (int i = 0; i < 10; ++i) {
-    opt.ZeroGrad();
-    // Zero loss gradient: backward on 0 * x.
-    ops::SumAll(ops::Scale(x, 0.0)).Backward();
-    opt.Step();
-  }
-  EXPECT_LT(std::fabs(x.value()(0, 0)), 10.0);
-  EXPECT_GT(x.value()(0, 0), 0.0);
-}
-
-TEST(OptimizerTest, ClipGradNormBoundsGlobalNorm) {
-  Tensor x = Tensor::Leaf(Matrix::Zeros(2, 2), true);
-  Sgd opt({x}, {.learning_rate = 1.0});
-  opt.ZeroGrad();
-  Tensor big = ops::Scale(x, 100.0);
-  Tensor diff = ops::Sub(big, Tensor::Constant(Matrix::Full(2, 2, 100.0)));
-  ops::SumSquares(diff).Backward();
-  double before = x.grad().Norm();
-  ASSERT_GT(before, 1.0);
-  opt.ClipGradNorm(1.0);
-  EXPECT_NEAR(x.grad().Norm(), 1.0, 1e-9);
 }
 
 TEST(OptimizerTest, ParametersWithEmptyGradAreSkipped) {
   Tensor used = Tensor::Leaf(Matrix::Ones(1, 1), true);
   Tensor unused = Tensor::Leaf(Matrix::Ones(1, 1), true);
-  Adam opt({used, unused}, {.learning_rate = 0.5});
+  Adam opt({used, unused}, 0.5);
   opt.ZeroGrad();
   ops::SumSquares(used).Backward();
   opt.Step();
@@ -97,7 +51,7 @@ TEST(OptimizerTest, TrainsMlpOnLinearlySeparableData) {
     labels[i] = i < 20 ? 0 : 1;
   }
   Mlp mlp({2, 8, 2}, rng);
-  Adam opt(mlp.Parameters(), {.learning_rate = 0.05});
+  Adam opt(mlp.Parameters(), 0.05);
   Tensor x = Tensor::Constant(x_data);
   for (int epoch = 0; epoch < 100; ++epoch) {
     opt.ZeroGrad();

@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -117,6 +119,24 @@ TEST(PipelineTest, InstanceGraphReportsGraphStats) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->graph_edges, 0u);
   EXPECT_GT(result->edge_homophily, 0.7);  // clustered data => homophilous kNN
+}
+
+TEST(PipelineTest, FitPipelineModelPredictsLikeRunPipeline) {
+  TabularDataset data = MakeClusters({.num_rows = 150, .num_classes = 3});
+  Rng rng(6);
+  Split split = StratifiedSplit(data.class_labels(), 0.5, 0.2, rng);
+  PipelineConfig config;
+  config.backbone = GnnBackbone::kGat;
+  config.train = FastTrain(20);
+  auto fitted = FitPipeline(config, data, split);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  auto run = RunPipeline(config, data, split);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto a = (*fitted)->Predict(data);
+  auto b = run->model->Predict(data);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->size(), b->size());
+  EXPECT_EQ(std::memcmp(a->data(), b->data(), a->size() * sizeof(double)), 0);
 }
 
 TEST(PipelineTest, LearnedConstructionMapsToGslModels) {

@@ -33,7 +33,6 @@ InstanceGraphGnnOptions Options(GnnBackbone backbone) {
   options.num_layers = 2;
   options.knn.k = 8;
   options.train.max_epochs = 30;
-  options.train.verbose = false;
   options.seed = 3;
   return options;
 }

@@ -354,7 +354,6 @@ class ServeModelTest : public ::testing::Test {
     options.num_layers = 2;
     options.knn.k = 8;
     options.train.max_epochs = 30;
-    options.train.verbose = false;
     options.seed = 3;
     return options;
   }

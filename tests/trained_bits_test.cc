@@ -6,6 +6,13 @@
 // and is pinned too. The constants are FNV-1a hashes of Predict's bytes; a
 // change that moves trained bits on purpose re-records them and says why.
 //
+// Further cases pin the constants the instance-graph and learned-graph
+// models fix internally: every auxiliary task on (and the pretrain-finetune
+// strategy's self-supervised loss), the flattened multiplex graph on a table
+// whose value groups exceed its group cap, and the DAE auxiliary of the
+// learned-graph model. ExplainEdges, a Backward outside the trainer, is
+// pinned on its saliency.
+//
 // LunarDetector, which ranks exact kNN distances, is pinned the same way on
 // a table with duplicate rows.
 //
@@ -33,11 +40,11 @@
 namespace gnn4tdl {
 namespace {
 
-/// Two categorical columns with per-value effects plus two numeric columns;
-/// the label is three classes cut from the latent score, or the score itself.
-TabularDataset Table(bool regression) {
+/// Two categorical columns of `cardinality` values with per-value effects,
+/// plus two numeric columns; the label is three classes cut from the latent
+/// score, or the score itself.
+TabularDataset Table(bool regression, size_t cardinality = 6) {
   const size_t n = 90;
-  const size_t cardinality = 6;
   Rng rng(21);
   std::vector<double> effect_a(cardinality), effect_b(cardinality);
   for (double& v : effect_a) v = rng.Normal(0.0, 1.5);
@@ -90,9 +97,11 @@ uint64_t Fnv1a(const Matrix& m) {
   return h;
 }
 
-/// Fits `model` on Table(regression) and returns the digest of Predict.
-uint64_t PredictDigest(TabularModel& model, bool regression) {
-  TabularDataset data = Table(regression);
+/// Fits `model` on Table(regression, cardinality) and returns the digest of
+/// Predict.
+uint64_t PredictDigest(TabularModel& model, bool regression,
+                       size_t cardinality) {
+  TabularDataset data = Table(regression, cardinality);
   Rng rng(5);
   Split split = RandomSplit(data.NumRows(), 0.5, 0.25, rng);
   Status fitted = model.Fit(data, split);
@@ -110,6 +119,7 @@ struct Case {
   std::unique_ptr<TabularModel> (*make)();
   uint64_t classification;
   uint64_t regression;
+  size_t cardinality = 6;
 };
 
 std::unique_ptr<TabularModel> MakeInstanceGraph() {
@@ -117,6 +127,50 @@ std::unique_ptr<TabularModel> MakeInstanceGraph() {
   o.hidden_dim = 16;
   o.train = Train();
   return std::make_unique<InstanceGraphGnn>(o);
+}
+
+std::unique_ptr<TabularModel> MakeInstanceGraphAux() {
+  InstanceGraphGnnOptions o;
+  o.hidden_dim = 16;
+  o.reconstruction_weight = 0.3;
+  o.dae_weight = 0.3;
+  o.contrastive_weight = 0.2;
+  o.smoothness_weight = 0.1;
+  o.edge_completion_weight = 0.2;
+  o.train = Train();
+  return std::make_unique<InstanceGraphGnn>(o);
+}
+
+std::unique_ptr<TabularModel> MakeInstanceGraphPretrain() {
+  InstanceGraphGnnOptions o;
+  o.hidden_dim = 16;
+  o.dae_weight = 0.3;
+  o.contrastive_weight = 0.2;
+  o.strategy = TrainStrategy::kPretrainFinetune;
+  o.pretrain_epochs = 4;
+  o.train = Train();
+  return std::make_unique<InstanceGraphGnn>(o);
+}
+
+std::unique_ptr<TabularModel> MakeInstanceGraphMultiplex() {
+  InstanceGraphGnnOptions o;
+  o.hidden_dim = 16;
+  o.graph_source = GraphSource::kMultiplexFlatten;
+  o.train = Train();
+  return std::make_unique<InstanceGraphGnn>(o);
+}
+
+LearnedGraphOptions LearnedGraphDaeOptions() {
+  LearnedGraphOptions o;
+  o.hidden_dim = 16;
+  o.candidate_k = 6;
+  o.dae_weight = 0.3;
+  o.train = Train();
+  return o;
+}
+
+std::unique_ptr<TabularModel> MakeLearnedGraphDae() {
+  return std::make_unique<LearnedGraphGnn>(LearnedGraphDaeOptions());
 }
 
 std::unique_ptr<TabularModel> MakeLearnedGraph() {
@@ -178,6 +232,16 @@ const Case kCases[] = {
      0xe45b2e6f6edf22d5ULL},
     {"grape", MakeGrape, 0xbfaa2104f8ccd338ULL,
      0x8d8b56f5c9dc2ea4ULL},
+    {"instance_graph_aux", MakeInstanceGraphAux, 0xbdbe459a9937ec4dULL,
+     0x67fe0695e4eeae69ULL},
+    {"instance_graph_pretrain", MakeInstanceGraphPretrain,
+     0x2579905f511a60f1ULL, 0xa2ee48a30acacf70ULL},
+    // Two values per column: groups of ~45 rows exceed the multiplex group
+    // cap, so its subsampling is in the digest.
+    {"instance_graph_multiplex", MakeInstanceGraphMultiplex,
+     0x97645bcd1a81486dULL, 0x63ebf0ea413e6fa3ULL, 2},
+    {"learned_graph_dae", MakeLearnedGraphDae, 0xad10061079bc6016ULL,
+     0x51b769c9ef150965ULL},
 };
 
 void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
@@ -186,13 +250,14 @@ class TrainedBitsTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(TrainedBitsTest, ClassificationPredictDigestIsPinned) {
   std::unique_ptr<TabularModel> model = GetParam().make();
-  EXPECT_EQ(PredictDigest(*model, /*regression=*/false),
+  EXPECT_EQ(PredictDigest(*model, /*regression=*/false, GetParam().cardinality),
             GetParam().classification);
 }
 
 TEST_P(TrainedBitsTest, RegressionPredictDigestIsPinned) {
   std::unique_ptr<TabularModel> model = GetParam().make();
-  EXPECT_EQ(PredictDigest(*model, /*regression=*/true), GetParam().regression);
+  EXPECT_EQ(PredictDigest(*model, /*regression=*/true, GetParam().cardinality),
+            GetParam().regression);
 }
 
 INSTANTIATE_TEST_SUITE_P(SupervisedModels, TrainedBitsTest,
@@ -200,6 +265,25 @@ INSTANTIATE_TEST_SUITE_P(SupervisedModels, TrainedBitsTest,
                          [](const ::testing::TestParamInfo<Case>& info) {
                            return std::string(info.param.name);
                          });
+
+TEST(ExplainEdgesBitsTest, SaliencyDigestIsPinned) {
+  LearnedGraphGnn model(LearnedGraphDaeOptions());
+  TabularDataset data = Table(/*regression=*/false);
+  Rng rng(5);
+  ASSERT_TRUE(
+      model.Fit(data, RandomSplit(data.NumRows(), 0.5, 0.25, rng)).ok());
+  // Explain two nodes, the predicted class and a named one; each saliency
+  // is hashed in turn, so the digest covers both.
+  uint64_t digest = 0;
+  for (const auto& [node, target_class] :
+       {std::pair<size_t, int>{0, -1}, std::pair<size_t, int>{7, 2}}) {
+    StatusOr<Matrix> saliency = model.ExplainEdges(node, target_class);
+    ASSERT_TRUE(saliency.ok()) << saliency.status().ToString();
+    EXPECT_EQ(saliency->rows(), model.candidate_edges().src.size());
+    digest = digest * 31 + Fnv1a(*saliency);
+  }
+  EXPECT_EQ(digest, 0x5e536c5254b39a43ULL);
+}
 
 /// 48 rows of three numeric columns: rows 30..37 repeat rows 0..7, and rows
 /// 38..47 are ten copies of one point, so some rows' k nearest neighbors are

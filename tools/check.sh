@@ -68,10 +68,13 @@
 #                     unfused compositions, values and gradients compared by
 #                     memcmp) and the arena/tape-plan/release suite
 #                     (free-at-last-use lifetimes, use-after-free poisoning
-#                     caught by the verifier, peak regression bounds), both
-#                     under Address+UB sanitizers and at GNN4TDL_THREADS=1
-#                     and =4 — the fused kernels' row-block parallel paths
-#                     must be bit-exact at every thread count.
+#                     caught by the verifier, peak regression bounds), plus
+#                     the trainer and the ExplainEdges suites, whose
+#                     Backward() calls free each tape value at its last use
+#                     (every Backward does), all under Address+UB sanitizers
+#                     and at GNN4TDL_THREADS=1 and =4 — the fused kernels'
+#                     row-block parallel paths must be bit-exact at every
+#                     thread count.
 #                     FusionTest.WholeFitBitExactAcrossThreadCounts sets
 #                     the pool to 1..4 itself, so it runs only in the
 #                     THREADS=1 pass (a second asan run of it costs ~128 s
@@ -362,12 +365,17 @@ cross_tier_freeze() {
 fusion_stage() {
   cmake --preset asan &&
     cmake --build --preset asan -j "$(nproc)" \
-      --target gnn4tdl_fusion_test --target gnn4tdl_arena_test &&
+      --target gnn4tdl_fusion_test --target gnn4tdl_arena_test \
+      --target gnn4tdl_train_test --target gnn4tdl_outlier_explain_test &&
     GNN4TDL_THREADS=1 ./build-asan/tests/gnn4tdl_fusion_test &&
     GNN4TDL_THREADS=4 ./build-asan/tests/gnn4tdl_fusion_test \
       --gtest_filter='-FusionTest.WholeFitBitExactAcrossThreadCounts' &&
-    GNN4TDL_THREADS=1 ./build-asan/tests/gnn4tdl_arena_test &&
-    GNN4TDL_THREADS=4 ./build-asan/tests/gnn4tdl_arena_test
+    for threads in 1 4; do
+      for suite in arena train outlier_explain; do
+        GNN4TDL_THREADS=$threads "./build-asan/tests/gnn4tdl_${suite}_test" ||
+          return 1
+      done
+    done
 }
 
 load_stage() {

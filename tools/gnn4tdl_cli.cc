@@ -356,12 +356,12 @@ Split SplitFromArgs(const CliArgs& args, const TabularDataset& data) {
 }
 
 // `freeze`, and `serve`/`loadgen` without --model, train an instance-graph
-// GNN through the full pipeline and freeze it to artifact bytes: one training
-// path for every subcommand. One invocation exercises pipeline stages,
-// trainer epochs, kernels, and (when serving) batches, which is what the
-// `--trace-out` smoke in tools/check.sh relies on. Bytes (not a loaded
-// model) so loadgen can load the same artifact once per tenant and freeze
-// can write it out as is.
+// GNN through FitPipeline (build and fit; nothing here reads a transductive
+// prediction) and freeze it to artifact bytes: one training path for every
+// subcommand. One invocation exercises pipeline stages, trainer epochs,
+// kernels, and (when serving) batches, which is what the `--trace-out` smoke
+// in tools/check.sh relies on. Bytes (not a loaded model) so loadgen can
+// load the same artifact once per tenant and freeze can write it out as is.
 StatusOr<std::string> TrainArtifact(const CliArgs& args,
                                     const TabularDataset& data) {
   StatusOr<kernels::Precision> precision =
@@ -385,9 +385,10 @@ StatusOr<std::string> TrainArtifact(const CliArgs& args,
   const Split split = SplitFromArgs(args, data);
   std::printf("training %s on %zu rows...\n", args.backbone.c_str(),
               data.NumRows());
-  StatusOr<PipelineResult> result = RunPipeline(config, data, split);
-  if (!result.ok()) return result.status();
-  auto* gnn = dynamic_cast<InstanceGraphGnn*>(result->model.get());
+  StatusOr<std::unique_ptr<TabularModel>> model =
+      FitPipeline(config, data, split);
+  if (!model.ok()) return model.status();
+  auto* gnn = dynamic_cast<InstanceGraphGnn*>(model->get());
   if (gnn == nullptr) {
     return Status::Internal("pipeline did not produce a freezable model");
   }
