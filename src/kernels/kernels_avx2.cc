@@ -368,15 +368,23 @@ void KnnScanAvx2(KnnScanOp op, const double* queries, size_t num_queries,
 }
 
 // --- f64 training kernels ---------------------------------------------------
-// One lane is one output column. Every output element runs the scalar tier's
+// One lane is one output element. Every output element runs the scalar tier's
 // sequence: the same starting value (what out holds, 0.0 for a fresh
 // Matrix; 0.0 for matmul_nt), the same order over the reduction, each
 // product rounded by mul_pd and then added by add_pd, no FMA (-ffp-contract
 // =off keeps GCC from fusing the pairs). Up to kF64TileVecs accumulators
-// hold a tile of output columns in registers across the whole reduction;
-// column tails (n % 4) run the scalar loop. The matmul zero skip tests one
-// broadcast scalar, so it stays a branch and skips exactly the terms the
-// scalar tier skips (0 * Inf would otherwise add a NaN).
+// hold a tile of output columns in registers across the whole reduction.
+//
+// matmul and matmul_tn skip the terms whose a factor is == 0.0 (0 * Inf
+// would otherwise add a NaN), exactly those the scalar tier skips: -0.0
+// skips, NaN does not. The skip costs no branch per term. In the column
+// tiles (lanes = columns) a row's (matmul) or a column block's (matmul_tn)
+// factors are tested for zeros once: with none, every tile runs over every
+// term; with some, the nonzero ones are compacted into a term list, in
+// ascending order, and every tile runs over that list. The column tail
+// (n % 4, the whole of a 2-class head) puts four output rows in the lanes
+// instead, and each lane skips its own terms by adding -0.0 in their place:
+// x + -0.0 is x for every x, -0.0 and NaN included.
 
 constexpr size_t kF64Lanes = 4;
 constexpr size_t kF64TileVecs = 8;  // 32 columns
@@ -425,44 +433,249 @@ inline void AxpyTile(__m256d s, const double* row, __m256d* acc) {
   }
 }
 
-// The zero-skip tile of matmul and matmul_tn: acc += a(k) * b(k, :) over k
-// in [k0, k1), with a(k) read at a[k * a_stride]. b and out_row are offset
-// to the tile's first column.
-template <size_t NV>
-inline void ZeroSkipTileF64(const double* a, size_t a_stride, const double* b,
-                            size_t n, size_t k0, size_t k1, double* out_row) {
-  __m256d acc[NV];
-  LoadTile<NV>(out_row, acc);
+// The nonzero terms of one reduction: factor[t] and the row of b it scales,
+// in ascending reduction order. Per thread, and it only grows.
+struct TermList {
+  std::vector<double> factor;
+  std::vector<const double*> b_row;
+};
+
+// Fills `terms` with the k in [k0, k1) whose a[k * a_stride] != 0.0 and
+// returns their count. Every slot is written and the count advances by the
+// compare, so the loop has no branch on the data.
+size_t CompactTerms(const double* a, size_t a_stride, const double* b,
+                    size_t n, size_t k0, size_t k1, TermList* terms) {
+  if (terms->factor.size() < k1 - k0) {
+    terms->factor.resize(k1 - k0);
+    terms->b_row.resize(k1 - k0);
+  }
+  double* factor = terms->factor.data();
+  const double** b_row = terms->b_row.data();
+  size_t count = 0;
   for (size_t k = k0; k < k1; ++k) {
     const double av = a[k * a_stride];
-    if (av == 0.0) continue;
-    AxpyTile<NV>(_mm256_set1_pd(av), b + k * n, acc);
+    factor[count] = av;
+    b_row[count] = b + k * n;
+    count += av != 0.0;
+  }
+  return count;
+}
+
+// acc += factor[t] * b_row[t] over the term list; b_row is offset by j0 to
+// the tile's first column, out_row is the tile's first output.
+template <size_t NV>
+inline void TermTileF64(const TermList& terms, size_t count, size_t j0,
+                        double* out_row) {
+  __m256d acc[NV];
+  LoadTile<NV>(out_row, acc);
+  for (size_t t = 0; t < count; ++t) {
+    AxpyTile<NV>(_mm256_set1_pd(terms.factor[t]), terms.b_row[t] + j0, acc);
   }
   StoreTile<NV>(acc, out_row);
 }
 
-// One output row of matmul (a_stride 1) or of matmul_tn (a is a column read
-// with the row stride, over one block of r): register tiles, then the scalar
-// loop over the column tail.
-void ZeroSkipRowF64(const double* a, size_t a_stride, const double* b,
-                    size_t n, size_t k0, size_t k1, double* out_row) {
+// acc += a[k * a_stride] * b(k, :) over every k in [k0, k1): a tile whose
+// factors hold no zero. b and out_row are offset to the tile.
+template <size_t NV>
+inline void DenseTileF64(const double* a, size_t a_stride, const double* b,
+                         size_t n, size_t k0, size_t k1, double* out_row) {
+  __m256d acc[NV];
+  LoadTile<NV>(out_row, acc);
+  for (size_t k = k0; k < k1; ++k)
+    AxpyTile<NV>(_mm256_set1_pd(a[k * a_stride]), b + k * n, acc);
+  StoreTile<NV>(acc, out_row);
+}
+
+// The column tiles of one output row of matmul (a_stride 1) or of
+// matmul_tn (a is a column read with the row stride, over one block of r):
+// the first n - n % 4 columns. `has_zero` says whether any factor is 0.0.
+void TileRowF64(const double* a, size_t a_stride, const double* b, size_t n,
+                size_t k0, size_t k1, bool has_zero, double* out_row) {
   const size_t n4 = n - n % kF64Lanes;
+  if (!has_zero) {
+    ForEachColumnTile(n4, [&](auto nv, size_t j0) {
+      DenseTileF64<nv.value>(a, a_stride, b + j0, n, k0, k1, out_row + j0);
+    });
+    return;
+  }
+  thread_local TermList terms;
+  const size_t count = CompactTerms(a, a_stride, b, n, k0, k1, &terms);
   ForEachColumnTile(n4, [&](auto nv, size_t j0) {
-    ZeroSkipTileF64<nv.value>(a, a_stride, b + j0, n, k0, k1, out_row + j0);
+    TermTileF64<nv.value>(terms, count, j0, out_row + j0);
   });
-  if (n4 == n) return;
+}
+
+// Lanes of v that are == 0.0 (an ordered compare: NaN is not zero).
+inline __m256d ZeroLanes(__m256d v) {
+  return _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_EQ_OQ);
+}
+
+// Bit l set for each lane l < count (count <= 4) of p that is 0.0 or -0.0;
+// lanes at and past count are not read.
+inline int ZeroMask(const double* p, size_t count) {
+  const __m256i lanes = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<int64_t>(count)),
+      _mm256_set_epi64x(3, 2, 1, 0));
+  return _mm256_movemask_pd(ZeroLanes(_mm256_maskload_pd(p, lanes))) &
+         ((1 << count) - 1);
+}
+
+// Whether a[0, count) holds a 0.0 or -0.0.
+bool AnyZero(const double* a, size_t count) {
+  const size_t c4 = count - count % kF64Lanes;
+  __m256d zero = _mm256_setzero_pd();
+  for (size_t k = 0; k < c4; k += kF64Lanes)
+    zero = _mm256_or_pd(zero, ZeroLanes(_mm256_loadu_pd(a + k)));
+  return (_mm256_movemask_pd(zero) | ZeroMask(a + c4, count - c4)) != 0;
+}
+
+// has_zero[i - lo] = whether column i of a (rows x cols) holds a 0.0 in
+// rows [r0, r1), for i in [lo, hi): four columns per vector compare.
+void MarkZeroColumns(const double* a, size_t cols, size_t r0, size_t r1,
+                     size_t lo, size_t hi, std::vector<char>* has_zero) {
+  has_zero->resize(hi - lo);
+  for (size_t i = lo; i < hi; i += kF64Lanes) {
+    const size_t width = std::min(kF64Lanes, hi - i);
+    int mask = 0;
+    for (size_t r = r0; r < r1; ++r) mask |= ZeroMask(a + r * cols + i, width);
+    for (size_t l = 0; l < width; ++l)
+      (*has_zero)[i - lo + l] = static_cast<char>((mask >> l) & 1);
+  }
+}
+
+// Four output rows of the column tail, one per lane: acc[t] holds output
+// column n4 + t of rows i..i+3. Each step adds a * b(k, n4 + t) to every
+// lane whose factor is nonzero and -0.0 to the others.
+template <size_t NT>
+struct TailLanes {
+  __m256d acc[NT];
+
+  void Load(const double* out, size_t n, size_t n4) {
+    for (size_t t = 0; t < NT; ++t) {
+      const double* o = out + n4 + t;
+      acc[t] = _mm256_set_pd(o[3 * n], o[2 * n], o[n], o[0]);
+    }
+  }
+  void Store(double* out, size_t n, size_t n4) const {
+    for (size_t t = 0; t < NT; ++t) {
+      alignas(32) double lanes[kF64Lanes];
+      _mm256_store_pd(lanes, acc[t]);
+      for (size_t l = 0; l < kF64Lanes; ++l) out[l * n + n4 + t] = lanes[l];
+    }
+  }
+  // av holds a's factor for each lane's row; b_tail is b(k, n4).
+  void Step(__m256d av, const double* b_tail) {
+    const __m256d skip = ZeroLanes(av);
+    const __m256d neg_zero = _mm256_set1_pd(-0.0);
+#pragma GCC unroll 3
+    for (size_t t = 0; t < NT; ++t) {
+      const __m256d term = _mm256_mul_pd(av, _mm256_set1_pd(b_tail[t]));
+      acc[t] = _mm256_add_pd(acc[t], _mm256_blendv_pd(term, neg_zero, skip));
+    }
+  }
+};
+
+// Calls fn(VecCount<n % 4>{}) for a nonzero column tail.
+template <typename Fn>
+inline void WithTailWidth(size_t n, Fn&& fn) {
+  switch (n % kF64Lanes) {
+    case 1:
+      fn(VecCount<1>{});
+      break;
+    case 2:
+      fn(VecCount<2>{});
+      break;
+    case 3:
+      fn(VecCount<3>{});
+      break;
+    default:
+      break;
+  }
+}
+
+// The scalar tier's loop over the column tail of one output row.
+inline void TailRowScalar(const double* a, size_t a_stride, const double* b,
+                          size_t n, size_t n4, size_t k0, size_t k1,
+                          double* out_row) {
   for (size_t k = k0; k < k1; ++k) {
-    double av = a[k * a_stride];
+    const double av = a[k * a_stride];
     if (av == 0.0) continue;
     const double* b_row = b + k * n;
     for (size_t j = n4; j < n; ++j) out_row[j] += av * b_row[j];
   }
 }
 
+// matmul's column tail over rows [lo, hi): four rows of a in the lanes,
+// their factors for four consecutive k transposed into four vectors.
+template <size_t NT>
+void MatmulTailF64(const double* a, const double* b, size_t k_dim, size_t n,
+                   size_t lo, size_t hi, double* out) {
+  const size_t n4 = n - NT;
+  const size_t k4 = k_dim - k_dim % kF64Lanes;
+  size_t i = lo;
+  for (; i + kF64Lanes <= hi; i += kF64Lanes) {
+    const double* a0 = a + i * k_dim;
+    const double* a1 = a0 + k_dim;
+    const double* a2 = a1 + k_dim;
+    const double* a3 = a2 + k_dim;
+    TailLanes<NT> lanes;
+    lanes.Load(out + i * n, n, n4);
+    size_t k = 0;
+    for (; k < k4; k += kF64Lanes) {
+      const __m256d r0 = _mm256_loadu_pd(a0 + k);
+      const __m256d r1 = _mm256_loadu_pd(a1 + k);
+      const __m256d r2 = _mm256_loadu_pd(a2 + k);
+      const __m256d r3 = _mm256_loadu_pd(a3 + k);
+      const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);  // k, k+2
+      const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);  // k+1, k+3
+      const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+      const double* b_tail = b + k * n + n4;
+      lanes.Step(_mm256_permute2f128_pd(lo01, lo23, 0x20), b_tail);
+      lanes.Step(_mm256_permute2f128_pd(hi01, hi23, 0x20), b_tail + n);
+      lanes.Step(_mm256_permute2f128_pd(lo01, lo23, 0x31), b_tail + 2 * n);
+      lanes.Step(_mm256_permute2f128_pd(hi01, hi23, 0x31), b_tail + 3 * n);
+    }
+    for (; k < k_dim; ++k) {
+      lanes.Step(_mm256_set_pd(a3[k], a2[k], a1[k], a0[k]), b + k * n + n4);
+    }
+    lanes.Store(out + i * n, n, n4);
+  }
+  for (; i < hi; ++i)
+    TailRowScalar(a + i * k_dim, 1, b, n, n4, 0, k_dim, out + i * n);
+}
+
 void MatmulF64Avx2(const double* a, const double* b, size_t k_dim, size_t n,
                    size_t lo, size_t hi, double* out) {
-  for (size_t i = lo; i < hi; ++i)
-    ZeroSkipRowF64(a + i * k_dim, 1, b, n, 0, k_dim, out + i * n);
+  if (n >= kF64Lanes) {
+    for (size_t i = lo; i < hi; ++i) {
+      const double* a_row = a + i * k_dim;
+      TileRowF64(a_row, 1, b, n, 0, k_dim, AnyZero(a_row, k_dim),
+                 out + i * n);
+    }
+  }
+  WithTailWidth(n, [&](auto nt) {
+    MatmulTailF64<nt.value>(a, b, k_dim, n, lo, hi, out);
+  });
+}
+
+// matmul_tn's column tail over output rows [lo, hi): a(r, i..i+3) is one
+// contiguous load, and every lane sums over r ascending.
+template <size_t NT>
+void MatmulTnTailF64(const double* a, const double* b, size_t rows,
+                     size_t cols, size_t n, size_t lo, size_t hi,
+                     double* out) {
+  const size_t n4 = n - NT;
+  size_t i = lo;
+  for (; i + kF64Lanes <= hi; i += kF64Lanes) {
+    TailLanes<NT> lanes;
+    lanes.Load(out + i * n, n, n4);
+    for (size_t r = 0; r < rows; ++r)
+      lanes.Step(_mm256_loadu_pd(a + r * cols + i), b + r * n + n4);
+    lanes.Store(out + i * n, n, n4);
+  }
+  for (; i < hi; ++i)
+    TailRowScalar(a + i, cols, b, n, n4, 0, rows, out + i * n);
 }
 
 // Rows of b per matmul_tn pass: a block of about 128 KiB stays in L2 while
@@ -472,16 +685,24 @@ constexpr size_t kTnBlockDoubles = 16384;
 void MatmulTnF64Avx2(const double* a, const double* b, size_t rows,
                      size_t cols, size_t n, size_t lo, size_t hi,
                      double* out) {
-  const size_t block =
-      std::max<size_t>(16, kTnBlockDoubles / std::max<size_t>(n, 1));
   // Blocks run in ascending r and each output row carries its partial sums
   // from one block to the next through out, so every element still sums
   // over r in ascending order.
-  for (size_t r0 = 0; r0 < rows; r0 += block) {
-    const size_t r1 = std::min(rows, r0 + block);
-    for (size_t i = lo; i < hi; ++i)
-      ZeroSkipRowF64(a + i, cols, b, n, r0, r1, out + i * n);
+  if (n >= kF64Lanes) {
+    const size_t block = std::max<size_t>(16, kTnBlockDoubles / n);
+    thread_local std::vector<char> has_zero;
+    for (size_t r0 = 0; r0 < rows; r0 += block) {
+      const size_t r1 = std::min(rows, r0 + block);
+      MarkZeroColumns(a, cols, r0, r1, lo, hi, &has_zero);
+      for (size_t i = lo; i < hi; ++i) {
+        TileRowF64(a + i, cols, b, n, r0, r1, has_zero[i - lo] != 0,
+                   out + i * n);
+      }
+    }
   }
+  WithTailWidth(n, [&](auto nt) {
+    MatmulTnTailF64<nt.value>(a, b, rows, cols, n, lo, hi, out);
+  });
 }
 
 // bt is b^T packed (k x n4, row stride n4), offset to the tile.

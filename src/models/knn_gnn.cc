@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <type_traits>
 
@@ -113,6 +114,9 @@ struct InstanceGraphGnn::Operators {
   struct Step {
     /// The normalized operator: rows V_l, columns V_{l-1}, both ascending.
     SparseMatrix sparse;
+    /// sparse.Transpose(), only while Fit trains (BuildTransposes); the
+    /// taped SpMM nodes of every epoch share it for their backward.
+    std::shared_ptr<const SparseMatrix> sparse_t;
     kernels::FCsr sparse_f32;  // `sparse` cast down for the f32 forward
     /// GAT's attention pattern over the same rows and columns.
     GatLayer::EdgeIndex edge_index;
@@ -285,6 +289,24 @@ struct InstanceGraphGnn::Operators {
     return step;
   }
 
+  /// Gives every step its transpose, for the taped backward. GAT and the
+  /// graph transformer record no SpMM over the steps, so they get none.
+  void BuildTransposes(GnnBackbone backbone) {
+    if (backbone == GnnBackbone::kGat ||
+        backbone == GnnBackbone::kTransformer) {
+      return;
+    }
+    for (Step& step : steps) {
+      step.sparse_t = std::make_shared<const SparseMatrix>(
+          step.sparse.Transpose());
+    }
+  }
+
+  /// Frees what BuildTransposes built (once no tape node holds it).
+  void DropTransposes() {
+    for (Step& step : steps) step.sparse_t.reset();
+  }
+
   /// Fills the f32 copies of the operators.
   void CastToF32() {
     for (Step& step : steps) {
@@ -310,12 +332,16 @@ struct F64Operators {
 /// The taped forward of Fit, Predict, Embeddings and PredictInductive: each
 /// step records its autograd node, an aggregation or combination followed by
 /// an activation as one fused node (nn/fused), and Dropout draws its masks
-/// from `rng` only when `training`.
+/// from `rng` only when `training`. A step's SpMM nodes share its transpose
+/// when it has one (Fit's operators) and build their own otherwise.
 struct TapeOps : F64Operators {
   using Mat = Tensor;
 
   TapeOps(Rng& rng, bool training) : rng(rng), training(training) {}
   const Mat& W(const Tensor& t) const { return t; }
+  /// The whole step, so Spmm can hand its transpose to the node.
+  template <typename Step>
+  const Step& Op(const Step& step) const { return step; }
   Mat Gather(const Mat& x, const std::vector<size_t>& rows) const {
     return ops::GatherRows(x, rows);
   }
@@ -327,11 +353,13 @@ struct TapeOps : F64Operators {
     return layer.Forward(x, act);
   }
   Mat MatMul(const Mat& a, const Mat& b) const { return ops::MatMul(a, b); }
-  Mat Spmm(const SparseMatrix& s, const Mat& x) const {
-    return ops::SpMM(s, x);
+  template <typename Step>
+  Mat Spmm(const Step& s, const Mat& x) const {
+    return ops::SpMM(s.sparse, s.sparse_t, x);
   }
-  Mat SpmmAct(const SparseMatrix& s, const Mat& x, Activation act) const {
-    return fused::SpmmBiasAct(s, x, Tensor(), act);
+  template <typename Step>
+  Mat SpmmAct(const Step& s, const Mat& x, Activation act) const {
+    return fused::SpmmBiasAct(s.sparse, s.sparse_t, x, Tensor(), act);
   }
   Mat Add(const Mat& a, const Mat& b) const { return ops::Add(a, b); }
   Mat AddAct(const Mat& a, const Mat& b, Activation act) const {
@@ -1067,6 +1095,13 @@ Status InstanceGraphGnn::Fit(const TabularDataset& data, const Split& split) {
   });
 
   // --- Training strategy (Table 8) ------------------------------------------
+  // The operators' transposes live while Fit trains: every epoch's sparse
+  // backward reads them, and they are freed on the way out.
+  operators_->BuildTransposes(options_.backbone);
+  struct TransposesDrop {
+    Operators* ops;
+    ~TransposesDrop() { ops->DropTransposes(); }
+  } drop_transposes{operators_.get()};
   if (options_.strategy == TrainStrategy::kEndToEnd) {
     std::vector<Tensor> params = TrainedParameters();
     if (recon_ != nullptr)

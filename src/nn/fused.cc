@@ -36,6 +36,8 @@ size_t RowGrain(size_t cost_per_row) {
 const Matrix& MaskedGrad(const Matrix& g, const Matrix& out, Activation act,
                          double alpha, Matrix* storage) {
   if (act == Activation::kNone) return g;
+  obs::KernelScope kernel("act_grad", static_cast<double>(g.size()),
+                          24.0 * static_cast<double>(g.size()));
   *storage = Matrix::Uninitialized(g.rows(), g.cols());
   const auto& f64 = kernels::Dispatch().f64;
   ParallelFor(0, g.rows(), RowGrain(g.cols()), [&](size_t lo, size_t hi) {
@@ -59,7 +61,11 @@ Tensor EpilogueNode(const char* op, Matrix pre, std::vector<Tensor> parents,
     GNN4TDL_CHECK_EQ(b.cols(), pre.cols());
     parents.push_back(b);
   }
-  BiasAct(&pre, b.defined() ? &b.value() : nullptr, act, alpha);
+  if (b.defined() || act != Activation::kNone) {
+    obs::KernelScope kernel("bias_act", static_cast<double>(pre.size()),
+                            16.0 * static_cast<double>(pre.size()));
+    BiasAct(&pre, b.defined() ? &b.value() : nullptr, act, alpha);
+  }
   TapeOpScope op_scope(op);
   return Tensor::FromOpWithOutput(
       std::move(pre), std::move(parents),
@@ -84,15 +90,22 @@ Tensor LinearNode(const char* op, const Tensor& x, const Tensor& w,
                       });
 }
 
-Tensor SpmmNode(const char* op, const SparseMatrix& sp, const Tensor& x,
+Tensor SpmmNode(const char* op, const SparseMatrix& sp,
+                std::shared_ptr<const SparseMatrix> sp_t, const Tensor& x,
                 const Tensor& b, Activation act, double alpha) {
   GNN4TDL_CHECK_EQ(sp.cols(), x.rows());
-  // The tape owns the transposed operator: the backward S^T * G is a row
-  // gather over S^T, write-disjoint and bit-exact at every thread count.
+  // The backward S^T * G is a row gather over S^T, write-disjoint and
+  // bit-exact at every thread count. S^T is the caller's when it passes one,
+  // else this node's own.
+  if (sp_t == nullptr) {
+    sp_t = std::make_shared<const SparseMatrix>(sp.Transpose());
+  }
+  GNN4TDL_CHECK_EQ(sp_t->rows(), sp.cols());
+  GNN4TDL_CHECK_EQ(sp_t->cols(), sp.rows());
   return EpilogueNode(op, sp.Multiply(x.value()), {x}, b, act, alpha,
-                      [sp_t = sp.Transpose(), x](const Matrix& ga) {
+                      [sp_t = std::move(sp_t), x](const Matrix& ga) {
                         if (x.requires_grad())
-                          x.AccumulateGrad(sp_t.Multiply(ga));
+                          x.AccumulateGrad(sp_t->Multiply(ga));
                       });
 }
 
@@ -156,7 +169,13 @@ Tensor LinearBiasAct(const Tensor& x, const Tensor& w, const Tensor& b,
 
 Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
                    Activation act, double leaky_alpha) {
-  return SpmmNode("SpmmBiasAct", sp, x, b, act, leaky_alpha);
+  return SpmmNode("SpmmBiasAct", sp, nullptr, x, b, act, leaky_alpha);
+}
+
+Tensor SpmmBiasAct(const SparseMatrix& sp,
+                   std::shared_ptr<const SparseMatrix> sp_t, const Tensor& x,
+                   const Tensor& b, Activation act, double leaky_alpha) {
+  return SpmmNode("SpmmBiasAct", sp, std::move(sp_t), x, b, act, leaky_alpha);
 }
 
 Tensor AddAct(const Tensor& a, const Tensor& b, Activation act,
@@ -300,7 +319,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor SpMM(const SparseMatrix& sp, const Tensor& x) {
-  return fused::SpmmNode("SpMM", sp, x, Tensor(), Activation::kNone, 0.0);
+  return fused::SpmmNode("SpMM", sp, nullptr, x, Tensor(), Activation::kNone,
+                         0.0);
+}
+
+Tensor SpMM(const SparseMatrix& sp, std::shared_ptr<const SparseMatrix> sp_t,
+            const Tensor& x) {
+  return fused::SpmmNode("SpMM", sp, std::move(sp_t), x, Tensor(),
+                         Activation::kNone, 0.0);
 }
 
 Tensor Relu(const Tensor& a) {

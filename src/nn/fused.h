@@ -15,6 +15,7 @@
 // LeakyRelu, Sigmoid, Tanh and Activate() are the same epilogue node over
 // their input. Each keeps its own tape name.
 
+#include <memory>
 #include <vector>
 
 #include "nn/module.h"
@@ -42,6 +43,14 @@ Tensor LinearBiasAct(const Tensor& x, const Tensor& w, const Tensor& b,
 /// pre-activation intermediates.
 Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
                    Activation act, double leaky_alpha = 0.2);
+
+/// SpmmBiasAct whose backward S^T * G reads `sp_t`: sp.Transpose(), shared
+/// read-only with the caller, or null to build it for this node as the
+/// overload above does on every call. A fit that records the same operator
+/// every epoch builds the transpose once and passes it here.
+Tensor SpmmBiasAct(const SparseMatrix& sp,
+                   std::shared_ptr<const SparseMatrix> sp_t, const Tensor& x,
+                   const Tensor& b, Activation act, double leaky_alpha = 0.2);
 
 /// act(a + b) as one node. Replaces Add + activation (the SAGE combine).
 Tensor AddAct(const Tensor& a, const Tensor& b, Activation act,

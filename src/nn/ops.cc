@@ -209,6 +209,8 @@ Tensor Dropout(const Tensor& a, double p, Rng& rng, bool training) {
   TapeOpScope op_scope("Dropout");
   if (!training || p <= 0.0) return a;
   GNN4TDL_CHECK_LT(p, 1.0);
+  const double elems = static_cast<double>(a.value().size());
+  obs::KernelScope kernel("dropout", 2.0 * elems, 24.0 * elems);
   // One engine draw per element, as std::bernoulli_distribution(p) takes:
   // drawn in bulk straight into the mask's storage, then turned into 0.0 or
   // keep_scale by one compare against the first draw that keeps.

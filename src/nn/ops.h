@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -91,6 +92,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Gradient flows to X only. fused::SpmmBiasAct's node with no bias or
 /// activation.
 Tensor SpMM(const SparseMatrix& sp, const Tensor& x);
+
+/// SpMM whose backward reads `sp_t`, the caller's sp.Transpose() (null:
+/// build one, as above), for an operator recorded on every epoch of a fit
+/// (see fused::SpmmBiasAct).
+Tensor SpMM(const SparseMatrix& sp, std::shared_ptr<const SparseMatrix> sp_t,
+            const Tensor& x);
 
 /// out[i, :] = X[idx[i], :]. Rows may repeat (e.g., edge endpoint gather).
 Tensor GatherRows(const Tensor& x, const std::vector<size_t>& idx);

@@ -5,9 +5,11 @@
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "obs/kernel_hooks.h"
 
 namespace gnn4tdl {
 
@@ -34,6 +36,21 @@ thread_local ProbeState g_probe;
 
 std::string ShapeString(size_t rows, size_t cols) {
   return std::to_string(rows) + "x" + std::to_string(cols);
+}
+
+// The first gradient, *dst = 0.0 + g, written in one parallel pass (in
+// place when dst is &g). It is not a copy of g: the sum turns a -0.0 into
+// +0.0, as accumulating into a zero start does.
+void WriteFirstGrad(const Matrix& g, const Matrix& value, Matrix* dst) {
+  GNN4TDL_CHECK_EQ(g.rows(), value.rows());
+  GNN4TDL_CHECK_EQ(g.cols(), value.cols());
+  obs::KernelScope kernel("accumulate_grad", static_cast<double>(g.size()),
+                          16.0 * static_cast<double>(g.size()));
+  const double* src = g.data();
+  double* out = dst->data();
+  ParallelFor(0, g.size(), kElemGrain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) out[i] = 0.0 + src[i];
+  });
 }
 
 }  // namespace
@@ -131,21 +148,24 @@ void Tensor::AccumulateGrad(const Matrix& g) const {
     return;
   }
   if (!impl_->grad.empty()) {
+    obs::KernelScope kernel("accumulate_grad", static_cast<double>(g.size()),
+                            24.0 * static_cast<double>(g.size()));
     impl_->grad += g;
     return;
   }
-  // The first gradient is 0.0 + g, written in one parallel pass. It is not
-  // a copy of g: the sum turns a -0.0 into +0.0, as accumulating into a
-  // zero start does.
-  GNN4TDL_CHECK_EQ(g.rows(), impl_->value.rows());
-  GNN4TDL_CHECK_EQ(g.cols(), impl_->value.cols());
   Matrix grad = Matrix::Uninitialized(g.rows(), g.cols());
-  const double* src = g.data();
-  double* dst = grad.data();
-  ParallelFor(0, grad.size(), kElemGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) dst[i] = 0.0 + src[i];
-  });
+  WriteFirstGrad(g, impl_->value, &grad);
   impl_->grad = std::move(grad);
+}
+
+void Tensor::AccumulateGrad(Matrix&& g) const {
+  GNN4TDL_CHECK(defined());
+  if (g_probe.active || !impl_->grad.empty()) {
+    AccumulateGrad(std::as_const(g));
+    return;
+  }
+  WriteFirstGrad(g, impl_->value, &g);
+  impl_->grad = std::move(g);
 }
 
 void Tensor::ZeroGrad() const {

@@ -100,6 +100,10 @@ class Tensor {
   /// Adds `g` into this node's gradient buffer (allocating it on first use).
   void AccumulateGrad(const Matrix& g) const;
 
+  /// AccumulateGrad for a gradient the caller gives up: the first write
+  /// turns `g` into 0.0 + g in place and moves it in, with no new buffer.
+  void AccumulateGrad(Matrix&& g) const;
+
   /// Stable identity for use as a map key.
   const void* id() const { return impl_.get(); }
 

@@ -310,6 +310,8 @@ Matrix Matrix::RowSum() const {
 }
 
 Matrix Matrix::ColSum() const {
+  obs::KernelScope kernel("col_sum", static_cast<double>(size()),
+                          8.0 * static_cast<double>(size() + cols_));
   Matrix out(1, cols_);
   for (size_t r = 0; r < rows_; ++r) {
     const double* row = row_data(r);

@@ -103,6 +103,9 @@ SparseMatrix SparseMatrix::Transpose() const {
   // order inside a row). Row c of the transpose lists its source rows in
   // ascending order, so Transpose().Multiply(x) adds each output element's
   // terms in the order of a serial scatter over the rows of this matrix.
+  obs::KernelScope kernel("sparse_transpose", 0.0,
+                          32.0 * static_cast<double>(nnz()) +
+                              16.0 * static_cast<double>(rows_ + cols_));
   SparseMatrix t;
   t.rows_ = cols_;
   t.cols_ = rows_;

@@ -36,6 +36,27 @@ TEST(AutogradTest, GradientsAccumulateAcrossBackwardCalls) {
   EXPECT_TRUE(x.grad().empty());
 }
 
+// A gradient handed over as a temporary lands as 0.0 + g, as a kept one
+// does: -0.0 turns into +0.0. A second write adds into it.
+TEST(AutogradTest, TemporaryFirstGradientIsZeroPlusG) {
+  const Matrix g = Matrix::FromRows({{-0.0, 1.5}, {0.0, -2.0}});
+  for (bool temporary : {false, true}) {
+    SCOPED_TRACE(temporary ? "temporary" : "kept");
+    Tensor x = Tensor::Leaf(Matrix::Zeros(2, 2), true);
+    if (temporary) {
+      x.AccumulateGrad(Matrix(g));
+    } else {
+      x.AccumulateGrad(g);
+    }
+    EXPECT_FALSE(std::signbit(x.grad()(0, 0)));
+    EXPECT_EQ(x.grad()(0, 1), 1.5);
+    EXPECT_EQ(x.grad()(1, 1), -2.0);
+    x.AccumulateGrad(Matrix(g));
+    EXPECT_EQ(x.grad()(0, 1), 3.0);
+    EXPECT_EQ(x.grad()(1, 1), -4.0);
+  }
+}
+
 TEST(AutogradTest, DiamondDependencyGradientsSum) {
   // loss = sum(x + x) => dloss/dx = 2.
   Tensor x = Tensor::Leaf(Matrix::Ones(2, 2), true);

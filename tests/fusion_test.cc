@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -126,6 +127,41 @@ TEST(FusionTest, SpmmBiasActBitExact) {
     ExpectFusedMatchesUnfused(
         {x}, [&] { return fused::SpmmBiasAct(sp, x, Tensor(), act); },
         [&] { return Activate(ops::SpMM(sp, x), act); });
+  }
+}
+
+// The sparse backward must read S^T, not S. A kNN graph's GCN operator is
+// bit-symmetric, so a node that multiplied by S itself would still train the
+// committed digests; this operator is not symmetric in any entry. Each
+// upstream gradient is G exactly (sum of out .* G), so x's gradient must be
+// 0.0 + S^T G bit for bit, whether the node builds S^T itself or shares the
+// caller's.
+TEST(FusionTest, SpmmBackwardReadsTheTranspose) {
+  const SparseMatrix sp = SparseMatrix::FromTriplets(
+      4, 4, {{0, 1, 2.0}, {0, 3, -1.0}, {1, 2, 0.5}, {2, 0, 3.0},
+             {3, 1, -4.0}, {3, 2, 1.5}});
+  const auto sp_t = std::make_shared<const SparseMatrix>(sp.Transpose());
+  Rng rng(35);
+  const Matrix g = RandomMatrix(4, 3, rng);
+  const Matrix want = sp.Transpose().Multiply(g).Map(
+      [](double v) { return 0.0 + v; });
+  ASSERT_NE(0, std::memcmp(want.data(), sp.Multiply(g).data(),
+                           want.size() * sizeof(double)));
+  const std::vector<std::function<Tensor(const Tensor&)>> nodes = {
+      [&](const Tensor& x) { return ops::SpMM(sp, x); },
+      [&](const Tensor& x) { return ops::SpMM(sp, sp_t, x); },
+      [&](const Tensor& x) {
+        return fused::SpmmBiasAct(sp, x, Tensor(), Activation::kNone);
+      },
+      [&](const Tensor& x) {
+        return fused::SpmmBiasAct(sp, sp_t, x, Tensor(), Activation::kNone);
+      },
+  };
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    Tensor x = Tensor::Leaf(RandomMatrix(4, 3, rng), true);
+    ops::SumAll(ops::CwiseMul(nodes[i](x), Tensor::Constant(g))).Backward();
+    SCOPED_TRACE("node " + std::to_string(i));
+    ExpectBitIdentical(x.grad(), want);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -584,6 +585,70 @@ TEST_F(SimdParityTest, F64KernelsBitIdentical) {
   ExpectSameBitsOrBothNaN(out_s, out_v, "matmul_tn blocked");
 }
 
+/// `count` values of which about `zero_share` are zeros (+0.0 and -0.0
+/// alike); the rest are uniform in [-1, 1] with NaN, +Inf and -Inf at
+/// about 2% each.
+std::vector<double> ZeroShareValues(size_t count, double zero_share,
+                                    Rng& rng) {
+  const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  std::vector<double> out(count);
+  for (double& v : out) {
+    if (rng.Uniform(0.0, 1.0) < zero_share) {
+      v = rng.Uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+    } else if (rng.Uniform(0.0, 1.0) < 0.06) {
+      v = kNonFinite[rng.Int(0, 2)];
+    } else {
+      v = rng.Uniform(-1.0, 1.0);
+    }
+  }
+  return out;
+}
+
+// matmul and matmul_tn over row ranges that start and end off a multiple of
+// four (the AVX2 column tail runs four output rows per lane block, then the
+// rest one by one), at zero shares of 0%, 50% and 100% in a (the AVX2 tiles
+// compact a's nonzero terms), with NaN and +-Inf in both operands. Rows
+// outside the range must keep what out held.
+TEST_F(SimdParityTest, F64MatmulsBitIdenticalOverRowRangesAndZeroShares) {
+  Rng rng(43);
+  const kernels::F64Kernels& s = scalar_->f64;
+  const kernels::F64Kernels& v = avx2_->f64;
+  for (double zero_share : {0.0, 0.5, 1.0}) {
+    for (size_t m : {4u, 9u, 33u, 64u, 65u}) {
+      const std::vector<std::pair<size_t, size_t>> ranges = {
+          {0, m}, {3, m > 3 ? m - 3 : m}, {1, m}, {m / 2, m}};
+      for (size_t k : {1u, 3u, 4u, 7u, 64u}) {
+        for (size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 33u, 64u, 65u}) {
+          const std::vector<double> a = ZeroShareValues(m * k, zero_share, rng);
+          const std::vector<double> b = ZeroShareValues(k * n, 0.1, rng);
+          const std::vector<double> out0 = ZeroShareValues(m * n, 0.1, rng);
+          for (const auto& [lo, hi] : ranges) {
+            if (lo > hi) continue;
+            const std::string what =
+                " zeros=" + std::to_string(zero_share) +
+                " m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                " n=" + std::to_string(n) + " rows [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + ")";
+            std::vector<double> out_s = out0, out_v = out0;
+            s.matmul(a.data(), b.data(), k, n, lo, hi, out_s.data());
+            v.matmul(a.data(), b.data(), k, n, lo, hi, out_v.data());
+            ExpectSameBitsOrBothNaN(out_s, out_v, "matmul" + what);
+
+            // a read as (k x m): a^T * b2 with b2 (k x n).
+            out_s = out0;
+            out_v = out0;
+            s.matmul_tn(a.data(), b.data(), k, m, n, lo, hi, out_s.data());
+            v.matmul_tn(a.data(), b.data(), k, m, n, lo, hi, out_v.data());
+            ExpectSameBitsOrBothNaN(out_s, out_v, "matmul_tn" + what);
+          }
+        }
+      }
+    }
+  }
+}
+
 // The matmul zero skip is observable: 0 * Inf is NaN, so a kernel that
 // multiplied the skipped terms would turn these finite outputs into NaN.
 TEST(F64KernelTest, MatmulZeroSkipKeepsInfinityOut) {
@@ -621,6 +686,51 @@ TEST(F64KernelTest, MatmulZeroSkipKeepsInfinityOut) {
         EXPECT_EQ(out_tn[j], 0.0) << kernels::SimdLevelName(level);
         EXPECT_EQ(out_tn[n + j], -inf) << kernels::SimdLevelName(level);
         EXPECT_EQ(out_tn[2 * n + j], inf) << kernels::SimdLevelName(level);
+      }
+    }
+  }
+
+  // Six output rows and narrow outputs, where the AVX2 tier runs four rows
+  // in the lanes of one vector and two past them: each lane must skip its
+  // own zero terms while its neighbours add theirs. Over k: every row is
+  // zero against +Inf; rows 1, 3, 5 add -Inf where rows 0, 2, 4 hold +0.0
+  // or -0.0; every row adds the finite b(2, :).
+  constexpr size_t kRows = 6, kK = 3;
+  std::vector<double> a(kRows * kK);  // (kRows x kK)
+  for (size_t i = 0; i < kRows; ++i) {
+    const double zero = i % 4 == 0 ? -0.0 : 0.0;
+    a[i * kK] = i % 2 == 0 ? 0.0 : -0.0;
+    a[i * kK + 1] = i % 2 == 1 ? static_cast<double>(i) : zero;
+    a[i * kK + 2] = 1.0;
+  }
+  std::vector<double> a_t(kK * kRows);  // a^T, (kK x kRows)
+  for (size_t i = 0; i < kRows; ++i)
+    for (size_t k = 0; k < kK; ++k) a_t[k * kRows + i] = a[i * kK + k];
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    const KernelTable* table = kernels::GetKernelTable(level);
+    if (table == nullptr) continue;
+    for (size_t n : {1u, 2u, 3u, 5u, 7u}) {
+      std::vector<double> b(kK * n);
+      for (size_t j = 0; j < n; ++j) {
+        b[j] = inf;
+        b[n + j] = -inf;
+        b[2 * n + j] = 0.5 + static_cast<double>(j);
+      }
+      std::vector<double> out(kRows * n, 0.0);
+      table->f64.matmul(a.data(), b.data(), kK, n, 0, kRows, out.data());
+      std::vector<double> out_tn(kRows * n, 0.0);
+      table->f64.matmul_tn(a_t.data(), b.data(), kK, kRows, n, 0, kRows,
+                           out_tn.data());
+      for (size_t i = 0; i < kRows; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          const double want = i % 2 == 1 ? -inf : b[2 * n + j];
+          EXPECT_EQ(out[i * n + j], want)
+              << "matmul " << kernels::SimdLevelName(level) << " n=" << n
+              << " row " << i << " col " << j;
+          EXPECT_EQ(out_tn[i * n + j], want)
+              << "matmul_tn " << kernels::SimdLevelName(level) << " n=" << n
+              << " row " << i << " col " << j;
+        }
       }
     }
   }

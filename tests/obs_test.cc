@@ -189,6 +189,82 @@ TEST_F(TracingTest, TrainPhaseSpansCoverEpochWithoutValidation) {
   ExpectTrainPhasesCoverEpochs(/*patience=*/0);
 }
 
+// The epoch's elementwise passes have kernel spans of their own, each
+// recorded a fixed number of times per epoch under train/forward or
+// train/backward. The operator's transpose is built once per fit, before
+// the first epoch, and never inside one.
+TEST_F(TracingTest, EpochPassSpansRecordedAFixedNumberOfTimesPerEpoch) {
+  TabularDataset data = MakeClusters({.num_rows = 150,
+                                      .num_classes = 2,
+                                      .dim_informative = 5,
+                                      .dim_noise = 3,
+                                      .seed = 12});
+  Rng rng(22);
+  Split split = StratifiedSplit(data.class_labels(), 0.6, 0.2, rng);
+  InstanceGraphGnnOptions options;
+  options.backbone = GnnBackbone::kGcn;
+  options.hidden_dim = 16;
+  options.num_layers = 2;
+  options.knn.k = 5;
+  options.train.max_epochs = 2;
+  InstanceGraphGnn model(options);
+  Tracer& tracer = Tracer::Global();
+  tracer.Start();
+  ASSERT_TRUE(model.Fit(data, split).ok());
+  tracer.Stop();
+
+  const std::vector<SpanRecord> spans = tracer.Collect();
+  std::map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& s : spans) by_id[s.id] = &s;
+  // The nearest ancestor named train/<phase>, and the train/epoch above it.
+  const auto ancestor = [&](const SpanRecord& s, const std::string& prefix) {
+    for (uint64_t id = s.parent; id != 0;) {
+      auto it = by_id.find(id);
+      if (it == by_id.end()) return static_cast<const SpanRecord*>(nullptr);
+      if (it->second->name.rfind(prefix, 0) == 0) return it->second;
+      id = it->second->parent;
+    }
+    return static_cast<const SpanRecord*>(nullptr);
+  };
+  // Per epoch: each layer's projection bias and aggregation ReLU, and the
+  // head's bias (bias_act); one dropout between the layers; the two ReLU
+  // gradients (act_grad); the three biases' column sums (col_sum). One
+  // gradient write (accumulate_grad) each for the loss seed, the logits,
+  // the head's input, weight and bias, layer 2's aggregation input,
+  // projection input, weight and bias, the dropout input, layer 1's
+  // aggregation input, weight and bias: the input features are a constant.
+  const std::map<std::string, size_t> per_epoch = {
+      {"bias_act", 5}, {"dropout", 1}, {"act_grad", 2},
+      {"col_sum", 3},  {"accumulate_grad", 13}};
+  std::map<uint64_t, std::map<std::string, size_t>> counts;
+  size_t transposes = 0;
+  for (const SpanRecord& s : spans) {
+    if (s.name == "sparse_transpose") {
+      ++transposes;
+      EXPECT_EQ(ancestor(s, "train/epoch"), nullptr)
+          << "the operator is transposed inside an epoch";
+      continue;
+    }
+    if (per_epoch.count(s.name) == 0) continue;
+    const SpanRecord* phase = ancestor(s, "train/");
+    ASSERT_NE(phase, nullptr) << s.name << " outside a training phase";
+    EXPECT_TRUE(phase->name == "train/forward" ||
+                phase->name == "train/backward")
+        << s.name << " under " << phase->name;
+    const SpanRecord* epoch = ancestor(s, "train/epoch");
+    ASSERT_NE(epoch, nullptr) << s.name;
+    ++counts[epoch->id][s.name];
+  }
+  EXPECT_EQ(transposes, 1u);
+  ASSERT_EQ(counts.size(), 2u);
+  for (const auto& [epoch, names] : counts) {
+    for (const auto& [name, want] : per_epoch) {
+      EXPECT_EQ(names.count(name) ? names.at(name) : 0u, want)
+          << name << " in epoch span " << epoch;
+    }
+  }
+}
+
 // KnnGraph's construction row: the search and the CSR build nest under one
 // construct/knn_graph span.
 TEST_F(TracingTest, KnnGraphSpansNestSearchAndCsrBuild) {

@@ -21,8 +21,11 @@
 #                     artifacts (well-formed trace JSON, required span names
 #                     present — the training phase spans train/forward,
 #                     train/backward, train/optimizer and train/validate
-#                     included — no negative durations, required metrics in
-#                     the Prometheus dump)
+#                     included, and the kernel spans of the epoch's
+#                     elementwise passes: act_grad, bias_act,
+#                     accumulate_grad, col_sum, dropout and
+#                     sparse_transpose — no negative durations, required
+#                     metrics in the Prometheus dump)
 #   stage 6  simd     kernel-tier contract: the kernel tolerance/parity
 #                     suite plus the f32 serving suite, run once with
 #                     GNN4TDL_SIMD=scalar and once with GNN4TDL_SIMD=avx2.
@@ -244,7 +247,8 @@ trace_stage() {
     ./build/tools/gnn4tdl_trace_check build/trace.json build/metrics.txt \
       --require-span "pipeline/fit,construct/knn_graph,train/epoch,\
 train/forward,train/backward,train/optimizer,train/validate,serve/batch,matmul,\
-spmm,edge_softmax" \
+spmm,edge_softmax,act_grad,bias_act,accumulate_grad,col_sum,dropout,\
+sparse_transpose" \
       --require-metric "gnn4tdl_serve_latency_ms,gnn4tdl_serve_batch_rows,gnn4tdl_train_loss,gnn4tdl_serve_requests_total"
 }
 
